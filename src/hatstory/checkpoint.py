@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -62,6 +62,26 @@ def save_checkpoint(params, vocab, config, path):
         f.write(payload)
 
 
+def _header_dims(header):
+    """The header's "dims" object, checked against ModelDims' fields."""
+    dims = header.get("dims")
+    if not isinstance(dims, dict):
+        raise FormatError("checkpoint: header needs a \"dims\" object")
+    known = {f.name: f for f in fields(ModelDims)}
+    unknown = sorted(set(dims) - set(known))
+    if unknown:
+        raise FormatError(f"checkpoint: unknown dims keys {unknown}")
+    missing = sorted(
+        n for n, f in known.items() if n not in dims and f.default is MISSING
+    )
+    if missing:
+        raise FormatError(f"checkpoint: dims lack keys {missing}")
+    for name, value in dims.items():
+        if type(value) is not int:
+            raise FormatError(f"checkpoint: dims.{name} must be an integer, got {value!r}")
+    return dims
+
+
 @dataclass
 class LoadedCheckpoint:
     params: ModelParams
@@ -86,11 +106,17 @@ def load_checkpoint(path):
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise CorruptionError("checkpoint: header is not valid JSON") from None
     offset += header_len
+    if not isinstance(header, dict):
+        raise FormatError("checkpoint: header must be a JSON object")
     if header.get("version") != VERSION:
         raise FormatError(f"checkpoint: unsupported version {header.get('version')!r}")
-    dims = ModelDims(**header["dims"])
+    dims = ModelDims(**_header_dims(header))
     params = init_model(dims, Rng(0), carry_state=bool(header.get("carry_state", True)))
-    manifest = header["manifest"]
+    manifest = header.get("manifest")
+    if not isinstance(manifest, list) or not all(
+        isinstance(m, list) and len(m) == 2 and isinstance(m[1], list) for m in manifest
+    ):
+        raise FormatError("checkpoint: header needs a \"manifest\" list of [name, shape] pairs")
     by_name = dict(params.named_tensors())
     if [m[0] for m in manifest] != [n for n, _ in params.named_tensors()]:
         raise FormatError("checkpoint: manifest does not match the model layout")

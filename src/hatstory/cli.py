@@ -357,10 +357,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except HatstoryError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except IndexError as e:
+    except (HatstoryError, IndexError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -87,10 +87,6 @@ class Vocabulary:
         return " ".join(words)
 
 
-def tokenize(text, vocab):
-    return vocab.encode(text)
-
-
 @dataclass
 class Story:
     """Exactly five sentences as EOS-terminated token-id lists; `texts`

@@ -1,6 +1,7 @@
 """Recurrent and feed-forward building blocks: GRU cell, bidirectional GRU,
 small MLPs, and an embedding table. All state starts at zero and every
-parameter is a plain Tensor, so the gradient tape sees everything."""
+parameter is a plain Tensor, so the gradient tape sees everything. A GRU
+step is one fused tape op (`tensor.gru_cell`) over the nine gate tensors."""
 
 from __future__ import annotations
 
@@ -12,11 +13,10 @@ from .errors import ContractError, DimensionError
 from .tensor import (
     Tensor,
     concat,
+    gru_cell,
     matmul,
-    mul,
     row,
     seeded_init,
-    sigmoid,
     tanh,
     tile_rows,
     vecmat,
@@ -80,17 +80,15 @@ class GruParams:
 
 
 def gru_step(params, x, h):
-    """One GRU update.
+    """One GRU update, recorded as a single tape entry.
 
     z = sigmoid(x W_z + h U_z + b_z)
     r = sigmoid(x W_r + h U_r + b_r)
     cand = tanh(x W_h + (r * h) U_h + b_h)
     h' = (1 - z) * h + z * cand
     """
-    z = sigmoid(vecmat(x, params.w_z) + vecmat(h, params.u_z) + params.b_z)
-    r = sigmoid(vecmat(x, params.w_r) + vecmat(h, params.u_r) + params.b_r)
-    cand = tanh(vecmat(x, params.w_h) + vecmat(mul(r, h), params.u_h) + params.b_h)
-    return (1.0 - z) * h + z * cand
+    p = params
+    return gru_cell(x, h, p.w_z, p.w_r, p.w_h, p.u_z, p.u_r, p.u_h, p.b_z, p.b_r, p.b_h)
 
 
 def bi_gru(fwd, bwd, xs):

@@ -35,10 +35,10 @@ from .tensor import (
     Tensor,
     concat,
     log_softmax,
+    log_softmax_pick,
     matmul,
     mul,
     narrow,
-    pick,
     relu,
     reshape,
     row,
@@ -288,7 +288,7 @@ def _teacher_force_sentence(params, g, sentence, h, total):
     prev = BOS_ID
     for tok in sentence:
         logits, h = decode_word_step(params, prev, g, h)
-        lp = pick(log_softmax(logits), tok)
+        lp = log_softmax_pick(logits, tok)
         total = lp if total is None else total + lp
         prev = tok
     return total, h
@@ -406,8 +406,9 @@ def enc_dec_visual(params, enc):
     return vecmat(enc.final_state, params.encdec_w) + params.encdec_b
 
 
-def enc_dec_log_prob(params, features, story):
-    enc = encode_album(params, features)
+def enc_dec_log_prob(params, enc, story):
+    """Teacher-forced log-prob under the flat baseline, given the album's
+    encoding."""
     vis = enc_dec_visual(params, enc)
     return _story_log_prob_from_inputs(params, [vis] * params.dims.t_steps, story)
 
@@ -435,13 +436,13 @@ def _attend(params, v_matrix, state):
     return alpha, vecmat(alpha, v_matrix)
 
 
-def enc_attn_dec_log_prob(params, features, story):
-    """Teacher-forced log-prob under the attention baseline.
+def enc_attn_dec_log_prob(params, enc, story):
+    """Teacher-forced log-prob under the attention baseline, given the
+    album's encoding.
 
     Attention is computed once per sentence from the decoder state at the
     sentence start. Returns (log_prob, attention) with attention (T, n).
     """
-    enc = encode_album(params, features)
     if len(story.sentences) != params.dims.t_steps:
         raise ContractError(
             f"story has {len(story.sentences)} sentences, model expects {params.dims.t_steps}"

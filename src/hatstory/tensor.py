@@ -7,6 +7,12 @@ tape so the two routes can cross-validate each other.
 Shape rules are strict: binary elementwise ops need equal shapes, the only
 broadcasting allowed is scalar-with-tensor, and every other alignment
 (tiling, stacking, slicing) is an explicit op.
+
+Per-op Python dispatch, not arithmetic, sets the speed of these small
+models, so the two hottest compositions are single fused ops with a
+hand-written backward: one GRU step (`gru_cell`) and one word's
+log-probability (`log_softmax_pick`). Each records one tape entry and
+matches its composed form bit for bit.
 """
 
 from __future__ import annotations
@@ -23,14 +29,6 @@ from .errors import (
     NumericDomainError,
     StateError,
 )
-
-_FINITE_CHECKS = False
-
-
-def set_finite_checks(enabled):
-    """Toggle NaN/Inf validation of every op output (debug mode, off by default)."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
 
 
 class Tensor:
@@ -142,8 +140,6 @@ def _recording(*inputs):
 
 
 def _out(data, *inputs):
-    if _FINITE_CHECKS and not np.all(np.isfinite(data)):
-        raise NumericDomainError("non-finite value in op output")
     out = Tensor(data)
     out.requires_grad = _recording(*inputs)
     return out
@@ -279,12 +275,16 @@ def neg(a):
     return out
 
 
+def _sigmoid(x):
+    # exp(-|x|) <= 1 on both branches, so no overflow in either tail
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def sigmoid(a):
     a = _as_tensor(a)
-    # exp(-|x|) <= 1 on both branches, so no overflow in either tail
-    e = np.exp(-np.abs(a.data))
-    vals = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    out = _out(vals, a)
+    out = _out(_sigmoid(a.data), a)
     if out.requires_grad:
         y = out.data
         def back():
@@ -571,6 +571,103 @@ def sum_all(a):
     if out.requires_grad:
         def back():
             _accum(a, np.broadcast_to(out.grad, a.data.shape))
+        _rec(out, back)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# fused ops: one tape record for what would otherwise be many small ones
+
+
+def gru_cell(x, h, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
+    """One GRU update as a single op with a hand-written backward.
+
+    z = sigmoid(x W_z + h U_z + b_z)
+    r = sigmoid(x W_r + h U_r + b_r)
+    cand = tanh(x W_h + (r * h) U_h + b_h)
+    h' = (1 - z) * h + z * cand
+
+    x is (d_in,), h is (d_h,), w_* (d_in, d_h), u_* (d_h, d_h), b_* (d_h,).
+    The forward repeats the arithmetic of the same formula written with
+    vecmat/add/sigmoid/mul/tanh, so the output is bitwise equal to it. The
+    backward accumulates into every input in the order that composed tape
+    would replay, so the gradients are bitwise equal too.
+    """
+    x, h = _as_tensor(x), _as_tensor(h)
+    d_in, d_h = w_z.data.shape
+    if x.data.shape != (d_in,) or h.data.shape != (d_h,):
+        raise DimensionError(
+            f"gru_cell: input {x.data.shape} and state {h.data.shape} do not fit "
+            f"weights ({d_in}, {d_h})"
+        )
+    xd, hd = x.data, h.data
+    z = _sigmoid(xd @ w_z.data + hd @ u_z.data + b_z.data)
+    r = _sigmoid(xd @ w_r.data + hd @ u_r.data + b_r.data)
+    rh = r * hd
+    cand = np.tanh(xd @ w_h.data + rh @ u_h.data + b_h.data)
+    omz = 1.0 - z
+    out = _out(omz * hd + z * cand, x, h, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h)
+    if out.requires_grad:
+        # Replays the composed tape in reverse: the blend, the candidate, then
+        # the r and z gates. Each input's contributions are added one at a
+        # time in that order, because summing them first would round
+        # differently from the composed form.
+        def back():
+            g = out.grad
+            g_z = g * cand
+            g_z += -(g * hd)
+            if h.requires_grad:
+                _accum(h, g * omz)
+            g_c = (g * z) * (1.0 - cand * cand)
+            if b_h.requires_grad:
+                _accum(b_h, g_c)
+            g_rh = u_h.data @ g_c
+            if u_h.requires_grad:
+                _accum(u_h, rh[:, None] * g_c)
+            if h.requires_grad:
+                _accum(h, g_rh * r)
+            if x.requires_grad:
+                _accum(x, w_h.data @ g_c)
+            if w_h.requires_grad:
+                _accum(w_h, xd[:, None] * g_c)
+            for g_pre, w, u, b, gate in ((g_rh * hd, w_r, u_r, b_r, r), (g_z, w_z, u_z, b_z, z)):
+                g_pre = g_pre * gate * (1.0 - gate)
+                if b.requires_grad:
+                    _accum(b, g_pre)
+                if h.requires_grad:
+                    _accum(h, u.data @ g_pre)
+                if u.requires_grad:
+                    _accum(u, hd[:, None] * g_pre)
+                if x.requires_grad:
+                    _accum(x, w.data @ g_pre)
+                if w.requires_grad:
+                    _accum(w, xd[:, None] * g_pre)
+        _rec(out, back)
+    return out
+
+
+def log_softmax_pick(a, i):
+    """pick(log_softmax(a), i) as a single op: the log-probability of class i
+    under the logits vector a. Value and gradient are bitwise equal to the
+    two-op form."""
+    a = _as_tensor(a)
+    if a.data.ndim != 1 or a.data.shape[0] == 0:
+        raise DimensionError(
+            f"log_softmax_pick: needs a non-empty vector, got shape {a.data.shape}"
+        )
+    if not isinstance(i, (int, np.integer)) or not 0 <= i < a.data.shape[0]:
+        raise IndexError(
+            f"log_softmax_pick index {i} out of range for shape {a.data.shape}"
+        )
+    i = int(i)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    y = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    out = _out(np.asarray(y[i]), a)
+    if out.requires_grad:
+        def back():
+            g = np.zeros_like(y)
+            g[i] += out.grad
+            _accum(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
         _rec(out, back)
     return out
 

@@ -88,20 +88,28 @@ class TrainConfig:
         return asdict(self)
 
 
-def variant_log_prob(params, features, story, variant="hier"):
-    """Teacher-forced story log-probability under one model variant.
+def variant_log_probs(params, features, stories, variant="hier"):
+    """Teacher-forced log-probabilities of several stories about one album
+    under one model variant.
 
+    The album is encoded once, and for the full model its summary is
+    selected once, then every story is scored against that shared result.
     The full model scores under soft selection (the latent path used in
     training and retrieval)."""
+    if variant not in VARIANTS:
+        raise ConfigurationError(f"unknown variant {variant!r}")
+    enc = encode_album(params, features)
     if variant == "hier":
-        enc = encode_album(params, features)
         sel = select_summary(params, enc, "soft")
-        return story_log_prob(params, enc, sel, story)
+        return [story_log_prob(params, enc, sel, story) for story in stories]
     if variant == "enc_dec":
-        return enc_dec_log_prob(params, features, story)
-    if variant == "enc_attn_dec":
-        return enc_attn_dec_log_prob(params, features, story)[0]
-    raise ConfigurationError(f"unknown variant {variant!r}")
+        return [enc_dec_log_prob(params, enc, story) for story in stories]
+    return [enc_attn_dec_log_prob(params, enc, story)[0] for story in stories]
+
+
+def variant_log_prob(params, features, story, variant="hier"):
+    """Teacher-forced story log-probability under one model variant."""
+    return variant_log_probs(params, features, [story], variant)[0]
 
 
 def generation_loss(params, features, story, variant="hier"):
@@ -149,14 +157,17 @@ def make_negative(story, rng):
 def combined_loss(params, features, story, negative, cfg):
     """(total, generation part, ranking part). `negative` may be None when
     rank_weight is 0, in which case the op sequence is exactly the
-    generation loss."""
-    log_p_pos = variant_log_prob(params, features, story, cfg.variant)
-    gen = neg(log_p_pos)
+    generation loss. Otherwise the story and its negative share one album
+    encoding (and selection)."""
     if cfg.rank_weight == 0.0:
+        gen = generation_loss(params, features, story, cfg.variant)
         return gen, gen, None
     if negative is None:
         raise ContractError("combined_loss: rank_weight > 0 needs a negative story")
-    log_p_neg = variant_log_prob(params, features, negative, cfg.variant)
+    log_p_pos, log_p_neg = variant_log_probs(
+        params, features, [story, negative], cfg.variant
+    )
+    gen = neg(log_p_pos)
     rank = ranking_loss(log_p_pos, log_p_neg, cfg.margin, cfg.printed_hinge)
     return gen + cfg.rank_weight * rank, gen, rank
 

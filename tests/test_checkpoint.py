@@ -145,6 +145,47 @@ def test_manifest_name_mismatch_is_a_format_error(tmp_path):
         load_checkpoint(path)
 
 
+def test_header_that_is_not_an_object_is_a_format_error(tmp_path):
+    _, path = saved(tmp_path)
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, len(MAGIC))
+    payload = blob[len(MAGIC) + 8 + header_len :]
+    for header in (b"[1,2]", b"null", b"7"):
+        path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + payload)
+        with pytest.raises(FormatError, match="JSON object"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["dims", "manifest"])
+def test_missing_dims_or_manifest_is_a_format_error(tmp_path, key):
+    _, path = saved(tmp_path)
+    rewrite_header(path, lambda h: h.pop(key))
+    with pytest.raises(FormatError, match=key):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "mutate, match",
+    [
+        (lambda d: d.update(depth=3), "unknown dims keys \\['depth'\\]"),
+        (lambda d: d.pop("d_g"), "lack keys \\['d_g'\\]"),
+        (lambda d: d.update(k="16"), "dims.k must be an integer"),
+    ],
+)
+def test_bad_dims_are_format_errors_naming_the_key(tmp_path, mutate, match):
+    _, path = saved(tmp_path)
+    rewrite_header(path, lambda h: mutate(h["dims"]))
+    with pytest.raises(FormatError, match=match):
+        load_checkpoint(path)
+
+
+def test_malformed_manifest_entries_are_a_format_error(tmp_path):
+    _, path = saved(tmp_path)
+    rewrite_header(path, lambda h: h["manifest"].__setitem__(0, "enc_fwd.w_z"))
+    with pytest.raises(FormatError, match="manifest"):
+        load_checkpoint(path)
+
+
 def test_payload_length_mismatch_is_a_corruption_error(tmp_path):
     _, path = saved(tmp_path)
     path.write_bytes(path.read_bytes() + b"\x00" * 8)  # trailing garbage

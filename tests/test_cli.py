@@ -254,9 +254,26 @@ def test_eval_retrieval_pool_size_cap(pipeline):
 
 def test_eval_with_missing_checkpoint_fails_cleanly(pipeline, capsys):
     tmp_path, data, _ = pipeline
-    with pytest.raises(FileNotFoundError):
-        main(["eval-gen", "--ckpt", str(tmp_path / "nope.hat"), "--data", str(data),
-              "--out", str(tmp_path / "r")])
+    missing = tmp_path / "nope.hat"
+    code = main(["eval-gen", "--ckpt", str(missing), "--data", str(data),
+                 "--out", str(tmp_path / "r")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+def test_missing_input_files_are_one_line_errors(tmp_path, capsys):
+    code = main(["eval-summ", "--ckpt", str(tmp_path / "none.hat"), "--data", "x",
+                 "--out", str(tmp_path / "y")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code = main(["train", "--data", str(tmp_path / "none.jsonl"),
+                 "--out", str(tmp_path / "runs"), "--run-name", "r"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "none.jsonl" in err
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,20 @@ from hypothesis import strategies as st
 
 from hatstory.errors import ContractError, DimensionError
 from hatstory.layers import EmbeddingTable, GruParams, MlpParams, bi_gru, embed, gru_step, mlp
-from hatstory.tensor import Rng, Tensor, grad_check, matmul, mul, sum_all, zeros
+from hatstory.tensor import (
+    Rng,
+    Tape,
+    Tensor,
+    backward,
+    grad_check,
+    matmul,
+    mul,
+    sigmoid,
+    sum_all,
+    tanh,
+    vecmat,
+    zeros,
+)
 from conftest import assert_close
 
 
@@ -211,3 +224,97 @@ def test_mlp_and_embedding_gradients(rng):
 
     report = grad_check(fn, tensors, tol=1e-5)
     assert report.passed, report.max_rel_err
+
+
+# ---------------------------------------------------------------------------
+# the fused GRU step against the composed-op reference
+
+
+def composed_gru_step(params, x, h):
+    """The GRU step written with one tape op per arithmetic step, as the
+    fused op must reproduce it."""
+    z = sigmoid(vecmat(x, params.w_z) + vecmat(h, params.u_z) + params.b_z)
+    r = sigmoid(vecmat(x, params.w_r) + vecmat(h, params.u_r) + params.b_r)
+    cand = tanh(vecmat(x, params.w_h) + vecmat(mul(r, h), params.u_h) + params.b_h)
+    return (1.0 - z) * h + z * cand
+
+
+def _perturbed_cell(rng, d_in, d_h):
+    cell = GruParams.create(rng, d_in, d_h)
+    for _, t in cell.named():
+        t.data += rng.uniform(-0.5, 0.5, t.shape)  # nonzero biases too
+    return cell
+
+
+def _run_sequence(step, cell, xs, trainable_x):
+    """Unroll `step` over xs on one tape. The loss reads every state, so each
+    state's gradient sums several contributions. Returns (loss, states,
+    gradients of every tensor, tape length)."""
+    inputs = [Tensor(x, requires_grad=trainable_x) for x in xs]
+    for _, t in cell.named():
+        t.grad = None
+    with Tape() as tape:
+        h = zeros(cell.d_h)
+        states = []
+        for x in inputs:
+            h = step(cell, x, h)
+            states.append(h)
+        loss = sum_all(mul(states[-1], states[-1]))
+        for s in states[:-1]:
+            loss = loss + sum_all(mul(s, states[-1]))
+        backward(tape, loss)
+    grads = [t.grad for _, t in cell.named()]
+    if trainable_x:
+        grads += [x.grad for x in inputs]
+    return loss.data, [s.data for s in states], grads, len(tape)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("trainable_x", [True, False])
+def test_fused_gru_step_is_bitwise_equal_to_composed_ops(seed, trainable_x):
+    rng = Rng(seed)
+    d_in, d_h = 3 + seed, 2 + seed % 3
+    cell = _perturbed_cell(rng, d_in, d_h)
+    xs = [rng.uniform(-1, 1, d_in) for _ in range(4)]
+    loss_c, states_c, grads_c, _ = _run_sequence(composed_gru_step, cell, xs, trainable_x)
+    loss_f, states_f, grads_f, _ = _run_sequence(gru_step, cell, xs, trainable_x)
+    for a, b in zip(states_c, states_f):
+        assert np.array_equal(a, b)
+    assert np.array_equal(loss_c, loss_f)
+    # same accumulation order as the composed tape, so bitwise, not just close
+    for a, b in zip(grads_c, grads_f):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_fused_gru_step_records_one_tape_entry_per_step(rng):
+    cell = GruParams.create(rng, 3, 2)
+    xs = [rng.uniform(-1, 1, 3) for _ in range(4)]
+    # 4 steps plus the loss's 2 + 3 * 3 records
+    assert _run_sequence(gru_step, cell, xs, True)[3] == 4 + 2 + 3 * 3
+
+
+def test_gru_step_gradients_with_constant_input(rng):
+    """test_gru_step_gradients covers a trainable x; here x is a constant,
+    as photo features are, and the state passes through two steps."""
+    cell = _perturbed_cell(rng, 3, 2)
+    x = Tensor(rng.uniform(-1, 1, 3))
+    h0 = Tensor(rng.uniform(-0.5, 0.5, 2), requires_grad=True)
+    tensors = [t for _, t in cell.named()] + [h0]
+
+    def fn(*ts):
+        h1 = gru_step(cell, x, h0)
+        h2 = gru_step(cell, x, h1)
+        return sum_all(mul(h2, h2)) + sum_all(h1)
+
+    report = grad_check(fn, tensors, tol=1e-5)
+    assert report.passed, report.per_param
+
+
+def test_fused_gru_step_rejects_wrong_widths(rng):
+    cell = GruParams.create(rng, 3, 2)
+    with pytest.raises(DimensionError):
+        gru_step(cell, Tensor(np.ones(4)), zeros(2))
+    with pytest.raises(DimensionError):
+        gru_step(cell, Tensor(np.ones(3)), zeros(3))
+    with pytest.raises(DimensionError):
+        gru_step(cell, Tensor(np.ones((1, 3))), zeros(2))

@@ -436,9 +436,8 @@ def test_enc_dec_log_prob_uses_projected_final_state():
     params = init_model(tiny_dims(t_steps=2), Rng(25))
     feats = random_features(Rng(26), 5, 4)
     story = Story(sentences=[[4, 2], [5, 3, 2]])
-    lp = enc_dec_log_prob(params, feats, story)
-
     enc = encode_album(params, feats)
+    lp = enc_dec_log_prob(params, enc, story)
     vis = Tensor(enc.final_state.data @ params.encdec_w.data + params.encdec_b.data)
     total = 0.0
     h = zeros(3)
@@ -456,8 +455,10 @@ def test_enc_dec_zero_projection_ignores_photos():
     params.encdec_w.data[...] = 0.0
     params.encdec_b.data[...] = 0.0
     story = Story(sentences=[[4, 5, 2]])
-    lp_a = enc_dec_log_prob(params, random_features(Rng(1), 5, 4), story)
-    lp_b = enc_dec_log_prob(params, random_features(Rng(2), 8, 4), story)
+    enc_a = encode_album(params, random_features(Rng(1), 5, 4))
+    enc_b = encode_album(params, random_features(Rng(2), 8, 4))
+    lp_a = enc_dec_log_prob(params, enc_a, story)
+    lp_b = enc_dec_log_prob(params, enc_b, story)
     assert float(lp_a.data) == float(lp_b.data)
 
 
@@ -480,7 +481,8 @@ def test_enc_attn_dec_attention_is_a_distribution():
 def test_enc_attn_dec_single_photo_gets_full_attention():
     params = init_model(tiny_dims(t_steps=1), Rng(32))
     story = Story(sentences=[[4, 2]])
-    _, attn = enc_attn_dec_log_prob(params, random_features(Rng(5), 1, 4), story)
+    enc = encode_album(params, random_features(Rng(5), 1, 4))
+    _, attn = enc_attn_dec_log_prob(params, enc, story)
     assert np.array_equal(attn, np.ones((1, 1)))
 
 
@@ -489,11 +491,11 @@ def test_enc_attn_dec_constant_scorer_attends_uniformly():
     zero_weights(params.attn_mlp)
     feats = random_features(Rng(36), 4, 4)
     story = Story(sentences=[[4, 2], [5, 2]])
-    lp, attn = enc_attn_dec_log_prob(params, feats, story)
+    enc = encode_album(params, feats)
+    lp, attn = enc_attn_dec_log_prob(params, enc, story)
     assert np.allclose(attn, 0.25, atol=1e-15)
 
     # with uniform attention every sentence sees the mean photo representation
-    enc = encode_album(params, feats)
     mean_v = Tensor(enc.v.data.mean(axis=0))
     total = 0.0
     h = zeros(3)
@@ -508,8 +510,9 @@ def test_enc_attn_dec_constant_scorer_attends_uniformly():
 
 def test_enc_attn_dec_log_prob_rejects_wrong_sentence_count():
     params = tiny_model()
+    enc = encode_album(params, random_features(Rng(0), 5, 4))
     with pytest.raises(ContractError):
-        enc_attn_dec_log_prob(params, random_features(Rng(0), 5, 4), Story(sentences=[[2]]))
+        enc_attn_dec_log_prob(params, enc, Story(sentences=[[2]]))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from hatstory.tensor import (
     grad_check,
     log,
     log_softmax,
+    log_softmax_pick,
     matmul,
     mul,
     narrow,
@@ -308,6 +309,45 @@ def test_binary_and_structural_gradients():
         for fn, params in checks:
             report = grad_check(fn, params, step=1e-5, tol=1e-5)
             assert report.passed, f"seed {seed}: {report.max_rel_err}"
+
+
+def _pick_log_softmax_run(op, logits, indices):
+    """Sum of op(logits_j, indices_j) over several rows sharing one logits
+    tensor, with its gradient, on one tape."""
+    x = Tensor(logits, requires_grad=True)
+    with Tape() as tape:
+        total = None
+        for j, i in enumerate(indices):
+            lp = mul(op(row(x, j), i), float(j + 1))
+            total = lp if total is None else total + lp
+        backward(tape, total)
+    return total.data, x.grad
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_log_softmax_pick_is_bitwise_equal_to_pick_of_log_softmax(seed):
+    rng = Rng(seed)
+    logits = rng.uniform(-30, 30, (4, 7))
+    indices = [rng.integers(0, 7) for _ in range(4)]
+    value_c, grad_c = _pick_log_softmax_run(
+        lambda v, i: pick(log_softmax(v), i), logits, indices
+    )
+    value_f, grad_f = _pick_log_softmax_run(log_softmax_pick, logits, indices)
+    assert np.array_equal(value_c, value_f)
+    assert np.array_equal(grad_c, grad_f)
+
+
+def test_log_softmax_pick_gradcheck_and_errors():
+    for seed in range(10):
+        v = Tensor(Rng(seed).uniform(-2, 2, 6), requires_grad=True)
+        report = grad_check(lambda t: log_softmax_pick(t, seed % 6), [v], tol=1e-5)
+        assert report.passed, f"seed {seed}: {report.max_rel_err}"
+    with pytest.raises(IndexError):
+        log_softmax_pick(Tensor(np.ones(3)), 3)
+    with pytest.raises(DimensionError):
+        log_softmax_pick(Tensor(np.ones((2, 3))), 0)
+    with pytest.raises(DimensionError):
+        log_softmax_pick(Tensor(np.ones(0)), 0)
 
 
 def test_grad_check_positive_example(rng):

@@ -10,8 +10,10 @@ import pytest
 from hatstory.data import Story, SynthSpec, synth_generate
 from hatstory.errors import ConfigurationError, ContractError
 from hatstory.model import ModelDims, init_model
-from hatstory.tensor import Rng, Tensor, Tape, backward
+from hatstory import training
+from hatstory.tensor import Rng, Tensor, Tape, backward, neg
 from hatstory.training import (
+    VARIANTS,
     AdamState,
     TrainConfig,
     adam_step,
@@ -139,6 +141,81 @@ def test_combined_loss_weighted_sum_of_parts():
     # generation part is the negative story likelihood
     lp = variant_log_prob(params, albums[0].features, story)
     assert abs(float(gen.data) + float(lp.data)) < 1e-15
+
+
+def independent_combined_loss(params, features, story, negative, cfg):
+    """The ranked objective with the story and its negative scored by two
+    separate variant_log_prob calls, each conditioning on the album anew."""
+    log_p_pos = variant_log_prob(params, features, story, cfg.variant)
+    log_p_neg = variant_log_prob(params, features, negative, cfg.variant)
+    rank = ranking_loss(log_p_pos, log_p_neg, cfg.margin, cfg.printed_hinge)
+    return neg(log_p_pos) + cfg.rank_weight * rank
+
+
+def _loss_and_grads(loss_fn, params, variant):
+    trainable = params.trainable(variant)
+    for _, t in trainable:
+        t.grad = None
+    with Tape() as tape:
+        total = loss_fn()
+        backward(tape, total)
+    return total.data, {n: t.grad for n, t in trainable}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_combined_loss_conditions_once_and_matches_independent_scoring(variant):
+    albums, _ = tiny_dataset()
+    cfg = tiny_cfg(rank_weight=2.5, variant=variant)
+    params = init_model(ModelDims(k=6, d_s=4, d_g=4, d_w=3, vocab_size=19), Rng(0))
+    album, story = albums[0], albums[0].stories[0]
+    negative = make_negative(story, Rng(1))
+    shared, shared_grads = _loss_and_grads(
+        lambda: combined_loss(params, album.features, story, negative, cfg)[0], params, variant
+    )
+    apart, apart_grads = _loss_and_grads(
+        lambda: independent_combined_loss(params, album.features, story, negative, cfg),
+        params, variant,
+    )
+    assert np.array_equal(shared, apart)
+    assert shared_grads.keys() == apart_grads.keys()
+    for name in shared_grads:
+        assert np.max(np.abs(shared_grads[name] - apart_grads[name])) <= 1e-12, name
+
+
+def test_ranked_acceptance_example_encodes_and_selects_once(monkeypatch):
+    """Album 0 of the seed-7 acceptance set with its shuffled negative: one
+    encoding, one selection, and a bounded tape."""
+    albums, vocab = synth_generate(
+        SynthSpec(albums=20, n=10, k=16, classes=5, seed=7, noise_sigma=0.05)
+    )
+    cfg = TrainConfig(
+        k=16, seed=7, learning_rate=3e-3, batch_size=5, rank_weight=3.0,
+        margin=1.0, enc_init_gain=0.5,
+    )
+    dims = ModelDims(k=16, d_s=cfg.d_s, d_g=cfg.d_g, d_w=cfg.d_w, vocab_size=vocab.size)
+    params = init_model(dims, Rng(7), enc_init_gain=cfg.enc_init_gain)
+    calls = []
+
+    def counted(name):
+        fn = getattr(training, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("encode_album", "select_summary"):
+        monkeypatch.setattr(training, name, counted(name))
+    story = albums[0].stories[0]
+    negative = make_negative(story, Rng(7))
+    with Tape() as tape:
+        total, _, _ = combined_loss(params, albums[0].features, story, negative, cfg)
+        backward(tape, total)
+    assert calls == ["encode_album", "select_summary"]
+    # 2,794 records when every op was recorded separately and the album was
+    # conditioned on twice; 552 with fused GRU and word ops
+    assert len(tape) <= 650
 
 
 def test_combined_loss_zero_rank_weight_returns_generation_loss_itself():
