@@ -74,6 +74,11 @@ def _write_report(report, out_dir, stem):
     print(f"wrote {jpath} and {cpath}")
 
 
+def _check_beam(beam):
+    if beam < 1:
+        raise ConfigurationError(f"--beam must be at least 1, got {beam}")
+
+
 def _load_for_eval(args):
     ck = load_checkpoint(args.ckpt)
     if ck.vocab is None:
@@ -143,6 +148,7 @@ def cmd_train(args):
 
 
 def cmd_generate(args):
+    _check_beam(args.beam)
     ck, albums = _load_for_eval(args)
     cfg = ck.config or {}
     max_len = int(cfg.get("max_sentence_len", 12))
@@ -165,6 +171,7 @@ def cmd_generate(args):
 
 
 def cmd_eval_gen(args):
+    _check_beam(args.beam)
     ck, albums = _load_for_eval(args)
     cfg = ck.config or {}
     max_len = int(cfg.get("max_sentence_len", 12))
@@ -318,7 +325,7 @@ def build_parser():
     s = sub.add_parser("generate", help="generate stories for every album")
     s.add_argument("--ckpt", required=True)
     s.add_argument("--data", required=True)
-    s.add_argument("--beam", type=int, choices=[1, 3], default=3)
+    s.add_argument("--beam", type=int, default=3, help="beam width, at least 1")
     s.add_argument("--oracle-selection", action="store_true",
                    help="decode from the first ground-truth summary")
     s.add_argument("--out", required=True, help="output JSON path")
@@ -327,7 +334,7 @@ def build_parser():
     s = sub.add_parser("eval-gen", help="BLEU and CIDEr of generated stories")
     s.add_argument("--ckpt", required=True)
     s.add_argument("--data", required=True)
-    s.add_argument("--beam", type=int, choices=[1, 3], default=3)
+    s.add_argument("--beam", type=int, default=3, help="beam width, at least 1")
     s.add_argument("--out", required=True, help="report directory")
     s.set_defaults(func=cmd_eval_gen)
 

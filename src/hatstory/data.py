@@ -13,7 +13,9 @@ File format ("hatstory-v1"): UTF-8 JSON lines. Line 1 is a header
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -29,6 +31,8 @@ UNK_ID = 3
 SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
 SENTENCES_PER_STORY = 5
+
+_NUMBER_TYPES = {int, float}  # what JSON numbers parse to
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -163,15 +167,40 @@ def _parse_album(obj, k, lineno, min_photos, max_photos):
                 f"{where}: photo {p['photo_id']} feature width "
                 f"{len(fv) if isinstance(fv, list) else '?'} != header k={k}"
             )
+        # numpy would also take numeric strings and booleans, so check types
+        # first; exact types, because bool is a subclass of int
+        if not set(map(type, fv)) <= _NUMBER_TYPES:
+            j = next(j for j, x in enumerate(fv) if type(x) not in _NUMBER_TYPES)
+            raise DataError(
+                f"{where}: photo {p['photo_id']} features[{j}] is {fv[j]!r}, "
+                "not a JSON number"
+            )
+        try:
+            feats[i] = fv
+        except OverflowError:  # an integer literal beyond the float range
+            feats[i] = [x if abs(x) <= sys.float_info.max else math.inf for x in fv]
         photo_ids.append(p["photo_id"])
-        feats[i] = np.asarray(fv, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(feats))
+    if bad.size:
+        i, j = bad[0]
+        raise DataError(
+            f"{where}: photo {photo_ids[i]} features[{j}] is "
+            f"{photos[i]['features'][j]!r}, not finite"
+        )
     if len(set(photo_ids)) != len(photo_ids):
         raise DataError(f"{where}: duplicate photo_id")
     gt = obj.get("gt_summaries", [])
     if not isinstance(gt, list) or len(gt) > 2:
         raise DataError(f"{where}: gt_summaries must be a list of at most 2 summaries")
-    for s in gt:
-        if not isinstance(s, list) or len(s) != 5 or len(set(s)) != 5:
+    for i, s in enumerate(gt):
+        if not isinstance(s, list):
+            raise DataError(f"{where}: each gt summary must list 5 distinct photo_ids")
+        for j, pid in enumerate(s):
+            if not isinstance(pid, str):
+                raise DataError(
+                    f"{where}: gt_summaries[{i}][{j}] is {pid!r}, not a photo_id string"
+                )
+        if len(s) != 5 or len(set(s)) != 5:
             raise DataError(f"{where}: each gt summary must list 5 distinct photo_ids")
         for pid in s:
             if pid not in photo_ids:

@@ -181,6 +181,16 @@ def mlp(params, x):
     raise DimensionError(f"mlp: input must be 1-D or 2-D, got shape {x.shape}")
 
 
+def mlp_array(params, x):
+    """`mlp` on a plain array with any number of leading axes, without the
+    tape."""
+    for i, (w, b) in enumerate(params.layers):
+        x = x @ w.data + b.data
+        if i < len(params.layers) - 1:
+            x = np.tanh(x)
+    return x
+
+
 @dataclass
 class EmbeddingTable:
     """Token-id to vector lookup; gradients scatter into the looked-up rows."""

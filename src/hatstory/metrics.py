@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .model import encode_album, select_summary, story_log_prob
-from .training import variant_log_prob
+from .model import encode_album, pool_story_log_probs, select_summary
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +162,15 @@ def cider(hypotheses, references, max_order=4):
 
 
 def retrieval_scores(params, story, album_features_list, variant="hier", per_word=False):
-    """Story log-likelihood against each candidate album (soft selection)."""
+    """Story log-likelihood against each candidate album (soft selection for
+    the full model), in pool order. The whole pool is scored in one batched
+    pass, grouped by photo count."""
     if not album_features_list:
         raise ContractError("retrieval_scores: empty album pool")
-    scores = []
-    for features in album_features_list:
-        lp = float(variant_log_prob(params, features, story, variant).data)
-        if per_word:
-            lp /= sum(len(s) for s in story.sentences)
-        scores.append(lp)
+    scores = pool_story_log_probs(params, story, album_features_list, variant)
+    if per_word:
+        n_tokens = sum(len(s) for s in story.sentences)
+        scores = [lp / n_tokens for lp in scores]
     return scores
 
 
@@ -184,11 +183,6 @@ def rank_of(scores, true_index):
     ahead = sum(1 for x in scores if x > s)
     tied_before = sum(1 for i, x in enumerate(scores[:true_index]) if x == s)
     return 1 + ahead + tied_before
-
-
-def retrieve(params, story, album_features_list, true_index, variant="hier", per_word=False):
-    scores = retrieval_scores(params, story, album_features_list, variant, per_word)
-    return rank_of(scores, true_index), scores
 
 
 def recall_at_k(ranks, k):
@@ -246,9 +240,3 @@ def hard_selection_ids(params, album):
     enc = encode_album(params, album.features)
     sel = select_summary(params, enc, "hard")
     return [album.photo_ids[i] for i in sel.indices]
-
-
-def soft_story_log_prob(params, features, story):
-    enc = encode_album(params, features)
-    sel = select_summary(params, enc, "soft")
-    return float(story_log_prob(params, enc, sel, story).data)

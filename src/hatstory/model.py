@@ -30,11 +30,14 @@ from .layers import (
     embed,
     gru_step,
     mlp,
+    mlp_array,
 )
 from .tensor import (
     Tensor,
     concat,
+    gru_update,
     log_softmax,
+    log_softmax_array,
     log_softmax_pick,
     matmul,
     mul,
@@ -44,7 +47,9 @@ from .tensor import (
     row,
     seeded_init,
     sigmoid,
+    sigmoid_array,
     softmax,
+    softmax_array,
     stack_rows,
     sum_all,
     tile_rows,
@@ -53,6 +58,7 @@ from .tensor import (
 )
 
 SELECTION_MODES = ("soft", "hard", "oracle")
+VARIANTS = ("hier", "enc_dec", "enc_attn_dec")
 
 
 @dataclass
@@ -174,8 +180,8 @@ class AlbumEncoding:
     final_state: Tensor  # (k,) both directions' terminal states, concatenated
 
 
-def encode_album(params, features):
-    """v_i = relu(bi_gru(features)_i + f_i); features is an (n, k) array."""
+def _album_features(params, features):
+    """The album's (n, k) float64 feature array, checked against the model."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise DimensionError(f"encode_album: features must be (n, k), got {features.shape}")
@@ -186,6 +192,13 @@ def encode_album(params, features):
         raise DimensionError(
             f"encode_album: feature width {width} != model k={params.dims.k}"
         )
+    return features
+
+
+def encode_album(params, features):
+    """v_i = relu(bi_gru(features)_i + f_i); features is an (n, k) array."""
+    features = _album_features(params, features)
+    n = features.shape[0]
     xs = [Tensor(features[i]) for i in range(n)]
     outs = bi_gru(params.enc_fwd, params.enc_bwd, xs)
     vs = [relu(outs[i] + xs[i]) for i in range(n)]
@@ -474,3 +487,115 @@ def enc_attn_dec_generate(params, features, beam, max_len):
         sentences.append(list(winner.tokens))
         h = winner.state
     return Story(sentences=sentences), np.stack(weights)
+
+
+# ---------------------------------------------------------------------------
+# tape-free scoring of one story against a pool of albums
+
+
+def pool_story_log_probs(params, story, album_features_list, variant="hier"):
+    """Teacher-forced log p(story | album) for every album of a pool, in
+    pool order, without the tape.
+
+    Albums with the same photo count form one group, and each group runs the
+    bi-GRU encoder, the variant's per-sentence conditioner and the decoder
+    once over (B, .) rows, one row per album. The conditioners are the soft
+    selection row (hier), the constant projection (enc_dec) and attention
+    from the decoder state at the sentence start (enc_attn_dec). The values
+    equal per-album `variant_log_prob` up to rounding, because a matrix
+    product may round differently from the vector products of one row."""
+    if variant not in VARIANTS:
+        raise ConfigurationError(f"unknown variant {variant!r}")
+    pool = [_album_features(params, f) for f in album_features_list]
+    t_steps = params.dims.t_steps
+    if len(story.sentences) != t_steps:
+        raise ContractError(
+            f"story has {len(story.sentences)} sentences, model expects {t_steps}"
+        )
+    vocab = params.dims.vocab_size
+    for tok in (t for sentence in story.sentences for t in sentence):
+        if not isinstance(tok, (int, np.integer)) or not 0 <= tok < vocab:
+            raise IndexError(f"token id {tok} out of range for vocab {vocab}")
+    groups = {}
+    for i, features in enumerate(pool):
+        groups.setdefault(features.shape[0], []).append(i)
+    scores = [0.0] * len(pool)
+    for rows in groups.values():
+        values = _group_log_probs(params, story, np.stack([pool[i] for i in rows]), variant)
+        for i, value in zip(rows, values):
+            scores[i] = float(value)
+    return scores
+
+
+def _group_log_probs(params, story, features, variant):
+    """Log-probabilities of one story against B albums of n photos each;
+    features is (B, n, k)."""
+    v, final_state = _encode_rows(params, features)
+    gs = None  # enc_attn_dec attends anew at each sentence start
+    if variant == "hier":
+        gs = _soft_select_rows(params, v)
+    elif variant == "enc_dec":
+        gs = [final_state @ params.encdec_w.data + params.encdec_b.data] * params.dims.t_steps
+    gen = [t.data for _, t in params.gen_gru.named()]
+    table = params.embedding.table.data
+    rows = features.shape[0]
+    h = np.zeros((rows, params.dims.d_g))
+    total = np.zeros(rows)
+    for t, sentence in enumerate(story.sentences):
+        if not params.carry_state:
+            h = np.zeros((rows, params.dims.d_g))
+        g = gs[t] if gs is not None else _attend_rows(params, v, h)
+        prev = BOS_ID
+        for tok in sentence:
+            word = np.broadcast_to(table[prev], (rows, table.shape[1]))
+            h = gru_update(np.concatenate([word, g], axis=1), h, *gen)[0]
+            logits = h @ params.proj_w.data + params.proj_b.data
+            total = total + log_softmax_array(logits)[:, tok]
+            prev = tok
+    return total
+
+
+def _encode_rows(params, features):
+    """`encode_album` over (B, n, k) rows: returns v (B, n, k) and the final
+    states (B, k)."""
+    rows, n, k = features.shape
+    half = k // 2
+    outs = np.empty((rows, n, k))
+    for cell, steps, cols in (
+        (params.enc_fwd, range(n), slice(0, half)),
+        (params.enc_bwd, range(n - 1, -1, -1), slice(half, k)),
+    ):
+        weights = [t.data for _, t in cell.named()]
+        h = np.zeros((rows, half))
+        for i in steps:
+            h = gru_update(features[:, i], h, *weights)[0]
+            outs[:, i, cols] = h
+    final_state = np.concatenate([outs[:, -1, :half], outs[:, 0, half:]], axis=1)
+    return np.maximum(outs + features, 0.0), final_state
+
+
+def _soft_select_rows(params, v):
+    """`select_summary` in soft mode over (B, n, k) rows: the T summaries
+    g_t, each (B, k)."""
+    rows, n, _ = v.shape
+    weights = [t.data for _, t in params.sel_gru.named()]
+    state = np.zeros((rows, params.dims.d_s))
+    g = np.full(n, 1.0 / n) @ v
+    gs = []
+    for _ in range(params.dims.t_steps):
+        state = gru_update(g, state, *weights)[0]
+        tiled = np.broadcast_to(state[:, None], (rows, n, state.shape[1]))
+        feats = np.concatenate([tiled, v], axis=2)
+        raw = sigmoid_array(mlp_array(params.sel_mlp, feats)[..., 0])
+        p = raw / raw.sum(axis=1, keepdims=True)
+        g = (p[:, None] @ v)[:, 0]
+        gs.append(g)
+    return gs
+
+
+def _attend_rows(params, v, h):
+    """`_attend` over (B, n, k) rows from decoder states h (B, d_g)."""
+    rows, n, _ = v.shape
+    feats = np.concatenate([np.broadcast_to(h[:, None], (rows, n, h.shape[1])), v], axis=2)
+    alpha = softmax_array(mlp_array(params.attn_mlp, feats)[..., 0], axis=1)
+    return (alpha[:, None] @ v)[:, 0]

@@ -12,7 +12,9 @@ Per-op Python dispatch, not arithmetic, sets the speed of these small
 models, so the two hottest compositions are single fused ops with a
 hand-written backward: one GRU step (`gru_cell`) and one word's
 log-probability (`log_softmax_pick`). Each records one tape entry and
-matches its composed form bit for bit.
+matches its composed form bit for bit. Their arithmetic lives in plain-array
+functions (`gru_update`, `log_softmax_array`, ...) that also accept a
+leading row axis, so tape-free batched inference runs the same code.
 """
 
 from __future__ import annotations
@@ -200,6 +202,42 @@ def backward(tape, root):
 
 
 # ---------------------------------------------------------------------------
+# plain-array arithmetic, shared by the ops below and by tape-free batched
+# inference; a leading row axis passes through unchanged
+
+
+def sigmoid_array(x):
+    # exp(-|x|) <= 1 on both branches, so no overflow in either tail
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def softmax_array(x, axis=-1):
+    """Max-subtracted exponential normalization along one axis."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def log_softmax_array(x, axis=-1):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def gru_update(x, h, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
+    """One GRU update on arrays: x (d_in,) or (B, d_in), h (d_h,) or
+    (B, d_h). Returns (h', z, r, r * h, cand, 1 - z); the last five are what
+    `gru_cell`'s backward needs."""
+    z = sigmoid_array(x @ w_z + h @ u_z + b_z)
+    r = sigmoid_array(x @ w_r + h @ u_r + b_r)
+    rh = r * h
+    cand = np.tanh(x @ w_h + rh @ u_h + b_h)
+    omz = 1.0 - z
+    return omz * h + z * cand, z, r, rh, cand, omz
+
+
+# ---------------------------------------------------------------------------
 # elementwise ops
 
 
@@ -275,16 +313,9 @@ def neg(a):
     return out
 
 
-def _sigmoid(x):
-    # exp(-|x|) <= 1 on both branches, so no overflow in either tail
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
-
-
 def sigmoid(a):
     a = _as_tensor(a)
-    out = _out(_sigmoid(a.data), a)
+    out = _out(sigmoid_array(a.data), a)
     if out.requires_grad:
         y = out.data
         def back():
@@ -398,10 +429,7 @@ def softmax(a, axis=-1):
         raise DimensionError("softmax: input must have at least one axis")
     if a.data.shape[axis] == 0:
         raise DimensionError("softmax: empty axis")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    vals = e / e.sum(axis=axis, keepdims=True)
-    out = _out(vals, a)
+    out = _out(softmax_array(a.data, axis), a)
     if out.requires_grad:
         y = out.data
         def back():
@@ -417,9 +445,7 @@ def log_softmax(a, axis=-1):
         raise DimensionError("log_softmax: input must have at least one axis")
     if a.data.shape[axis] == 0:
         raise DimensionError("log_softmax: empty axis")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    vals = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = _out(vals, a)
+    out = _out(log_softmax_array(a.data, axis), a)
     if out.requires_grad:
         y = out.data
         def back():
@@ -588,10 +614,10 @@ def gru_cell(x, h, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
     h' = (1 - z) * h + z * cand
 
     x is (d_in,), h is (d_h,), w_* (d_in, d_h), u_* (d_h, d_h), b_* (d_h,).
-    The forward repeats the arithmetic of the same formula written with
-    vecmat/add/sigmoid/mul/tanh, so the output is bitwise equal to it. The
-    backward accumulates into every input in the order that composed tape
-    would replay, so the gradients are bitwise equal too.
+    The forward (`gru_update`) repeats the arithmetic of the same formula
+    written with vecmat/add/sigmoid/mul/tanh, so the output is bitwise equal
+    to it. The backward accumulates into every input in the order that
+    composed tape would replay, so the gradients are bitwise equal too.
     """
     x, h = _as_tensor(x), _as_tensor(h)
     d_in, d_h = w_z.data.shape
@@ -601,12 +627,11 @@ def gru_cell(x, h, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
             f"weights ({d_in}, {d_h})"
         )
     xd, hd = x.data, h.data
-    z = _sigmoid(xd @ w_z.data + hd @ u_z.data + b_z.data)
-    r = _sigmoid(xd @ w_r.data + hd @ u_r.data + b_r.data)
-    rh = r * hd
-    cand = np.tanh(xd @ w_h.data + rh @ u_h.data + b_h.data)
-    omz = 1.0 - z
-    out = _out(omz * hd + z * cand, x, h, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h)
+    h_new, z, r, rh, cand, omz = gru_update(
+        xd, hd, w_z.data, w_r.data, w_h.data, u_z.data, u_r.data, u_h.data,
+        b_z.data, b_r.data, b_h.data,
+    )
+    out = _out(h_new, x, h, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h)
     if out.requires_grad:
         # Replays the composed tape in reverse: the blend, the candidate, then
         # the r and z gates. Each input's contributions are added one at a
@@ -660,8 +685,7 @@ def log_softmax_pick(a, i):
             f"log_softmax_pick index {i} out of range for shape {a.data.shape}"
         )
     i = int(i)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    y = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    y = log_softmax_array(a.data)
     out = _out(np.asarray(y[i]), a)
     if out.requires_grad:
         def back():

@@ -20,6 +20,7 @@ import numpy as np
 from .data import SENTENCES_PER_STORY, Story, validate_story
 from .errors import ConfigurationError, ContractError, NumericDomainError
 from .model import (
+    VARIANTS,
     enc_attn_dec_log_prob,
     enc_dec_log_prob,
     encode_album,
@@ -27,8 +28,6 @@ from .model import (
     story_log_prob,
 )
 from .tensor import Rng, Tape, backward, neg, relu
-
-VARIANTS = ("hier", "enc_dec", "enc_attn_dec")
 
 
 @dataclass
@@ -41,7 +40,6 @@ class TrainConfig:
     # objective
     rank_weight: float = 1.0
     margin: float = 1.0
-    printed_hinge: bool = False  # compatibility sign max(0, m - log p(S') + log p(S))
     # optimizer
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -117,16 +115,12 @@ def generation_loss(params, features, story, variant="hier"):
     return neg(variant_log_prob(params, features, story, variant))
 
 
-def ranking_loss(log_p_pos, log_p_neg, margin, printed_hinge=False):
-    """Hinge on the story/shuffled-story likelihood gap.
-
-    The working form max(0, margin + log p(S') - log p(S)) goes to zero
-    once the true order beats the shuffle by the margin. `printed_hinge`
-    switches to the sign-flipped variant kept for A/B comparison."""
+def ranking_loss(log_p_pos, log_p_neg, margin):
+    """Hinge on the story/shuffled-story likelihood gap:
+    max(0, margin + log p(S') - log p(S)) goes to zero once the true order
+    beats the shuffle by the margin."""
     if margin <= 0:
         raise ContractError("ranking_loss: margin must be positive")
-    if printed_hinge:
-        return relu(margin - log_p_neg + log_p_pos)
     return relu(margin + log_p_neg - log_p_pos)
 
 
@@ -168,7 +162,7 @@ def combined_loss(params, features, story, negative, cfg):
         params, features, [story, negative], cfg.variant
     )
     gen = neg(log_p_pos)
-    rank = ranking_loss(log_p_pos, log_p_neg, cfg.margin, cfg.printed_hinge)
+    rank = ranking_loss(log_p_pos, log_p_neg, cfg.margin)
     return gen + cfg.rank_weight * rank, gen, rank
 
 

@@ -127,6 +127,12 @@ def test_load_config_rejects_unknown_keys_and_non_objects(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_the_removed_printed_hinge_key(tmp_path):
+    path = write_config(tmp_path, printed_hinge=False)
+    with pytest.raises(ConfigurationError, match="unknown keys.*printed_hinge"):
+        load_config(path)
+
+
 def test_cli_reports_unknown_config_key_as_exit_one(tmp_path, capsys):
     data = synth(tmp_path)
     bad = tmp_path / "bad.json"
@@ -182,11 +188,29 @@ def test_generate_oracle_selection(pipeline):
     assert out.read_bytes() == out2.read_bytes()
 
 
-def test_generate_rejects_unsupported_beam(pipeline):
+def test_generate_rejects_unsupported_beam(pipeline, capsys):
     tmp_path, data, ckpt = pipeline
-    with pytest.raises(SystemExit):
-        main(["generate", "--ckpt", str(ckpt), "--data", str(data),
-              "--beam", "2", "--out", str(tmp_path / "x.json")])
+    for command, out in (("generate", "x.json"), ("eval-gen", "report-x")):
+        code = main([command, "--ckpt", str(ckpt), "--data", str(data),
+                     "--beam", "0", "--out", str(tmp_path / out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "--beam" in err
+        assert not (tmp_path / out).exists()
+
+
+def test_any_beam_width_of_at_least_one_is_accepted(pipeline):
+    tmp_path, data, ckpt = pipeline
+    out = tmp_path / "beam2.json"
+    code = main(["generate", "--ckpt", str(ckpt), "--data", str(data),
+                 "--beam", "2", "--out", str(out)])
+    assert code == 0
+    assert len(json.loads(out.read_text())) == 4
+    code = main(["eval-gen", "--ckpt", str(ckpt), "--data", str(data),
+                 "--beam", "4", "--out", str(tmp_path / "report-beam4")])
+    assert code == 0
+    report = json.loads((tmp_path / "report-beam4" / "report_generation.json").read_text())
+    assert report["aggregate"]["beam"] == 4
 
 
 def test_eval_gen_reports_bleu_and_cider(pipeline):

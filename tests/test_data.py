@@ -165,6 +165,30 @@ def test_load_dataset_reports_feature_width_mismatch(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "value, problem",
+    [("x", "not a JSON number"), ("1.5", "not a JSON number"),
+     (True, "not a JSON number"), (float("nan"), "not finite"),
+     (10**400, "not finite")],
+    ids=["string", "numeric-string", "boolean", "nan", "integer-beyond-float-range"],
+)
+def test_load_dataset_names_a_feature_that_is_not_a_finite_number(tmp_path, value, problem):
+    path = tmp_path / "d.jsonl"
+    rec = album_record()
+    rec["photos"][3]["features"][2] = value
+    write_lines(path, [header(), json.dumps(rec)])
+    with pytest.raises(DataError, match=rf"line 2 \(album a1\): photo a1-p3 features\[2\] .*{problem}"):
+        load_dataset(path)
+
+
+def test_load_dataset_names_a_gt_summary_entry_that_is_not_a_string(tmp_path):
+    path = tmp_path / "d.jsonl"
+    rec = album_record(gt_summaries=[["a1-p0", "a1-p1", ["a1-p2"], "a1-p3", "a1-p4"]])
+    write_lines(path, [header(), json.dumps(rec)])
+    with pytest.raises(DataError, match=r"line 2 \(album a1\): gt_summaries\[0\]\[2\] .*not a photo_id"):
+        load_dataset(path)
+
+
 def test_load_dataset_rejects_malformed_records(tmp_path):
     path = tmp_path / "d.jsonl"
     write_lines(path, [header(), "{oops"])

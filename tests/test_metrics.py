@@ -20,13 +20,18 @@ from hatstory.metrics import (
     rank_of,
     recall_at_k,
     retrieval_scores,
-    retrieve,
-    soft_story_log_prob,
     summary_precision_recall,
 )
-from hatstory.model import ModelDims, encode_album, init_model, select_summary
+from hatstory.errors import DimensionError
+from hatstory.model import (
+    ModelDims,
+    encode_album,
+    init_model,
+    select_summary,
+    story_log_prob,
+)
 from hatstory.tensor import Rng
-from hatstory.training import variant_log_prob
+from hatstory.training import VARIANTS, variant_log_prob
 
 
 def toks(text):
@@ -249,6 +254,17 @@ def test_recall_at_k_and_median_rank():
         median_rank([])
 
 
+# Batched products round differently from one row's vector products.
+SCORE_RTOL = 1e-12
+
+
+def assert_close_to_variant_log_probs(params, story, pool, scores, variant="hier"):
+    assert len(scores) == len(pool)
+    for features, score in zip(pool, scores):
+        direct = float(variant_log_prob(params, features, story, variant).data)
+        assert abs(score - direct) <= SCORE_RTOL * abs(direct)
+
+
 def test_retrieval_scores_are_per_album_log_probs():
     albums, vocab = synth_generate(SynthSpec(albums=3, n=5, k=6, classes=5, seed=1))
     dims = ModelDims(k=6, d_s=4, d_g=4, d_w=3, vocab_size=vocab.size)
@@ -256,17 +272,53 @@ def test_retrieval_scores_are_per_album_log_probs():
     story = albums[1].stories[0]
     pool = [a.features for a in albums]
     scores = retrieval_scores(params, story, pool)
-    for features, score in zip(pool, scores):
-        assert score == float(variant_log_prob(params, features, story).data)
+    assert_close_to_variant_log_probs(params, story, pool, scores)
     n_tokens = sum(len(s) for s in story.sentences)
     per_word = retrieval_scores(params, story, pool, per_word=True)
     assert all(abs(pw - s / n_tokens) < 1e-15 for pw, s in zip(per_word, scores))
-
-    rank, returned = retrieve(params, story, pool, true_index=1)
-    assert returned == scores
-    assert rank == rank_of(scores, 1)
     with pytest.raises(ContractError):
         retrieval_scores(params, story, [])
+
+
+@pytest.mark.parametrize("carry_state", [True, False], ids=["carry", "reset"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batched_retrieval_matches_each_album_scored_alone(variant, carry_state):
+    albums, vocab = synth_generate(SynthSpec(albums=6, n=7, k=8, classes=5, seed=4))
+    dims = ModelDims(k=8, d_s=6, d_g=5, d_w=4, vocab_size=vocab.size)
+    params = init_model(dims, Rng(2), carry_state=carry_state)
+    story = albums[2].stories[0]
+    pool = [a.features for a in albums]
+    scores = retrieval_scores(params, story, pool, variant)
+    assert_close_to_variant_log_probs(params, story, pool, scores, variant)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batched_retrieval_keeps_pool_order_across_photo_counts(variant):
+    pool, story = [], None
+    for n, seed in ((7, 11), (5, 12), (10, 13)):
+        albums, _ = synth_generate(SynthSpec(albums=2, n=n, k=6, classes=5, seed=seed))
+        pool.extend(a.features for a in albums)
+        story = story or albums[0].stories[0]
+    pool = pool[::2] + pool[1::2]  # photo counts 7, 5, 10, 7, 5, 10
+    dims = ModelDims(k=6, d_s=4, d_g=4, d_w=3, vocab_size=30)
+    params = init_model(dims, Rng(5))
+    scores = retrieval_scores(params, story, pool, variant)
+    assert_close_to_variant_log_probs(params, story, pool, scores, variant)
+    assert len(set(scores)) == len(scores)
+
+
+def test_batched_retrieval_keeps_its_error_types():
+    albums, vocab = synth_generate(SynthSpec(albums=2, n=5, k=6, classes=5, seed=1))
+    params = init_model(ModelDims(k=6, d_s=4, d_g=4, d_w=3, vocab_size=vocab.size), Rng(0))
+    story = albums[0].stories[0]
+    pool = [a.features for a in albums]
+    for variant in VARIANTS:
+        with pytest.raises(ContractError):
+            retrieval_scores(params, story, [], variant)
+        with pytest.raises(DimensionError):
+            retrieval_scores(params, story, [pool[0], pool[1][:, :4]], variant)
+        with pytest.raises(ContractError):
+            retrieval_scores(params, Story(sentences=story.sentences[:4]), pool, variant)
 
 
 def test_hard_selection_ids_and_soft_log_prob_helpers():
@@ -278,8 +330,9 @@ def test_hard_selection_ids_and_soft_log_prob_helpers():
     enc = encode_album(params, album.features)
     sel = select_summary(params, enc, "hard")
     assert ids == [album.photo_ids[i] for i in sel.indices]
-    lp = soft_story_log_prob(params, album.features, album.stories[0])
-    assert lp == float(variant_log_prob(params, album.features, album.stories[0]).data)
+    soft = select_summary(params, enc, "soft")
+    lp = story_log_prob(params, enc, soft, album.stories[0])
+    assert float(lp.data) == float(variant_log_prob(params, album.features, album.stories[0]).data)
 
 
 # ---------------------------------------------------------------------------

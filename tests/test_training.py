@@ -103,13 +103,6 @@ def test_ranking_loss_penalizes_misordered_likelihoods():
     assert float(loss.data) == 5.0
 
 
-def test_ranking_loss_printed_variant_flips_the_sign():
-    pos, neg = Tensor(-5.0), Tensor(-1.0)
-    assert float(ranking_loss(pos, neg, 1.0).data) == 5.0
-    assert float(ranking_loss(pos, neg, 1.0, printed_hinge=True).data) == 0.0
-    assert float(ranking_loss(Tensor(-1.0), Tensor(-5.0), 1.0, printed_hinge=True).data) == 5.0
-
-
 def test_ranking_loss_gradient_pushes_the_gap_apart():
     pos = Tensor(-5.0, requires_grad=True)
     neg = Tensor(-1.0, requires_grad=True)
@@ -148,7 +141,7 @@ def independent_combined_loss(params, features, story, negative, cfg):
     separate variant_log_prob calls, each conditioning on the album anew."""
     log_p_pos = variant_log_prob(params, features, story, cfg.variant)
     log_p_neg = variant_log_prob(params, features, negative, cfg.variant)
-    rank = ranking_loss(log_p_pos, log_p_neg, cfg.margin, cfg.printed_hinge)
+    rank = ranking_loss(log_p_pos, log_p_neg, cfg.margin)
     return neg(log_p_pos) + cfg.rank_weight * rank
 
 
