@@ -16,16 +16,8 @@ from pathlib import Path
 
 from hatstory.checkpoint import save_checkpoint
 from hatstory.data import SynthSpec, save_dataset, synth_generate
-from hatstory.metrics import (
-    attention_aggregate_topk,
-    hard_selection_ids,
-    median_rank,
-    rank_of,
-    recall_at_k,
-    retrieval_scores,
-    summary_precision_recall,
-)
-from hatstory.model import ModelDims, enc_attn_dec_generate, init_model
+from hatstory.metrics import evaluate_retrieval, evaluate_summaries
+from hatstory.model import ModelDims, init_model
 from hatstory.tensor import Rng
 from hatstory.training import TrainConfig, train
 
@@ -49,36 +41,20 @@ def train_variant(albums, vocab, cfg, run_dir, name):
 
 
 def eval_summarization(params, albums, label):
-    ps, rs = [], []
-    for album in albums:
-        pred = hard_selection_ids(params, album)
-        p, r = summary_precision_recall(pred, album.gt_summaries)
-        ps.append(p)
-        rs.append(r)
-    print(f"[summ] {label}: precision={sum(ps)/len(ps):.3f} recall={sum(rs)/len(rs):.3f}")
-    return sum(ps) / len(ps)
+    agg, _ = evaluate_summaries(params, albums)
+    print(f"[summ] {label}: precision={agg['precision']:.3f} recall={agg['recall']:.3f}")
 
 
 def eval_attn_baseline(params, albums, cfg, label):
-    ps = []
-    for album in albums:
-        _, attn = enc_attn_dec_generate(params, album.features, cfg.beam_size,
-                                        cfg.max_sentence_len)
-        idx = attention_aggregate_topk(attn, 5)
-        pred = [album.photo_ids[i] for i in idx]
-        p, _ = summary_precision_recall(pred, album.gt_summaries)
-        ps.append(p)
-    print(f"[summ] {label}: precision={sum(ps)/len(ps):.3f}")
+    agg, _ = evaluate_summaries(params, albums, "attn-agg", cfg.beam_size,
+                                cfg.max_sentence_len)
+    print(f"[summ] {label}: precision={agg['precision']:.3f}")
 
 
 def eval_retrieval(params, albums, variant, label):
-    features = [a.features for a in albums]
-    ranks = []
-    for i, album in enumerate(albums):
-        scores = retrieval_scores(params, album.stories[0], features, variant)
-        ranks.append(rank_of(scores, i))
-    print(f"[retrieval] {label}: R@1={recall_at_k(ranks, 1):.3f} "
-          f"R@5={recall_at_k(ranks, 5):.3f} MedR={median_rank(ranks):.1f}")
+    agg, _ = evaluate_retrieval(params, albums, variant)
+    print(f"[retrieval] {label}: R@1={agg['recall_at_1']:.3f} "
+          f"R@5={agg['recall_at_5']:.3f} MedR={agg['median_rank']:.1f}")
 
 
 def main():

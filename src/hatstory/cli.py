@@ -15,30 +15,18 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from .data import SynthSpec, load_dataset, save_dataset, synth_generate
 from .diagnostics import run_all
 from .errors import ConfigurationError, HatstoryError
-from .metrics import (
-    MetricReport,
-    attention_aggregate_topk,
-    bleu_n,
-    cider,
-    hard_selection_ids,
-    median_rank,
-    rank_of,
-    recall_at_k,
-    retrieval_scores,
-    summary_precision_recall,
-)
+from .metrics import MetricReport, bleu_n, cider, evaluate_retrieval, evaluate_summaries
 from .model import (
     ModelDims,
     enc_attn_dec_generate,
     enc_dec_generate,
     generate_story,
     init_model,
+    select_and_generate,
 )
 from .tensor import Rng
 from .training import TrainConfig, train
@@ -88,6 +76,8 @@ def _load_for_eval(args):
 
 
 def _generate_for_album(ck, album, beam, max_len, oracle):
+    """The album's story, and the photo ids hard selection chose for it
+    (None under oracle selection and for the baselines)."""
     variant = (ck.config or {}).get("variant", "hier")
     if oracle:
         if variant != "hier":
@@ -95,12 +85,13 @@ def _generate_for_album(ck, album, beam, max_len, oracle):
         if not album.gt_summaries:
             raise ConfigurationError(f"album {album.album_id} has no ground-truth summary")
         indices = [album.photo_ids.index(pid) for pid in album.gt_summaries[0]]
-        return generate_story(ck.params, album.features, beam, max_len, indices)
+        return generate_story(ck.params, album.features, beam, max_len, indices), None
     if variant == "enc_dec":
-        return enc_dec_generate(ck.params, album.features, beam, max_len)
+        return enc_dec_generate(ck.params, album.features, beam, max_len), None
     if variant == "enc_attn_dec":
-        return enc_attn_dec_generate(ck.params, album.features, beam, max_len)[0]
-    return generate_story(ck.params, album.features, beam, max_len)
+        return enc_attn_dec_generate(ck.params, album.features, beam, max_len)[0], None
+    story, sel = select_and_generate(ck.params, album.features, beam, max_len)
+    return story, [album.photo_ids[i] for i in sel.indices]
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +145,16 @@ def cmd_generate(args):
     max_len = int(cfg.get("max_sentence_len", 12))
     results = []
     for album in albums:
-        story = _generate_for_album(ck, album, args.beam, max_len, args.oracle_selection)
+        story, selected = _generate_for_album(
+            ck, album, args.beam, max_len, args.oracle_selection
+        )
         rec = {
             "album_id": album.album_id,
             "sentences": [ck.vocab.decode(s) for s in story.sentences],
             "token_ids": story.sentences,
         }
-        if (cfg.get("variant", "hier")) == "hier" and not args.oracle_selection:
-            rec["selected_photo_ids"] = hard_selection_ids(ck.params, album)
+        if selected is not None:
+            rec["selected_photo_ids"] = selected
         results.append(rec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -179,7 +172,7 @@ def cmd_eval_gen(args):
     for album in albums:
         if not album.stories:
             continue
-        story = _generate_for_album(ck, album, args.beam, max_len, False)
+        story, _ = _generate_for_album(ck, album, args.beam, max_len, False)
         hyp_tokens = ck.vocab.decode(
             [t for s in story.sentences for t in s]
         ).split()
@@ -212,34 +205,10 @@ def cmd_eval_gen(args):
 def cmd_eval_summ(args):
     ck, albums = _load_for_eval(args)
     cfg = ck.config or {}
-    max_len = int(cfg.get("max_sentence_len", 12))
-    per_item = []
-    precisions, recalls = [], []
-    for album in albums:
-        if not album.gt_summaries:
-            continue
-        if args.baseline == "attn-agg":
-            _, attn = enc_attn_dec_generate(
-                ck.params, album.features, int(cfg.get("beam_size", 3)), max_len
-            )
-            idx = attention_aggregate_topk(attn, 5)
-            pred = [album.photo_ids[i] for i in idx]
-        else:
-            pred = hard_selection_ids(ck.params, album)
-        p, r = summary_precision_recall(pred, album.gt_summaries)
-        precisions.append(p)
-        recalls.append(r)
-        per_item.append(
-            {"album_id": album.album_id, "precision": p, "recall": r, "predicted": pred}
-        )
-    if not per_item:
-        raise ConfigurationError("eval-summ: no albums with ground-truth summaries")
-    aggregate = {
-        "precision": sum(precisions) / len(precisions),
-        "recall": sum(recalls) / len(recalls),
-        "albums": len(per_item),
-        "method": args.baseline or "hard-selection",
-    }
+    aggregate, per_item = evaluate_summaries(
+        ck.params, albums, args.baseline,
+        int(cfg.get("beam_size", 3)), int(cfg.get("max_sentence_len", 12)),
+    )
     report = MetricReport(
         task="summarization", aggregate=aggregate, per_item=per_item,
         fingerprint=_fingerprint(cfg, args.ckpt),
@@ -254,24 +223,7 @@ def cmd_eval_retrieval(args):
     cfg = ck.config or {}
     pool = albums[: args.pool_size] if args.pool_size else albums
     pool = [a for a in pool if a.stories]
-    if not pool:
-        raise ConfigurationError("eval-retrieval: no albums with stories")
-    features = [a.features for a in pool]
-    variant = cfg.get("variant", "hier")
-    ranks = []
-    per_item = []
-    for i, album in enumerate(pool):
-        scores = retrieval_scores(ck.params, album.stories[0], features, variant)
-        r = rank_of(scores, i)
-        ranks.append(r)
-        per_item.append({"album_id": album.album_id, "rank": r})
-    aggregate = {
-        "recall_at_1": recall_at_k(ranks, 1),
-        "recall_at_5": recall_at_k(ranks, 5),
-        "recall_at_10": recall_at_k(ranks, 10),
-        "median_rank": median_rank(ranks),
-        "pool_size": len(pool),
-    }
+    aggregate, per_item = evaluate_retrieval(ck.params, pool, cfg.get("variant", "hier"))
     report = MetricReport(
         task="retrieval", aggregate=aggregate, per_item=per_item,
         fingerprint=_fingerprint(cfg, args.ckpt),

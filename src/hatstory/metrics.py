@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .model import encode_album, pool_story_log_probs, select_summary
+from .model import encode_album, enc_attn_dec_generate, pool_story_log_probs, select_summary
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +167,11 @@ def retrieval_scores(params, story, album_features_list, variant="hier", per_wor
     pass, grouped by photo count."""
     if not album_features_list:
         raise ContractError("retrieval_scores: empty album pool")
+    n_tokens = sum(len(s) for s in story.sentences)
+    if per_word and n_tokens == 0:
+        raise ContractError("retrieval_scores: per-word scores need a story with tokens")
     scores = pool_story_log_probs(params, story, album_features_list, variant)
     if per_word:
-        n_tokens = sum(len(s) for s in story.sentences)
         scores = [lp / n_tokens for lp in scores]
     return scores
 
@@ -199,6 +201,27 @@ def median_rank(ranks):
     if len(ordered) % 2 == 1:
         return float(ordered[mid])
     return (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
+def evaluate_retrieval(params, pool, variant="hier"):
+    """Rank every album of the pool by the likelihood of its first story
+    against all of them. Returns (aggregate, per_item)."""
+    if not pool:
+        raise ContractError("evaluate_retrieval: no albums with stories")
+    features = [a.features for a in pool]
+    per_item = []
+    for i, album in enumerate(pool):
+        scores = retrieval_scores(params, album.stories[0], features, variant)
+        per_item.append({"album_id": album.album_id, "rank": rank_of(scores, i)})
+    ranks = [item["rank"] for item in per_item]
+    aggregate = {
+        "recall_at_1": recall_at_k(ranks, 1),
+        "recall_at_5": recall_at_k(ranks, 5),
+        "recall_at_10": recall_at_k(ranks, 10),
+        "median_rank": median_rank(ranks),
+        "pool_size": len(pool),
+    }
+    return aggregate, per_item
 
 
 # ---------------------------------------------------------------------------
@@ -240,3 +263,36 @@ def hard_selection_ids(params, album):
     enc = encode_album(params, album.features)
     sel = select_summary(params, enc, "hard")
     return [album.photo_ids[i] for i in sel.indices]
+
+
+def evaluate_summaries(params, albums, baseline=None, beam=3, max_len=12):
+    """Summary precision/recall of every album with ground-truth summaries.
+
+    The predicted photos come from hard selection, or, with baseline
+    "attn-agg", are the attention baseline's top 5 photos by attention summed
+    over the sentences it generates with the given beam and length cap.
+    Returns (aggregate, per_item)."""
+    per_item = []
+    for album in albums:
+        if not album.gt_summaries:
+            continue
+        if baseline == "attn-agg":
+            _, attn = enc_attn_dec_generate(params, album.features, beam, max_len)
+            pred = [album.photo_ids[i] for i in attention_aggregate_topk(attn, 5)]
+        else:
+            pred = hard_selection_ids(params, album)
+        p, r = summary_precision_recall(pred, album.gt_summaries)
+        per_item.append(
+            {"album_id": album.album_id, "precision": p, "recall": r, "predicted": pred}
+        )
+    if not per_item:
+        raise ContractError("evaluate_summaries: no albums with ground-truth summaries")
+    precisions = [item["precision"] for item in per_item]
+    recalls = [item["recall"] for item in per_item]
+    aggregate = {
+        "precision": sum(precisions) / len(precisions),
+        "recall": sum(recalls) / len(recalls),
+        "albums": len(per_item),
+        "method": baseline or "hard-selection",
+    }
+    return aggregate, per_item

@@ -36,7 +36,6 @@ from .tensor import (
     Tensor,
     concat,
     gru_update,
-    log_softmax,
     log_softmax_array,
     log_softmax_pick,
     matmul,
@@ -332,82 +331,109 @@ def story_log_prob(params, enc, sel, story):
 
 
 # ---------------------------------------------------------------------------
-# beam search
-
-
-@dataclass
-class Hypothesis:
-    tokens: tuple
-    logp: float
-    state: Tensor
-    serial: int  # creation order; the tie-breaker after log-probability
+# beam search and story generation
 
 
 def _beam_search(params, g, beam, max_len, h0=None):
-    """Length-capped beam search over decode_word_step.
+    """Length-capped beam search for one sentence, without the tape.
 
-    Every step expands each active hypothesis over the whole vocabulary,
-    prunes the union to the best `beam` by (log-prob, creation order), and
-    moves pruned survivors ending in EOS to the completed pool (also capped
-    at `beam`). At the length cap, still-active hypotheses count as
-    completed. Winner: highest total log-prob, ties to the earliest
-    creation (which encodes "earlier step, then lower token id"). No
-    length normalization.
+    g is the sentence's (k,) conditioning array and h0 the (d_g,) decoder
+    state it starts from (zeros when None). The live hypotheses are rows:
+    each step runs one GRU update and one output projection over all of
+    them, adds each row's log-prob to its (V,) word log-probs, and keeps
+    the best `beam` of the rows x V extensions. Ties go to the earliest
+    creation: an earlier step, then a lower live row, then a lower token
+    id. Within a step that is the order of the flat index row * V + token,
+    which a stable sort keeps. A survivor ending in EOS is finished, and at
+    the length cap every survivor is. Returns (tokens, state) of the best
+    finished hypothesis under the same order. No length normalization.
     """
     if beam < 1:
         raise ContractError("beam search: beam must be >= 1")
     if max_len < 1:
         raise ContractError("beam search: max_len must be >= 1")
-    vocab = params.dims.vocab_size
-    active = [Hypothesis((), 0.0, h0 if h0 is not None else zeros(params.dims.d_g), 0)]
-    completed = []
-    serial = 1
-    for _ in range(max_len):
-        candidates = []
-        for hyp in active:
-            prev = hyp.tokens[-1] if hyp.tokens else BOS_ID
-            logits, h2 = decode_word_step(params, prev, g, hyp.state)
-            lps = log_softmax(logits).data
-            for tok in range(vocab):
-                candidates.append(
-                    Hypothesis(hyp.tokens + (tok,), hyp.logp + float(lps[tok]), h2, serial)
-                )
-                serial += 1
-        candidates.sort(key=lambda c: (-c.logp, c.serial))
-        active = []
-        for c in candidates[:beam]:
-            if c.tokens[-1] == EOS_ID:
-                completed.append(c)
-            else:
-                active.append(c)
-        completed.sort(key=lambda c: (-c.logp, c.serial))
-        completed = completed[:beam]
-        if not active:
+    d_g, vocab = params.dims.d_g, params.dims.vocab_size
+    table = params.embedding.table.data
+    d_w = table.shape[1]
+    gen = [t.data for _, t in params.gen_gru.named()]
+    proj_w, proj_b = params.proj_w.data, params.proj_b.data
+    # Rows are kept as (1, d) matrices: numpy then makes each row's products
+    # as one vector-matrix product, which rounds exactly as a single
+    # hypothesis's would; one (rows, d) matrix product rounds differently.
+    h = np.zeros((1, 1, d_g)) if h0 is None else np.reshape(h0, (1, 1, d_g))
+    prev = [BOS_ID]
+    logp = np.zeros((1, 1, 1))
+    paths = [()]
+    best = None  # (log-prob, tokens, state) of the best finished hypothesis
+    for step in range(max_len):
+        last = step == max_len - 1
+        x = np.empty((len(paths), 1, d_w + g.shape[0]))
+        x[:, 0, :d_w] = table[prev]
+        x[:, 0, d_w:] = g
+        h2 = gru_update(x, h, *gen)[0]
+        scores = (logp + log_softmax_array(h2 @ proj_w + proj_b)).ravel()
+        order = (-scores).argsort(kind="stable")[:beam]
+        rows, prev, live_logp = [], [], []
+        for flat, lp in zip(order.tolist(), scores[order].tolist()):
+            r, tok = divmod(flat, vocab)
+            if tok != EOS_ID and not last:
+                rows.append(r)
+                prev.append(tok)
+                live_logp.append(lp)
+            elif best is None or lp > best[0]:  # an earlier finish wins a tie
+                best = (lp, paths[r] + (tok,), h2[r, 0])
+        if not rows:
             break
-    pool = completed + active  # leftover actives were stopped by the cap
-    return min(pool, key=lambda c: (-c.logp, c.serial))
+        paths = [paths[r] + (tok,) for r, tok in zip(rows, prev)]
+        h = h2[rows]
+        logp = np.array(live_logp).reshape(-1, 1, 1)
+    return best[1], best[2]
 
 
 def beam_decode(params, g, beam, max_len, h0=None):
-    """Best token sequence for one sentence, given its photo summary g."""
-    return list(_beam_search(params, g, beam, max_len, h0).tokens)
+    """Best token sequence for one sentence, given its photo summary g and
+    the decoder state h0 it starts from (Tensors or arrays)."""
+    g = np.asarray(getattr(g, "data", g), dtype=np.float64)
+    if h0 is not None:
+        h0 = np.asarray(getattr(h0, "data", h0), dtype=np.float64)
+    shapes = (g.shape, (params.dims.d_g,) if h0 is None else h0.shape)
+    if shapes != ((params.dims.k,), (params.dims.d_g,)):
+        raise DimensionError(
+            f"beam_decode: g and h0 must be ({params.dims.k},) and ({params.dims.d_g},), "
+            f"got {shapes[0]} and {shapes[1]}"
+        )
+    return list(_beam_search(params, g, beam, max_len, h0)[0])
 
 
-def generate_story(params, features, beam, max_len, oracle_indices=None):
-    """Encode, select (hard mode, or oracle when indices are given), then
-    beam-decode one sentence per summary step, carrying decoder state."""
-    enc = encode_album(params, features)
-    mode = "oracle" if oracle_indices is not None else "hard"
-    sel = select_summary(params, enc, mode, oracle_indices)
-    h = zeros(params.dims.d_g)
+def _decode_story(params, condition, beam, max_len):
+    """Beam-decode one sentence per summary step. `condition(t, h)` gives
+    sentence t's (k,) conditioning array from the (d_g,) decoder state h at
+    the sentence start; the winner's final state starts the next sentence
+    unless carry_state is off."""
+    start = np.zeros(params.dims.d_g)
+    h = start
     sentences = []
     for t in range(params.dims.t_steps):
         if not params.carry_state:
-            h = zeros(params.dims.d_g)
-        winner = _beam_search(params, row(sel.g, t), beam, max_len, h)
-        sentences.append(list(winner.tokens))
-        h = winner.state
+            h = start
+        tokens, h = _beam_search(params, condition(t, h), beam, max_len, h)
+        sentences.append(list(tokens))
     return Story(sentences=sentences)
+
+
+def select_and_generate(params, features, beam, max_len, oracle_indices=None):
+    """Encode, select (hard mode, or oracle when indices are given), then
+    beam-decode one sentence per summary step, carrying decoder state.
+    Returns (story, selection)."""
+    enc = encode_album(params, features)
+    mode = "oracle" if oracle_indices is not None else "hard"
+    sel = select_summary(params, enc, mode, oracle_indices)
+    return _decode_story(params, lambda t, h: sel.g.data[t], beam, max_len), sel
+
+
+def generate_story(params, features, beam, max_len, oracle_indices=None):
+    """The story of `select_and_generate`."""
+    return select_and_generate(params, features, beam, max_len, oracle_indices)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -427,17 +453,8 @@ def enc_dec_log_prob(params, enc, story):
 
 
 def enc_dec_generate(params, features, beam, max_len):
-    enc = encode_album(params, features)
-    vis = enc_dec_visual(params, enc)
-    h = zeros(params.dims.d_g)
-    sentences = []
-    for _ in range(params.dims.t_steps):
-        if not params.carry_state:
-            h = zeros(params.dims.d_g)
-        winner = _beam_search(params, vis, beam, max_len, h)
-        sentences.append(list(winner.tokens))
-        h = winner.state
-    return Story(sentences=sentences)
+    vis = enc_dec_visual(params, encode_album(params, features)).data
+    return _decode_story(params, lambda t, h: vis, beam, max_len)
 
 
 def _attend(params, v_matrix, state):
@@ -475,18 +492,14 @@ def enc_attn_dec_log_prob(params, enc, story):
 def enc_attn_dec_generate(params, features, beam, max_len):
     """Generate under the attention baseline; returns (story, attention)."""
     enc = encode_album(params, features)
-    h = zeros(params.dims.d_g)
-    sentences = []
     weights = []
-    for _ in range(params.dims.t_steps):
-        if not params.carry_state:
-            h = zeros(params.dims.d_g)
-        alpha, vis = _attend(params, enc.v, h)
-        weights.append(alpha.data.copy())
-        winner = _beam_search(params, vis, beam, max_len, h)
-        sentences.append(list(winner.tokens))
-        h = winner.state
-    return Story(sentences=sentences), np.stack(weights)
+
+    def attend(t, h):
+        alpha, vis = _attend(params, enc.v, Tensor(h))
+        weights.append(alpha.data)
+        return vis.data
+
+    return _decode_story(params, attend, beam, max_len), np.stack(weights)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,14 @@ import json
 
 import pytest
 
+import hatstory.metrics
+import hatstory.model
+from hatstory.checkpoint import load_checkpoint
 from hatstory.cli import load_config, main
+from hatstory.data import load_dataset
 from hatstory.errors import ConfigurationError
+from hatstory.metrics import hard_selection_ids
+from hatstory.model import generate_story
 from hatstory.training import TrainConfig
 
 TINY_CONFIG = {
@@ -171,6 +177,34 @@ def test_generate_emits_stories_and_selections(pipeline):
         assert len(rec["token_ids"]) == 5
         assert len(set(rec["selected_photo_ids"])) == 5
         assert all(pid.startswith(rec["album_id"]) for pid in rec["selected_photo_ids"])
+
+
+def test_generate_selects_once_and_writes_what_separate_calls_give(pipeline, monkeypatch):
+    tmp_path, data, ckpt = pipeline
+    calls = []
+    for module in (hatstory.model, hatstory.metrics):
+        def counted(*args, _select=module.select_summary, **kwargs):
+            calls.append(args[2])
+            return _select(*args, **kwargs)
+        monkeypatch.setattr(module, "select_summary", counted)
+    out = tmp_path / "stories.json"
+    assert main(["generate", "--ckpt", str(ckpt), "--data", str(data),
+                 "--beam", "3", "--out", str(out)]) == 0
+    assert calls == ["hard"] * 4
+    monkeypatch.undo()
+
+    ck = load_checkpoint(ckpt)
+    albums, _ = load_dataset(data, vocab=ck.vocab)
+    expected = []
+    for album in albums:
+        story = generate_story(ck.params, album.features, 3, TINY_CONFIG["max_sentence_len"])
+        expected.append({
+            "album_id": album.album_id,
+            "sentences": [ck.vocab.decode(s) for s in story.sentences],
+            "token_ids": story.sentences,
+            "selected_photo_ids": hard_selection_ids(ck.params, album),
+        })
+    assert out.read_text() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 def test_generate_oracle_selection(pipeline):

@@ -319,6 +319,8 @@ def test_batched_retrieval_keeps_its_error_types():
             retrieval_scores(params, story, [pool[0], pool[1][:, :4]], variant)
         with pytest.raises(ContractError):
             retrieval_scores(params, Story(sentences=story.sentences[:4]), pool, variant)
+        with pytest.raises(ContractError, match="per-word"):
+            retrieval_scores(params, Story(sentences=[[]] * 5), pool, variant, per_word=True)
 
 
 def test_hard_selection_ids_and_soft_log_prob_helpers():

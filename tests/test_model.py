@@ -7,6 +7,7 @@ what the model functions are supposed to wire together.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,20 +17,24 @@ from hatstory.errors import ConfigurationError, ContractError, DimensionError
 from hatstory.layers import bi_gru, gru_step, mlp
 from hatstory.model import (
     ModelDims,
+    _attend,
+    _beam_search,
     beam_decode,
     decode_word_step,
     enc_attn_dec_generate,
     enc_attn_dec_log_prob,
     enc_dec_generate,
     enc_dec_log_prob,
+    enc_dec_visual,
     encode_album,
     generate_story,
     init_model,
+    select_and_generate,
     select_step,
     select_summary,
     story_log_prob,
 )
-from hatstory.tensor import Rng, Tensor, log_softmax, zeros
+from hatstory.tensor import Rng, Tensor, log_softmax, row, zeros
 
 from conftest import assert_close
 
@@ -419,13 +424,146 @@ def test_generate_story_oracle_decodes_from_chosen_photos():
     story = generate_story(params, feats, beam=2, max_len=4, oracle_indices=idx)
 
     enc = encode_album(params, feats)
-    h = zeros(3)
+    h = None
     for t, i in enumerate(idx):
-        from hatstory.model import _beam_search
+        tokens, h = _beam_search(params, enc.v.data[i], 2, 4, h)
+        assert story.sentences[t] == list(tokens)
 
-        winner = _beam_search(params, Tensor(enc.v.data[i]), 2, 4, h)
-        assert story.sentences[t] == list(winner.tokens)
+
+# ---------------------------------------------------------------------------
+# the row-batched beam search against the per-hypothesis search it replaced
+
+
+@dataclass
+class Hypothesis:
+    tokens: tuple
+    logp: float
+    state: Tensor
+    serial: int  # creation order; the tie-breaker after log-probability
+
+
+def reference_beam_search(params, g, beam, max_len, h0=None):
+    """One Hypothesis per vocabulary word per active hypothesis per step,
+    each step's candidates sorted by (-log-prob, creation order)."""
+    vocab = params.dims.vocab_size
+    active = [Hypothesis((), 0.0, h0 if h0 is not None else zeros(params.dims.d_g), 0)]
+    completed = []
+    serial = 1
+    for _ in range(max_len):
+        candidates = []
+        for hyp in active:
+            prev = hyp.tokens[-1] if hyp.tokens else BOS_ID
+            logits, h2 = decode_word_step(params, prev, g, hyp.state)
+            lps = log_softmax(logits).data
+            for tok in range(vocab):
+                candidates.append(
+                    Hypothesis(hyp.tokens + (tok,), hyp.logp + float(lps[tok]), h2, serial)
+                )
+                serial += 1
+        candidates.sort(key=lambda c: (-c.logp, c.serial))
+        active = []
+        for c in candidates[:beam]:
+            if c.tokens[-1] == EOS_ID:
+                completed.append(c)
+            else:
+                active.append(c)
+        completed.sort(key=lambda c: (-c.logp, c.serial))
+        completed = completed[:beam]
+        if not active:
+            break
+    pool = completed + active  # leftover actives were stopped by the cap
+    return min(pool, key=lambda c: (-c.logp, c.serial))
+
+
+def reference_story(params, condition, beam, max_len):
+    """The per-sentence loop around the reference search; `condition(t, h)`
+    maps sentence t's start state (a Tensor) to g_t (a Tensor)."""
+    h = zeros(params.dims.d_g)
+    sentences = []
+    for t in range(params.dims.t_steps):
+        if not params.carry_state:
+            h = zeros(params.dims.d_g)
+        winner = reference_beam_search(params, condition(t, h), beam, max_len, h)
+        sentences.append(list(winner.tokens))
         h = winner.state
+    return sentences
+
+
+def assert_same_winner(params, g, beam, max_len, h0):
+    expected = reference_beam_search(params, g, beam, max_len, h0)
+    tokens, state = _beam_search(params, g.data, beam, max_len,
+                                 None if h0 is None else h0.data)
+    assert tokens == expected.tokens
+    assert np.array_equal(state, expected.state.data)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_beam_search_matches_reference(seed):
+    rng = Rng(5000 + seed)
+    dims = tiny_dims(k=2 * rng.integers(1, 4), d_g=rng.integers(1, 6),
+                     d_w=rng.integers(1, 5), vocab_size=rng.integers(EOS_ID + 1, 12))
+    params = init_model(dims, rng)
+    g = Tensor(rng.uniform(-2.0, 2.0, (dims.k,)))
+    h0 = Tensor(rng.uniform(-1.0, 1.0, (dims.d_g,)))
+    max_len = rng.integers(1, 7)
+    for beam in (1, 2, 3, 5):
+        for start in (None, h0):
+            assert_same_winner(params, g, beam, max_len, start)
+
+
+@pytest.mark.parametrize("groups", [1, 2, 3])
+@pytest.mark.parametrize("vocab_size", [6, 145])
+def test_beam_search_ties_match_reference(vocab_size, groups):
+    # zero weights tie every candidate; a bias cycling over `groups` values
+    # ties the words in groups instead
+    params = tiny_model(seed=0, vocab_size=vocab_size)
+    for _, t in params.named_tensors():
+        t.data[...] = 0.0
+    params.proj_b.data[...] = -(np.arange(vocab_size) % groups)
+    for beam in (1, 2, 3, 5):
+        for max_len in (1, 2, 3, 4):
+            assert_same_winner(params, zeros(4), beam, max_len, None)
+
+
+@pytest.mark.parametrize("carry_state", [True, False])
+@pytest.mark.parametrize("seed", range(5))
+def test_generators_match_reference_loops(seed, carry_state):
+    params = init_model(tiny_dims(vocab_size=7), Rng(600 + seed), carry_state=carry_state)
+    feats = random_features(Rng(700 + seed), 7, 4)
+    enc = encode_album(params, feats)
+    oracle = [6, 1, 3, 0, 5]
+    for beam in (1, 3):
+        for indices in (None, oracle):
+            sel = select_summary(params, enc, "hard" if indices is None else "oracle", indices)
+            expected = reference_story(params, lambda t, h: row(sel.g, t), beam, 5)
+            story, selection = select_and_generate(params, feats, beam, 5, indices)
+            assert story.sentences == expected
+            assert selection.indices == sel.indices
+            assert generate_story(params, feats, beam, 5, indices).sentences == expected
+
+        vis = enc_dec_visual(params, enc)
+        expected = reference_story(params, lambda t, h: vis, beam, 5)
+        assert enc_dec_generate(params, feats, beam, 5).sentences == expected
+
+        weights = []
+
+        def attend(t, h):
+            alpha, vis = _attend(params, enc.v, h)
+            weights.append(alpha.data)
+            return vis
+
+        expected = reference_story(params, attend, beam, 5)
+        story, attention = enc_attn_dec_generate(params, feats, beam, 5)
+        assert story.sentences == expected
+        assert np.array_equal(attention, np.stack(weights))
+
+
+def test_beam_decode_validates_shapes():
+    params = tiny_model()
+    with pytest.raises(DimensionError):
+        beam_decode(params, zeros(3), beam=2, max_len=3)
+    with pytest.raises(DimensionError):
+        beam_decode(params, zeros(4), beam=2, max_len=3, h0=zeros(4))
 
 
 # ---------------------------------------------------------------------------
