@@ -17,7 +17,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .data import Vocabulary
-from .errors import CorruptionError, FormatError
+from .errors import ContractError, CorruptionError, FormatError
 from .model import ModelDims, ModelParams, init_model
 from .tensor import Rng
 
@@ -82,6 +82,24 @@ def _header_dims(header):
     return dims
 
 
+def _header_vocab(header):
+    """The header's vocabulary, or None."""
+    raw = header.get("vocab")
+    if raw is None:
+        return None
+    if not isinstance(raw, dict) or not isinstance(raw.get("tokens"), list):
+        raise FormatError("checkpoint: vocab must be an object with a \"tokens\" list")
+    tokens, min_count = raw["tokens"], raw.get("min_count", 1)
+    if not all(isinstance(t, str) for t in tokens):
+        raise FormatError("checkpoint: vocab.tokens must all be strings")
+    if type(min_count) is not int:
+        raise FormatError(f"checkpoint: vocab.min_count must be an integer, got {min_count!r}")
+    try:
+        return Vocabulary(tokens, min_count=min_count)
+    except ContractError as e:
+        raise FormatError(f"checkpoint: vocab.tokens: {e}") from None
+
+
 @dataclass
 class LoadedCheckpoint:
     params: ModelParams
@@ -111,7 +129,14 @@ def load_checkpoint(path):
     if header.get("version") != VERSION:
         raise FormatError(f"checkpoint: unsupported version {header.get('version')!r}")
     dims = ModelDims(**_header_dims(header))
-    params = init_model(dims, Rng(0), carry_state=bool(header.get("carry_state", True)))
+    carry_state = header.get("carry_state", True)
+    if type(carry_state) is not bool:
+        raise FormatError(f"checkpoint: carry_state must be true or false, got {carry_state!r}")
+    config = header.get("config")
+    if config is not None and not isinstance(config, dict):
+        raise FormatError("checkpoint: config must be a JSON object or null")
+    vocab = _header_vocab(header)
+    params = init_model(dims, Rng(0), carry_state=carry_state)
     manifest = header.get("manifest")
     if not isinstance(manifest, list) or not all(
         isinstance(m, list) and len(m) == 2 and isinstance(m[1], list) for m in manifest
@@ -140,12 +165,7 @@ def load_checkpoint(path):
             .astype(np.float64)
         )
         pos += count * 8
-    vocab = None
-    if header.get("vocab") is not None:
-        vocab = Vocabulary(
-            header["vocab"]["tokens"], min_count=header["vocab"].get("min_count", 1)
-        )
-    return LoadedCheckpoint(params=params, vocab=vocab, config=header.get("config"))
+    return LoadedCheckpoint(params=params, vocab=vocab, config=config)
 
 
 def file_sha256(path):

@@ -18,16 +18,9 @@ from pathlib import Path
 from .checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from .data import SynthSpec, load_dataset, save_dataset, synth_generate
 from .diagnostics import run_all
-from .errors import ConfigurationError, HatstoryError
+from .errors import ConfigurationError, FormatError, HatstoryError
 from .metrics import MetricReport, bleu_n, cider, evaluate_retrieval, evaluate_summaries
-from .model import (
-    ModelDims,
-    enc_attn_dec_generate,
-    enc_dec_generate,
-    generate_story,
-    init_model,
-    select_and_generate,
-)
+from .model import ModelDims, SelectionResult, generate, init_model
 from .tensor import Rng
 from .training import TrainConfig, train
 
@@ -46,6 +39,7 @@ def load_config(path):
 
 
 def _fingerprint(cfg_dict, ckpt_path=None):
+    cfg_dict = cfg_dict or {}
     fp = {"seed": cfg_dict.get("seed"), "dims": {x: cfg_dict.get(x) for x in ("k", "d_s", "d_g", "d_w")}}
     if ckpt_path is not None:
         fp["checkpoint_sha256"] = file_sha256(str(ckpt_path))
@@ -68,30 +62,39 @@ def _check_beam(beam):
 
 
 def _load_for_eval(args):
+    """The checkpoint, the dataset read with its vocabulary, and the model
+    variant, beam size and sentence-length cap of the checkpoint's config."""
     ck = load_checkpoint(args.ckpt)
     if ck.vocab is None:
         raise ConfigurationError("checkpoint carries no vocabulary; cannot evaluate text")
+    if ck.vocab.size != ck.params.dims.vocab_size:
+        raise FormatError(
+            f"checkpoint: vocab.tokens holds {ck.vocab.size} tokens, "
+            f"dims.vocab_size is {ck.params.dims.vocab_size}"
+        )
+    cfg = ck.config or {}
+    sizes = [cfg.get("beam_size", 3), cfg.get("max_sentence_len", 12)]
+    for name, value in zip(("beam_size", "max_sentence_len"), sizes):
+        if type(value) is not int or value < 1:
+            raise ConfigurationError(
+                f"checkpoint config: {name} must be an integer >= 1, got {value!r}"
+            )
     albums, _ = load_dataset(args.data, vocab=ck.vocab)
-    return ck, albums
+    return ck, albums, cfg.get("variant", "hier"), *sizes
 
 
-def _generate_for_album(ck, album, beam, max_len, oracle):
+def _generate_for_album(ck, album, variant, beam, max_len, oracle):
     """The album's story, and the photo ids hard selection chose for it
     (None under oracle selection and for the baselines)."""
-    variant = (ck.config or {}).get("variant", "hier")
+    indices = None
     if oracle:
-        if variant != "hier":
-            raise ConfigurationError("oracle selection only applies to the full model")
         if not album.gt_summaries:
             raise ConfigurationError(f"album {album.album_id} has no ground-truth summary")
         indices = [album.photo_ids.index(pid) for pid in album.gt_summaries[0]]
-        return generate_story(ck.params, album.features, beam, max_len, indices), None
-    if variant == "enc_dec":
-        return enc_dec_generate(ck.params, album.features, beam, max_len), None
-    if variant == "enc_attn_dec":
-        return enc_attn_dec_generate(ck.params, album.features, beam, max_len)[0], None
-    story, sel = select_and_generate(ck.params, album.features, beam, max_len)
-    return story, [album.photo_ids[i] for i in sel.indices]
+    story, decided = generate(ck.params, album.features, variant, beam, max_len, indices)
+    if oracle or not isinstance(decided, SelectionResult):
+        return story, None
+    return story, [album.photo_ids[i] for i in decided.indices]
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +143,11 @@ def cmd_train(args):
 
 def cmd_generate(args):
     _check_beam(args.beam)
-    ck, albums = _load_for_eval(args)
-    cfg = ck.config or {}
-    max_len = int(cfg.get("max_sentence_len", 12))
+    ck, albums, variant, _, max_len = _load_for_eval(args)
     results = []
     for album in albums:
         story, selected = _generate_for_album(
-            ck, album, args.beam, max_len, args.oracle_selection
+            ck, album, variant, args.beam, max_len, args.oracle_selection
         )
         rec = {
             "album_id": album.album_id,
@@ -165,14 +166,12 @@ def cmd_generate(args):
 
 def cmd_eval_gen(args):
     _check_beam(args.beam)
-    ck, albums = _load_for_eval(args)
-    cfg = ck.config or {}
-    max_len = int(cfg.get("max_sentence_len", 12))
+    ck, albums, variant, _, max_len = _load_for_eval(args)
     hyps, refs, per_item = [], [], []
     for album in albums:
         if not album.stories:
             continue
-        story, _ = _generate_for_album(ck, album, args.beam, max_len, False)
+        story, _ = _generate_for_album(ck, album, variant, args.beam, max_len, False)
         hyp_tokens = ck.vocab.decode(
             [t for s in story.sentences for t in s]
         ).split()
@@ -195,7 +194,7 @@ def cmd_eval_gen(args):
     }
     report = MetricReport(
         task="generation", aggregate=aggregate, per_item=per_item,
-        fingerprint=_fingerprint(cfg, args.ckpt),
+        fingerprint=_fingerprint(ck.config, args.ckpt),
     )
     print(json.dumps(aggregate, sort_keys=True))
     _write_report(report, args.out, "report_generation")
@@ -203,15 +202,11 @@ def cmd_eval_gen(args):
 
 
 def cmd_eval_summ(args):
-    ck, albums = _load_for_eval(args)
-    cfg = ck.config or {}
-    aggregate, per_item = evaluate_summaries(
-        ck.params, albums, args.baseline,
-        int(cfg.get("beam_size", 3)), int(cfg.get("max_sentence_len", 12)),
-    )
+    ck, albums, _, beam, max_len = _load_for_eval(args)
+    aggregate, per_item = evaluate_summaries(ck.params, albums, args.baseline, beam, max_len)
     report = MetricReport(
         task="summarization", aggregate=aggregate, per_item=per_item,
-        fingerprint=_fingerprint(cfg, args.ckpt),
+        fingerprint=_fingerprint(ck.config, args.ckpt),
     )
     print(json.dumps(aggregate, sort_keys=True))
     _write_report(report, args.out, "report_summarization")
@@ -219,14 +214,13 @@ def cmd_eval_summ(args):
 
 
 def cmd_eval_retrieval(args):
-    ck, albums = _load_for_eval(args)
-    cfg = ck.config or {}
+    ck, albums, variant, _, _ = _load_for_eval(args)
     pool = albums[: args.pool_size] if args.pool_size else albums
     pool = [a for a in pool if a.stories]
-    aggregate, per_item = evaluate_retrieval(ck.params, pool, cfg.get("variant", "hier"))
+    aggregate, per_item = evaluate_retrieval(ck.params, pool, variant)
     report = MetricReport(
         task="retrieval", aggregate=aggregate, per_item=per_item,
-        fingerprint=_fingerprint(cfg, args.ckpt),
+        fingerprint=_fingerprint(ck.config, args.ckpt),
     )
     print(json.dumps(aggregate, sort_keys=True))
     _write_report(report, args.out, "report_retrieval")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Story
 from .layers import GruParams, MlpParams, gru_step, mlp
-from .model import ModelDims, encode_album, init_model, select_summary, story_log_prob
+from .model import ModelDims, conditioner, encode_album, init_model, story_log_prob
 from .tensor import (
     GradCheckReport,
     Rng,
@@ -83,9 +83,8 @@ def check_story_likelihood(seed=0, step=1e-5, tol=1e-4):
     params, features, story, _ = toy_instance(seed)
 
     def fn(*tensors):
-        enc = encode_album(params, features)
-        sel = select_summary(params, enc, "soft")
-        return story_log_prob(params, enc, sel, story)
+        condition, _ = conditioner(params, encode_album(params, features), "hier")
+        return story_log_prob(params, condition, story)
 
     named = params.named_tensors()
     return grad_check(fn, [t for _, t in named], step=step, tol=tol, names=[n for n, _ in named])

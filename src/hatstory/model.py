@@ -285,6 +285,59 @@ def select_summary(params, enc, mode, oracle_indices=None):
 
 
 # ---------------------------------------------------------------------------
+# per-sentence conditioning: the one place the variants differ
+
+
+def enc_dec_visual(params, enc):
+    """The flat baseline's constant per-sentence visual input."""
+    return vecmat(enc.final_state, params.encdec_w) + params.encdec_b
+
+
+def _attend(params, v_matrix, state):
+    """Softmax attention over photos from [decoder state, v_i]."""
+    n = v_matrix.shape[0]
+    feats = concat([tile_rows(state, n), v_matrix], axis=1)
+    scores = reshape(mlp(params.attn_mlp, feats), (n,))
+    alpha = softmax(scores, axis=0)
+    return alpha, vecmat(alpha, v_matrix)
+
+
+def conditioner(params, enc, variant, mode="soft", oracle_indices=None):
+    """One variant's per-sentence visual input over an album encoding.
+
+    Returns (condition, decided). `condition(t, h)` gives sentence t's (k,)
+    Tensor from the (d_g,) decoder state Tensor h at the sentence start:
+      hier         - row t of the summary g that `select_summary` picks in
+                     `mode`; `decided` is that SelectionResult. Each call
+                     makes its own row, so several stories scored against
+                     one selection each record their rows.
+      enc_dec      - one projection of the album's final encoder state,
+                     the same for every sentence; `decided` is None.
+      enc_attn_dec - attention over the photos from h; `decided` is the
+                     list that collects each call's (n,) attention row.
+    Oracle selection exists only for the full model.
+    """
+    if variant not in VARIANTS:
+        raise ConfigurationError(f"unknown variant {variant!r}")
+    if variant == "hier":
+        sel = select_summary(params, enc, mode, oracle_indices)
+        return (lambda t, h: row(sel.g, t)), sel
+    if mode == "oracle":
+        raise ConfigurationError("oracle selection only applies to the full model")
+    if variant == "enc_dec":
+        vis = enc_dec_visual(params, enc)
+        return (lambda t, h: vis), None
+    weights = []
+
+    def attend(t, h):
+        alpha, vis = _attend(params, enc.v, h)
+        weights.append(alpha.data)
+        return vis
+
+    return attend, weights
+
+
+# ---------------------------------------------------------------------------
 # word-level decoding
 
 
@@ -296,38 +349,31 @@ def decode_word_step(params, prev_word_id, g, h):
     return logits, h2
 
 
-def _teacher_force_sentence(params, g, sentence, h, total):
-    prev = BOS_ID
-    for tok in sentence:
-        logits, h = decode_word_step(params, prev, g, h)
-        lp = log_softmax_pick(logits, tok)
-        total = lp if total is None else total + lp
-        prev = tok
-    return total, h
+def story_log_prob(params, condition, story):
+    """Teacher-forced log p(story | album) under one variant's conditioner.
 
-
-def _story_log_prob_from_inputs(params, sentence_inputs, story):
-    if len(story.sentences) != len(sentence_inputs):
+    `condition(t, h)` gives sentence t's (k,) visual input from the decoder
+    state h at the sentence start (see `conditioner`). Each sentence starts
+    implicitly at BOS and must end at EOS; the decoder state runs across
+    sentence boundaries unless carry_state is off."""
+    t_steps = params.dims.t_steps
+    if len(story.sentences) != t_steps:
         raise ContractError(
-            f"story has {len(story.sentences)} sentences but {len(sentence_inputs)} "
-            "summary steps were provided"
+            f"story has {len(story.sentences)} sentences, model expects {t_steps}"
         )
     total = None
     h = zeros(params.dims.d_g)
-    for g, sentence in zip(sentence_inputs, story.sentences):
+    for t, sentence in enumerate(story.sentences):
         if not params.carry_state:
             h = zeros(params.dims.d_g)
-        total, h = _teacher_force_sentence(params, g, sentence, h, total)
+        g = condition(t, h)
+        prev = BOS_ID
+        for tok in sentence:
+            logits, h = decode_word_step(params, prev, g, h)
+            lp = log_softmax_pick(logits, tok)
+            total = lp if total is None else total + lp
+            prev = tok
     return Tensor(0.0) if total is None else total
-
-
-def story_log_prob(params, enc, sel, story):
-    """Teacher-forced log p(story | album, selection). Each sentence starts
-    implicitly at BOS and must end at EOS; the decoder state runs across
-    sentence boundaries unless carry_state is off."""
-    t_steps = sel.g.shape[0]
-    gs = [row(sel.g, t) for t in range(t_steps)]
-    return _story_log_prob_from_inputs(params, gs, story)
 
 
 # ---------------------------------------------------------------------------
@@ -405,101 +451,43 @@ def beam_decode(params, g, beam, max_len, h0=None):
     return list(_beam_search(params, g, beam, max_len, h0)[0])
 
 
-def _decode_story(params, condition, beam, max_len):
-    """Beam-decode one sentence per summary step. `condition(t, h)` gives
-    sentence t's (k,) conditioning array from the (d_g,) decoder state h at
-    the sentence start; the winner's final state starts the next sentence
-    unless carry_state is off."""
+def generate(params, features, variant, beam, max_len, oracle_indices=None):
+    """Encode the album and beam-decode one sentence per summary step from
+    the variant's conditioner; the winner's final state starts the next
+    sentence unless carry_state is off. The full model selects in hard
+    mode, or in oracle mode when indices are given (a ConfigurationError
+    for the baselines). Returns (story, decided), `decided` as
+    `conditioner` gives it."""
+    enc = encode_album(params, features)
+    mode = "hard" if oracle_indices is None else "oracle"
+    condition, decided = conditioner(params, enc, variant, mode, oracle_indices)
     start = np.zeros(params.dims.d_g)
     h = start
     sentences = []
     for t in range(params.dims.t_steps):
         if not params.carry_state:
             h = start
-        tokens, h = _beam_search(params, condition(t, h), beam, max_len, h)
+        tokens, h = _beam_search(params, condition(t, Tensor(h)).data, beam, max_len, h)
         sentences.append(list(tokens))
-    return Story(sentences=sentences)
-
-
-def select_and_generate(params, features, beam, max_len, oracle_indices=None):
-    """Encode, select (hard mode, or oracle when indices are given), then
-    beam-decode one sentence per summary step, carrying decoder state.
-    Returns (story, selection)."""
-    enc = encode_album(params, features)
-    mode = "oracle" if oracle_indices is not None else "hard"
-    sel = select_summary(params, enc, mode, oracle_indices)
-    return _decode_story(params, lambda t, h: sel.g.data[t], beam, max_len), sel
+    return Story(sentences=sentences), decided
 
 
 def generate_story(params, features, beam, max_len, oracle_indices=None):
-    """The story of `select_and_generate`."""
-    return select_and_generate(params, features, beam, max_len, oracle_indices)[0]
+    """The full model's story, under hard (or oracle) selection."""
+    return generate(params, features, "hier", beam, max_len, oracle_indices)[0]
 
 
-# ---------------------------------------------------------------------------
-# baselines: plain encoder-decoder and attention encoder-decoder
-
-
-def enc_dec_visual(params, enc):
-    """The flat baseline's constant per-sentence visual input."""
-    return vecmat(enc.final_state, params.encdec_w) + params.encdec_b
-
-
-def enc_dec_log_prob(params, enc, story):
-    """Teacher-forced log-prob under the flat baseline, given the album's
-    encoding."""
-    vis = enc_dec_visual(params, enc)
-    return _story_log_prob_from_inputs(params, [vis] * params.dims.t_steps, story)
-
-
-def enc_dec_generate(params, features, beam, max_len):
-    vis = enc_dec_visual(params, encode_album(params, features)).data
-    return _decode_story(params, lambda t, h: vis, beam, max_len)
-
-
-def _attend(params, v_matrix, state):
-    """Softmax attention over photos from [decoder state, v_i]."""
-    n = v_matrix.shape[0]
-    feats = concat([tile_rows(state, n), v_matrix], axis=1)
-    scores = reshape(mlp(params.attn_mlp, feats), (n,))
-    alpha = softmax(scores, axis=0)
-    return alpha, vecmat(alpha, v_matrix)
+def enc_attn_dec_generate(params, features, beam, max_len):
+    """The attention baseline's story and its (T, n) attention."""
+    story, weights = generate(params, features, "enc_attn_dec", beam, max_len)
+    return story, np.stack(weights)
 
 
 def enc_attn_dec_log_prob(params, enc, story):
     """Teacher-forced log-prob under the attention baseline, given the
-    album's encoding.
-
-    Attention is computed once per sentence from the decoder state at the
-    sentence start. Returns (log_prob, attention) with attention (T, n).
-    """
-    if len(story.sentences) != params.dims.t_steps:
-        raise ContractError(
-            f"story has {len(story.sentences)} sentences, model expects {params.dims.t_steps}"
-        )
-    total = None
-    h = zeros(params.dims.d_g)
-    weights = []
-    for sentence in story.sentences:
-        if not params.carry_state:
-            h = zeros(params.dims.d_g)
-        alpha, vis = _attend(params, enc.v, h)
-        weights.append(alpha.data.copy())
-        total, h = _teacher_force_sentence(params, vis, sentence, h, total)
-    return (Tensor(0.0) if total is None else total), np.stack(weights)
-
-
-def enc_attn_dec_generate(params, features, beam, max_len):
-    """Generate under the attention baseline; returns (story, attention)."""
-    enc = encode_album(params, features)
-    weights = []
-
-    def attend(t, h):
-        alpha, vis = _attend(params, enc.v, Tensor(h))
-        weights.append(alpha.data)
-        return vis.data
-
-    return _decode_story(params, attend, beam, max_len), np.stack(weights)
+    album's encoding. Returns (log_prob, attention) with attention (T, n)."""
+    condition, weights = conditioner(params, enc, "enc_attn_dec")
+    return story_log_prob(params, condition, story), np.stack(weights)
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,7 @@ import numpy as np
 
 from .data import SENTENCES_PER_STORY, Story, validate_story
 from .errors import ConfigurationError, ContractError, NumericDomainError
-from .model import (
-    VARIANTS,
-    enc_attn_dec_log_prob,
-    enc_dec_log_prob,
-    encode_album,
-    select_summary,
-    story_log_prob,
-)
+from .model import VARIANTS, conditioner, encode_album, story_log_prob
 from .tensor import Rng, Tape, backward, neg, relu
 
 
@@ -90,29 +83,17 @@ def variant_log_probs(params, features, stories, variant="hier"):
     """Teacher-forced log-probabilities of several stories about one album
     under one model variant.
 
-    The album is encoded once, and for the full model its summary is
-    selected once, then every story is scored against that shared result.
-    The full model scores under soft selection (the latent path used in
-    training and retrieval)."""
-    if variant not in VARIANTS:
-        raise ConfigurationError(f"unknown variant {variant!r}")
-    enc = encode_album(params, features)
-    if variant == "hier":
-        sel = select_summary(params, enc, "soft")
-        return [story_log_prob(params, enc, sel, story) for story in stories]
-    if variant == "enc_dec":
-        return [enc_dec_log_prob(params, enc, story) for story in stories]
-    return [enc_attn_dec_log_prob(params, enc, story)[0] for story in stories]
+    The album is encoded once and conditioned on once (one selection for
+    the full model, one projection for the flat baseline), then every story
+    is scored against that shared result. The full model scores under soft
+    selection (the latent path used in training and retrieval)."""
+    condition, _ = conditioner(params, encode_album(params, features), variant)
+    return [story_log_prob(params, condition, story) for story in stories]
 
 
 def variant_log_prob(params, features, story, variant="hier"):
     """Teacher-forced story log-probability under one model variant."""
     return variant_log_probs(params, features, [story], variant)[0]
-
-
-def generation_loss(params, features, story, variant="hier"):
-    """Negative story log-likelihood."""
-    return neg(variant_log_prob(params, features, story, variant))
 
 
 def ranking_loss(log_p_pos, log_p_neg, margin):
@@ -152,9 +133,9 @@ def combined_loss(params, features, story, negative, cfg):
     """(total, generation part, ranking part). `negative` may be None when
     rank_weight is 0, in which case the op sequence is exactly the
     generation loss. Otherwise the story and its negative share one album
-    encoding (and selection)."""
+    encoding and conditioning."""
     if cfg.rank_weight == 0.0:
-        gen = generation_loss(params, features, story, cfg.variant)
+        gen = neg(variant_log_prob(params, features, story, cfg.variant))
         return gen, gen, None
     if negative is None:
         raise ContractError("combined_loss: rank_weight > 0 needs a negative story")
@@ -164,13 +145,6 @@ def combined_loss(params, features, story, negative, cfg):
     gen = neg(log_p_pos)
     rank = ranking_loss(log_p_pos, log_p_neg, cfg.margin)
     return gen + cfg.rank_weight * rank, gen, rank
-
-
-def total_loss(params, features, story, cfg, rng):
-    """Draw a fresh negative (when needed) and return the scalar loss."""
-    negative = make_negative(story, rng) if cfg.rank_weight > 0 else None
-    total, _, _ = combined_loss(params, features, story, negative, cfg)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,28 @@ def test_bad_dims_are_format_errors_naming_the_key(tmp_path, mutate, match):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "mutate, match",
+    [
+        (lambda h: h.update(carry_state="false"), "carry_state must be true or false, got 'false'"),
+        (lambda h: h.update(carry_state=0), "carry_state must be true or false, got 0"),
+        (lambda h: h.update(vocab="dog ran"), "vocab must be an object"),
+        (lambda h: h.update(vocab={}), "vocab must be an object"),
+        (lambda h: h["vocab"].update(tokens="dog"), "vocab must be an object"),
+        (lambda h: h["vocab"]["tokens"].__setitem__(5, 3), "vocab.tokens must all be strings"),
+        (lambda h: h["vocab"]["tokens"].__setitem__(5, "dog"), "vocab.tokens: .*duplicate"),
+        (lambda h: h["vocab"].update(min_count="1"), "vocab.min_count must be an integer"),
+        (lambda h: h.update(config=[1, 2]), "config must be a JSON object or null"),
+        (lambda h: h.update(config="seed=7"), "config must be a JSON object or null"),
+    ],
+)
+def test_bad_header_fields_are_format_errors_naming_the_field(tmp_path, mutate, match):
+    _, path = saved(tmp_path, vocab=small_vocab(), config={"seed": 7})
+    rewrite_header(path, mutate)
+    with pytest.raises(FormatError, match=match):
+        load_checkpoint(path)
+
+
 def test_malformed_manifest_entries_are_a_format_error(tmp_path):
     _, path = saved(tmp_path)
     rewrite_header(path, lambda h: h["manifest"].__setitem__(0, "enc_fwd.w_z"))

@@ -8,9 +8,9 @@ import pytest
 
 import hatstory.metrics
 import hatstory.model
-from hatstory.checkpoint import load_checkpoint
+from hatstory.checkpoint import load_checkpoint, save_checkpoint
 from hatstory.cli import load_config, main
-from hatstory.data import load_dataset
+from hatstory.data import Vocabulary, load_dataset
 from hatstory.errors import ConfigurationError
 from hatstory.metrics import hard_selection_ids
 from hatstory.model import generate_story
@@ -245,6 +245,46 @@ def test_any_beam_width_of_at_least_one_is_accepted(pipeline):
     assert code == 0
     report = json.loads((tmp_path / "report-beam4" / "report_generation.json").read_text())
     assert report["aggregate"]["beam"] == 4
+
+
+@pytest.mark.parametrize(
+    "changes, match",
+    [
+        ({"max_sentence_len": "x"}, "max_sentence_len must be an integer >= 1, got 'x'"),
+        ({"max_sentence_len": 0}, "max_sentence_len must be an integer >= 1, got 0"),
+        ({"beam_size": None}, "beam_size must be an integer >= 1, got None"),
+        ({"variant": "lstm"}, "unknown variant 'lstm'"),
+    ],
+)
+def test_bad_checkpoint_config_values_are_one_line_errors(pipeline, tmp_path, capsys,
+                                                          changes, match):
+    _, data, ckpt = pipeline
+    ck = load_checkpoint(ckpt)
+    bad = tmp_path / "bad.hat"
+    save_checkpoint(ck.params, ck.vocab, {**ck.config, **changes}, bad)
+    for command in ("generate", "eval-gen", "eval-retrieval"):
+        out = tmp_path / f"{command}-out"
+        code = main([command, "--ckpt", str(bad), "--data", str(data), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and match in err
+        assert not out.exists()
+
+
+def test_vocabulary_that_does_not_fit_the_model_is_a_one_line_error(pipeline, tmp_path,
+                                                                     capsys):
+    _, data, ckpt = pipeline
+    ck = load_checkpoint(ckpt)
+    bad = tmp_path / "bad.hat"
+    save_checkpoint(ck.params, Vocabulary(ck.vocab.id_to_token[:4]), ck.config, bad)
+    for command in ("generate", "eval-gen", "eval-summ", "eval-retrieval"):
+        out = tmp_path / f"{command}-out"
+        code = main([command, "--ckpt", str(bad), "--data", str(data), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"vocab.tokens holds 4 tokens, dims.vocab_size is {ck.vocab.size}" in err
+        assert not out.exists()
 
 
 def test_eval_gen_reports_bleu_and_cider(pipeline):

@@ -25,6 +25,7 @@ from hatstory.metrics import (
 from hatstory.errors import DimensionError
 from hatstory.model import (
     ModelDims,
+    conditioner,
     encode_album,
     init_model,
     select_summary,
@@ -332,8 +333,8 @@ def test_hard_selection_ids_and_soft_log_prob_helpers():
     enc = encode_album(params, album.features)
     sel = select_summary(params, enc, "hard")
     assert ids == [album.photo_ids[i] for i in sel.indices]
-    soft = select_summary(params, enc, "soft")
-    lp = story_log_prob(params, enc, soft, album.stories[0])
+    condition, _ = conditioner(params, enc, "hier")
+    lp = story_log_prob(params, condition, album.stories[0])
     assert float(lp.data) == float(variant_log_prob(params, album.features, album.stories[0]).data)
 
 

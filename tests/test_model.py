@@ -20,21 +20,20 @@ from hatstory.model import (
     _attend,
     _beam_search,
     beam_decode,
+    conditioner,
     decode_word_step,
     enc_attn_dec_generate,
     enc_attn_dec_log_prob,
-    enc_dec_generate,
-    enc_dec_log_prob,
     enc_dec_visual,
     encode_album,
+    generate,
     generate_story,
     init_model,
-    select_and_generate,
     select_step,
     select_summary,
     story_log_prob,
 )
-from hatstory.tensor import Rng, Tensor, log_softmax, row, zeros
+from hatstory.tensor import Rng, Tape, Tensor, backward, log_softmax, log_softmax_pick, row, zeros
 
 from conftest import assert_close
 
@@ -274,19 +273,19 @@ def test_story_log_prob_uniform_model_counts_tokens():
     params.proj_w.data[...] = 0.0
     params.proj_b.data[...] = 0.0
     enc = encode_album(params, random_features(Rng(3), 6, 4))
-    sel = select_summary(params, enc, "soft")
+    condition, _ = conditioner(params, enc, "hier")
     story = Story(sentences=[[4, 5, 2], [5, 2], [3, 3, 4, 2], [2], [4, 2]])
     total_tokens = sum(len(s) for s in story.sentences)
-    lp = story_log_prob(params, enc, sel, story)
+    lp = story_log_prob(params, condition, story)
     assert abs(float(lp.data) - (-total_tokens * math.log(6))) < 1e-12
 
 
 def test_story_log_prob_matches_stepwise_recomputation():
     params = init_model(tiny_dims(t_steps=2), Rng(17))
     enc = encode_album(params, random_features(Rng(18), 5, 4))
-    sel = select_summary(params, enc, "soft")
+    condition, sel = conditioner(params, enc, "hier")
     story = Story(sentences=[[4, 3, 2], [5, 2]])
-    lp = story_log_prob(params, enc, sel, story)
+    lp = story_log_prob(params, condition, story)
 
     total = 0.0
     h = zeros(3)
@@ -303,9 +302,9 @@ def test_story_log_prob_matches_stepwise_recomputation():
 def test_story_log_prob_without_state_carry_resets_per_sentence():
     params = init_model(tiny_dims(t_steps=2), Rng(21), carry_state=False)
     enc = encode_album(params, random_features(Rng(22), 5, 4))
-    sel = select_summary(params, enc, "soft")
+    condition, sel = conditioner(params, enc, "hier")
     story = Story(sentences=[[4, 3, 2], [5, 2]])
-    lp = story_log_prob(params, enc, sel, story)
+    lp = story_log_prob(params, condition, story)
 
     total = 0.0
     for t, sentence in enumerate(story.sentences):
@@ -322,9 +321,158 @@ def test_story_log_prob_without_state_carry_resets_per_sentence():
 def test_story_log_prob_rejects_wrong_sentence_count():
     params = tiny_model()
     enc = encode_album(params, random_features(Rng(0), 6, 4))
-    sel = select_summary(params, enc, "soft")
-    with pytest.raises(ContractError):
-        story_log_prob(params, enc, sel, Story(sentences=[[2], [2]]))
+    for variant in ("hier", "enc_dec", "enc_attn_dec"):
+        condition, _ = conditioner(params, enc, variant)
+        with pytest.raises(ContractError):
+            story_log_prob(params, condition, Story(sentences=[[2], [2]]))
+
+
+# ---------------------------------------------------------------------------
+# the one teacher-forced loop against the per-variant loops it replaced
+
+
+def reference_story_log_prob(params, sentence_inputs, story):
+    """The sentence loop the full model and the flat baseline used: one
+    visual input per sentence, all made before the loop."""
+    if len(story.sentences) != len(sentence_inputs):
+        raise ContractError("sentence count mismatch")
+    total = None
+    h = zeros(params.dims.d_g)
+    for g, sentence in zip(sentence_inputs, story.sentences):
+        if not params.carry_state:
+            h = zeros(params.dims.d_g)
+        prev = BOS_ID
+        for tok in sentence:
+            logits, h = decode_word_step(params, prev, g, h)
+            lp = log_softmax_pick(logits, tok)
+            total = lp if total is None else total + lp
+            prev = tok
+    return Tensor(0.0) if total is None else total
+
+
+def reference_enc_attn_dec_log_prob(params, enc, story):
+    """The attention baseline's own sentence loop; returns (log_prob, attention)."""
+    if len(story.sentences) != params.dims.t_steps:
+        raise ContractError("sentence count mismatch")
+    total = None
+    h = zeros(params.dims.d_g)
+    weights = []
+    for sentence in story.sentences:
+        if not params.carry_state:
+            h = zeros(params.dims.d_g)
+        alpha, vis = _attend(params, enc.v, h)
+        weights.append(alpha.data.copy())
+        prev = BOS_ID
+        for tok in sentence:
+            logits, h = decode_word_step(params, prev, vis, h)
+            lp = log_softmax_pick(logits, tok)
+            total = lp if total is None else total + lp
+            prev = tok
+    return (Tensor(0.0) if total is None else total), np.stack(weights)
+
+
+def reference_log_probs(params, features, variant, mode, indices, stories):
+    """Encode, then score each story as the per-variant code did: the
+    selection rows and the flat projection made anew for every story."""
+    enc = encode_album(params, features)
+    steps = range(params.dims.t_steps)
+    if variant == "hier":
+        sel = select_summary(params, enc, mode, indices)
+        return [
+            reference_story_log_prob(params, [row(sel.g, t) for t in steps], s) for s in stories
+        ], None
+    if variant == "enc_dec":
+        return [
+            reference_story_log_prob(params, [enc_dec_visual(params, enc)] * len(steps), s)
+            for s in stories
+        ], None
+    scored = [reference_enc_attn_dec_log_prob(params, enc, s) for s in stories]
+    return [lp for lp, _ in scored], np.concatenate([a for _, a in scored])
+
+
+def conditioned_log_probs(params, features, variant, mode, indices, stories):
+    condition, decided = conditioner(
+        params, encode_album(params, features), variant, mode, indices
+    )
+    lps = [story_log_prob(params, condition, s) for s in stories]
+    return lps, np.stack(decided) if variant == "enc_attn_dec" else None
+
+
+def value_and_grads(params, score):
+    """The summed log-prob, every tensor's gradient, and what else `score`
+    returns, from one taped pass."""
+    for _, t in params.named_tensors():
+        t.grad = None
+    with Tape() as tape:
+        lps, extra = score()
+        total = lps[0]
+        for lp in lps[1:]:
+            total = total + lp
+        backward(tape, total)
+    return total.data, {n: t.grad for n, t in params.named_tensors()}, extra
+
+
+def random_story(rng, t_steps, vocab_size):
+    return Story(sentences=[
+        [int(rng.integers(EOS_ID + 1, vocab_size)) for _ in range(rng.integers(0, 4))] + [EOS_ID]
+        for _ in range(t_steps)
+    ])
+
+
+@pytest.mark.parametrize("stories", [1, 2])
+@pytest.mark.parametrize("carry_state", [True, False])
+@pytest.mark.parametrize("variant, mode", [
+    ("hier", "soft"), ("hier", "hard"), ("hier", "oracle"), ("enc_dec", "soft"),
+    ("enc_attn_dec", "soft"),
+])
+def test_conditioned_loop_matches_reference_loops_bitwise(variant, mode, carry_state, stories):
+    for seed in range(3):
+        rng = Rng(900 + seed)
+        params = init_model(tiny_dims(vocab_size=7), rng, carry_state=carry_state)
+        feats = random_features(rng, 7, 4)
+        indices = [6, 1, 3, 0, 5] if mode == "oracle" else None
+        scored = [random_story(rng, 5, 7) for _ in range(stories)]
+        expected = value_and_grads(params, lambda: reference_log_probs(
+            params, feats, variant, mode, indices, scored))
+        found = value_and_grads(params, lambda: conditioned_log_probs(
+            params, feats, variant, mode, indices, scored))
+        assert np.array_equal(found[0], expected[0])
+        assert found[1].keys() == expected[1].keys()
+        for name, grad in expected[1].items():
+            if grad is None:
+                assert found[1][name] is None, name
+            elif variant == "enc_dec" and stories > 1:
+                # one projection per album instead of one per story: the
+                # same values, gradients summed in another order
+                assert np.max(np.abs(found[1][name] - grad)) <= 1e-12, name
+            else:
+                assert np.array_equal(found[1][name], grad), name
+        if variant == "enc_attn_dec":
+            assert np.array_equal(found[2], expected[2])
+
+
+def test_enc_attn_dec_log_prob_is_the_conditioned_loop():
+    params = init_model(tiny_dims(vocab_size=7), Rng(40))
+    enc = encode_album(params, random_features(Rng(41), 6, 4))
+    story = random_story(Rng(42), 5, 7)
+    lp, attention = enc_attn_dec_log_prob(params, enc, story)
+    expected_lp, expected_attention = reference_enc_attn_dec_log_prob(params, enc, story)
+    assert np.array_equal(lp.data, expected_lp.data)
+    assert np.array_equal(attention, expected_attention)
+
+
+def test_conditioner_rejects_unknown_variants_and_baseline_oracles():
+    params = tiny_model()
+    enc = encode_album(params, random_features(Rng(0), 6, 4))
+    with pytest.raises(ConfigurationError, match="unknown variant 'lstm'"):
+        conditioner(params, enc, "lstm")
+    for variant in ("enc_dec", "enc_attn_dec"):
+        with pytest.raises(ConfigurationError, match="oracle"):
+            conditioner(params, enc, variant, "oracle", [0, 1, 2, 3, 4])
+        with pytest.raises(ConfigurationError, match="oracle"):
+            generate(params, enc.v.data, variant, 1, 3, [0, 1, 2, 3, 4])
+    with pytest.raises(ConfigurationError, match="unknown variant"):
+        generate(params, enc.v.data, "lstm", 1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +684,16 @@ def test_generators_match_reference_loops(seed, carry_state):
         for indices in (None, oracle):
             sel = select_summary(params, enc, "hard" if indices is None else "oracle", indices)
             expected = reference_story(params, lambda t, h: row(sel.g, t), beam, 5)
-            story, selection = select_and_generate(params, feats, beam, 5, indices)
+            story, selection = generate(params, feats, "hier", beam, 5, indices)
             assert story.sentences == expected
             assert selection.indices == sel.indices
             assert generate_story(params, feats, beam, 5, indices).sentences == expected
 
         vis = enc_dec_visual(params, enc)
         expected = reference_story(params, lambda t, h: vis, beam, 5)
-        assert enc_dec_generate(params, feats, beam, 5).sentences == expected
+        story, decided = generate(params, feats, "enc_dec", beam, 5)
+        assert story.sentences == expected
+        assert decided is None
 
         weights = []
 
@@ -553,6 +703,9 @@ def test_generators_match_reference_loops(seed, carry_state):
             return vis
 
         expected = reference_story(params, attend, beam, 5)
+        story, attention = generate(params, feats, "enc_attn_dec", beam, 5)
+        assert story.sentences == expected
+        assert np.array_equal(np.stack(attention), np.stack(weights))
         story, attention = enc_attn_dec_generate(params, feats, beam, 5)
         assert story.sentences == expected
         assert np.array_equal(attention, np.stack(weights))
@@ -575,7 +728,8 @@ def test_enc_dec_log_prob_uses_projected_final_state():
     feats = random_features(Rng(26), 5, 4)
     story = Story(sentences=[[4, 2], [5, 3, 2]])
     enc = encode_album(params, feats)
-    lp = enc_dec_log_prob(params, enc, story)
+    condition, _ = conditioner(params, enc, "enc_dec")
+    lp = story_log_prob(params, condition, story)
     vis = Tensor(enc.final_state.data @ params.encdec_w.data + params.encdec_b.data)
     total = 0.0
     h = zeros(3)
@@ -595,14 +749,16 @@ def test_enc_dec_zero_projection_ignores_photos():
     story = Story(sentences=[[4, 5, 2]])
     enc_a = encode_album(params, random_features(Rng(1), 5, 4))
     enc_b = encode_album(params, random_features(Rng(2), 8, 4))
-    lp_a = enc_dec_log_prob(params, enc_a, story)
-    lp_b = enc_dec_log_prob(params, enc_b, story)
+    lp_a, lp_b = (
+        story_log_prob(params, conditioner(params, enc, "enc_dec")[0], story)
+        for enc in (enc_a, enc_b)
+    )
     assert float(lp_a.data) == float(lp_b.data)
 
 
 def test_enc_dec_generate_shapes():
     params = tiny_model(seed=11)
-    story = enc_dec_generate(params, random_features(Rng(3), 6, 4), beam=2, max_len=4)
+    story, _ = generate(params, random_features(Rng(3), 6, 4), "enc_dec", beam=2, max_len=4)
     assert len(story.sentences) == 5
     assert all(1 <= len(s) <= 4 for s in story.sentences)
 

@@ -1,4 +1,4 @@
-"""The experiment script runs end to end on a tiny synthetic set."""
+"""The scripts run end to end on tiny synthetic sets."""
 
 import os
 import subprocess
@@ -8,18 +8,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_latent_selection_experiment_runs_with_baselines(tmp_path):
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_latent_selection_experiment.py"),
-         "--albums", "6", "--photos", "6", "--epochs", "2", "--with-baselines",
-         "--out", str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_latent_selection_experiment_runs_with_baselines(tmp_path):
+    proc = run_script("run_latent_selection_experiment.py", "--albums", "6", "--photos", "6",
+                      "--epochs", "2", "--with-baselines", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     for line in ("[summ] hier", "[retrieval] hier", "[retrieval] enc-dec",
                  "[summ] attention-aggregation top-5", "[retrieval] enc-attn-dec"):
         assert line in proc.stdout
+
+
+def test_overfit_single_album_reproduces_its_story():
+    proc = run_script("overfit_single_album.py")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "greedy decode reproduces the training story: True" in proc.stdout

@@ -10,7 +10,7 @@ import pytest
 from hatstory.data import Story, SynthSpec, synth_generate
 from hatstory.errors import ConfigurationError, ContractError
 from hatstory.model import ModelDims, init_model
-from hatstory import training
+from hatstory import model, training
 from hatstory.tensor import Rng, Tensor, Tape, backward, neg
 from hatstory.training import (
     VARIANTS,
@@ -19,7 +19,6 @@ from hatstory.training import (
     adam_step,
     clip_gradients,
     combined_loss,
-    generation_loss,
     make_negative,
     ranking_loss,
     train,
@@ -189,8 +188,8 @@ def test_ranked_acceptance_example_encodes_and_selects_once(monkeypatch):
     params = init_model(dims, Rng(7), enc_init_gain=cfg.enc_init_gain)
     calls = []
 
-    def counted(name):
-        fn = getattr(training, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args):
             calls.append(name)
@@ -198,8 +197,9 @@ def test_ranked_acceptance_example_encodes_and_selects_once(monkeypatch):
 
         return wrapper
 
-    for name in ("encode_album", "select_summary"):
-        monkeypatch.setattr(training, name, counted(name))
+    # selection runs inside model.conditioner, encoding in training
+    for module, name in ((training, "encode_album"), (model, "select_summary")):
+        monkeypatch.setattr(module, name, counted(module, name))
     story = albums[0].stories[0]
     negative = make_negative(story, Rng(7))
     with Tape() as tape:
@@ -239,9 +239,9 @@ def test_generation_loss_is_finite_for_all_variants():
     albums, _ = tiny_dataset()
     params = init_model(ModelDims(k=6, d_s=4, d_g=4, d_w=3, vocab_size=19), Rng(0))
     for variant in ("hier", "enc_dec", "enc_attn_dec"):
-        loss = generation_loss(params, albums[0].features, albums[0].stories[0], variant)
-        assert math.isfinite(float(loss.data))
-        assert float(loss.data) > 0.0
+        lp = variant_log_prob(params, albums[0].features, albums[0].stories[0], variant)
+        assert math.isfinite(float(lp.data))
+        assert float(lp.data) < 0.0
 
 
 # ---------------------------------------------------------------------------
