@@ -12,13 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import Vocabulary
 from .errors import ContractError, CorruptionError, FormatError
-from .model import ModelDims, ModelParams, init_model
+from .model import ModelDims, ModelParams, from_json_object, init_model
 from .tensor import Rng
 
 MAGIC = b"HATSTORY1"
@@ -28,14 +28,7 @@ VERSION = 1
 def _header_dict(params, vocab, config):
     return {
         "version": VERSION,
-        "dims": {
-            "k": params.dims.k,
-            "d_s": params.dims.d_s,
-            "d_g": params.dims.d_g,
-            "d_w": params.dims.d_w,
-            "vocab_size": params.dims.vocab_size,
-            "t_steps": params.dims.t_steps,
-        },
+        "dims": asdict(params.dims),
         "carry_state": params.carry_state,
         "config": config,
         "vocab": None
@@ -60,26 +53,6 @@ def save_checkpoint(params, vocab, config, path):
         f.write(struct.pack("<Q", len(header)))
         f.write(header)
         f.write(payload)
-
-
-def _header_dims(header):
-    """The header's "dims" object, checked against ModelDims' fields."""
-    dims = header.get("dims")
-    if not isinstance(dims, dict):
-        raise FormatError("checkpoint: header needs a \"dims\" object")
-    known = {f.name: f for f in fields(ModelDims)}
-    unknown = sorted(set(dims) - set(known))
-    if unknown:
-        raise FormatError(f"checkpoint: unknown dims keys {unknown}")
-    missing = sorted(
-        n for n, f in known.items() if n not in dims and f.default is MISSING
-    )
-    if missing:
-        raise FormatError(f"checkpoint: dims lack keys {missing}")
-    for name, value in dims.items():
-        if type(value) is not int:
-            raise FormatError(f"checkpoint: dims.{name} must be an integer, got {value!r}")
-    return dims
 
 
 def _header_vocab(header):
@@ -128,7 +101,7 @@ def load_checkpoint(path):
         raise FormatError("checkpoint: header must be a JSON object")
     if header.get("version") != VERSION:
         raise FormatError(f"checkpoint: unsupported version {header.get('version')!r}")
-    dims = ModelDims(**_header_dims(header))
+    dims = from_json_object(ModelDims, header.get("dims"), "checkpoint dims", FormatError)
     carry_state = header.get("carry_state", True)
     if type(carry_state) is not bool:
         raise FormatError(f"checkpoint: carry_state must be true or false, got {carry_state!r}")

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 
 from .checkpoint import file_sha256, load_checkpoint, save_checkpoint
@@ -20,7 +19,7 @@ from .data import SynthSpec, load_dataset, save_dataset, synth_generate
 from .diagnostics import run_all
 from .errors import ConfigurationError, FormatError, HatstoryError
 from .metrics import MetricReport, bleu_n, cider, evaluate_retrieval, evaluate_summaries
-from .model import ModelDims, SelectionResult, generate, init_model
+from .model import ModelDims, SelectionResult, check_int, from_json_object, generate, init_model
 from .tensor import Rng
 from .training import TrainConfig, train
 
@@ -28,14 +27,11 @@ from .training import TrainConfig, train
 def load_config(path):
     """Read a TrainConfig from JSON whose keys mirror the field names."""
     with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
-    if not isinstance(raw, dict):
-        raise ConfigurationError("config: top level must be a JSON object")
-    known = {f.name for f in fields(TrainConfig)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigurationError(f"config: unknown keys {unknown}")
-    return TrainConfig(**raw)
+        try:
+            raw = json.load(f)
+        except ValueError as e:
+            raise ConfigurationError(f"config: not valid JSON: {e}") from None
+    return from_json_object(TrainConfig, raw, "config", ConfigurationError)
 
 
 def _fingerprint(cfg_dict, ckpt_path=None):
@@ -56,14 +52,9 @@ def _write_report(report, out_dir, stem):
     print(f"wrote {jpath} and {cpath}")
 
 
-def _check_beam(beam):
-    if beam < 1:
-        raise ConfigurationError(f"--beam must be at least 1, got {beam}")
-
-
 def _load_for_eval(args):
-    """The checkpoint, the dataset read with its vocabulary, and the model
-    variant, beam size and sentence-length cap of the checkpoint's config."""
+    """The checkpoint, the dataset read with its vocabulary, and the
+    checkpoint's stored config as a TrainConfig."""
     ck = load_checkpoint(args.ckpt)
     if ck.vocab is None:
         raise ConfigurationError("checkpoint carries no vocabulary; cannot evaluate text")
@@ -72,18 +63,12 @@ def _load_for_eval(args):
             f"checkpoint: vocab.tokens holds {ck.vocab.size} tokens, "
             f"dims.vocab_size is {ck.params.dims.vocab_size}"
         )
-    cfg = ck.config or {}
-    sizes = [cfg.get("beam_size", 3), cfg.get("max_sentence_len", 12)]
-    for name, value in zip(("beam_size", "max_sentence_len"), sizes):
-        if type(value) is not int or value < 1:
-            raise ConfigurationError(
-                f"checkpoint config: {name} must be an integer >= 1, got {value!r}"
-            )
+    cfg = from_json_object(TrainConfig, ck.config or {}, "checkpoint config", ConfigurationError)
     albums, _ = load_dataset(args.data, vocab=ck.vocab)
-    return ck, albums, cfg.get("variant", "hier"), *sizes
+    return ck, albums, cfg
 
 
-def _generate_for_album(ck, album, variant, beam, max_len, oracle):
+def _generate_for_album(ck, album, cfg, beam, oracle):
     """The album's story, and the photo ids hard selection chose for it
     (None under oracle selection and for the baselines)."""
     indices = None
@@ -91,7 +76,9 @@ def _generate_for_album(ck, album, variant, beam, max_len, oracle):
         if not album.gt_summaries:
             raise ConfigurationError(f"album {album.album_id} has no ground-truth summary")
         indices = [album.photo_ids.index(pid) for pid in album.gt_summaries[0]]
-    story, decided = generate(ck.params, album.features, variant, beam, max_len, indices)
+    story, decided = generate(
+        ck.params, album.features, cfg.variant, beam, cfg.max_sentence_len, indices
+    )
     if oracle or not isinstance(decided, SelectionResult):
         return story, None
     return story, [album.photo_ids[i] for i in decided.indices]
@@ -123,6 +110,7 @@ def cmd_train(args):
         raise ConfigurationError(
             f"config k={cfg.k} does not match dataset feature width {sorted(widths)}"
         )
+    dims = ModelDims(k=cfg.k, d_s=cfg.d_s, d_g=cfg.d_g, d_w=cfg.d_w, vocab_size=vocab.size)
     run_name = args.run_name or f"run-{time.strftime('%Y%m%d-%H%M%S')}-seed{cfg.seed}"
     run_dir = Path(args.out) / run_name
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -132,7 +120,6 @@ def cmd_train(args):
     )
     print(f"run directory: {run_dir}")
     print(f"resolved config: {json.dumps(resolved, sort_keys=True)}")
-    dims = ModelDims(k=cfg.k, d_s=cfg.d_s, d_g=cfg.d_g, d_w=cfg.d_w, vocab_size=vocab.size)
     params = init_model(dims, Rng(cfg.seed), carry_state=cfg.carry_state,
                         enc_init_gain=cfg.enc_init_gain)
     train(params, albums, cfg, loss_curve_path=run_dir / "loss_curve.csv", log=print)
@@ -142,13 +129,11 @@ def cmd_train(args):
 
 
 def cmd_generate(args):
-    _check_beam(args.beam)
-    ck, albums, variant, _, max_len = _load_for_eval(args)
+    check_int("--beam", args.beam, 1)
+    ck, albums, cfg = _load_for_eval(args)
     results = []
     for album in albums:
-        story, selected = _generate_for_album(
-            ck, album, variant, args.beam, max_len, args.oracle_selection
-        )
+        story, selected = _generate_for_album(ck, album, cfg, args.beam, args.oracle_selection)
         rec = {
             "album_id": album.album_id,
             "sentences": [ck.vocab.decode(s) for s in story.sentences],
@@ -165,13 +150,13 @@ def cmd_generate(args):
 
 
 def cmd_eval_gen(args):
-    _check_beam(args.beam)
-    ck, albums, variant, _, max_len = _load_for_eval(args)
+    check_int("--beam", args.beam, 1)
+    ck, albums, cfg = _load_for_eval(args)
     hyps, refs, per_item = [], [], []
     for album in albums:
         if not album.stories:
             continue
-        story, _ = _generate_for_album(ck, album, variant, args.beam, max_len, False)
+        story, _ = _generate_for_album(ck, album, cfg, args.beam, False)
         hyp_tokens = ck.vocab.decode(
             [t for s in story.sentences for t in s]
         ).split()
@@ -202,8 +187,10 @@ def cmd_eval_gen(args):
 
 
 def cmd_eval_summ(args):
-    ck, albums, _, beam, max_len = _load_for_eval(args)
-    aggregate, per_item = evaluate_summaries(ck.params, albums, args.baseline, beam, max_len)
+    ck, albums, cfg = _load_for_eval(args)
+    aggregate, per_item = evaluate_summaries(
+        ck.params, albums, args.baseline, cfg.beam_size, cfg.max_sentence_len
+    )
     report = MetricReport(
         task="summarization", aggregate=aggregate, per_item=per_item,
         fingerprint=_fingerprint(ck.config, args.ckpt),
@@ -214,10 +201,11 @@ def cmd_eval_summ(args):
 
 
 def cmd_eval_retrieval(args):
-    ck, albums, variant, _, _ = _load_for_eval(args)
+    check_int("--pool-size", args.pool_size, 0)
+    ck, albums, cfg = _load_for_eval(args)
     pool = albums[: args.pool_size] if args.pool_size else albums
     pool = [a for a in pool if a.stories]
-    aggregate, per_item = evaluate_retrieval(ck.params, pool, variant)
+    aggregate, per_item = evaluate_retrieval(ck.params, pool, cfg.variant)
     report = MetricReport(
         task="retrieval", aggregate=aggregate, per_item=per_item,
         fingerprint=_fingerprint(ck.config, args.ckpt),

@@ -16,7 +16,8 @@ Selection modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -60,6 +61,40 @@ SELECTION_MODES = ("soft", "hard", "oracle")
 VARIANTS = ("hier", "enc_dec", "enc_attn_dec")
 
 
+def check_int(name, value, low):
+    """Raise ConfigurationError naming `name` unless `value` is an int, not
+    a bool, of at least `low`."""
+    if type(value) is not int or value < low:
+        raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_number(name, value, low, above=False, below=math.inf):
+    """Raise ConfigurationError naming `name` unless `value` is a finite int
+    or float, not a bool, in [low, below), or in (low, below) when `above`."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) < math.inf and (value > low if above else value >= low)
+            and value < below):
+        bound = f"{'>' if above else '>='} {low}" + (f" and < {below}" if below < math.inf else "")
+        raise ConfigurationError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
+def from_json_object(cls, raw, where, error):
+    """`cls(**raw)` for a parsed JSON object keyed by `cls`'s fields. A
+    non-object, an unknown or missing key and the dataclass's own
+    ConfigurationError all raise `error`, prefixed by `where`."""
+    if not isinstance(raw, dict):
+        raise error(f"{where} must be a JSON object")
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    for problem, keys in (("unknown", set(raw) - {f.name for f in fields(cls)}),
+                          ("missing", required - set(raw))):
+        if keys:
+            raise error(f"{where}: {problem} keys {sorted(keys)}")
+    try:
+        return cls(**raw)
+    except ConfigurationError as e:
+        raise error(f"{where}: {e}") from None
+
+
 @dataclass
 class ModelDims:
     k: int  # photo feature width; the album encoder preserves it
@@ -70,15 +105,13 @@ class ModelDims:
     t_steps: int = 5  # summary photos per album == sentences per story
 
     def __post_init__(self):
-        for name in ("k", "d_s", "d_g", "d_w", "vocab_size", "t_steps"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"ModelDims: {name} must be positive")
+        for name in ("k", "d_s", "d_g", "d_w", "t_steps"):
+            check_int(name, getattr(self, name), 1)
+        check_int("vocab_size", self.vocab_size, EOS_ID + 1)  # room for EOS
         if self.k % 2 != 0:
             raise ConfigurationError(
-                f"ModelDims: k must be even to split across the two GRU directions, got {self.k}"
+                f"k must be even to split across the two GRU directions, got {self.k}"
             )
-        if self.vocab_size <= EOS_ID:
-            raise ConfigurationError("ModelDims: vocab too small to contain EOS")
 
 
 @dataclass

@@ -708,6 +708,9 @@ class Rng:
     _g: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        integer = isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
+        if not integer or self.seed < 0:
+            raise ContractError(f"Rng: seed must be a non-negative integer, got {self.seed!r}")
         self._g = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, low, high, shape=()):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import SENTENCES_PER_STORY, Story, validate_story
 from .errors import ConfigurationError, ContractError, NumericDomainError
-from .model import VARIANTS, conditioner, encode_album, story_log_prob
+from .model import VARIANTS, check_int, check_number, conditioner, encode_album, story_log_prob
 from .tensor import Rng, Tape, backward, neg, relu
 
 
@@ -54,26 +54,21 @@ class TrainConfig:
     min_count: int = 1
 
     def __post_init__(self):
-        if self.rank_weight < 0:
-            raise ConfigurationError("TrainConfig: rank_weight must be >= 0")
-        if self.margin <= 0:
-            raise ConfigurationError("TrainConfig: margin must be > 0")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("TrainConfig: learning_rate must be > 0")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ConfigurationError("TrainConfig: betas must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ConfigurationError("TrainConfig: epsilon must be > 0")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigurationError("TrainConfig: bad epochs/batch_size")
+        for name in ("k", "d_s", "d_g", "d_w", "batch_size", "beam_size",
+                     "max_sentence_len", "min_count"):
+            check_int(name, getattr(self, name), 1)
+        for name in ("epochs", "seed"):
+            check_int(name, getattr(self, name), 0)
+        for name in ("rank_weight", "grad_clip"):
+            check_number(name, getattr(self, name), 0)
+        for name in ("margin", "learning_rate", "epsilon", "enc_init_gain"):
+            check_number(name, getattr(self, name), 0, above=True)
+        for name in ("beta1", "beta2"):
+            check_number(name, getattr(self, name), 0, below=1)
+        if type(self.carry_state) is not bool:
+            raise ConfigurationError(f"carry_state must be true or false, got {self.carry_state!r}")
         if self.variant not in VARIANTS:
-            raise ConfigurationError(f"TrainConfig: unknown variant {self.variant!r}")
-        if self.grad_clip < 0:
-            raise ConfigurationError("TrainConfig: grad_clip must be >= 0")
-        if self.beam_size < 1 or self.max_sentence_len < 1:
-            raise ConfigurationError("TrainConfig: bad decoding defaults")
-        if self.enc_init_gain <= 0:
-            raise ConfigurationError("TrainConfig: enc_init_gain must be > 0")
+            raise ConfigurationError(f"unknown variant {self.variant!r}")
 
     def to_dict(self):
         return asdict(self)

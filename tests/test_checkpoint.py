@@ -167,9 +167,9 @@ def test_missing_dims_or_manifest_is_a_format_error(tmp_path, key):
 @pytest.mark.parametrize(
     "mutate, match",
     [
-        (lambda d: d.update(depth=3), "unknown dims keys \\['depth'\\]"),
-        (lambda d: d.pop("d_g"), "lack keys \\['d_g'\\]"),
-        (lambda d: d.update(k="16"), "dims.k must be an integer"),
+        (lambda d: d.update(depth=3), "dims: unknown keys \\['depth'\\]"),
+        (lambda d: d.pop("d_g"), "dims: missing keys \\['d_g'\\]"),
+        (lambda d: d.update(k="16"), "dims: k must be an integer >= 1, got '16'"),
     ],
 )
 def test_bad_dims_are_format_errors_naming_the_key(tmp_path, mutate, match):

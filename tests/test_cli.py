@@ -30,6 +30,21 @@ TINY_CONFIG = {
 }
 
 
+# Config values of the wrong type or out of range, each with the message that
+# names its field. `train --config` and a checkpoint's stored config both
+# reject them.
+BAD_CONFIG_VALUES = [
+    ({"epochs": "3"}, "epochs must be an integer >= 0, got '3'"),
+    ({"learning_rate": "0.1"}, "learning_rate must be a finite number > 0, got '0.1'"),
+    ({"d_s": "4"}, "d_s must be an integer >= 1, got '4'"),
+    ({"max_sentence_len": 12.0}, "max_sentence_len must be an integer >= 1, got 12.0"),
+    ({"carry_state": "no"}, "carry_state must be true or false, got 'no'"),
+    ({"rank_weight": True}, "rank_weight must be a finite number >= 0, got True"),
+    ({"seed": -5}, "seed must be an integer >= 0, got -5"),
+    ({"learning_rate": float("nan")}, "learning_rate must be a finite number > 0, got nan"),
+]
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = dict(TINY_CONFIG)
     cfg.update(overrides)
@@ -60,6 +75,17 @@ def train(tmp_path, data, run_name, **overrides):
 
 # ---------------------------------------------------------------------------
 # synth
+
+
+@pytest.mark.parametrize("command", [["synth", "--albums", "2"], ["gradcheck"]])
+def test_negative_seed_is_a_one_line_error(tmp_path, capsys, command):
+    out = tmp_path / "data.jsonl"
+    extra = ["--out", str(out)] if command[0] == "synth" else []
+    code = main([*command, "--seed", "-1", *extra])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: Rng: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
 
 
 def test_synth_same_seed_writes_identical_bytes(tmp_path):
@@ -133,6 +159,13 @@ def test_load_config_rejects_unknown_keys_and_non_objects(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_text_that_is_not_json(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"k": 6,')
+    with pytest.raises(ConfigurationError, match="config: not valid JSON"):
+        load_config(path)
+
+
 def test_load_config_rejects_the_removed_printed_hinge_key(tmp_path):
     path = write_config(tmp_path, printed_hinge=False)
     with pytest.raises(ConfigurationError, match="unknown keys.*printed_hinge"):
@@ -149,6 +182,20 @@ def test_cli_reports_unknown_config_key_as_exit_one(tmp_path, capsys):
     ])
     assert code == 1
     assert "wrong_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes, match", BAD_CONFIG_VALUES)
+def test_bad_config_values_are_one_line_train_errors(tmp_path, capsys, changes, match):
+    data = synth(tmp_path)
+    cfg = write_config(tmp_path, **changes)
+    code = main([
+        "train", "--data", str(data), "--config", str(cfg),
+        "--out", str(tmp_path / "runs"), "--run-name", "bad",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: config: ") and match in err
+    assert not (tmp_path / "runs").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +301,7 @@ def test_any_beam_width_of_at_least_one_is_accepted(pipeline):
         ({"max_sentence_len": 0}, "max_sentence_len must be an integer >= 1, got 0"),
         ({"beam_size": None}, "beam_size must be an integer >= 1, got None"),
         ({"variant": "lstm"}, "unknown variant 'lstm'"),
+        *BAD_CONFIG_VALUES,
     ],
 )
 def test_bad_checkpoint_config_values_are_one_line_errors(pipeline, tmp_path, capsys,
@@ -267,7 +315,8 @@ def test_bad_checkpoint_config_values_are_one_line_errors(pipeline, tmp_path, ca
         code = main([command, "--ckpt", str(bad), "--data", str(data), "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error:") and match in err
+        assert err.count("\n") == 1 and err.startswith("error: checkpoint config: ")
+        assert match in err
         assert not out.exists()
 
 
@@ -348,6 +397,16 @@ def test_eval_retrieval_pool_size_cap(pipeline):
     assert code == 0
     report = json.loads((out / "report_retrieval.json").read_text())
     assert len(report["per_item"]) == 2
+
+
+def test_eval_retrieval_rejects_a_negative_pool_size(pipeline, capsys):
+    tmp_path, data, ckpt = pipeline
+    out = tmp_path / "report-retr-negative"
+    code = main(["eval-retrieval", "--ckpt", str(ckpt), "--data", str(data),
+                 "--pool-size", "-3", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --pool-size must be an integer >= 0, got -3\n"
+    assert not out.exists()
 
 
 def test_eval_with_missing_checkpoint_fails_cleanly(pipeline, capsys):

@@ -824,6 +824,15 @@ def test_model_dims_validation():
         tiny_dims(t_steps=-1)
 
 
+@pytest.mark.parametrize("name, value", [("k", 4.0), ("d_s", True), ("vocab_size", EOS_ID),
+                                         ("t_steps", "5")])
+def test_model_dims_names_the_field_and_value_it_rejects(name, value):
+    with pytest.raises(ConfigurationError) as caught:
+        tiny_dims(**{name: value})
+    message = str(caught.value)
+    assert message.startswith(f"{name} must be an integer") and message.endswith(repr(value))
+
+
 def test_init_model_same_seed_same_weights():
     a = init_model(tiny_dims(), Rng(5))
     b = init_model(tiny_dims(), Rng(5))

@@ -415,6 +415,12 @@ def test_rng_reproducible_across_instances():
     assert a.sample_distinct(20, 5) == b.sample_distinct(20, 5)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None])
+def test_rng_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ContractError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        Rng(seed)
+
+
 def test_rng_uniform_bounds_validated():
     with pytest.raises(ContractError):
         Rng(0).uniform(1.0, 1.0, (2,))

@@ -420,6 +420,19 @@ def test_train_config_validation():
         tiny_cfg(enc_init_gain=0.0)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("k", "6"), ("epochs", 3.0), ("batch_size", True), ("seed", -1), ("min_count", 0),
+     ("rank_weight", False), ("margin", math.inf), ("learning_rate", math.nan),
+     ("beta2", 1.0), ("epsilon", None), ("carry_state", 1)],
+)
+def test_train_config_names_the_field_and_value_it_rejects(name, value):
+    with pytest.raises(ConfigurationError) as caught:
+        tiny_cfg(**{name: value})
+    message = str(caught.value)
+    assert message.startswith(f"{name} must be ") and message.endswith(repr(value))
+
+
 def test_train_config_to_dict_round_trip():
     cfg = tiny_cfg(rank_weight=3.0, enc_init_gain=0.5)
     rebuilt = TrainConfig(**cfg.to_dict())
