@@ -21,7 +21,7 @@ from .errors import ConfigurationError, FormatError, HatstoryError
 from .metrics import MetricReport, bleu_n, cider, evaluate_retrieval, evaluate_summaries
 from .model import ModelDims, SelectionResult, check_int, from_json_object, generate, init_model
 from .tensor import Rng
-from .training import TrainConfig, train
+from .training import TrainConfig, train, write_loss_curve
 
 
 def load_config(path):
@@ -113,16 +113,17 @@ def cmd_train(args):
     dims = ModelDims(k=cfg.k, d_s=cfg.d_s, d_g=cfg.d_g, d_w=cfg.d_w, vocab_size=vocab.size)
     run_name = args.run_name or f"run-{time.strftime('%Y%m%d-%H%M%S')}-seed{cfg.seed}"
     run_dir = Path(args.out) / run_name
-    run_dir.mkdir(parents=True, exist_ok=True)
     resolved = cfg.to_dict()
-    (run_dir / "resolved_config.json").write_text(
-        json.dumps(resolved, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
     print(f"run directory: {run_dir}")
     print(f"resolved config: {json.dumps(resolved, sort_keys=True)}")
     params = init_model(dims, Rng(cfg.seed), carry_state=cfg.carry_state,
                         enc_init_gain=cfg.enc_init_gain)
-    train(params, albums, cfg, loss_curve_path=run_dir / "loss_curve.csv", log=print)
+    curve = train(params, albums, cfg, log=print)  # a failed run makes no run directory
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "resolved_config.json").write_text(
+        json.dumps(resolved, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
+    write_loss_curve(curve, run_dir / "loss_curve.csv")
     save_checkpoint(params, vocab, resolved, run_dir / "checkpoint.hat")
     print(f"checkpoint: {run_dir / 'checkpoint.hat'}")
     return 0

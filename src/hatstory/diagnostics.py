@@ -2,8 +2,8 @@
 
 Builds a tiny instance (2 photos, k=4, vocab of 7) and checks tape
 gradients of each layer of the system against central differences: a few
-primitives, the recurrent cells, the story likelihood, and the combined
-training loss with the ranking term switched on.
+primitives, the recurrent cells, the GRU-run and sentence ops, the story
+likelihood, and the combined training loss with the ranking term on.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Story
+from .data import BOS_ID, Story
 from .layers import GruParams, MlpParams, gru_step, mlp
 from .model import ModelDims, conditioner, encode_album, init_model, story_log_prob
 from .tensor import (
@@ -20,7 +20,10 @@ from .tensor import (
     Rng,
     Tensor,
     grad_check,
+    gru_sequence,
     matmul,
+    mul,
+    sentence_log_prob,
     sigmoid,
     sum_all,
     zeros,
@@ -79,6 +82,30 @@ def check_recurrent(seed=0, step=1e-5, tol=1e-5):
     return grad_check(fn, tensors, step=step, tol=tol, names=names)
 
 
+def check_sequence(seed=0, step=1e-5, tol=1e-4):
+    """Both encoder directions (`gru_sequence`) over trainable photo features
+    and one decoder sentence (`sentence_log_prob`), each from a trainable
+    nonzero state, the sentence with a repeated word, on the toy model."""
+    params, features, story, _ = toy_instance(seed)
+    rng = Rng(seed)
+    xs = Tensor(features, requires_grad=True)
+    start, h0, g = (Tensor(rng.uniform(-1.0, 1.0, d), requires_grad=True)
+                    for d in (params.dims.k // 2, params.dims.d_g, params.dims.k))
+    sentence = story.sentences[0] + story.sentences[1]  # word 5 comes twice
+
+    def fn(*tensors):
+        fwd = gru_sequence(xs, start, params.enc_fwd)
+        bwd = gru_sequence(xs, start, params.enc_bwd, reverse=True)
+        total, h = sentence_log_prob(
+            None, h0, g, [BOS_ID, *sentence[:-1]], sentence, params.embedding.table,
+            params.gen_gru, params.proj_w, params.proj_b,
+        )
+        return total + sum_all(mul(fwd, bwd)) + sum_all(mul(h, h))
+
+    named = params.named_tensors() + [("features", xs), ("start", start), ("h0", h0), ("g", g)]
+    return grad_check(fn, [t for _, t in named], step=step, tol=tol, names=[n for n, _ in named])
+
+
 def check_story_likelihood(seed=0, step=1e-5, tol=1e-4):
     params, features, story, _ = toy_instance(seed)
 
@@ -117,6 +144,7 @@ def run_all(seed=0):
     return [
         ModuleCheck("primitives", check_primitives(seed)),
         ModuleCheck("recurrent", check_recurrent(seed)),
+        ModuleCheck("sequence", check_sequence(seed)),
         ModuleCheck("story-likelihood", check_story_likelihood(seed)),
         ModuleCheck("training-loss", check_training_loss(seed)),
     ]

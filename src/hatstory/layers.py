@@ -1,7 +1,8 @@
-"""Recurrent and feed-forward building blocks: GRU cell, bidirectional GRU,
-small MLPs, and an embedding table. All state starts at zero and every
-parameter is a plain Tensor, so the gradient tape sees everything. A GRU
-step is one fused tape op (`tensor.gru_cell`) over the nine gate tensors."""
+"""Recurrent and feed-forward building blocks: GRU weights and step, small
+MLPs, and an embedding table. Every parameter is a plain Tensor, so the
+gradient tape sees everything. A GRU step is one fused tape op
+(`tensor.gru_cell`) over the nine gate tensors; a whole GRU run is one
+`tensor.gru_sequence` op over the same `GruParams`."""
 
 from __future__ import annotations
 
@@ -12,10 +13,8 @@ import numpy as np
 from .errors import ContractError, DimensionError
 from .tensor import (
     Tensor,
-    concat,
     gru_cell,
     matmul,
-    row,
     seeded_init,
     tanh,
     tile_rows,
@@ -80,43 +79,10 @@ class GruParams:
 
 
 def gru_step(params, x, h):
-    """One GRU update, recorded as a single tape entry.
-
-    z = sigmoid(x W_z + h U_z + b_z)
-    r = sigmoid(x W_r + h U_r + b_r)
-    cand = tanh(x W_h + (r * h) U_h + b_h)
-    h' = (1 - z) * h + z * cand
-    """
+    """One GRU update (the formula is in `tensor.gru_cell`), recorded as a
+    single tape entry."""
     p = params
     return gru_cell(x, h, p.w_z, p.w_r, p.w_h, p.u_z, p.u_r, p.u_h, p.b_z, p.b_r, p.b_h)
-
-
-def bi_gru(fwd, bwd, xs):
-    """Run a forward and a backward GRU over a sequence of vectors.
-
-    Both directions start from zero state; output i is the concatenation of
-    the forward state after step i and the backward state after step i
-    (counting from the other end), width fwd.d_h + bwd.d_h.
-    """
-    xs = list(xs)
-    if not xs:
-        raise ContractError("bi_gru: empty sequence")
-    if fwd.d_in != bwd.d_in:
-        raise DimensionError(
-            f"bi_gru: directions disagree on input width ({fwd.d_in} vs {bwd.d_in})"
-        )
-    n = len(xs)
-    forward = []
-    h = zeros(fwd.d_h)
-    for x in xs:
-        h = gru_step(fwd, x, h)
-        forward.append(h)
-    backward_states = [None] * n
-    h = zeros(bwd.d_h)
-    for i in range(n - 1, -1, -1):
-        h = gru_step(bwd, xs[i], h)
-        backward_states[i] = h
-    return [concat([f, b]) for f, b in zip(forward, backward_states)]
 
 
 @dataclass
@@ -201,22 +167,7 @@ class EmbeddingTable:
         if self.table.ndim != 2:
             raise DimensionError(f"EmbeddingTable: table must be 2-D, got {self.table.shape}")
 
-    @property
-    def vocab_size(self):
-        return self.table.shape[0]
-
-    @property
-    def width(self):
-        return self.table.shape[1]
-
     @classmethod
     def create(cls, rng, vocab_size, width):
         return cls(seeded_init(rng, (vocab_size, width), "xavier"))
 
-
-def embed(table, token_id):
-    if not isinstance(token_id, (int, np.integer)) or not 0 <= token_id < table.vocab_size:
-        raise IndexError(
-            f"embed: token id {token_id} out of range for vocab {table.vocab_size}"
-        )
-    return row(table.table, int(token_id))

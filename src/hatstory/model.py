@@ -23,29 +23,22 @@ import numpy as np
 
 from .data import BOS_ID, EOS_ID, Story
 from .errors import ConfigurationError, ContractError, DimensionError
-from .layers import (
-    EmbeddingTable,
-    GruParams,
-    MlpParams,
-    bi_gru,
-    embed,
-    gru_step,
-    mlp,
-    mlp_array,
-)
+from .layers import EmbeddingTable, GruParams, MlpParams, gru_step, mlp, mlp_array
 from .tensor import (
     Tensor,
     concat,
+    gru_run,
+    gru_sequence,
     gru_update,
     log_softmax_array,
-    log_softmax_pick,
     matmul,
     mul,
-    narrow,
     relu,
     reshape,
     row,
     seeded_init,
+    sentence_log_prob,
+    sentence_run,
     sigmoid,
     sigmoid_array,
     softmax,
@@ -228,15 +221,14 @@ def _album_features(params, features):
 
 
 def encode_album(params, features):
-    """v_i = relu(bi_gru(features)_i + f_i); features is an (n, k) array."""
-    features = _album_features(params, features)
-    n = features.shape[0]
-    xs = [Tensor(features[i]) for i in range(n)]
-    outs = bi_gru(params.enc_fwd, params.enc_bwd, xs)
-    vs = [relu(outs[i] + xs[i]) for i in range(n)]
-    half = params.dims.k // 2
-    final = concat([narrow(outs[-1], 0, half), narrow(outs[0], half, half)])
-    return AlbumEncoding(v=stack_rows(vs), n=n, final_state=final)
+    """v_i = relu([f_i; b_i] + x_i) over an (n, k) feature array: f_i and b_i
+    are the forward and backward GRU states at photo i, one op each."""
+    xs = Tensor(_album_features(params, features))
+    start = zeros(params.dims.k // 2)
+    fwd = gru_sequence(xs, start, params.enc_fwd)
+    bwd = gru_sequence(xs, start, params.enc_bwd, reverse=True)
+    final = concat([row(fwd, len(xs.data) - 1), row(bwd, 0)])
+    return AlbumEncoding(v=relu(concat([fwd, bwd], axis=1) + xs), n=len(xs.data), final_state=final)
 
 
 # ---------------------------------------------------------------------------
@@ -374,21 +366,14 @@ def conditioner(params, enc, variant, mode="soft", oracle_indices=None):
 # word-level decoding
 
 
-def decode_word_step(params, prev_word_id, g, h):
-    """One decoder step: GRU over [embed(prev word), g], affine to logits."""
-    x = concat([embed(params.embedding, prev_word_id), g])
-    h2 = gru_step(params.gen_gru, x, h)
-    logits = vecmat(h2, params.proj_w) + params.proj_b
-    return logits, h2
-
-
 def story_log_prob(params, condition, story):
     """Teacher-forced log p(story | album) under one variant's conditioner.
 
     `condition(t, h)` gives sentence t's (k,) visual input from the decoder
     state h at the sentence start (see `conditioner`). Each sentence starts
     implicitly at BOS and must end at EOS; the decoder state runs across
-    sentence boundaries unless carry_state is off."""
+    sentence boundaries unless carry_state is off. Each non-empty sentence
+    is one `sentence_log_prob` op."""
     t_steps = params.dims.t_steps
     if len(story.sentences) != t_steps:
         raise ContractError(
@@ -400,12 +385,11 @@ def story_log_prob(params, condition, story):
         if not params.carry_state:
             h = zeros(params.dims.d_g)
         g = condition(t, h)
-        prev = BOS_ID
-        for tok in sentence:
-            logits, h = decode_word_step(params, prev, g, h)
-            lp = log_softmax_pick(logits, tok)
-            total = lp if total is None else total + lp
-            prev = tok
+        if sentence:
+            total, h = sentence_log_prob(
+                total, h, g, [BOS_ID, *sentence[:-1]], sentence, params.embedding.table,
+                params.gen_gru, params.proj_w, params.proj_b,
+            )
     return Tensor(0.0) if total is None else total
 
 
@@ -571,41 +555,32 @@ def _group_log_probs(params, story, features, variant):
     elif variant == "enc_dec":
         gs = [final_state @ params.encdec_w.data + params.encdec_b.data] * params.dims.t_steps
     gen = [t.data for _, t in params.gen_gru.named()]
-    table = params.embedding.table.data
-    rows = features.shape[0]
-    h = np.zeros((rows, params.dims.d_g))
-    total = np.zeros(rows)
+    h = start = np.zeros((features.shape[0], params.dims.d_g))
+    total = np.zeros(len(start))
     for t, sentence in enumerate(story.sentences):
         if not params.carry_state:
-            h = np.zeros((rows, params.dims.d_g))
+            h = start
         g = gs[t] if gs is not None else _attend_rows(params, v, h)
-        prev = BOS_ID
-        for tok in sentence:
-            word = np.broadcast_to(table[prev], (rows, table.shape[1]))
-            h = gru_update(np.concatenate([word, g], axis=1), h, *gen)[0]
-            logits = h @ params.proj_w.data + params.proj_b.data
-            total = total + log_softmax_array(logits)[:, tok]
-            prev = tok
+        if sentence:
+            lps, _, run, _ = sentence_run(
+                params.embedding.table.data, g, h, [BOS_ID, *sentence[:-1]], sentence, gen,
+                params.proj_w.data, params.proj_b.data,
+            )
+            for lp in lps:
+                total = total + lp
+            h = run[0][-1]
     return total
 
 
 def _encode_rows(params, features):
     """`encode_album` over (B, n, k) rows: returns v (B, n, k) and the final
     states (B, k)."""
-    rows, n, k = features.shape
-    half = k // 2
-    outs = np.empty((rows, n, k))
-    for cell, steps, cols in (
-        (params.enc_fwd, range(n), slice(0, half)),
-        (params.enc_bwd, range(n - 1, -1, -1), slice(half, k)),
-    ):
-        weights = [t.data for _, t in cell.named()]
-        h = np.zeros((rows, half))
-        for i in steps:
-            h = gru_update(features[:, i], h, *weights)[0]
-            outs[:, i, cols] = h
-    final_state = np.concatenate([outs[:, -1, :half], outs[:, 0, half:]], axis=1)
-    return np.maximum(outs + features, 0.0), final_state
+    xs = features.transpose(1, 0, 2)  # (n, B, k): one step per photo
+    start = np.zeros((len(features), features.shape[2] // 2))
+    fw, bw = ([t.data for _, t in cell.named()] for cell in (params.enc_fwd, params.enc_bwd))
+    fwd, bwd = gru_run(xs, start, *fw)[0], gru_run(xs, start, *bw, reverse=True)[0]
+    outs = np.concatenate([fwd, bwd], axis=2).transpose(1, 0, 2)
+    return np.maximum(outs + features, 0.0), np.concatenate([fwd[-1], bwd[0]], axis=1)
 
 
 def _soft_select_rows(params, v):

@@ -9,12 +9,13 @@ broadcasting allowed is scalar-with-tensor, and every other alignment
 (tiling, stacking, slicing) is an explicit op.
 
 Per-op Python dispatch, not arithmetic, sets the speed of these small
-models, so the two hottest compositions are single fused ops with a
-hand-written backward: one GRU step (`gru_cell`) and one word's
-log-probability (`log_softmax_pick`). Each records one tape entry and
-matches its composed form bit for bit. Their arithmetic lives in plain-array
-functions (`gru_update`, `log_softmax_array`, ...) that also accept a
-leading row axis, so tape-free batched inference runs the same code.
+models, so the hottest compositions are fused ops with a hand-written
+backward, one tape record each: a GRU step (`gru_cell`), a GRU run
+(`gru_sequence`) and a teacher-forced sentence (`sentence_log_prob`). Their
+values are bitwise the composed ops'; the run-level ops sum each weight's
+gradient over the run in one product, so those agree to rounding. Their
+arithmetic lives in plain-array functions (`gru_update`, `gru_run`, ...)
+that also take a row axis, so tape-free batched inference runs the same code.
 """
 
 from __future__ import annotations
@@ -127,9 +128,6 @@ class Tape:
     def __len__(self):
         return len(self._records)
 
-    def backward(self, root):
-        backward(self, root)
-
 
 _TAPE_STACK = []
 
@@ -156,13 +154,6 @@ def _accum(t, g):
         t.grad = np.array(g, dtype=np.float64)
     else:
         t.grad += g
-
-
-def _accum_at(t, index, g):
-    """Accumulate into one row/element without materializing a full-shape array."""
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad[index] += g
 
 
 def _fit(g, shape):
@@ -235,6 +226,40 @@ def gru_update(x, h, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
     cand = np.tanh(x @ w_h + rh @ u_h + b_h)
     omz = 1.0 - z
     return omz * h + z * cand, z, r, rh, cand, omz
+
+
+def gru_run(xs, h0, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, reverse=False):
+    """A GRU over R rows of T inputs, xs (T, R, d_in), from h0 (R, d_h). The
+    input products are made once for the run; only the recurrence steps.
+    State t follows input t; `reverse` reads the inputs from the last. With
+    R = 1 each product is a vector-matrix one, so the states are bitwise
+    `gru_update`'s. Returns the states and z, r, cand gates, each (T, R, d_h)."""
+    hs = np.empty(xs.shape[:2] + h0.shape[-1:])
+    zr, cand = np.empty((len(xs), 2) + hs.shape[1:]), np.empty_like(hs)
+    pre = np.empty(zr.shape[1:])  # both gates' pre-activations, one sigmoid call
+    xz, xr, xh = xs @ w_z, xs @ w_r, xs @ w_h
+    h = h0
+    for t in reversed(range(len(xs))) if reverse else range(len(xs)):
+        np.add(xz[t] + h @ u_z, b_z, out=pre[0])
+        np.add(xr[t] + h @ u_r, b_r, out=pre[1])
+        z, r = zr[t] = sigmoid_array(pre)
+        c = np.tanh(xh[t] + (r * h) @ u_h + b_h, out=cand[t])
+        h = hs[t] = (1.0 - z) * h + z * c
+    return hs, zr[:, 0], zr[:, 1], cand
+
+
+def sentence_run(table, g, h0, words, targets, gru_weights, proj_w, proj_b):
+    """One teacher-forced sentence over R rows: a `gru_run` from h0 (R, d_g)
+    over [table[word], g] per input word, g (R, k), then word log-probs.
+    Returns each target's log-prob (T, R), the inputs, the run and the
+    log-probs (T, R, V)."""
+    d_w = table.shape[1]
+    x = np.empty((len(words), len(g), d_w + g.shape[1]))
+    x[:, :, :d_w] = table[words][:, None]
+    x[:, :, d_w:] = g
+    run = gru_run(x, h0, *gru_weights)
+    y = log_softmax_array(run[0] @ proj_w + proj_b)
+    return y[np.arange(len(words)), :, targets], x, run, y
 
 
 # ---------------------------------------------------------------------------
@@ -346,33 +371,6 @@ def relu(a):
     return out
 
 
-def log(a):
-    a = _as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise NumericDomainError("log: input must be strictly positive")
-    out = _out(np.log(a.data), a)
-    if out.requires_grad:
-        def back():
-            _accum(a, out.grad / a.data)
-        _rec(out, back)
-    return out
-
-
-def exp(a):
-    a = _as_tensor(a)
-    with np.errstate(over="raise"):
-        try:
-            vals = np.exp(a.data)
-        except FloatingPointError:
-            raise NumericDomainError("exp: overflow") from None
-    out = _out(vals, a)
-    if out.requires_grad:
-        def back():
-            _accum(a, out.grad * out.data)
-        _rec(out, back)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and shape ops
 
@@ -435,22 +433,6 @@ def softmax(a, axis=-1):
         def back():
             g = out.grad
             _accum(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
-        _rec(out, back)
-    return out
-
-
-def log_softmax(a, axis=-1):
-    a = _as_tensor(a)
-    if a.data.ndim == 0:
-        raise DimensionError("log_softmax: input must have at least one axis")
-    if a.data.shape[axis] == 0:
-        raise DimensionError("log_softmax: empty axis")
-    out = _out(log_softmax_array(a.data, axis), a)
-    if out.requires_grad:
-        y = out.data
-        def back():
-            g = out.grad
-            _accum(a, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
         _rec(out, back)
     return out
 
@@ -542,23 +524,6 @@ def reshape(a, shape):
     return out
 
 
-def narrow(a, start, length):
-    """Contiguous 1-D slice [start, start+length)."""
-    a = _as_tensor(a)
-    if a.data.ndim != 1:
-        raise DimensionError(f"narrow: needs a vector, got shape {a.data.shape}")
-    if start < 0 or length < 1 or start + length > a.data.shape[0]:
-        raise DimensionError(
-            f"narrow: window [{start}, {start + length}) out of range for {a.data.shape}"
-        )
-    out = _out(a.data[start : start + length].copy(), a)
-    if out.requires_grad:
-        def back():
-            _accum_at(a, slice(start, start + length), out.grad)
-        _rec(out, back)
-    return out
-
-
 def row(m, i):
     """Select one matrix row; the gradient scatters back into that row."""
     m = _as_tensor(m)
@@ -570,23 +535,9 @@ def row(m, i):
     out = _out(m.data[i].copy(), m)
     if out.requires_grad:
         def back():
-            _accum_at(m, i, out.grad)
-        _rec(out, back)
-    return out
-
-
-def pick(v, i):
-    """Select one element of a vector as a scalar tensor."""
-    v = _as_tensor(v)
-    if v.data.ndim != 1:
-        raise DimensionError(f"pick: needs a vector, got shape {v.data.shape}")
-    if not isinstance(i, (int, np.integer)) or not 0 <= i < v.data.shape[0]:
-        raise IndexError(f"pick index {i} out of range for shape {v.data.shape}")
-    i = int(i)
-    out = _out(np.asarray(v.data[i]), v)
-    if out.requires_grad:
-        def back():
-            _accum_at(v, i, out.grad)
+            if m.grad is None:
+                m.grad = np.zeros_like(m.data)
+            m.grad[i] += out.grad
         _rec(out, back)
     return out
 
@@ -614,10 +565,9 @@ def gru_cell(x, h, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
     h' = (1 - z) * h + z * cand
 
     x is (d_in,), h is (d_h,), w_* (d_in, d_h), u_* (d_h, d_h), b_* (d_h,).
-    The forward (`gru_update`) repeats the arithmetic of the same formula
-    written with vecmat/add/sigmoid/mul/tanh, so the output is bitwise equal
-    to it. The backward accumulates into every input in the order that
-    composed tape would replay, so the gradients are bitwise equal too.
+    Value and gradients are bitwise those of the formula written with
+    vecmat/add/sigmoid/mul/tanh: the backward adds into every input in the
+    order that composed tape would replay.
     """
     x, h = _as_tensor(x), _as_tensor(h)
     d_in, d_h = w_z.data.shape
@@ -671,29 +621,117 @@ def gru_cell(x, h, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
     return out
 
 
-def log_softmax_pick(a, i):
-    """pick(log_softmax(a), i) as a single op: the log-probability of class i
-    under the logits vector a. Value and gradient are bitwise equal to the
-    two-op form."""
-    a = _as_tensor(a)
-    if a.data.ndim != 1 or a.data.shape[0] == 0:
-        raise DimensionError(
-            f"log_softmax_pick: needs a non-empty vector, got shape {a.data.shape}"
-        )
-    if not isinstance(i, (int, np.integer)) or not 0 <= i < a.data.shape[0]:
-        raise IndexError(
-            f"log_softmax_pick index {i} out of range for shape {a.data.shape}"
-        )
-    i = int(i)
-    y = log_softmax_array(a.data)
-    out = _out(np.asarray(y[i]), a)
+def _gru_run_back(x, h0, run, weights, g_states, reverse, need_x):
+    """Backpropagation through time of a one-row `gru_run` over x (T, d_in)
+    from the Tensor h0, whose states get g_states (T, d_h) from outside. The
+    steps add into each state's gradient in a `gru_cell` chain's order (the
+    next step's terms, then g_states); each weight's gradient is then one
+    product or sum over the run. Accumulates into the weights and h0 and
+    returns the gradient of x when `need_x`."""
+    hs, z, r, cand = (a[:, 0] for a in run)
+    if reverse:
+        x, hs, z, r, cand, g_states = (a[::-1] for a in (x, hs, z, r, cand, g_states))
+    w_z, w_r, w_h, u_z, u_r, u_h = (w.data for w in weights[:6])
+    hp = np.concatenate([h0.data[None], hs[:-1]])  # the state each step starts from
+    omz, dc = 1.0 - z, z * (1.0 - cand * cand)
+    dr, dz = hp * r * (1.0 - r), (cand - hp) * z * (1.0 - z)
+    gates = np.empty((3,) + hs.shape)  # pre-activation gradients of z, r, cand
+    g_z, g_r, g_c = gates
+    carry = None
+    for t in range(len(hs) - 1, -1, -1):
+        g = g_states[t] if carry is None else carry + g_states[t]
+        g_rh = u_h @ np.multiply(g, dc[t], out=g_c[t])
+        carry = g * omz[t]
+        carry += g_rh * r[t]
+        carry += u_r @ np.multiply(g_rh, dr[t], out=g_r[t])
+        carry += u_z @ np.multiply(g, dz[t], out=g_z[t])
+    for w, u, b, gate, h_in in zip(weights[:3], weights[3:6], weights[6:], gates,
+                                   (hp, hp, r * hp)):
+        if w.requires_grad:
+            _accum(w, x.T @ gate)
+        if u.requires_grad:
+            _accum(u, h_in.T @ gate)
+        if b.requires_grad:
+            _accum(b, gate.sum(axis=0))
+    if h0.requires_grad:
+        _accum(h0, carry)
+    if need_x:
+        g_x = g_z @ w_z.T + g_r @ w_r.T + g_c @ w_h.T
+        return g_x[::-1] if reverse else g_x
+
+
+def gru_sequence(xs, h0, cell, reverse=False):
+    """A whole GRU run as one op: row t of the (T, d_h) result is the state
+    after input t of xs (T, d_in), from h0 (d_h,); `reverse` runs from the
+    last input. `cell` holds the nine gate tensors (`layers.GruParams`).
+    Values are bitwise a `gru_cell` chain's; gradients agree to rounding."""
+    xs, h0 = _as_tensor(xs), _as_tensor(h0)
+    weights = [t for _, t in cell.named()]
+    d_in, d_h = cell.w_z.data.shape
+    if xs.data.ndim != 2 or len(xs.data) < 1 or xs.data.shape[1] != d_in or h0.data.shape != (d_h,):
+        raise DimensionError(f"gru_sequence: inputs {xs.data.shape} and state "
+                             f"{h0.data.shape} do not fit weights ({d_in}, {d_h})")
+    run = gru_run(xs.data[:, None], h0.data[None], *(w.data for w in weights), reverse=reverse)
+    out = _out(run[0][:, 0], xs, h0, *weights)
     if out.requires_grad:
         def back():
-            g = np.zeros_like(y)
-            g[i] += out.grad
-            _accum(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
+            g_x = _gru_run_back(xs.data, h0, run, weights, out.grad, reverse, xs.requires_grad)
+            if xs.requires_grad:
+                _accum(xs, g_x)
         _rec(out, back)
     return out
+
+
+def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b):
+    """One teacher-forced decoder sentence as one op: from state h0 (d_g,),
+    the GRU `cell` reads [table[w], g] for each input word w, and each
+    state's log-softmax of `state @ proj_w + proj_b` picks its target. The
+    log-probs are added into `total` (a scalar Tensor, or None) one by one,
+    so the sum is bitwise the word-by-word one. Returns (total, final state).
+    The record is keyed on the total, and the state's gradient is read when
+    the total's backward runs: a caller that uses the state uses the total."""
+    h0, g = _as_tensor(h0), _as_tensor(g)
+    vocab = table.data.shape[0]
+    if not words or len(words) != len(targets):
+        raise ContractError(f"sentence_log_prob: needs as many input words as targets, at "
+                            f"least one, got {len(words)} and {len(targets)}")
+    for i in (*words, *targets):
+        if not isinstance(i, (int, np.integer)) or not 0 <= i < vocab:
+            raise IndexError(f"sentence_log_prob: token id {i} out of range for vocab {vocab}")
+    weights = [t for _, t in cell.named()]
+    lp, x, run, y = sentence_run(table.data, g.data[None], h0.data[None], words, targets,
+                                 [w.data for w in weights], proj_w.data, proj_b.data)
+    value = None if total is None else float(total.data)
+    for v in lp[:, 0].tolist():
+        value = v if value is None else value + v
+    inputs = (h0, g, table, proj_w, proj_b, *weights) + (() if total is None else (total,))
+    out = _out(np.asarray(value), *inputs)
+    h = _out(run[0][-1, 0], *inputs)
+    if out.requires_grad:
+        def back():
+            g_out = out.grad
+            if total is not None and total.requires_grad:
+                _accum(total, g_out)
+            g_logits = np.exp(y[:, 0]) * -g_out
+            g_logits[np.arange(len(targets)), targets] += g_out
+            if proj_b.requires_grad:
+                _accum(proj_b, g_logits.sum(axis=0))
+            if proj_w.requires_grad:
+                _accum(proj_w, run[0][:, 0].T @ g_logits)
+            g_states = g_logits @ proj_w.data.T
+            if h.grad is not None:
+                g_states[-1] += h.grad
+            g_x = _gru_run_back(x[:, 0], h0, run, weights, g_states, False,
+                                g.requires_grad or table.requires_grad)
+            d_w = table.data.shape[1]
+            if g.requires_grad:
+                _accum(g, g_x[:, d_w:].sum(axis=0))
+            if table.requires_grad:
+                if table.grad is None:
+                    table.grad = np.zeros_like(table.data)
+                np.add.at(table.grad, words, g_x[:, :d_w])  # a repeated word adds twice
+        _rec(out, back)
+    return out, h
 
 
 # ---------------------------------------------------------------------------

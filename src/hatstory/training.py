@@ -202,6 +202,7 @@ def clip_gradients(named_params, max_norm):
 # training loop
 
 
+@np.errstate(all="ignore")
 def train(params, albums, cfg, loss_curve_path=None, log=None, early_stop=None):
     """Train in place; returns the per-epoch loss curve.
 
@@ -210,7 +211,8 @@ def train(params, albums, cfg, loss_curve_path=None, log=None, early_stop=None):
     example order (then average), and one Adam step fires per batch. The
     whole run is bitwise reproducible for a fixed config. `early_stop`,
     if given, receives each finished epoch's curve row and halts training
-    by returning True."""
+    by returning True. A non-finite loss or final weight raises
+    NumericDomainError, which reports what numpy's silenced warnings would."""
     examples = []
     for album in albums:
         for story in album.stories:
@@ -268,6 +270,8 @@ def train(params, albums, cfg, loss_curve_path=None, log=None, early_stop=None):
             )
         if early_stop is not None and early_stop(curve[-1]):
             break
+    if not all(np.isfinite(p.data).all() for _, p in trainable):
+        raise NumericDomainError("train: non-finite weights after the last step")
     if loss_curve_path is not None:
         write_loss_curve(curve, loss_curve_path)
     return curve

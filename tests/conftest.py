@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from hatstory import tensor
+from hatstory.layers import gru_step
 from hatstory.tensor import Rng
 
 
@@ -15,3 +17,27 @@ def assert_close(actual, expected, tol=1e-12):
     assert actual.shape == expected.shape, f"{actual.shape} != {expected.shape}"
     err = float(np.max(np.abs(actual - expected))) if actual.size else 0.0
     assert err <= tol, f"max abs err {err} > {tol}\nactual={actual}\nexpected={expected}"
+
+
+def log_softmax_pick(a, i):
+    """The log-probability of class i under the logits vector a as one taped
+    op: the reference for a word's log-prob that the word-by-word decoder
+    loops used, with a hand-written backward."""
+    a = tensor._as_tensor(a)
+    y = tensor.log_softmax_array(a.data)
+    out = tensor._out(np.asarray(y[i]), a)
+    if out.requires_grad:
+        def back():
+            g = np.zeros_like(y)
+            g[i] += out.grad
+            tensor._accum(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
+        tensor._rec(out, back)
+    return out
+
+
+def decode_word_step(params, prev_word_id, g, h):
+    """One decoder step as the word-by-word loops made it: the GRU over
+    [embedding row of the previous word, g], then the affine map to logits."""
+    x = tensor.concat([tensor.row(params.embedding.table, prev_word_id), g])
+    h2 = gru_step(params.gen_gru, x, h)
+    return tensor.vecmat(h2, params.proj_w) + params.proj_b, h2

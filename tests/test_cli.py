@@ -3,6 +3,7 @@ dataset, reproducibility of artifacts, and error exit codes.
 """
 
 import json
+import warnings
 
 import pytest
 
@@ -136,6 +137,25 @@ def test_train_rejects_feature_width_mismatch(tmp_path, capsys):
     ])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes", [{"learning_rate": 1e300, "epochs": 2},
+                                     {"margin": 1e308, "rank_weight": 1e308}])
+def test_a_failed_training_is_one_error_line_and_leaves_no_run_directory(tmp_path, capsys,
+                                                                         changes):
+    data = synth(tmp_path, albums=2, photos=10, k=16, seed=0)  # `synth --albums 2`
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(changes), encoding="utf-8")  # defaults otherwise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would raise here
+        code = main([
+            "train", "--data", str(data), "--config", str(cfg),
+            "--out", str(tmp_path / "runs"), "--run-name", "bad",
+        ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not (tmp_path / "runs").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Recurrent cells, MLP, and embedding: hand oracles, properties, gradients."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,22 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hatstory.errors import ContractError, DimensionError
-from hatstory.layers import EmbeddingTable, GruParams, MlpParams, bi_gru, embed, gru_step, mlp
+from hatstory.layers import EmbeddingTable, GruParams, MlpParams, gru_step, mlp
 from hatstory.tensor import (
     Rng,
     Tape,
     Tensor,
     backward,
+    concat,
     grad_check,
+    gru_sequence,
     matmul,
     mul,
+    row,
+    sentence_log_prob,
     sigmoid,
     sum_all,
     tanh,
     vecmat,
     zeros,
 )
-from conftest import assert_close
+from conftest import assert_close, log_softmax_pick
 
 
 def scalar_gru(w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, x, h):
@@ -76,36 +81,6 @@ def test_gru_step_vector_matches_per_coordinate_recomputation(rng):
     cand = np.tanh(x @ cell.w_h.data + (r * h) @ cell.u_h.data + cell.b_h.data)
     want = (1 - z) * h + z * cand
     assert_close(got, want, tol=1e-14)
-
-
-def test_bi_gru_matches_manual_unroll(rng):
-    fwd = GruParams.create(rng, 3, 2)
-    bwd = GruParams.create(rng, 3, 2)
-    xs = [Tensor(rng.uniform(-1, 1, 3)) for _ in range(4)]
-    outs = bi_gru(fwd, bwd, xs)
-
-    h = zeros(2)
-    fwd_states = []
-    for x in xs:
-        h = gru_step(fwd, x, h)
-        fwd_states.append(h.data)
-    h = zeros(2)
-    bwd_states = []
-    for x in reversed(xs):
-        h = gru_step(bwd, x, h)
-        bwd_states.append(h.data)
-    bwd_states.reverse()
-    for i in range(4):
-        assert_close(outs[i].data, np.concatenate([fwd_states[i], bwd_states[i]]), tol=0)
-
-
-def test_bi_gru_rejects_empty_and_mismatched():
-    fwd = GruParams.create(Rng(0), 3, 2)
-    bwd = GruParams.create(Rng(1), 3, 2)
-    with pytest.raises(ContractError):
-        bi_gru(fwd, bwd, [])
-    with pytest.raises(DimensionError):
-        bi_gru(fwd, bwd, [Tensor(np.ones(4))])
 
 
 @settings(max_examples=20, deadline=None)
@@ -173,15 +148,15 @@ def test_embedding_matches_one_hot_matmul(rng):
         one_hot = np.zeros((1, 6))
         one_hot[0, tid] = 1.0
         want = matmul(Tensor(one_hot), table.table).data[0]
-        assert_close(embed(table, tid).data, want, tol=0)
+        assert_close(row(table.table, tid).data, want, tol=0)
 
 
 def test_embedding_range_checked(rng):
     table = EmbeddingTable.create(rng, 6, 3)
     with pytest.raises(IndexError):
-        embed(table, 6)
+        row(table.table, 6)
     with pytest.raises(IndexError):
-        embed(table, -1)
+        row(table.table, -1)
 
 
 def test_gru_step_gradients(rng):
@@ -197,30 +172,13 @@ def test_gru_step_gradients(rng):
     assert report.passed, report.max_rel_err
 
 
-def test_bi_gru_gradients(rng):
-    fwd = GruParams.create(rng, 2, 2)
-    bwd = GruParams.create(rng, 2, 2)
-    xs = [Tensor(rng.uniform(-1, 1, 2)) for _ in range(3)]
-    tensors = [t for _, t in fwd.named()] + [t for _, t in bwd.named()]
-
-    def fn(*ts):
-        outs = bi_gru(fwd, bwd, xs)
-        total = sum_all(mul(outs[0], outs[0]))
-        for o in outs[1:]:
-            total = total + sum_all(mul(o, o))
-        return total
-
-    report = grad_check(fn, tensors, tol=1e-5)
-    assert report.passed, report.max_rel_err
-
-
 def test_mlp_and_embedding_gradients(rng):
     params = MlpParams.create(rng, [3, 3, 1])
     table = EmbeddingTable.create(rng, 5, 3)
     tensors = [t for _, t in params.named()] + [table.table]
 
     def fn(*ts):
-        return sum_all(mlp(params, embed(table, 2)))
+        return sum_all(mlp(params, row(table.table, 2)))
 
     report = grad_check(fn, tensors, tol=1e-5)
     assert report.passed, report.max_rel_err
@@ -318,3 +276,164 @@ def test_fused_gru_step_rejects_wrong_widths(rng):
         gru_step(cell, Tensor(np.ones(3)), zeros(3))
     with pytest.raises(DimensionError):
         gru_step(cell, Tensor(np.ones((1, 3))), zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# whole GRU runs and decoder sentences, each one op, against gru_step chains
+
+
+def gru_chain(cell, xs, h0, reverse=False):
+    """States of a gru_step chain over the rows of xs, in input order."""
+    states = [None] * len(xs.data)
+    h = h0
+    for t in reversed(range(len(states))) if reverse else range(len(states)):
+        h = states[t] = gru_step(cell, row(xs, t), h)
+    return states
+
+
+def sentence_chain(total, h, g, words, targets, table, cell, proj_w, proj_b):
+    """`sentence_log_prob` as one record per word step and word log-prob."""
+    for word, target in zip(words, targets):
+        h = gru_step(cell, concat([row(table, word), g]), h)
+        lp = log_softmax_pick(vecmat(h, proj_w) + proj_b, target)
+        total = lp if total is None else total + lp
+    return total, h
+
+
+def _values_and_grads(run, tensors):
+    """run() -> (loss, values) on one tape; returns the values and every
+    tensor's gradient."""
+    for t in tensors:
+        t.grad = None
+    with Tape() as tape:
+        loss, values = run()
+        backward(tape, loss)
+    return [v.data.copy() for v in values], [t.grad for t in tensors]
+
+
+def _sequence_loss(states):
+    loss = sum_all(mul(states[0], states[0]))
+    for s in states[1:]:
+        loss = loss + sum_all(mul(s, states[0] + s))
+    return loss
+
+
+def test_gru_sequence_matches_gru_step_chain_bitwise():
+    rng = Rng(0)
+    for seed, reverse, steps in itertools.product(range(4), (False, True), (1, 2, 6)):
+        cell = _perturbed_cell(rng, 3 + seed, 2 + seed % 3)
+        xs = Tensor(rng.uniform(-1, 1, (steps, cell.d_in)), requires_grad=True)
+        h0 = Tensor(rng.uniform(-1, 1, cell.d_h), requires_grad=True)
+        tensors = [t for _, t in cell.named()] + [xs, h0]
+
+        def fused():
+            hs = gru_sequence(xs, h0, cell, reverse)
+            states = [row(hs, t) for t in range(steps)]
+            return _sequence_loss(states), [hs]
+
+        def chain():
+            states = gru_chain(cell, xs, h0, reverse)
+            return _sequence_loss(states), states
+
+        (hs,), grads_f = _values_and_grads(fused, tensors)
+        states, grads_c = _values_and_grads(chain, tensors)
+        assert np.array_equal(hs, np.stack(states))  # values bitwise
+        for a, b in zip(grads_f, grads_c):  # gradients summed over the run at once
+            assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
+
+
+def test_gru_sequence_records_one_tape_entry(rng):
+    cell = GruParams.create(rng, 3, 2)
+    with Tape() as tape:
+        gru_sequence(Tensor(rng.uniform(-1, 1, (5, 3))), zeros(2), cell)
+        gru_sequence(Tensor(rng.uniform(-1, 1, (5, 3))), zeros(2), cell, reverse=True)
+    assert len(tape) == 2
+
+
+def test_gru_sequence_rejects_empty_and_mismatched(rng):
+    cell = GruParams.create(rng, 3, 2)
+    for xs, h0 in ((np.ones((0, 3)), np.zeros(2)), (np.ones((2, 4)), np.zeros(2)),
+                   (np.ones(3), np.zeros(2)), (np.ones((2, 3)), np.zeros(3))):
+        with pytest.raises(DimensionError, match="gru_sequence"):
+            gru_sequence(Tensor(xs), Tensor(h0), cell)
+
+
+def test_gru_sequence_gradients(rng):
+    for steps in (1, 2, 6):
+        for reverse in (False, True):
+            for trainable in (False, True):
+                cell = _perturbed_cell(rng, 3, 2)
+                xs = Tensor(rng.uniform(-1, 1, (steps, 3)), requires_grad=trainable)
+                h0 = Tensor(rng.uniform(-0.5, 0.5, 2), requires_grad=trainable)
+                weight = Tensor(rng.uniform(-1, 1, (steps, 2)))
+                tensors = [t for _, t in cell.named()] + ([xs, h0] if trainable else [])
+
+                def fn(*ts):
+                    hs = gru_sequence(xs, h0, cell, reverse)
+                    return sum_all(mul(hs, hs + weight))
+
+                report = grad_check(fn, tensors, tol=1e-5)
+                assert report.passed, (steps, reverse, trainable, report.per_param)
+
+
+def _decoder(rng, vocab=6, d_w=2, k=3, d_g=3):
+    """A GRU over [word embedding, g] and an output projection, with nonzero
+    biases."""
+    cell = _perturbed_cell(rng, d_w + k, d_g)
+    table = Tensor(rng.uniform(-1, 1, (vocab, d_w)), requires_grad=True)
+    proj_w = Tensor(rng.uniform(-1, 1, (d_g, vocab)), requires_grad=True)
+    proj_b = Tensor(rng.uniform(-0.5, 0.5, vocab), requires_grad=True)
+    return table, cell, proj_w, proj_b
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sentence_log_prob_matches_gru_step_chain_bitwise(seed):
+    rng = Rng(seed)
+    table, cell, proj_w, proj_b = _decoder(rng)
+    g = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
+    h0 = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
+    start = Tensor(rng.uniform(-5, -1), requires_grad=True)
+    targets = [rng.integers(0, 6) for _ in range(1 + seed % 5)]
+    words = [1] + targets[:-1]
+    tensors = [t for _, t in cell.named()] + [table, proj_w, proj_b, g, h0, start]
+    found, expected = (
+        _values_and_grads(lambda: _two_sentences(op, start, h0, g, words, targets,
+                                                table, cell, proj_w, proj_b), tensors)
+        for op in (sentence_log_prob, sentence_chain)
+    )
+    for a, b in zip(found[0], expected[0]):  # both totals and the final state
+        assert np.array_equal(a, b)
+    for a, b in zip(found[1], expected[1]):
+        assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
+
+
+def _two_sentences(op, start, h0, g, words, targets, *decoder):
+    """Two sentences chained as a story does: the running total and the
+    state carry over, and the loss also reads the final state."""
+    first, h = op(start, h0, g, words, targets, *decoder)
+    total, h = op(first, h, g, words[::-1], targets[::-1], *decoder)
+    return total + sum_all(mul(h, h)), [first, total, h]
+
+
+def test_sentence_log_prob_gradcheck_and_errors(rng):
+    table, cell, proj_w, proj_b = _decoder(rng)
+    g = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
+    h0 = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
+    words, targets = [1, 4, 3, 4, 4], [4, 3, 4, 4, 2]  # a repeated word scatter-adds
+    tensors = [t for _, t in cell.named()] + [table, proj_w, proj_b, g, h0]
+
+    def fn(*ts):
+        total, h = sentence_log_prob(None, h0, g, words, targets, table, cell, proj_w, proj_b)
+        return total + sum_all(mul(h, h))
+
+    report = grad_check(fn, tensors, tol=1e-5)
+    assert report.passed, report.per_param
+    decoder = (table, cell, proj_w, proj_b)
+    with pytest.raises(ContractError, match="at least one"):
+        sentence_log_prob(None, h0, g, [], [], *decoder)
+    with pytest.raises(ContractError):
+        sentence_log_prob(None, h0, g, [1, 4], [4], *decoder)
+    with pytest.raises(IndexError):
+        sentence_log_prob(None, h0, g, [1], [6], *decoder)
+    with pytest.raises(IndexError):
+        sentence_log_prob(None, h0, g, [-1], [2], *decoder)
