@@ -3,7 +3,8 @@
 Builds a tiny instance (2 photos, k=4, vocab of 7) and checks tape
 gradients of each layer of the system against central differences: a few
 primitives, the recurrent cells, the GRU-run and sentence ops, the story
-likelihood, and the combined training loss with the ranking term on.
+likelihood, the combined training loss with the ranking term on, and, for
+each model variant, the loss of a batch trained as rows.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BOS_ID, Story
+from .data import BOS_ID, Album, Story
 from .layers import GruParams, MlpParams, gru_step, mlp
-from .model import ModelDims, conditioner, encode_album, init_model, story_log_prob
+from .model import VARIANTS, ModelDims, conditioner, encode_album, init_model, story_log_prob
 from .tensor import (
     GradCheckReport,
     Rng,
@@ -28,7 +29,7 @@ from .tensor import (
     sum_all,
     zeros,
 )
-from .training import TrainConfig, combined_loss, make_negative
+from .training import TrainConfig, batch_loss, combined_loss, make_negative
 
 TOY_DIMS = dict(k=4, d_s=3, d_g=3, d_w=3, vocab_size=7)
 
@@ -121,17 +122,31 @@ def check_training_loss(seed=0, step=1e-5, tol=1e-4):
     """The acceptance check: combined loss with rank_weight 1 on the toy
     instance, every model tensor against central differences."""
     params, features, story, negative = toy_instance(seed)
-    cfg = TrainConfig(
-        k=TOY_DIMS["k"], d_s=TOY_DIMS["d_s"], d_g=TOY_DIMS["d_g"], d_w=TOY_DIMS["d_w"],
-        rank_weight=1.0, margin=1.0,
-    )
-
-    def fn(*tensors):
-        total, _, _ = combined_loss(params, features, story, negative, cfg)
-        return total
-
+    cfg = _toy_config()
+    fn = lambda *tensors: combined_loss(params, features, story, negative, cfg)[0]
     named = params.named_tensors()
     return grad_check(fn, [t for _, t in named], step=step, tol=tol, names=[n for n, _ in named])
+
+
+def _toy_config(**overrides):
+    return TrainConfig(k=TOY_DIMS["k"], d_s=TOY_DIMS["d_s"], d_g=TOY_DIMS["d_g"],
+                       d_w=TOY_DIMS["d_w"], rank_weight=1.0, margin=1.0, **overrides)
+
+
+def check_batch_loss(variant, seed=0, step=1e-5, tol=1e-4):
+    """The ranked loss of a 3-row batch (`training.batch_loss`), sentences of
+    unequal lengths, under one variant: its trained tensors vs differences."""
+    params, features, story, negative = toy_instance(seed)
+    rng = Rng(seed + 2)
+    stories = [story, Story(sentences=story.sentences[::-1]),
+               Story(sentences=[[6, 5, 4, 2], [2], [3, 2], [5, 5, 2], [2]])]
+    pairs = [(Album("toy", [], f, [], []), s) for f, s in zip(
+        [features] + [rng.uniform(-2.0, 2.0, features.shape) for _ in range(2)], stories)]
+    negatives = [negative] + [make_negative(s, rng) for s in stories[1:]]
+    cfg = _toy_config(variant=variant)
+    named = params.trainable(variant)
+    return grad_check(lambda *tensors: batch_loss(params, pairs, negatives, cfg)[0],
+                      [t for _, t in named], step=step, tol=tol, names=[n for n, _ in named])
 
 
 @dataclass
@@ -147,4 +162,5 @@ def run_all(seed=0):
         ModuleCheck("sequence", check_sequence(seed)),
         ModuleCheck("story-likelihood", check_story_likelihood(seed)),
         ModuleCheck("training-loss", check_training_loss(seed)),
+        *(ModuleCheck(f"batch-loss-{v}", check_batch_loss(v, seed)) for v in VARIANTS),
     ]

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ContractError, DimensionError
 from .tensor import (
     Tensor,
@@ -127,33 +125,14 @@ class MlpParams:
 def mlp(params, x):
     """Apply the stack to a vector (d_in,) -> (d_out,) or row-wise to a
     matrix (n, d_in) -> (n, d_out)."""
-    if x.ndim == 1:
-        if x.shape[0] != params.d_in:
-            raise DimensionError(f"mlp: input width {x.shape[0]}, want {params.d_in}")
-        for i, (w, b) in enumerate(params.layers):
-            x = vecmat(x, w) + b
-            if i < len(params.layers) - 1:
-                x = tanh(x)
-        return x
-    if x.ndim == 2:
-        if x.shape[1] != params.d_in:
-            raise DimensionError(f"mlp: input width {x.shape[1]}, want {params.d_in}")
-        n = x.shape[0]
-        for i, (w, b) in enumerate(params.layers):
-            x = matmul(x, w) + tile_rows(b, n)
-            if i < len(params.layers) - 1:
-                x = tanh(x)
-        return x
-    raise DimensionError(f"mlp: input must be 1-D or 2-D, got shape {x.shape}")
-
-
-def mlp_array(params, x):
-    """`mlp` on a plain array with any number of leading axes, without the
-    tape."""
+    if x.ndim not in (1, 2):
+        raise DimensionError(f"mlp: input must be 1-D or 2-D, got shape {x.shape}")
+    if x.shape[-1] != params.d_in:
+        raise DimensionError(f"mlp: input width {x.shape[-1]}, want {params.d_in}")
     for i, (w, b) in enumerate(params.layers):
-        x = x @ w.data + b.data
+        x = vecmat(x, w) + b if x.ndim == 1 else matmul(x, w) + tile_rows(b, x.shape[0])
         if i < len(params.layers) - 1:
-            x = np.tanh(x)
+            x = tanh(x)
     return x
 
 

@@ -16,6 +16,7 @@ Selection modes:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, dataclass, fields
 
@@ -23,11 +24,11 @@ import numpy as np
 
 from .data import BOS_ID, EOS_ID, Story
 from .errors import ConfigurationError, ContractError, DimensionError
-from .layers import EmbeddingTable, GruParams, MlpParams, gru_step, mlp, mlp_array
+from .layers import EmbeddingTable, GruParams, MlpParams, gru_step, mlp
 from .tensor import (
     Tensor,
+    attention,
     concat,
-    gru_run,
     gru_sequence,
     gru_update,
     log_softmax_array,
@@ -38,11 +39,8 @@ from .tensor import (
     row,
     seeded_init,
     sentence_log_prob,
-    sentence_run,
     sigmoid,
-    sigmoid_array,
-    softmax,
-    softmax_array,
+    soft_select,
     stack_rows,
     sum_all,
     tile_rows,
@@ -200,17 +198,25 @@ def init_model(dims, rng, carry_state=True, enc_init_gain=1.0):
 
 @dataclass
 class AlbumEncoding:
-    v: Tensor  # (n, k) photo representations
-    n: int
-    final_state: Tensor  # (k,) both directions' terminal states, concatenated
+    v: Tensor  # (n, k) photo representations, or (A, n, k)
+    fwd: Tensor  # the forward GRU's states, (n, k/2) or (A, n, k/2)
+    bwd: Tensor  # the backward GRU's states, in photo order
+    n = property(lambda self: self.v.shape[-2])  # photos per album
+
+    @functools.cached_property
+    def final_state(self):
+        """(k,) or (A, k): both directions' terminal states, concatenated."""
+        return concat([row(self.fwd, self.n - 1, axis=-2), row(self.bwd, 0, axis=-2)], axis=-1)
 
 
 def _album_features(params, features):
-    """The album's (n, k) float64 feature array, checked against the model."""
+    """The float64 feature array of one album (n, k), or of A albums with
+    the same photo count (A, n, k), checked against the model."""
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise DimensionError(f"encode_album: features must be (n, k), got {features.shape}")
-    n, width = features.shape
+    if features.ndim not in (2, 3):
+        raise DimensionError(f"encode_album: features must be (n, k) or (A, n, k), got "
+                             f"{features.shape}")
+    n, width = features.shape[-2:]
     if n < 1:
         raise ContractError("encode_album: album has no photos")
     if width != params.dims.k:
@@ -221,14 +227,14 @@ def _album_features(params, features):
 
 
 def encode_album(params, features):
-    """v_i = relu([f_i; b_i] + x_i) over an (n, k) feature array: f_i and b_i
-    are the forward and backward GRU states at photo i, one op each."""
+    """v_i = relu([f_i; b_i] + x_i) over an (n, k) feature array, or over
+    (A, n, k) rows: f_i and b_i are the forward and backward GRU states at
+    photo i, one op each."""
     xs = Tensor(_album_features(params, features))
-    start = zeros(params.dims.k // 2)
+    start = zeros(xs.shape[:-2] + (params.dims.k // 2,))
     fwd = gru_sequence(xs, start, params.enc_fwd)
     bwd = gru_sequence(xs, start, params.enc_bwd, reverse=True)
-    final = concat([row(fwd, len(xs.data) - 1), row(bwd, 0)])
-    return AlbumEncoding(v=relu(concat([fwd, bwd], axis=1) + xs), n=len(xs.data), final_state=final)
+    return AlbumEncoding(v=relu(concat([fwd, bwd], axis=-1) + xs), fwd=fwd, bwd=bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +243,18 @@ def encode_album(params, features):
 
 @dataclass
 class SelectionResult:
-    probs: Tensor  # (T, n); each row sums to 1
-    indices: list  # T photo indices, argmax per row among photos still available
-    g: Tensor  # (T, k); row t equals probs[t] @ V
+    probs: Tensor  # (T, n), or (A, T, n) over album rows; each row sums to 1
+    g: Tensor  # (T, k) or (A, T, k); row t equals probs[t] @ V
+
+    @functools.cached_property
+    def indices(self):
+        """One album's T photo indices: each step's argmax among the photos
+        not taken yet (all once every one is), ties to the lower index."""
+        chosen = []
+        for p in self.probs.data.tolist():
+            free = [i for i in range(len(p)) if i not in chosen] or range(len(p))
+            chosen.append(min(free, key=lambda i: (-p[i], i)))
+        return chosen
 
 
 def select_step(params, v_matrix, prev_g, state, excluded=None):
@@ -268,11 +283,15 @@ def select_summary(params, enc, mode, oracle_indices=None):
     the attended summary g_t feeds the next step. Indices are chosen
     greedily distinct (argmax among photos not yet taken, ties to the lower
     index); in hard mode the mask also zeroes taken photos' probability.
+    Soft mode is one `soft_select` op and also takes album rows.
     """
     if mode not in SELECTION_MODES:
         raise ContractError(f"select_summary: unknown mode {mode!r}")
     t_steps = params.dims.t_steps
     n = enc.n
+    if mode == "soft":
+        g, probs = soft_select(enc.v, params.sel_gru, params.sel_mlp, t_steps)
+        return SelectionResult(probs=Tensor(probs), g=g)
     if mode == "oracle":
         idx = list(oracle_indices or [])
         if len(idx) != t_steps or len(set(idx)) != t_steps:
@@ -284,29 +303,24 @@ def select_summary(params, enc, mode, oracle_indices=None):
         one_hot = np.zeros((t_steps, n))
         one_hot[np.arange(t_steps), idx] = 1.0
         probs = Tensor(one_hot)
-        return SelectionResult(probs=probs, indices=idx, g=matmul(probs, enc.v))
-    if mode == "hard" and n < t_steps:
+        return SelectionResult(probs=probs, g=matmul(probs, enc.v))
+    if n < t_steps:
         raise ContractError(
             f"select_summary: hard mode needs at least {t_steps} photos, album has {n}"
         )
-    state = zeros(params.dims.d_s)
-    prev_g = vecmat(Tensor(np.full(n, 1.0 / n)), enc.v)
-    chosen = []
-    rows_p = []
+    state, prev_g = zeros(params.dims.d_s), vecmat(Tensor(np.full(n, 1.0 / n)), enc.v)
+    chosen, rows_p = [], []
     for _ in range(t_steps):
         excluded = None
-        if mode == "hard" and chosen:
+        if chosen:
             excluded = np.zeros(n, dtype=bool)
             excluded[chosen] = True
         p, state = select_step(params, enc.v, prev_g, state, excluded)
-        vals = p.data
-        remaining = [i for i in range(n) if i not in chosen] or list(range(n))
-        idx = min(remaining, key=lambda i: (-vals[i], i))
-        chosen.append(idx)
+        chosen.append(min((i for i in range(n) if i not in chosen), key=lambda i: (-p.data[i], i)))
         rows_p.append(p)
         prev_g = vecmat(p, enc.v)
     probs = stack_rows(rows_p)
-    return SelectionResult(probs=probs, indices=chosen, g=matmul(probs, enc.v))
+    return SelectionResult(probs=probs, g=matmul(probs, enc.v))
 
 
 # ---------------------------------------------------------------------------
@@ -314,39 +328,32 @@ def select_summary(params, enc, mode, oracle_indices=None):
 
 
 def enc_dec_visual(params, enc):
-    """The flat baseline's constant per-sentence visual input."""
-    return vecmat(enc.final_state, params.encdec_w) + params.encdec_b
-
-
-def _attend(params, v_matrix, state):
-    """Softmax attention over photos from [decoder state, v_i]."""
-    n = v_matrix.shape[0]
-    feats = concat([tile_rows(state, n), v_matrix], axis=1)
-    scores = reshape(mlp(params.attn_mlp, feats), (n,))
-    alpha = softmax(scores, axis=0)
-    return alpha, vecmat(alpha, v_matrix)
+    """The flat baseline's constant per-sentence visual input: one affine
+    map of the final encoder state, per album row when it has rows."""
+    return mlp(MlpParams([(params.encdec_w, params.encdec_b)]), enc.final_state)
 
 
 def conditioner(params, enc, variant, mode="soft", oracle_indices=None):
     """One variant's per-sentence visual input over an album encoding.
 
     Returns (condition, decided). `condition(t, h)` gives sentence t's (k,)
-    Tensor from the (d_g,) decoder state Tensor h at the sentence start:
+    Tensor from the (d_g,) decoder state h at the sentence start ((A, k)
+    from (A, d_g) over A album rows):
       hier         - row t of the summary g that `select_summary` picks in
-                     `mode`; `decided` is that SelectionResult. Each call
-                     makes its own row, so several stories scored against
-                     one selection each record their rows.
+                     `mode`; `decided` is that SelectionResult. The T rows
+                     are made once, for every story scored against them.
       enc_dec      - one projection of the album's final encoder state,
                      the same for every sentence; `decided` is None.
-      enc_attn_dec - attention over the photos from h; `decided` is the
-                     list that collects each call's (n,) attention row.
+      enc_attn_dec - one `attention` op over the photos from h; `decided`
+                     collects each call's (n,) or (A, n) weights.
     Oracle selection exists only for the full model.
     """
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}")
     if variant == "hier":
         sel = select_summary(params, enc, mode, oracle_indices)
-        return (lambda t, h: row(sel.g, t)), sel
+        gs = [row(sel.g, t, axis=-2) for t in range(params.dims.t_steps)]
+        return (lambda t, h: gs[t]), sel
     if mode == "oracle":
         raise ConfigurationError("oracle selection only applies to the full model")
     if variant == "enc_dec":
@@ -355,8 +362,8 @@ def conditioner(params, enc, variant, mode="soft", oracle_indices=None):
     weights = []
 
     def attend(t, h):
-        alpha, vis = _attend(params, enc.v, h)
-        weights.append(alpha.data)
+        vis, alpha = attention(h, enc.v, params.attn_mlp)
+        weights.append(alpha)
         return vis
 
     return attend, weights
@@ -369,28 +376,32 @@ def conditioner(params, enc, variant, mode="soft", oracle_indices=None):
 def story_log_prob(params, condition, story):
     """Teacher-forced log p(story | album) under one variant's conditioner.
 
-    `condition(t, h)` gives sentence t's (k,) visual input from the decoder
-    state h at the sentence start (see `conditioner`). Each sentence starts
-    implicitly at BOS and must end at EOS; the decoder state runs across
-    sentence boundaries unless carry_state is off. Each non-empty sentence
-    is one `sentence_log_prob` op."""
+    `condition(t, h)` gives sentence t's visual input from the decoder
+    state h at the sentence start (see `conditioner`). `story` is one Story,
+    or a list with one per album row, giving (A,) log-probs. Each sentence
+    starts at BOS and must end at EOS, is one `sentence_log_prob` op over the
+    rows, and hands its state on unless carry_state is off."""
+    rows = isinstance(story, list)
+    stories = story if rows else [story]
     t_steps = params.dims.t_steps
-    if len(story.sentences) != t_steps:
-        raise ContractError(
-            f"story has {len(story.sentences)} sentences, model expects {t_steps}"
-        )
-    total = None
-    h = zeros(params.dims.d_g)
-    for t, sentence in enumerate(story.sentences):
+    counts = {len(s.sentences) for s in stories} - {t_steps}
+    if counts:
+        raise ContractError(f"story has {counts.pop()} sentences, model expects {t_steps}")
+    shape = (len(stories), params.dims.d_g) if rows else (params.dims.d_g,)
+    shared = all(s is stories[0] for s in stories)  # then every row reads one sentence
+    total, h = None, zeros(shape)
+    for t in range(t_steps):
         if not params.carry_state:
-            h = zeros(params.dims.d_g)
+            h = zeros(shape)
         g = condition(t, h)
-        if sentence:
+        targets = [s.sentences[t] for s in stories[:1 if shared else None]]
+        if any(targets):
+            words = [[BOS_ID, *sentence[:-1]] if sentence else [] for sentence in targets]
             total, h = sentence_log_prob(
-                total, h, g, [BOS_ID, *sentence[:-1]], sentence, params.embedding.table,
-                params.gen_gru, params.proj_w, params.proj_b,
+                total, h, g, words[0] if shared else words, targets[0] if shared else targets,
+                params.embedding.table, params.gen_gru, params.proj_w, params.proj_b,
             )
-    return Tensor(0.0) if total is None else total
+    return zeros(shape[:-1]) if total is None else total
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +511,6 @@ def enc_attn_dec_generate(params, features, beam, max_len):
     return story, np.stack(weights)
 
 
-def enc_attn_dec_log_prob(params, enc, story):
-    """Teacher-forced log-prob under the attention baseline, given the
-    album's encoding. Returns (log_prob, attention) with attention (T, n)."""
-    condition, weights = conditioner(params, enc, "enc_attn_dec")
-    return story_log_prob(params, condition, story), np.stack(weights)
-
-
 # ---------------------------------------------------------------------------
 # tape-free scoring of one story against a pool of albums
 
@@ -515,96 +519,19 @@ def pool_story_log_probs(params, story, album_features_list, variant="hier"):
     """Teacher-forced log p(story | album) for every album of a pool, in
     pool order, without the tape.
 
-    Albums with the same photo count form one group, and each group runs the
-    bi-GRU encoder, the variant's per-sentence conditioner and the decoder
-    once over (B, .) rows, one row per album. The conditioners are the soft
-    selection row (hier), the constant projection (enc_dec) and attention
-    from the decoder state at the sentence start (enc_attn_dec). The values
-    equal per-album `variant_log_prob` up to rounding, because a matrix
-    product may round differently from the vector products of one row."""
+    Each group of albums with one photo count is scored once as (B, .) rows
+    by the ops training uses. The values equal per-album `variant_log_prob`
+    up to rounding, because a matrix product over rows may round
+    differently from the vector products of one row."""
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}")
     pool = [_album_features(params, f) for f in album_features_list]
-    t_steps = params.dims.t_steps
-    if len(story.sentences) != t_steps:
-        raise ContractError(
-            f"story has {len(story.sentences)} sentences, model expects {t_steps}"
-        )
-    vocab = params.dims.vocab_size
-    for tok in (t for sentence in story.sentences for t in sentence):
-        if not isinstance(tok, (int, np.integer)) or not 0 <= tok < vocab:
-            raise IndexError(f"token id {tok} out of range for vocab {vocab}")
     groups = {}
     for i, features in enumerate(pool):
         groups.setdefault(features.shape[0], []).append(i)
-    scores = [0.0] * len(pool)
+    scores = {}
     for rows in groups.values():
-        values = _group_log_probs(params, story, np.stack([pool[i] for i in rows]), variant)
-        for i, value in zip(rows, values):
-            scores[i] = float(value)
-    return scores
-
-
-def _group_log_probs(params, story, features, variant):
-    """Log-probabilities of one story against B albums of n photos each;
-    features is (B, n, k)."""
-    v, final_state = _encode_rows(params, features)
-    gs = None  # enc_attn_dec attends anew at each sentence start
-    if variant == "hier":
-        gs = _soft_select_rows(params, v)
-    elif variant == "enc_dec":
-        gs = [final_state @ params.encdec_w.data + params.encdec_b.data] * params.dims.t_steps
-    gen = [t.data for _, t in params.gen_gru.named()]
-    h = start = np.zeros((features.shape[0], params.dims.d_g))
-    total = np.zeros(len(start))
-    for t, sentence in enumerate(story.sentences):
-        if not params.carry_state:
-            h = start
-        g = gs[t] if gs is not None else _attend_rows(params, v, h)
-        if sentence:
-            lps, _, run, _ = sentence_run(
-                params.embedding.table.data, g, h, [BOS_ID, *sentence[:-1]], sentence, gen,
-                params.proj_w.data, params.proj_b.data,
-            )
-            for lp in lps:
-                total = total + lp
-            h = run[0][-1]
-    return total
-
-
-def _encode_rows(params, features):
-    """`encode_album` over (B, n, k) rows: returns v (B, n, k) and the final
-    states (B, k)."""
-    xs = features.transpose(1, 0, 2)  # (n, B, k): one step per photo
-    start = np.zeros((len(features), features.shape[2] // 2))
-    fw, bw = ([t.data for _, t in cell.named()] for cell in (params.enc_fwd, params.enc_bwd))
-    fwd, bwd = gru_run(xs, start, *fw)[0], gru_run(xs, start, *bw, reverse=True)[0]
-    outs = np.concatenate([fwd, bwd], axis=2).transpose(1, 0, 2)
-    return np.maximum(outs + features, 0.0), np.concatenate([fwd[-1], bwd[0]], axis=1)
-
-
-def _soft_select_rows(params, v):
-    """`select_summary` in soft mode over (B, n, k) rows: the T summaries
-    g_t, each (B, k)."""
-    rows, n, _ = v.shape
-    weights = [t.data for _, t in params.sel_gru.named()]
-    state = np.zeros((rows, params.dims.d_s))
-    g = np.full(n, 1.0 / n) @ v
-    gs = []
-    for _ in range(params.dims.t_steps):
-        state = gru_update(g, state, *weights)[0]
-        tiled = np.broadcast_to(state[:, None], (rows, n, state.shape[1]))
-        feats = np.concatenate([tiled, v], axis=2)
-        raw = sigmoid_array(mlp_array(params.sel_mlp, feats)[..., 0])
-        p = raw / raw.sum(axis=1, keepdims=True)
-        g = (p[:, None] @ v)[:, 0]
-        gs.append(g)
-    return gs
-
-
-def _attend_rows(params, v, h):
-    """`_attend` over (B, n, k) rows from decoder states h (B, d_g)."""
-    rows, n, _ = v.shape
-    feats = np.concatenate([np.broadcast_to(h[:, None], (rows, n, h.shape[1])), v], axis=2)
-    alpha = softmax_array(mlp_array(params.attn_mlp, feats)[..., 0], axis=1)
-    return (alpha[:, None] @ v)[:, 0]
+        enc = encode_album(params, np.stack([pool[i] for i in rows]))
+        lps = story_log_prob(params, conditioner(params, enc, variant)[0], [story] * len(rows))
+        scores.update(zip(rows, lps.data.tolist()))
+    return [scores[i] for i in range(len(pool))]

@@ -10,12 +10,12 @@ broadcasting allowed is scalar-with-tensor, and every other alignment
 
 Per-op Python dispatch, not arithmetic, sets the speed of these small
 models, so the hottest compositions are fused ops with a hand-written
-backward, one tape record each: a GRU step (`gru_cell`), a GRU run
-(`gru_sequence`) and a teacher-forced sentence (`sentence_log_prob`). Their
-values are bitwise the composed ops'; the run-level ops sum each weight's
-gradient over the run in one product, so those agree to rounding. Their
-arithmetic lives in plain-array functions (`gru_update`, `gru_run`, ...)
-that also take a row axis, so tape-free batched inference runs the same code.
+backward, one tape record each: a GRU step (`gru_cell`) and run
+(`gru_sequence`), a teacher-forced sentence (`sentence_log_prob`), the
+selector's soft steps (`soft_select`) and an attention read (`attention`).
+All but `gru_cell` take a row axis, so a minibatch runs as rows on one tape
+and tape-free batched inference runs the same ops. At one row their values
+are bitwise the composed ops'; gradients agree to rounding.
 """
 
 from __future__ import annotations
@@ -246,20 +246,6 @@ def gru_run(xs, h0, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, reverse=False):
         c = np.tanh(xh[t] + (r * h) @ u_h + b_h, out=cand[t])
         h = hs[t] = (1.0 - z) * h + z * c
     return hs, zr[:, 0], zr[:, 1], cand
-
-
-def sentence_run(table, g, h0, words, targets, gru_weights, proj_w, proj_b):
-    """One teacher-forced sentence over R rows: a `gru_run` from h0 (R, d_g)
-    over [table[word], g] per input word, g (R, k), then word log-probs.
-    Returns each target's log-prob (T, R), the inputs, the run and the
-    log-probs (T, R, V)."""
-    d_w = table.shape[1]
-    x = np.empty((len(words), len(g), d_w + g.shape[1]))
-    x[:, :, :d_w] = table[words][:, None]
-    x[:, :, d_w:] = g
-    run = gru_run(x, h0, *gru_weights)
-    y = log_softmax_array(run[0] @ proj_w + proj_b)
-    return y[np.arange(len(words)), :, targets], x, run, y
 
 
 # ---------------------------------------------------------------------------
@@ -524,20 +510,21 @@ def reshape(a, shape):
     return out
 
 
-def row(m, i):
-    """Select one matrix row; the gradient scatters back into that row."""
+def row(m, i, axis=0):
+    """Select index i along one axis (the first by default) of a tensor of at
+    least two axes; the gradient scatters back into that slice."""
     m = _as_tensor(m)
-    if m.data.ndim != 2:
-        raise DimensionError(f"row: needs a matrix, got shape {m.data.shape}")
-    if not isinstance(i, (int, np.integer)) or not 0 <= i < m.data.shape[0]:
+    if m.data.ndim < 2:
+        raise DimensionError(f"row: needs at least a matrix, got shape {m.data.shape}")
+    if not isinstance(i, (int, np.integer)) or not 0 <= i < m.data.shape[axis]:
         raise IndexError(f"row index {i} out of range for shape {m.data.shape}")
-    i = int(i)
-    out = _out(m.data[i].copy(), m)
+    at = (slice(None),) * (axis % m.data.ndim) + (int(i),)
+    out = _out(m.data[at].copy(), m)
     if out.requires_grad:
         def back():
             if m.grad is None:
                 m.grad = np.zeros_like(m.data)
-            m.grad[i] += out.grad
+            m.grad[at] += out.grad
         _rec(out, back)
     return out
 
@@ -621,63 +608,87 @@ def gru_cell(x, h, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
     return out
 
 
+def _flat(a):
+    return a.reshape(-1, a.shape[-1])
+
+
+def _gru_factors(hp, z, r, cand):
+    """Step-local derivative factors of GRU updates from the states hp."""
+    return 1.0 - z, z * (1.0 - cand * cand), hp * r * (1.0 - r), (cand - hp) * z * (1.0 - z), r
+
+
+def _gru_back_step(g, t, factors, u_z, u_r, u_h, gates):
+    """Step t of GRU backpropagation for the state gradient g: fills the z, r
+    and cand pre-activation gradients gates[:, t]; returns the start state's."""
+    omz, dc, dr, dz, r = (f[t] for f in factors)
+    g_rh = np.multiply(g, dc, out=gates[2, t]) @ u_h.T
+    carry = g * omz
+    carry += g_rh * r
+    carry += np.multiply(g_rh, dr, out=gates[1, t]) @ u_r.T
+    carry += np.multiply(g, dz, out=gates[0, t]) @ u_z.T
+    return carry
+
+
+def _gru_weight_grads(weights, x, hp, r, gates):
+    """Each GRU weight's gradient over all steps and rows in one product."""
+    for w, u, b, gate, h_in in zip(weights[:3], weights[3:6], weights[6:], gates,
+                                   (hp, hp, r * hp)):
+        gate = _flat(gate)
+        if w.requires_grad:
+            _accum(w, _flat(x).T @ gate)
+        if u.requires_grad:
+            _accum(u, _flat(h_in).T @ gate)
+        if b.requires_grad:
+            _accum(b, gate.sum(axis=0))
+
+
 def _gru_run_back(x, h0, run, weights, g_states, reverse, need_x):
-    """Backpropagation through time of a one-row `gru_run` over x (T, d_in)
-    from the Tensor h0, whose states get g_states (T, d_h) from outside. The
-    steps add into each state's gradient in a `gru_cell` chain's order (the
-    next step's terms, then g_states); each weight's gradient is then one
-    product or sum over the run. Accumulates into the weights and h0 and
-    returns the gradient of x when `need_x`."""
-    hs, z, r, cand = (a[:, 0] for a in run)
+    """Backpropagation through time of a `gru_run` over x (T, R, d_in) from
+    the array h0 (R, d_h), whose states get g_states (T, R, d_h) from outside.
+    Returns the gradient of h0 and, when `need_x`, of x."""
+    hs, z, r, cand = run
     if reverse:
         x, hs, z, r, cand, g_states = (a[::-1] for a in (x, hs, z, r, cand, g_states))
-    w_z, w_r, w_h, u_z, u_r, u_h = (w.data for w in weights[:6])
-    hp = np.concatenate([h0.data[None], hs[:-1]])  # the state each step starts from
-    omz, dc = 1.0 - z, z * (1.0 - cand * cand)
-    dr, dz = hp * r * (1.0 - r), (cand - hp) * z * (1.0 - z)
+    hp = np.concatenate([h0[None], hs[:-1]])  # the state each step starts from
+    factors = _gru_factors(hp, z, r, cand)
     gates = np.empty((3,) + hs.shape)  # pre-activation gradients of z, r, cand
-    g_z, g_r, g_c = gates
     carry = None
     for t in range(len(hs) - 1, -1, -1):
         g = g_states[t] if carry is None else carry + g_states[t]
-        g_rh = u_h @ np.multiply(g, dc[t], out=g_c[t])
-        carry = g * omz[t]
-        carry += g_rh * r[t]
-        carry += u_r @ np.multiply(g_rh, dr[t], out=g_r[t])
-        carry += u_z @ np.multiply(g, dz[t], out=g_z[t])
-    for w, u, b, gate, h_in in zip(weights[:3], weights[3:6], weights[6:], gates,
-                                   (hp, hp, r * hp)):
-        if w.requires_grad:
-            _accum(w, x.T @ gate)
-        if u.requires_grad:
-            _accum(u, h_in.T @ gate)
-        if b.requires_grad:
-            _accum(b, gate.sum(axis=0))
-    if h0.requires_grad:
-        _accum(h0, carry)
-    if need_x:
-        g_x = g_z @ w_z.T + g_r @ w_r.T + g_c @ w_h.T
-        return g_x[::-1] if reverse else g_x
+        carry = _gru_back_step(g, t, factors, *(w.data for w in weights[3:6]), gates)
+    _gru_weight_grads(weights, x, hp, r, gates)
+    if not need_x:
+        return carry, None
+    g_x = sum(gate @ w.data.T for gate, w in zip(gates, weights[:3]))
+    return carry, g_x[::-1] if reverse else g_x
 
 
 def gru_sequence(xs, h0, cell, reverse=False):
     """A whole GRU run as one op: row t of the (T, d_h) result is the state
     after input t of xs (T, d_in), from h0 (d_h,); `reverse` runs from the
-    last input. `cell` holds the nine gate tensors (`layers.GruParams`).
-    Values are bitwise a `gru_cell` chain's; gradients agree to rounding."""
+    last input; over R rows xs is (R, T, d_in) and h0 (R, d_h). `cell` holds
+    the nine gate tensors. At one row values are a `gru_cell` chain's."""
     xs, h0 = _as_tensor(xs), _as_tensor(h0)
     weights = [t for _, t in cell.named()]
     d_in, d_h = cell.w_z.data.shape
-    if xs.data.ndim != 2 or len(xs.data) < 1 or xs.data.shape[1] != d_in or h0.data.shape != (d_h,):
+    rows = h0.data.ndim == 2
+    if (h0.data.ndim not in (1, 2) or xs.data.ndim != h0.data.ndim + 1
+            or xs.data.shape[-2] < 1 or xs.data.shape[-1] != d_in
+            or h0.data.shape != xs.data.shape[:-2] + (d_h,)):
         raise DimensionError(f"gru_sequence: inputs {xs.data.shape} and state "
                              f"{h0.data.shape} do not fit weights ({d_in}, {d_h})")
-    run = gru_run(xs.data[:, None], h0.data[None], *(w.data for w in weights), reverse=reverse)
-    out = _out(run[0][:, 0], xs, h0, *weights)
+    x = xs.data.transpose(1, 0, 2) if rows else xs.data[:, None]  # (T, R, d_in)
+    start = h0.data.reshape(-1, d_h)
+    run = gru_run(x, start, *(w.data for w in weights), reverse=reverse)
+    out = _out(run[0].transpose(1, 0, 2) if rows else run[0][:, 0], xs, h0, *weights)
     if out.requires_grad:
         def back():
-            g_x = _gru_run_back(xs.data, h0, run, weights, out.grad, reverse, xs.requires_grad)
+            g = out.grad.transpose(1, 0, 2) if rows else out.grad[:, None]
+            g_h0, g_x = _gru_run_back(x, start, run, weights, g, reverse, xs.requires_grad)
+            if h0.requires_grad:
+                _accum(h0, g_h0.reshape(h0.data.shape))
             if xs.requires_grad:
-                _accum(xs, g_x)
+                _accum(xs, g_x.transpose(1, 0, 2) if rows else g_x[:, 0])
         _rec(out, back)
     return out
 
@@ -688,50 +699,197 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
     state's log-softmax of `state @ proj_w + proj_b` picks its target. The
     log-probs are added into `total` (a scalar Tensor, or None) one by one,
     so the sum is bitwise the word-by-word one. Returns (total, final state).
+
+    Over R rows, h0 is (R, d_g), g (R, k), `total` (R,) or None, and words
+    and targets hold one list per row, or one that every row reads. Shorter
+    rows are padded and masked (padded steps get exactly zero gradient); a
+    row's final state follows its last word, or is h0 for an empty row.
+
     The record is keyed on the total, and the state's gradient is read when
     the total's backward runs: a caller that uses the state uses the total."""
     h0, g = _as_tensor(h0), _as_tensor(g)
-    vocab = table.data.shape[0]
-    if not words or len(words) != len(targets):
-        raise ContractError(f"sentence_log_prob: needs as many input words as targets, at "
-                            f"least one, got {len(words)} and {len(targets)}")
-    for i in (*words, *targets):
-        if not isinstance(i, (int, np.integer)) or not 0 <= i < vocab:
-            raise IndexError(f"sentence_log_prob: token id {i} out of range for vocab {vocab}")
+    vocab, d_w = table.data.shape
+    rows = h0.data.ndim == 2
+    count = len(h0.data) if rows else 1
+    per_row = rows and bool(words) and isinstance(words[0], list)
+    seqs = [*words, *targets] if per_row else [words, targets]
+    lengths, half = [len(seq) for seq in seqs], len(seqs) // 2
+    if (len(seqs) != 2 * (count if per_row else 1) or lengths[:half] != lengths[half:]
+            or not max(lengths)):
+        raise ContractError(f"sentence_log_prob: needs as many input words as targets, at least "
+                            f"one, in each of {count} rows, got {words} and {targets}")
+    steps = max(lengths)
+    ids = np.asarray([[*seq, *[0] * (steps - len(seq))] for seq in seqs])
+    if ids.dtype.kind not in "biu" or ids.min() < 0 or ids.max() >= vocab:
+        bad = next(i for seq in seqs for i in seq
+                   if not isinstance(i, (int, np.integer)) or not 0 <= i < vocab)
+        raise IndexError(f"sentence_log_prob: token id {bad} out of range for vocab {vocab}")
+    ids = ids.reshape(2, -1, steps).transpose(0, 2, 1)  # (2, T, R), or (2, T, 1) read by all
+    padded = min(lengths) < steps
+    lengths = np.array(lengths[:half] * (count // half))  # one per row
+    live = np.arange(steps)[:, None] < lengths  # (T, R): False at padded steps
     weights = [t for _, t in cell.named()]
-    lp, x, run, y = sentence_run(table.data, g.data[None], h0.data[None], words, targets,
-                                 [w.data for w in weights], proj_w.data, proj_b.data)
-    value = None if total is None else float(total.data)
-    for v in lp[:, 0].tolist():
-        value = v if value is None else value + v
+    start = h0.data.reshape(count, -1)
+    x = np.empty((steps, count, d_w + g.data.shape[-1]))
+    x[:, :, :d_w] = table.data[ids[0]]
+    x[:, :, d_w:] = g.data.reshape(count, -1)
+    run = gru_run(x, start, *(w.data for w in weights))
+    y = log_softmax_array(run[0] @ proj_w.data + proj_b.data)
+    steps_idx, rows_idx = np.arange(steps)[:, None], np.arange(count)
+    picked = y[steps_idx, rows_idx, ids[1]]
+    picked[~live] = 0.0
+    value = np.zeros(count) if total is None else total.data.reshape(count)
+    for lp in picked:
+        value = value + lp
+    end = run[0][-1] if not padded else np.where(
+        (lengths > 0)[:, None], run[0][np.maximum(lengths - 1, 0), rows_idx], start)
     inputs = (h0, g, table, proj_w, proj_b, *weights) + (() if total is None else (total,))
-    out = _out(np.asarray(value), *inputs)
-    h = _out(run[0][-1, 0], *inputs)
+    out = _out(value if rows else value.reshape(()), *inputs)
+    h = _out(end if rows else end[0], *inputs)
     if out.requires_grad:
         def back():
-            g_out = out.grad
+            g_out = out.grad.reshape(count)
             if total is not None and total.requires_grad:
-                _accum(total, g_out)
-            g_logits = np.exp(y[:, 0]) * -g_out
-            g_logits[np.arange(len(targets)), targets] += g_out
+                _accum(total, out.grad)
+            g_logits = np.exp(y) * -g_out[:, None]
+            g_logits[steps_idx, rows_idx, ids[1]] += g_out
+            g_logits[~live] = 0.0
             if proj_b.requires_grad:
-                _accum(proj_b, g_logits.sum(axis=0))
+                _accum(proj_b, _flat(g_logits).sum(axis=0))
             if proj_w.requires_grad:
-                _accum(proj_w, run[0][:, 0].T @ g_logits)
+                _accum(proj_w, _flat(run[0]).T @ _flat(g_logits))
             g_states = g_logits @ proj_w.data.T
-            if h.grad is not None:
-                g_states[-1] += h.grad
-            g_x = _gru_run_back(x[:, 0], h0, run, weights, g_states, False,
-                                g.requires_grad or table.requires_grad)
-            d_w = table.data.shape[1]
+            g_end = np.zeros_like(start) if h.grad is None else h.grad.reshape(count, -1)
+            ended = np.flatnonzero(lengths)
+            g_states[lengths[ended] - 1, ended] += g_end[ended]
+            g_h0, g_x = _gru_run_back(x, start, run, weights, g_states, False,
+                                      g.requires_grad or table.requires_grad)
+            if h0.requires_grad:  # an empty row hands its state on unchanged
+                _accum(h0, (g_h0 + np.where((lengths > 0)[:, None], 0.0, g_end))
+                       .reshape(h0.data.shape))
             if g.requires_grad:
-                _accum(g, g_x[:, d_w:].sum(axis=0))
+                _accum(g, g_x[:, :, d_w:].sum(axis=0).reshape(g.data.shape))
             if table.requires_grad:
                 if table.grad is None:
                     table.grad = np.zeros_like(table.data)
-                np.add.at(table.grad, words, g_x[:, :d_w])  # a repeated word adds twice
+                # a repeated word adds twice
+                np.add.at(table.grad, np.broadcast_to(ids[0], g_x.shape[:2]), g_x[:, :, :d_w])
         _rec(out, back)
     return out, h
+
+
+def _mlp_run(layers, x):
+    """`layers.mlp` over x (..., d_in) on arrays; returns every activation."""
+    acts = [x]
+    for i, (w, b) in enumerate(layers):
+        x = x @ w.data + b.data
+        acts.append(np.tanh(x) if i < len(layers) - 1 else x)
+        x = acts[-1]
+    return acts
+
+
+def _mlp_back(layers, acts, g):
+    """Backward of `_mlp_run` from the output gradient g: accumulates into
+    the layers' Tensors and returns the input's gradient."""
+    for i in reversed(range(len(layers))):
+        w, b = layers[i]
+        if i < len(layers) - 1:
+            g = g * (1.0 - acts[i + 1] * acts[i + 1])
+        if w.requires_grad:
+            _accum(w, _flat(acts[i]).T @ _flat(g))
+        if b.requires_grad:
+            _accum(b, _flat(g).sum(axis=0))
+        g = g @ w.data.T
+    return g
+
+
+def _scored_pairs(state, v):
+    """[state, v_i] for every photo: state (R, d), v (R, n, k) -> (R, n, d + k)."""
+    tiled = np.broadcast_to(state[:, None], v.shape[:2] + state.shape[1:])
+    return np.concatenate([tiled, v], axis=2)
+
+
+def soft_select(v, cell, mlp, steps):
+    """The selector's `steps` soft steps as one op. From the mean photo of v
+    (n, k), each step runs the GRU `cell` on the last summary, scores every
+    photo as sigmoid(mlp([state, v_i])) and renormalizes the scores to p_t;
+    the next step reads p_t @ v. Returns g = P @ v (steps, k) as a Tensor and
+    P (steps, n) as an array; over R rows v is (R, n, k). At one row the
+    values are bitwise `model.select_step`'s."""
+    v = _as_tensor(v)
+    weights, layers = [t for _, t in cell.named()], mlp.layers
+    tensors = (v, *weights, *(t for pair in layers for t in pair))
+    vd = v.data.reshape((-1,) + v.data.shape[-2:])
+    count, n, _ = vd.shape
+    recording = _recording(*tensors)
+    saved = []  # per step: input, start state, z, r, cand, MLP activations, raw scores, their sum
+    state = np.zeros((count, cell.w_z.data.shape[1]))
+    x = (np.full((count, 1, n), 1.0 / n) @ vd)[:, 0]
+    probs = np.empty((count, steps, n))
+    for t in range(steps):
+        new, z, r, _, cand, _ = gru_update(x, state, *(w.data for w in weights))
+        acts = _mlp_run(layers, _scored_pairs(new, vd))
+        raw = sigmoid_array(acts[-1][..., 0])
+        raw_sum = raw.sum(axis=1, keepdims=True)
+        p = probs[:, t] = raw / raw_sum
+        if recording:
+            saved.append((x, state, z, r, cand, acts, raw, raw_sum))
+        x, state = (p[:, None] @ vd)[:, 0], new
+    g = probs @ vd
+    out = _out(g.reshape(v.data.shape[:-2] + g.shape[1:]), *tensors)
+    if out.requires_grad:
+        def back():
+            d_g = out.grad.reshape(g.shape)
+            v_t = vd.transpose(0, 2, 1)
+            d_v, d_p = probs.transpose(0, 2, 1) @ d_g, d_g @ v_t
+            xs, starts, zs, rs, cands = (np.stack(a) for a in list(zip(*saved))[:5])
+            factors = _gru_factors(starts, zs, rs, cands)
+            gates = np.empty((3,) + starts.shape)
+            carry, d_x = np.zeros_like(state), np.zeros_like(x)  # d_x: the next step's input
+            for t in reversed(range(steps)):
+                acts, raw, raw_sum = saved[t][5:]
+                dp = d_p[:, t] + (d_x[:, None] @ v_t)[:, 0]  # the next step read p_t @ v
+                d_v += probs[:, t, :, None] * d_x[:, None]
+                d_raw = (dp - (dp * probs[:, t]).sum(axis=1, keepdims=True)) / raw_sum
+                d_feats = _mlp_back(layers, acts, (d_raw * raw * (1.0 - raw))[..., None])
+                d_v += d_feats[..., state.shape[1]:]
+                carry = _gru_back_step(d_feats[..., :state.shape[1]].sum(axis=1) + carry, t,
+                                       factors, *(w.data for w in weights[3:6]), gates)
+                d_x = sum(gate[t] @ w.data.T for gate, w in zip(gates, weights[:3]))
+            d_v += d_x[:, None] / n  # the first step read the mean photo
+            _gru_weight_grads(weights, xs, starts, rs, gates)
+            if v.requires_grad:
+                _accum(v, d_v.reshape(v.data.shape))
+        _rec(out, back)
+    return out, probs.reshape(v.data.shape[:-2] + probs.shape[1:])
+
+
+def attention(h, v, mlp):
+    """Soft attention as one op: softmax weights alpha over mlp([h, v_i]) for
+    the photos of v (n, k) from the state h (d,); returns alpha @ v as a
+    Tensor and alpha as an array. Over R rows h is (R, d) and v (R, n, k)."""
+    h, v = _as_tensor(h), _as_tensor(v)
+    if v.data.ndim != h.data.ndim + 1 or v.data.shape[:-2] != h.data.shape[:-1]:
+        raise DimensionError(f"attention: state {h.data.shape} does not fit photos {v.data.shape}")
+    layers = mlp.layers
+    hd, vd = h.data.reshape(-1, h.data.shape[-1]), v.data.reshape((-1,) + v.data.shape[-2:])
+    acts = _mlp_run(layers, _scored_pairs(hd, vd))
+    alpha = softmax_array(acts[-1][..., 0], axis=1)
+    out = _out((alpha[:, None] @ vd)[:, 0].reshape(h.data.shape[:-1] + vd.shape[-1:]),
+               h, v, *(t for pair in layers for t in pair))
+    if out.requires_grad:
+        def back():
+            d_out = out.grad.reshape(len(vd), -1)
+            d_alpha = (vd @ d_out[..., None])[..., 0]
+            d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
+            d_feats = _mlp_back(layers, acts, d_scores[..., None])
+            if h.requires_grad:
+                _accum(h, d_feats[..., :hd.shape[1]].sum(axis=1).reshape(h.data.shape))
+            if v.requires_grad:
+                _accum(v, (d_feats[..., hd.shape[1]:] + alpha[..., None] * d_out[:, None])
+                       .reshape(v.data.shape))
+        _rec(out, back)
+    return out, alpha.reshape(v.data.shape[:-1])
 
 
 # ---------------------------------------------------------------------------

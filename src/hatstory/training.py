@@ -20,7 +20,7 @@ import numpy as np
 from .data import SENTENCES_PER_STORY, Story, validate_story
 from .errors import ConfigurationError, ContractError, NumericDomainError
 from .model import VARIANTS, check_int, check_number, conditioner, encode_album, story_log_prob
-from .tensor import Rng, Tape, backward, neg, relu
+from .tensor import Rng, Tape, backward, neg, relu, sum_all
 
 
 @dataclass
@@ -81,7 +81,8 @@ def variant_log_probs(params, features, stories, variant="hier"):
     The album is encoded once and conditioned on once (one selection for
     the full model, one projection for the flat baseline), then every story
     is scored against that shared result. The full model scores under soft
-    selection (the latent path used in training and retrieval)."""
+    selection (the latent path used in training and retrieval). Over (A, n, k)
+    album rows, each entry of `stories` lists one story per row."""
     condition, _ = conditioner(params, encode_album(params, features), variant)
     return [story_log_prob(params, condition, story) for story in stories]
 
@@ -128,7 +129,8 @@ def combined_loss(params, features, story, negative, cfg):
     """(total, generation part, ranking part). `negative` may be None when
     rank_weight is 0, in which case the op sequence is exactly the
     generation loss. Otherwise the story and its negative share one album
-    encoding and conditioning."""
+    encoding and conditioning. Over (A, n, k) album rows, `story` and
+    `negative` list one story per row and each part is (A,)."""
     if cfg.rank_weight == 0.0:
         gen = neg(variant_log_prob(params, features, story, cfg.variant))
         return gen, gen, None
@@ -140,6 +142,26 @@ def combined_loss(params, features, story, negative, cfg):
     gen = neg(log_p_pos)
     rank = ranking_loss(log_p_pos, log_p_neg, cfg.margin)
     return gen + cfg.rank_weight * rank, gen, rank
+
+
+def batch_loss(params, pairs, negatives, cfg):
+    """One batch's loss with its examples as rows: each photo-count group of
+    the (album, story) pairs is one `combined_loss` over (A, n, k) features,
+    with the pairs' negatives (None when unranked). Returns the sum of every
+    row's loss and each pair's (total, generation, ranking) floats."""
+    groups = {}
+    for i, (album, _) in enumerate(pairs):
+        groups.setdefault(len(album.features), []).append(i)
+    root, parts = None, {}
+    for rows in groups.values():
+        total, gen, rank = combined_loss(
+            params, np.stack([pairs[i][0].features for i in rows]), [pairs[i][1] for i in rows],
+            None if negatives is None else [negatives[i] for i in rows], cfg,
+        )
+        root = sum_all(total) if root is None else root + sum_all(total)
+        rank = np.zeros(len(rows)) if rank is None else rank.data
+        parts.update(zip(rows, zip(total.data.tolist(), gen.data.tolist(), rank.tolist())))
+    return root, [parts[i] for i in range(len(pairs))]
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +228,14 @@ def clip_gradients(named_params, max_norm):
 def train(params, albums, cfg, loss_curve_path=None, log=None, early_stop=None):
     """Train in place; returns the per-epoch loss curve.
 
-    Album/story pairs are shuffled each epoch with the config seed, each
-    example runs on its own tape, gradients accumulate over a batch in
-    example order (then average), and one Adam step fires per batch. The
-    whole run is bitwise reproducible for a fixed config. `early_stop`,
-    if given, receives each finished epoch's curve row and halts training
-    by returning True. A non-finite loss or final weight raises
+    Album/story pairs are shuffled each epoch with the config seed. A
+    batch's negatives are drawn in example order, then the whole batch is
+    one forward pass on one tape, its examples as rows (`batch_loss`), and
+    one backward from the sum of their losses gives the batch's gradients;
+    they are averaged, and one Adam step fires per batch. The whole run is
+    bitwise reproducible for a fixed config. `early_stop`, if given,
+    receives each finished epoch's curve row and halts training by
+    returning True. A non-finite loss or final weight raises
     NumericDomainError, which reports what numpy's silenced warnings would."""
     examples = []
     for album in albums:
@@ -228,24 +252,20 @@ def train(params, albums, cfg, loss_curve_path=None, log=None, early_stop=None):
         order = rng.permutation(len(examples))
         sums = {"total": 0.0, "gen": 0.0, "rank": 0.0}
         for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            for ex in batch:
-                album, story = examples[ex]
-                negative = make_negative(story, rng) if cfg.rank_weight > 0 else None
-                with Tape() as tape:
-                    total, gen, rank = combined_loss(
-                        params, album.features, story, negative, cfg
-                    )
-                    backward(tape, total)
-                value = float(total.data)
-                if not math.isfinite(value):
-                    raise NumericDomainError(
-                        f"train: non-finite loss on album {album.album_id}"
-                    )
-                sums["total"] += value
-                sums["gen"] += float(gen.data)
-                sums["rank"] += float(rank.data) if rank is not None else 0.0
-            inv = 1.0 / len(batch)
+            pairs = [examples[ex] for ex in order[start : start + cfg.batch_size]]
+            negatives = [make_negative(s, rng) for _, s in pairs] if cfg.rank_weight > 0 else None
+            with Tape() as tape:
+                root, parts = batch_loss(params, pairs, negatives, cfg)
+                for (album, _), (value, gen, rank) in zip(pairs, parts):
+                    if not math.isfinite(value):
+                        raise NumericDomainError(
+                            f"train: non-finite loss on album {album.album_id}"
+                        )
+                    sums["total"] += value
+                    sums["gen"] += gen
+                    sums["rank"] += rank
+                backward(tape, root)
+            inv = 1.0 / len(pairs)
             for _, p in trainable:
                 if p.grad is not None:
                     p.grad *= inv

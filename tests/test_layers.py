@@ -14,17 +14,23 @@ from hatstory.tensor import (
     Rng,
     Tape,
     Tensor,
+    attention,
     backward,
     concat,
     grad_check,
     gru_sequence,
     matmul,
     mul,
+    reshape,
     row,
     sentence_log_prob,
     sigmoid,
+    soft_select,
+    softmax,
+    stack_rows,
     sum_all,
     tanh,
+    tile_rows,
     vecmat,
     zeros,
 )
@@ -437,3 +443,203 @@ def test_sentence_log_prob_gradcheck_and_errors(rng):
         sentence_log_prob(None, h0, g, [1], [6], *decoder)
     with pytest.raises(IndexError):
         sentence_log_prob(None, h0, g, [-1], [2], *decoder)
+
+
+# ---------------------------------------------------------------------------
+# the fused ops over rows: one row is bitwise the row-free op, more rows are
+# gradchecked with unequal sentence lengths and an empty sentence
+
+
+def _pair_loss(rows_out, weight):
+    return sum_all(mul(rows_out, rows_out + weight))
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_gru_sequence_rows_gradcheck(count):
+    rng = Rng(40 + count)
+    for reverse in (False, True):
+        cell = _perturbed_cell(rng, 3, 2)
+        xs = Tensor(rng.uniform(-1, 1, (count, 4, 3)), requires_grad=True)
+        h0 = Tensor(rng.uniform(-0.5, 0.5, (count, 2)), requires_grad=True)
+        weight = Tensor(rng.uniform(-1, 1, (count, 4, 2)))
+        fn = lambda *ts: _pair_loss(gru_sequence(xs, h0, cell, reverse), weight)
+        report = grad_check(fn, [t for _, t in cell.named()] + [xs, h0], tol=1e-5)
+        assert report.passed, (reverse, report.per_param)
+
+
+def test_gru_sequence_one_row_is_the_row_free_run_bitwise():
+    rng = Rng(44)
+    cell = _perturbed_cell(rng, 3, 2)
+    xs, h0 = rng.uniform(-1, 1, (5, 3)), rng.uniform(-1, 1, 2)
+    for reverse in (False, True):
+        single = gru_sequence(Tensor(xs), Tensor(h0), cell, reverse).data
+        rows = gru_sequence(Tensor(xs[None]), Tensor(h0[None]), cell, reverse).data
+        assert np.array_equal(rows[0], single)
+
+
+def _row_sentences(rng, lengths, vocab=6):
+    targets = [[rng.integers(0, vocab) for _ in range(n)] for n in lengths]
+    return [[1, *t[:-1]] if t else [] for t in targets], targets
+
+
+@pytest.mark.parametrize("lengths", [[4], [3, 0, 5], [2, 6, 1]])
+def test_sentence_log_prob_rows_gradcheck(lengths):
+    rng = Rng(len(lengths) + sum(lengths))
+    table, cell, proj_w, proj_b = _decoder(rng)
+    count = len(lengths)
+    g = Tensor(rng.uniform(-1, 1, (count, 3)), requires_grad=True)
+    h0 = Tensor(rng.uniform(-1, 1, (count, 3)), requires_grad=True)
+    start = Tensor(rng.uniform(-5, -1, count), requires_grad=True)
+    words, targets = _row_sentences(rng, lengths)
+    weight = Tensor(rng.uniform(-1, 1, (count, 3)))
+
+    def fn(*ts):
+        total, h = sentence_log_prob(start, h0, g, words, targets, table, cell, proj_w, proj_b)
+        return sum_all(total) + _pair_loss(h, weight)
+
+    tensors = [t for _, t in cell.named()] + [table, proj_w, proj_b, g, h0, start]
+    report = grad_check(fn, tensors, tol=1e-5)
+    assert report.passed, report.per_param
+
+
+def test_sentence_log_prob_rows_match_each_row_alone():
+    rng = Rng(45)
+    decoder = _decoder(rng)
+    lengths = [3, 0, 5]
+    g, h0 = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3))
+    words, targets = _row_sentences(rng, lengths)
+    total, h = sentence_log_prob(None, Tensor(h0), Tensor(g), words, targets, *decoder)
+    assert np.array_equal(h.data[1], h0[1]) and total.data[1] == 0.0  # the empty row
+    for i in (0, 2):
+        one, h_one = sentence_log_prob(None, Tensor(h0[i]), Tensor(g[i]), words[i], targets[i],
+                                       *decoder)
+        assert abs(total.data[i] - one.data) <= 1e-12 and np.max(np.abs(h.data[i] - h_one.data)) <= 1e-12
+        row_one, h_row = sentence_log_prob(None, Tensor(h0[i:i + 1]), Tensor(g[i:i + 1]),
+                                           [words[i]], [targets[i]], *decoder)
+        assert np.array_equal(row_one.data, [one.data]) and np.array_equal(h_row.data[0], h_one.data)
+
+
+def test_sentence_log_prob_padded_steps_get_zero_gradient():
+    rng = Rng(46)
+    table, cell, proj_w, proj_b = _decoder(rng)
+    h0 = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+    g = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+    for t in [table, proj_w, proj_b] + [w for _, w in cell.named()]:
+        t.grad = None
+    with Tape() as tape:  # row 1 is empty: only row 0 reaches the weights
+        total, h = sentence_log_prob(None, h0, g, [[1, 4, 3], []], [[4, 3, 2], []], table, cell,
+                                     proj_w, proj_b)
+        backward(tape, sum_all(total) + sum_all(h))
+    assert np.all(g.grad[1] == 0.0) and np.all(h0.grad[1] == 1.0)
+    assert np.all(table.grad[0] == 0.0)  # the padding id reads row 0
+
+
+def test_sentence_log_prob_rows_errors():
+    rng = Rng(47)
+    decoder = _decoder(rng)
+    h0, g = zeros((2, 3)), zeros((2, 3))
+    with pytest.raises(ContractError, match="at least one"):
+        sentence_log_prob(None, h0, g, [[], []], [[], []], *decoder)
+    with pytest.raises(ContractError):
+        sentence_log_prob(None, h0, g, [[1, 4]], [[4, 2]], *decoder)  # one list for two rows
+    with pytest.raises(ContractError):
+        sentence_log_prob(None, h0, g, [[1, 4], [1]], [[4, 2], [2, 2]], *decoder)
+    with pytest.raises(IndexError):
+        sentence_log_prob(None, h0, g, [[1], [1.0]], [[2], [2]], *decoder)
+
+
+def _selector(rng, k=4, d_s=3):
+    cell = _perturbed_cell(rng, k, d_s)
+    head = MlpParams.create(rng, [d_s + k, d_s + k, 1])
+    for _, t in head.named():
+        t.data *= 3.0  # keeps the selection path's gradients above difference noise
+    return cell, head
+
+
+def composed_soft_select(v, cell, head, steps):
+    """The selector's soft steps as composed ops over one album: the
+    reference that `soft_select` fuses."""
+    n = v.shape[0]
+    state = zeros(cell.d_h)
+    prev = vecmat(Tensor(np.full(n, 1.0 / n)), v)
+    rows_p = []
+    for _ in range(steps):
+        state = gru_step(cell, prev, state)
+        feats = concat([tile_rows(state, n), v], axis=1)
+        raw = sigmoid(reshape(mlp(head, feats), (n,)))
+        p = raw / sum_all(raw)
+        rows_p.append(p)
+        prev = vecmat(p, v)
+    return matmul(stack_rows(rows_p), v)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_soft_select_one_row_is_the_composed_steps_bitwise(seed):
+    rng = Rng(50 + seed)
+    cell, head = _selector(rng)
+    v = Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
+    weight = Tensor(rng.uniform(-1, 1, (5, 4)))
+    tensors = [t for _, t in cell.named()] + [t for _, t in head.named()] + [v]
+    fused = _values_and_grads(lambda: (lambda g: (_pair_loss(g, weight), [g]))(
+        soft_select(v, cell, head, 5)[0]), tensors)
+    composed = _values_and_grads(lambda: (lambda g: (_pair_loss(g, weight), [g]))(
+        composed_soft_select(v, cell, head, 5)), tensors)
+    assert np.array_equal(fused[0][0], composed[0][0])
+    for a, b in zip(fused[1], composed[1]):
+        assert np.max(np.abs(a - b)) <= 1e-12
+    rows, probs = soft_select(Tensor(v.data[None]), cell, head, 5)
+    assert np.array_equal(rows.data[0], fused[0][0]) and probs.shape == (1, 5, 6)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_soft_select_rows_gradcheck(count):
+    rng = Rng(60 + count)
+    cell, head = _selector(rng)
+    v = Tensor(rng.uniform(-2, 2, (count, 5, 4)), requires_grad=True)
+    weight = Tensor(rng.uniform(-1, 1, (count, 5, 4)))
+    tensors = [t for _, t in cell.named()] + [t for _, t in head.named()] + [v]
+    fn = lambda *ts: _pair_loss(soft_select(v, cell, head, 5)[0], weight)
+    report = grad_check(fn, tensors, tol=1e-5)
+    assert report.passed, report.per_param
+
+
+def composed_attention(h, v, head):
+    n = v.shape[0]
+    alpha = softmax(reshape(mlp(head, concat([tile_rows(h, n), v], axis=1)), (n,)), axis=0)
+    return vecmat(alpha, v), alpha.data
+
+
+def test_attention_one_row_is_the_composed_ops_bitwise():
+    rng = Rng(70)
+    head = MlpParams.create(rng, [7, 7, 1])
+    h = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
+    v = Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
+    weight = Tensor(rng.uniform(-1, 1, 4))
+    tensors = [t for _, t in head.named()] + [h, v]
+    found, expected = (
+        _values_and_grads(lambda: (lambda out: (_pair_loss(out[0], weight), [out[0]]))(
+            op(h, v, head)), tensors)
+        for op in (attention, composed_attention)
+    )
+    assert np.array_equal(found[0][0], expected[0][0])
+    for a, b in zip(found[1], expected[1]):
+        assert np.max(np.abs(a - b)) <= 1e-12
+    out, alpha = attention(Tensor(h.data[None]), Tensor(v.data[None]), head)
+    assert np.array_equal(out.data[0], found[0][0])
+    assert np.array_equal(alpha[0], composed_attention(h, v, head)[1])
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_attention_rows_gradcheck(count):
+    rng = Rng(80 + count)
+    head = MlpParams.create(rng, [7, 7, 1])
+    h = Tensor(rng.uniform(-1, 1, (count, 3)), requires_grad=True)
+    v = Tensor(rng.uniform(-1, 1, (count, 5, 4)), requires_grad=True)
+    weight = Tensor(rng.uniform(-1, 1, (count, 4)))
+    fn = lambda *ts: _pair_loss(attention(h, v, head)[0], weight)
+    # the softmax ignores a shift of every score, so the output bias has no
+    # gradient and its central differences are pure rounding noise
+    report = grad_check(fn, [t for _, t in head.named()[:-1]] + [h, v], tol=1e-5)
+    assert report.passed, report.per_param
+    with pytest.raises(DimensionError, match="attention"):
+        attention(h, Tensor(v.data[0]), head)

@@ -17,12 +17,10 @@ from hatstory.errors import ConfigurationError, ContractError, DimensionError
 from hatstory.layers import gru_step, mlp
 from hatstory.model import (
     ModelDims,
-    _attend,
     _beam_search,
     beam_decode,
     conditioner,
     enc_attn_dec_generate,
-    enc_attn_dec_log_prob,
     enc_dec_visual,
     encode_album,
     generate,
@@ -37,9 +35,14 @@ from hatstory.tensor import (
     Tape,
     Tensor,
     backward,
+    concat,
     log_softmax_array,
+    reshape,
     row,
     sentence_log_prob,
+    softmax,
+    tile_rows,
+    vecmat,
     zeros,
 )
 
@@ -364,6 +367,16 @@ def reference_story_log_prob(params, sentence_inputs, story):
     return Tensor(0.0) if total is None else total
 
 
+def _attend(params, v_matrix, state):
+    """Softmax attention over photos from [decoder state, v_i], as composed
+    ops: the attention the baseline used before it was one op."""
+    n = v_matrix.shape[0]
+    feats = concat([tile_rows(state, n), v_matrix], axis=1)
+    scores = reshape(mlp(params.attn_mlp, feats), (n,))
+    alpha = softmax(scores, axis=0)
+    return alpha, vecmat(alpha, v_matrix)
+
+
 def reference_enc_attn_dec_log_prob(params, enc, story):
     """The attention baseline's own sentence loop; returns (log_prob, attention)."""
     if len(story.sentences) != params.dims.t_steps:
@@ -462,16 +475,6 @@ def test_conditioned_loop_matches_reference_loops_bitwise(variant, mode, carry_s
                 assert np.max(np.abs(found[1][name] - grad)) <= 1e-12, name
         if variant == "enc_attn_dec":
             assert np.array_equal(found[2], expected[2])
-
-
-def test_enc_attn_dec_log_prob_is_the_conditioned_loop():
-    params = init_model(tiny_dims(vocab_size=7), Rng(40))
-    enc = encode_album(params, random_features(Rng(41), 6, 4))
-    story = random_story(Rng(42), 5, 7)
-    lp, attention = enc_attn_dec_log_prob(params, enc, story)
-    expected_lp, expected_attention = reference_enc_attn_dec_log_prob(params, enc, story)
-    assert np.array_equal(lp.data, expected_lp.data)
-    assert np.array_equal(attention, expected_attention)
 
 
 def test_conditioner_rejects_unknown_variants_and_baseline_oracles():
@@ -785,11 +788,18 @@ def test_enc_attn_dec_attention_is_a_distribution():
     assert len(story.sentences) == 3
 
 
+def conditioned_attention(params, enc, story):
+    """The attention baseline's log-prob and its (T, n) attention, as the
+    conditioner collects the weights."""
+    condition, weights = conditioner(params, enc, "enc_attn_dec")
+    return story_log_prob(params, condition, story), np.stack(weights)
+
+
 def test_enc_attn_dec_single_photo_gets_full_attention():
     params = init_model(tiny_dims(t_steps=1), Rng(32))
     story = Story(sentences=[[4, 2]])
     enc = encode_album(params, random_features(Rng(5), 1, 4))
-    _, attn = enc_attn_dec_log_prob(params, enc, story)
+    _, attn = conditioned_attention(params, enc, story)
     assert np.array_equal(attn, np.ones((1, 1)))
 
 
@@ -799,7 +809,7 @@ def test_enc_attn_dec_constant_scorer_attends_uniformly():
     feats = random_features(Rng(36), 4, 4)
     story = Story(sentences=[[4, 2], [5, 2]])
     enc = encode_album(params, feats)
-    lp, attn = enc_attn_dec_log_prob(params, enc, story)
+    lp, attn = conditioned_attention(params, enc, story)
     assert np.allclose(attn, 0.25, atol=1e-15)
 
     # with uniform attention every sentence sees the mean photo representation
@@ -819,7 +829,7 @@ def test_enc_attn_dec_log_prob_rejects_wrong_sentence_count():
     params = tiny_model()
     enc = encode_album(params, random_features(Rng(0), 5, 4))
     with pytest.raises(ContractError):
-        enc_attn_dec_log_prob(params, enc, Story(sentences=[[2]]))
+        conditioned_attention(params, enc, Story(sentences=[[2]]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from hatstory.data import Story, SynthSpec, synth_generate
+from hatstory.data import Album, Story, SynthSpec, synth_generate
+from hatstory.diagnostics import toy_instance
 from hatstory.errors import ConfigurationError, ContractError
 from hatstory.model import ModelDims, init_model
 from hatstory import model, training
-from hatstory.tensor import Rng, Tensor, Tape, backward, neg
+from hatstory.tensor import Rng, Tensor, Tape, backward, grad_check, neg
 from hatstory.training import (
     VARIANTS,
     AdamState,
     TrainConfig,
     adam_step,
+    batch_loss,
     clip_gradients,
     combined_loss,
     make_negative,
@@ -174,9 +176,9 @@ def test_combined_loss_conditions_once_and_matches_independent_scoring(variant):
         assert np.max(np.abs(shared_grads[name] - apart_grads[name])) <= 1e-12, name
 
 
-def test_ranked_acceptance_example_encodes_and_selects_once(monkeypatch):
-    """Album 0 of the seed-7 acceptance set with its shuffled negative: one
-    encoding, one selection, and a bounded tape."""
+def acceptance_batch(count):
+    """The first `count` albums of the seed-7 acceptance set with their first
+    stories and shuffled negatives, and the acceptance model."""
     albums, vocab = synth_generate(
         SynthSpec(albums=20, n=10, k=16, classes=5, seed=7, noise_sigma=0.05)
     )
@@ -186,6 +188,14 @@ def test_ranked_acceptance_example_encodes_and_selects_once(monkeypatch):
     )
     dims = ModelDims(k=16, d_s=cfg.d_s, d_g=cfg.d_g, d_w=cfg.d_w, vocab_size=vocab.size)
     params = init_model(dims, Rng(7), enc_init_gain=cfg.enc_init_gain)
+    pairs = [(album, album.stories[0]) for album in albums[:count]]
+    return params, pairs, [make_negative(story, Rng(7)) for _, story in pairs], cfg
+
+
+def test_ranked_acceptance_example_encodes_and_selects_once(monkeypatch):
+    """A ranked 5-example batch of the seed-7 acceptance set, all albums of
+    one photo count: one encoder pass, one selection, and a bounded tape."""
+    params, pairs, negatives, cfg = acceptance_batch(5)
     calls = []
 
     def counted(module, name):
@@ -200,16 +210,96 @@ def test_ranked_acceptance_example_encodes_and_selects_once(monkeypatch):
     # selection runs inside model.conditioner, encoding in training
     for module, name in ((training, "encode_album"), (model, "select_summary")):
         monkeypatch.setattr(module, name, counted(module, name))
-    story = albums[0].stories[0]
-    negative = make_negative(story, Rng(7))
     with Tape() as tape:
-        total, _, _ = combined_loss(params, albums[0].features, story, negative, cfg)
-        backward(tape, total)
+        root, _ = batch_loss(params, pairs, negatives, cfg)
+        backward(tape, root)
     assert calls == ["encode_album", "select_summary"]
-    # 2,794 records when every op was recorded separately and the album was
-    # conditioned on twice, 552 with fused GRU steps and word ops, and 112
-    # with one op per encoder direction and per sentence
-    assert len(tape) <= 120
+    # per example: 2,794 records when every op was recorded separately and
+    # the album was conditioned on twice, 552 with fused GRU steps and word
+    # ops, 112 with one op per encoder direction and per sentence; 28 for
+    # the whole batch with its examples as rows
+    assert len(tape) <= 30
+
+
+def test_batch_records_no_more_tape_entries_than_one_example():
+    params, pairs, negatives, cfg = acceptance_batch(5)
+    lengths = []
+    for count in (1, 5):
+        with Tape() as tape:
+            batch_loss(params, pairs[:count], negatives[:count], cfg)
+        lengths.append(len(tape))
+    assert lengths[1] <= lengths[0]
+
+
+def test_batch_of_one_is_the_combined_loss_bitwise():
+    params, pairs, negatives, cfg = acceptance_batch(1)
+    (album, story), negative = pairs[0], negatives[0]
+    total, gen, rank = combined_loss(params, album.features, story, negative, cfg)
+    root, parts = batch_loss(params, pairs, negatives, cfg)
+    assert parts == [(float(total.data), float(gen.data), float(rank.data))]
+    assert float(root.data) == float(total.data)
+
+
+def mixed_batch(variant, rank_weight, carry_state):
+    """Five examples over albums of 6 and 8 photos, interleaved, and their
+    negatives when ranked."""
+    pairs = []
+    for n, seed in ((6, 21), (8, 22)):
+        albums, _ = synth_generate(SynthSpec(albums=3, n=n, k=6, classes=5, seed=seed))
+        pairs.extend((album, album.stories[0]) for album in albums)
+    pairs = [pairs[i] for i in (0, 3, 1, 4, 5)]
+    cfg = tiny_cfg(variant=variant, rank_weight=rank_weight, carry_state=carry_state)
+    dims = ModelDims(k=6, d_s=4, d_g=4, d_w=3, vocab_size=30)
+    params = init_model(dims, Rng(3), carry_state=carry_state)
+    rng = Rng(4)
+    negatives = [make_negative(s, rng) for _, s in pairs] if rank_weight > 0 else None
+    return params, pairs, negatives, cfg
+
+
+@pytest.mark.parametrize("carry_state", [True, False])
+@pytest.mark.parametrize("rank_weight", [0.0, 2.0])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batch_gradient_is_the_sum_of_example_gradients(variant, rank_weight, carry_state):
+    params, pairs, negatives, cfg = mixed_batch(variant, rank_weight, carry_state)
+    trainable = params.trainable(variant)
+    for _, t in trainable:
+        t.grad = None
+    parts = []
+    for i, (album, story) in enumerate(pairs):
+        with Tape() as tape:
+            total, gen, rank = combined_loss(
+                params, album.features, story, None if negatives is None else negatives[i], cfg
+            )
+            backward(tape, total)
+        parts.append((float(total.data), float(gen.data),
+                      0.0 if rank is None else float(rank.data)))
+    summed = {n: t.grad for n, t in trainable}
+    for _, t in trainable:
+        t.grad = None
+    with Tape() as tape:
+        root, batched_parts = batch_loss(params, pairs, negatives, cfg)
+        backward(tape, root)
+    assert np.allclose(batched_parts, parts, rtol=1e-12, atol=0)
+    for name, t in trainable:
+        assert np.max(np.abs(t.grad - summed[name])) <= 1e-12, name
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batch_loss_gradcheck_with_reset_state_and_an_empty_sentence(variant):
+    """Three rows without state carry, one story with an empty sentence."""
+    params, features, story, _ = toy_instance(0)
+    params.carry_state = False
+    rng = Rng(2)
+    stories = [story, Story(sentences=[[6, 5, 4, 2], [], [3, 2], [5, 5, 2], [2]]),
+               Story(sentences=story.sentences[::-1])]
+    pairs = [(Album("toy", [], f, [], []), s) for f, s in zip(
+        [features] + [rng.uniform(-2.0, 2.0, features.shape) for _ in range(2)], stories)]
+    negatives = [make_negative(s, rng) for s in stories]
+    cfg = tiny_cfg(k=4, d_s=3, d_g=3, d_w=3, variant=variant, carry_state=False)
+    named = params.trainable(variant)
+    report = grad_check(lambda *ts: batch_loss(params, pairs, negatives, cfg)[0],
+                        [t for _, t in named], tol=1e-4, names=[n for n, _ in named])
+    assert report.passed, report.per_param
 
 
 def test_combined_loss_zero_rank_weight_returns_generation_loss_itself():
