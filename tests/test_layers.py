@@ -502,6 +502,28 @@ def test_sentence_log_prob_rows_gradcheck(lengths):
     assert report.passed, report.per_param
 
 
+def test_sentence_log_prob_one_sentence_read_by_every_row():
+    rng = Rng(48)
+    table, cell, proj_w, proj_b = _decoder(rng)
+    g = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
+    h0 = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
+    words, targets = [1, 4, 3, 4], [4, 3, 4, 2]
+    weight = Tensor(rng.uniform(-1, 1, (3, 3)))
+
+    def fn(*ts):
+        total, h = sentence_log_prob(None, h0, g, words, targets, table, cell, proj_w, proj_b)
+        return sum_all(total) + _pair_loss(h, weight)
+
+    tensors = [t for _, t in cell.named()] + [table, proj_w, proj_b, g, h0]
+    report = grad_check(fn, tensors, tol=1e-5)
+    assert report.passed, report.per_param
+    shared = sentence_log_prob(None, h0, g, words, targets, table, cell, proj_w, proj_b)
+    per_row = sentence_log_prob(None, h0, g, [words] * 3, [targets] * 3, table, cell, proj_w,
+                                proj_b)
+    for a, b in zip(shared, per_row):
+        assert np.array_equal(a.data, b.data)
+
+
 def test_sentence_log_prob_rows_match_each_row_alone():
     rng = Rng(45)
     decoder = _decoder(rng)
