@@ -158,9 +158,7 @@ def cmd_eval_gen(args):
         if not album.stories:
             continue
         story, _ = _generate_for_album(ck, album, cfg, args.beam, False)
-        hyp_tokens = ck.vocab.decode(
-            [t for s in story.sentences for t in s]
-        ).split()
+        hyp_tokens = ck.vocab.decode([t for s in story.sentences for t in s]).split()
         ref_token_lists = [
             ck.vocab.decode([t for s in st.sentences for t in s]).split()
             for st in album.stories

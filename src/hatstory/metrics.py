@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,9 +25,7 @@ def summary_precision_recall(predicted, gt_sets):
     predicted = list(predicted)
     if len(predicted) != 5 or len(set(predicted)) != 5:
         raise ContractError(f"summary_precision_recall: need 5 distinct ids, got {predicted}")
-    union = set()
-    for s in gt_sets:
-        union.update(s)
+    union = set().union(*gt_sets)
     if not union:
         raise ContractError("summary_precision_recall: ground-truth union is empty")
     hits = len(set(predicted) & union)
@@ -81,12 +79,9 @@ def bleu_n(hypotheses, references, n=3):
             hc = _ngrams(hyp, order)
             if not hc:
                 continue
-            best = Counter()
+            best = Counter()  # each n-gram's largest count in one reference
             for r in refs:
-                rc = _ngrams(list(r), order)
-                for gram, c in rc.items():
-                    if c > best[gram]:
-                        best[gram] = c
+                best |= _ngrams(list(r), order)
             totals[order - 1] += sum(hc.values())
             matches[order - 1] += sum(min(c, best[gram]) for gram, c in hc.items())
     precisions = []
@@ -138,11 +133,7 @@ def cider(hypotheses, references, max_order=4):
         if not refs:
             raise ContractError("cider: every item needs at least one reference")
         for order in range(1, max_order + 1):
-            seen = set()
-            for r in refs:
-                seen.update(_ngrams(list(r), order))
-            for gram in seen:
-                doc_freq[order - 1][gram] += 1
+            doc_freq[order - 1].update(set().union(*(_ngrams(list(r), order) for r in refs)))
     item_scores = []
     for hyp, refs in zip(hypotheses, references):
         per_order = []
@@ -196,11 +187,8 @@ def recall_at_k(ranks, k):
 def median_rank(ranks):
     if not ranks:
         raise ContractError("median_rank: no ranks")
-    ordered = sorted(ranks)
-    mid = len(ordered) // 2
-    if len(ordered) % 2 == 1:
-        return float(ordered[mid])
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
+    ordered, mid = sorted(ranks), len(ranks) // 2
+    return float(ordered[mid]) if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def evaluate_retrieval(params, pool, variant="hier"):
@@ -236,16 +224,7 @@ class MetricReport:
     fingerprint: dict = field(default_factory=dict)
 
     def to_json(self):
-        return json.dumps(
-            {
-                "task": self.task,
-                "aggregate": self.aggregate,
-                "per_item": self.per_item,
-                "fingerprint": self.fingerprint,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def to_csv(self):
         """Flat per-item table; aggregate values appear as a final row."""

@@ -378,16 +378,20 @@ def story_log_prob(params, condition, story):
 
     `condition(t, h)` gives sentence t's visual input from the decoder
     state h at the sentence start (see `conditioner`). `story` is one Story,
-    or a list with one per album row, giving (A,) log-probs. Each sentence
-    starts at BOS and must end at EOS, is one `sentence_log_prob` op over the
-    rows, and hands its state on unless carry_state is off."""
-    rows = isinstance(story, list)
-    stories = story if rows else [story]
+    or a list with one per album row, giving (A,) log-probs, or a (stories,
+    negatives) pair of such lists, decoded in one pass on a leading pair
+    axis and giving (2, A). Each sentence starts at BOS and must end at EOS,
+    is one `sentence_log_prob` op over the rows (and halves), and hands its
+    state on unless carry_state is off."""
+    paired = isinstance(story, tuple)
+    rows = paired or isinstance(story, list)
+    stories = [*story[0], *story[1]] if paired else story if rows else [story]
     t_steps = params.dims.t_steps
     counts = {len(s.sentences) for s in stories} - {t_steps}
     if counts:
         raise ContractError(f"story has {counts.pop()} sentences, model expects {t_steps}")
-    shape = (len(stories), params.dims.d_g) if rows else (params.dims.d_g,)
+    shape = (((2, len(story[0])) if paired else (len(stories),) if rows else ())
+             + (params.dims.d_g,))
     shared = all(s is stories[0] for s in stories)  # then every row reads one sentence
     total, h = None, zeros(shape)
     for t in range(t_steps):

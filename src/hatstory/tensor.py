@@ -13,14 +13,17 @@ models, so the hottest compositions are fused ops with a hand-written
 backward, one tape record each: a GRU step (`gru_cell`) and run
 (`gru_sequence`), a teacher-forced sentence (`sentence_log_prob`), the
 selector's soft steps (`soft_select`) and an attention read (`attention`).
-All but `gru_cell` take a row axis, so a minibatch runs as rows on one tape
-and tape-free batched inference runs the same ops. At one row their values
-are bitwise the composed ops'; gradients agree to rounding.
+All but `gru_cell` take a row axis, and the sentence and the attention read
+a leading pair axis too: a minibatch runs as rows on one tape, a ranked
+one's stories and negatives as the pair's halves, and tape-free inference
+runs the same ops. At one row, and per half, their values are bitwise the
+composed ops'; gradients agree to rounding.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,6 +131,10 @@ class Tape:
     def __len__(self):
         return len(self._records)
 
+    def counts(self):
+        """Records per op kind, each named by the op that made its backward."""
+        return Counter(back.__qualname__.split(".")[0] for _, back in self._records)
+
 
 _TAPE_STACK = []
 
@@ -229,12 +236,14 @@ def gru_update(x, h, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
 
 
 def gru_run(xs, h0, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, reverse=False):
-    """A GRU over R rows of T inputs, xs (T, R, d_in), from h0 (R, d_h). The
-    input products are made once for the run; only the recurrence steps.
-    State t follows input t; `reverse` reads the inputs from the last. With
-    R = 1 each product is a vector-matrix one, so the states are bitwise
-    `gru_update`'s. Returns the states and z, r, cand gates, each (T, R, d_h)."""
-    hs = np.empty(xs.shape[:2] + h0.shape[-1:])
+    """A GRU over R rows of T inputs, xs (T, R, d_in), from h0 (R, d_h), or
+    with a leading pair axis, xs (T, 2, R, d_in) from (2, R, d_h). The input
+    products are made once for the run; only the recurrence steps. State t
+    follows input t; `reverse` reads the inputs from the last. Products are
+    per (R, .) block, so each half is bitwise a run over its rows alone, and
+    at R = 1 the states are `gru_update`'s. Returns the states and z, r, cand
+    gates, each shaped as xs with d_h last."""
+    hs = np.empty(xs.shape[:-1] + h0.shape[-1:])
     zr, cand = np.empty((len(xs), 2) + hs.shape[1:]), np.empty_like(hs)
     pre = np.empty(zr.shape[1:])  # both gates' pre-activations, one sigmoid call
     xz, xr, xh = xs @ w_z, xs @ w_r, xs @ w_h
@@ -511,11 +520,11 @@ def reshape(a, shape):
 
 
 def row(m, i, axis=0):
-    """Select index i along one axis (the first by default) of a tensor of at
-    least two axes; the gradient scatters back into that slice."""
+    """Select index i along one axis (the first by default) of a tensor; the
+    gradient scatters back into that slice. From a vector it is a scalar."""
     m = _as_tensor(m)
-    if m.data.ndim < 2:
-        raise DimensionError(f"row: needs at least a matrix, got shape {m.data.shape}")
+    if m.data.ndim < 1:
+        raise DimensionError("row: needs at least a vector, got a scalar")
     if not isinstance(i, (int, np.integer)) or not 0 <= i < m.data.shape[axis]:
         raise IndexError(f"row index {i} out of range for shape {m.data.shape}")
     at = (slice(None),) * (axis % m.data.ndim) + (int(i),)
@@ -643,9 +652,9 @@ def _gru_weight_grads(weights, x, hp, r, gates):
 
 
 def _gru_run_back(x, h0, run, weights, g_states, reverse, need_x):
-    """Backpropagation through time of a `gru_run` over x (T, R, d_in) from
-    the array h0 (R, d_h), whose states get g_states (T, R, d_h) from outside.
-    Returns the gradient of h0 and, when `need_x`, of x."""
+    """Backpropagation through time of a `gru_run` over x (T, ..., d_in) from
+    the array h0 (..., d_h), whose states get g_states (T, ..., d_h) from
+    outside. Returns the gradient of h0 and, when `need_x`, of x."""
     hs, z, r, cand = run
     if reverse:
         x, hs, z, r, cand, g_states = (a[::-1] for a in (x, hs, z, r, cand, g_states))
@@ -697,21 +706,24 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
     """One teacher-forced decoder sentence as one op: from state h0 (d_g,),
     the GRU `cell` reads [table[w], g] for each input word w, and each
     state's log-softmax of `state @ proj_w + proj_b` picks its target. The
-    log-probs are added into `total` (a scalar Tensor, or None) one by one,
-    so the sum is bitwise the word-by-word one. Returns (total, final state).
+    log-probs are added into `total` (a scalar Tensor, or None) in word
+    order, bitwise the word-by-word sum. Returns (total, final state).
 
     Over R rows, h0 is (R, d_g), g (R, k), `total` (R,) or None, and words
-    and targets hold one list per row, or one that every row reads. Shorter
-    rows are padded and masked (padded steps get exactly zero gradient); a
-    row's final state follows its last word, or is h0 for an empty row.
+    and targets hold one list per row, or one that every row reads. With a
+    leading pair axis, h0 is (2, R, d_g), g (2, R, k) or (R, k) read by both
+    halves, `total` (2, R), and the lists 2R, the first half's first; each
+    half is bitwise a call over its rows alone. Shorter rows, also across
+    halves, are padded and masked (padded steps get exactly zero gradient);
+    a row's final state follows its last word, or is h0 for an empty row.
 
     The record is keyed on the total, and the state's gradient is read when
     the total's backward runs: a caller that uses the state uses the total."""
     h0, g = _as_tensor(h0), _as_tensor(g)
     vocab, d_w = table.data.shape
-    rows = h0.data.ndim == 2
-    count = len(h0.data) if rows else 1
-    per_row = rows and bool(words) and isinstance(words[0], list)
+    lead = h0.data.shape[:-1] or (1,)  # (R,), or (2, R) with the pair axis
+    count = math.prod(lead)
+    per_row = h0.data.ndim > 1 and bool(words) and isinstance(words[0], list)
     seqs = [*words, *targets] if per_row else [words, targets]
     lengths, half = [len(seq) for seq in seqs], len(seqs) // 2
     if (len(seqs) != 2 * (count if per_row else 1) or lengths[:half] != lengths[half:]
@@ -724,56 +736,62 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
         bad = next(i for seq in seqs for i in seq
                    if not isinstance(i, (int, np.integer)) or not 0 <= i < vocab)
         raise IndexError(f"sentence_log_prob: token id {bad} out of range for vocab {vocab}")
-    ids = ids.reshape(2, -1, steps).transpose(0, 2, 1)  # (2, T, R), or (2, T, 1) read by all
-    padded = min(lengths) < steps
-    lengths = np.array(lengths[:half] * (count // half))  # one per row
-    live = np.arange(steps)[:, None] < lengths  # (T, R): False at padded steps
+    # (2, T, *lead), or (2, T, 1, ...) for one sentence that every row reads
+    ids = ids.reshape((2,) + (lead if per_row else (1,) * len(lead)) + (steps,))
+    ids = ids.transpose(0, -1, *range(1, len(lead) + 1))
+    padded = min(lengths) < steps  # only then do rows, or halves, differ in length
+    lengths = np.reshape(lengths[:half], lead) if padded else None
     weights = [t for _, t in cell.named()]
-    start = h0.data.reshape(count, -1)
-    x = np.empty((steps, count, d_w + g.data.shape[-1]))
-    x[:, :, :d_w] = table.data[ids[0]]
-    x[:, :, d_w:] = g.data.reshape(count, -1)
+    start = h0.data.reshape(lead + (-1,))
+    x = np.empty((steps,) + lead + (d_w + g.data.shape[-1],))
+    x[..., :d_w] = table.data[ids[0]]
+    x[..., d_w:] = g.data
     run = gru_run(x, start, *(w.data for w in weights))
     y = log_softmax_array(run[0] @ proj_w.data + proj_b.data)
-    steps_idx, rows_idx = np.arange(steps)[:, None], np.arange(count)
-    picked = y[steps_idx, rows_idx, ids[1]]
-    picked[~live] = 0.0
-    value = np.zeros(count) if total is None else total.data.reshape(count)
-    for lp in picked:
-        value = value + lp
+    at = tuple(np.arange(n).reshape((-1,) + (1,) * (len(lead) - i))
+               for i, n in enumerate((steps,) + lead)) + (ids[1],)  # each step's targets
+    picked = y[at]
+    if padded:
+        picked[at[0] >= lengths] = 0.0
+    if total is not None:
+        picked[0] += total.data.reshape(lead)
+    value = np.add.accumulate(picked)[-1]  # sequential: bitwise the word-by-word sum
     end = run[0][-1] if not padded else np.where(
-        (lengths > 0)[:, None], run[0][np.maximum(lengths - 1, 0), rows_idx], start)
+        (lengths > 0)[..., None], run[0][(np.maximum(lengths - 1, 0),) + at[1:-1]], start)
     inputs = (h0, g, table, proj_w, proj_b, *weights) + (() if total is None else (total,))
-    out = _out(value if rows else value.reshape(()), *inputs)
-    h = _out(end if rows else end[0], *inputs)
+    out, h = Tensor(value.reshape(h0.data.shape[:-1])), Tensor(end.reshape(h0.data.shape))
+    out.requires_grad = h.requires_grad = _recording(*inputs)
     if out.requires_grad:
         def back():
-            g_out = out.grad.reshape(count)
+            g_out = out.grad.reshape(lead)
             if total is not None and total.requires_grad:
                 _accum(total, out.grad)
-            g_logits = np.exp(y) * -g_out[:, None]
-            g_logits[steps_idx, rows_idx, ids[1]] += g_out
-            g_logits[~live] = 0.0
+            ends = lengths if padded else np.full(lead, steps)
+            g_logits = np.exp(y) * -g_out[..., None]
+            g_logits[at] += g_out
+            g_logits[at[0] >= ends] = 0.0
             if proj_b.requires_grad:
                 _accum(proj_b, _flat(g_logits).sum(axis=0))
             if proj_w.requires_grad:
                 _accum(proj_w, _flat(run[0]).T @ _flat(g_logits))
             g_states = g_logits @ proj_w.data.T
-            g_end = np.zeros_like(start) if h.grad is None else h.grad.reshape(count, -1)
-            ended = np.flatnonzero(lengths)
-            g_states[lengths[ended] - 1, ended] += g_end[ended]
+            g_end = np.zeros_like(start) if h.grad is None else h.grad.reshape(start.shape)
+            ended = np.nonzero(ends)
+            g_states[(ends[ended] - 1,) + ended] += g_end[ended]
             g_h0, g_x = _gru_run_back(x, start, run, weights, g_states, False,
                                       g.requires_grad or table.requires_grad)
             if h0.requires_grad:  # an empty row hands its state on unchanged
-                _accum(h0, (g_h0 + np.where((lengths > 0)[:, None], 0.0, g_end))
+                _accum(h0, (g_h0 + np.where((ends > 0)[..., None], 0.0, g_end))
                        .reshape(h0.data.shape))
             if g.requires_grad:
-                _accum(g, g_x[:, :, d_w:].sum(axis=0).reshape(g.data.shape))
+                g_g = g_x[..., d_w:].sum(axis=0)
+                shared = g.data.ndim < h0.data.ndim  # one g read by both halves
+                _accum(g, (g_g.sum(axis=0) if shared else g_g).reshape(g.data.shape))
             if table.requires_grad:
                 if table.grad is None:
                     table.grad = np.zeros_like(table.data)
                 # a repeated word adds twice
-                np.add.at(table.grad, np.broadcast_to(ids[0], g_x.shape[:2]), g_x[:, :, :d_w])
+                np.add.at(table.grad, np.broadcast_to(ids[0], g_x.shape[:-1]), g_x[..., :d_w])
         _rec(out, back)
     return out, h
 
@@ -867,12 +885,17 @@ def soft_select(v, cell, mlp, steps):
 def attention(h, v, mlp):
     """Soft attention as one op: softmax weights alpha over mlp([h, v_i]) for
     the photos of v (n, k) from the state h (d,); returns alpha @ v as a
-    Tensor and alpha as an array. Over R rows h is (R, d) and v (R, n, k)."""
+    Tensor and alpha as an array. Over R rows h is (R, d) and v (R, n, k);
+    with a leading pair axis h is (2, R, d), both halves read v, each
+    bitwise as if alone, and v's gradient sums over the pair."""
     h, v = _as_tensor(h), _as_tensor(v)
-    if v.data.ndim != h.data.ndim + 1 or v.data.shape[:-2] != h.data.shape[:-1]:
+    paired = h.data.ndim == v.data.ndim == 3
+    if v.data.shape[:-2] != h.data.shape[paired:-1] or v.data.ndim != h.data.ndim + 1 - paired:
         raise DimensionError(f"attention: state {h.data.shape} does not fit photos {v.data.shape}")
     layers = mlp.layers
     hd, vd = h.data.reshape(-1, h.data.shape[-1]), v.data.reshape((-1,) + v.data.shape[-2:])
+    if paired:
+        vd = np.concatenate([vd] * len(h.data))
     acts = _mlp_run(layers, _scored_pairs(hd, vd))
     alpha = softmax_array(acts[-1][..., 0], axis=1)
     out = _out((alpha[:, None] @ vd)[:, 0].reshape(h.data.shape[:-1] + vd.shape[-1:]),
@@ -886,10 +909,12 @@ def attention(h, v, mlp):
             if h.requires_grad:
                 _accum(h, d_feats[..., :hd.shape[1]].sum(axis=1).reshape(h.data.shape))
             if v.requires_grad:
-                _accum(v, (d_feats[..., hd.shape[1]:] + alpha[..., None] * d_out[:, None])
-                       .reshape(v.data.shape))
+                d_v = d_feats[..., hd.shape[1]:] + alpha[..., None] * d_out[:, None]
+                if paired:
+                    d_v = d_v.reshape((-1,) + v.data.shape).sum(axis=0)
+                _accum(v, d_v.reshape(v.data.shape))
         _rec(out, back)
-    return out, alpha.reshape(v.data.shape[:-1])
+    return out, alpha.reshape(h.data.shape[:-1] + vd.shape[1:2])
 
 
 # ---------------------------------------------------------------------------

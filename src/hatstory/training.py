@@ -20,7 +20,7 @@ import numpy as np
 from .data import SENTENCES_PER_STORY, Story, validate_story
 from .errors import ConfigurationError, ContractError, NumericDomainError
 from .model import VARIANTS, check_int, check_number, conditioner, encode_album, story_log_prob
-from .tensor import Rng, Tape, backward, neg, relu, sum_all
+from .tensor import Rng, Tape, backward, neg, relu, reshape, row, sum_all
 
 
 @dataclass
@@ -74,22 +74,12 @@ class TrainConfig:
         return asdict(self)
 
 
-def variant_log_probs(params, features, stories, variant="hier"):
-    """Teacher-forced log-probabilities of several stories about one album
-    under one model variant.
-
-    The album is encoded once and conditioned on once (one selection for
-    the full model, one projection for the flat baseline), then every story
-    is scored against that shared result. The full model scores under soft
-    selection (the latent path used in training and retrieval). Over (A, n, k)
-    album rows, each entry of `stories` lists one story per row."""
-    condition, _ = conditioner(params, encode_album(params, features), variant)
-    return [story_log_prob(params, condition, story) for story in stories]
-
-
 def variant_log_prob(params, features, story, variant="hier"):
-    """Teacher-forced story log-probability under one model variant."""
-    return variant_log_probs(params, features, [story], variant)[0]
+    """Teacher-forced log-probability of `story`, as `story_log_prob` takes
+    it, under one model variant, from one encoding and conditioning of the
+    album; the full model selects softly, as in training and retrieval."""
+    condition, _ = conditioner(params, encode_album(params, features), variant)
+    return story_log_prob(params, condition, story)
 
 
 def ranking_loss(log_p_pos, log_p_neg, margin):
@@ -128,17 +118,21 @@ def make_negative(story, rng):
 def combined_loss(params, features, story, negative, cfg):
     """(total, generation part, ranking part). `negative` may be None when
     rank_weight is 0, in which case the op sequence is exactly the
-    generation loss. Otherwise the story and its negative share one album
-    encoding and conditioning. Over (A, n, k) album rows, `story` and
-    `negative` list one story per row and each part is (A,)."""
+    generation loss. Otherwise one encoding and conditioning of the album
+    serve one decoder pass over the pair (story, negative), whose (2, A)
+    total splits into log p(S) and log p(S'). Over (A, n, k) album rows,
+    `story` and `negative` list one story per row and each part is (A,)."""
     if cfg.rank_weight == 0.0:
         gen = neg(variant_log_prob(params, features, story, cfg.variant))
         return gen, gen, None
     if negative is None:
         raise ContractError("combined_loss: rank_weight > 0 needs a negative story")
-    log_p_pos, log_p_neg = variant_log_probs(
-        params, features, [story, negative], cfg.variant
-    )
+    rows = np.ndim(features) == 3
+    both = variant_log_prob(params, features if rows else np.asarray(features)[None],
+                            (story, negative) if rows else ([story], [negative]), cfg.variant)
+    if not rows:
+        both = reshape(both, (2,))
+    log_p_pos, log_p_neg = row(both, 0), row(both, 1)
     gen = neg(log_p_pos)
     rank = ranking_loss(log_p_pos, log_p_neg, cfg.margin)
     return gen + cfg.rank_weight * rank, gen, rank

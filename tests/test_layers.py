@@ -570,6 +570,87 @@ def test_sentence_log_prob_rows_errors():
         sentence_log_prob(None, h0, g, [[1], [1.0]], [[2], [2]], *decoder)
 
 
+# ---------------------------------------------------------------------------
+# a leading pair axis: two sentences per row in one op, each half bitwise a
+# call over its rows alone
+
+
+def _pair_story(op, h0, g, g_pair, sentences, carry):
+    """Two sentences chained as a story does, scored by `op(total, h0, g,
+    words, targets)`; the second reads its own g per half and starts from the
+    first's state, or afresh from h0 when `carry` is off. A sentence whose
+    rows are all empty is skipped, as `story_log_prob` skips it."""
+    total, h = None, h0
+    for g_t, (words, targets) in zip((g, g_pair), sentences):
+        h = h if carry else h0
+        if any(targets):
+            total, h = op(total, h, g_t, words, targets)
+    return total, h
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("carry", [True, False])
+def test_sentence_log_prob_pair_axis_is_two_calls_bitwise(count, carry):
+    rng = Rng(90 + count + 2 * carry)
+    decoder = _decoder(rng)
+    # each sentence's story lengths, then its negative's: a negative longer
+    # than its story pads across halves, and an empty story sentence is
+    # scored by its negative only
+    lengths = ([([3], [5]), ([0], [2])] if count == 1 else
+               [([3, 0, 2], [1, 5, 0]), ([2, 4, 1], [4, 2, 3])])
+    sentences = [[_row_sentences(rng, ls) for ls in sentence] for sentence in lengths]
+    h0 = Tensor(rng.uniform(-1, 1, (2, count, 3)), requires_grad=True)
+    g = Tensor(rng.uniform(-1, 1, (count, 3)), requires_grad=True)
+    g_pair = Tensor(rng.uniform(-1, 1, (2, count, 3)), requires_grad=True)
+    tensors = [t for _, t in decoder[1].named()] + [decoder[0], *decoder[2:], h0, g, g_pair]
+    op = lambda total, h, g_t, words, targets: sentence_log_prob(total, h, g_t, words, targets,
+                                                                 *decoder)
+
+    def paired():
+        joined = [tuple(a + b for a, b in zip(*halves)) for halves in sentences]
+        total, h = _pair_story(op, h0, g, g_pair, joined, carry)
+        return sum_all(total) + sum_all(mul(h, h)), [total, h]
+
+    def apart():
+        # one example is scored row-free, as a single story is
+        squeeze = (lambda t: reshape(t, t.shape[1:])) if count == 1 else (lambda t: t)
+        one = (lambda ws: ws[0]) if count == 1 else (lambda ws: ws)
+        results = []
+        for i in (0, 1):
+            halves = [(one(half[i][0]), one(half[i][1])) for half in sentences]
+            results.append(_pair_story(op, squeeze(row(h0, i)), squeeze(g),
+                                       squeeze(row(g_pair, i)), halves, carry))
+        (t_0, h_0), (t_1, h_1) = results
+        loss = sum_all(t_0) + sum_all(t_1) + sum_all(mul(h_0, h_0)) + sum_all(mul(h_1, h_1))
+        return loss, [t_0, t_1, h_0, h_1]
+
+    found, expected = _values_and_grads(paired, tensors), _values_and_grads(apart, tensors)
+    for a, b in ((found[0][0], expected[0][:2]), (found[0][1], expected[0][2:])):
+        assert np.array_equal(a, np.reshape(b, a.shape))
+    for a, b in zip(found[1], expected[1]):
+        assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_sentence_log_prob_pair_axis_gradcheck(count):
+    rng = Rng(95 + count)
+    table, cell, proj_w, proj_b = _decoder(rng)
+    lengths = [2, 5] if count == 1 else [2, 4, 0, 3, 1, 5]  # the stories' rows, then negatives'
+    words, targets = _row_sentences(rng, lengths)
+    g = Tensor(rng.uniform(-1, 1, (count, 3)), requires_grad=True)
+    h0 = Tensor(rng.uniform(-1, 1, (2, count, 3)), requires_grad=True)
+    start = Tensor(rng.uniform(-5, -1, (2, count)), requires_grad=True)
+    weight = Tensor(rng.uniform(-1, 1, (2, count, 3)))
+
+    def fn(*ts):
+        total, h = sentence_log_prob(start, h0, g, words, targets, table, cell, proj_w, proj_b)
+        return sum_all(mul(total, total)) + _pair_loss(h, weight)
+
+    tensors = [t for _, t in cell.named()] + [table, proj_w, proj_b, g, h0, start]
+    report = grad_check(fn, tensors, tol=1e-5)
+    assert report.passed, report.per_param
+
+
 def _selector(rng, k=4, d_s=3):
     cell = _perturbed_cell(rng, k, d_s)
     head = MlpParams.create(rng, [d_s + k, d_s + k, 1])
@@ -665,3 +746,38 @@ def test_attention_rows_gradcheck(count):
     assert report.passed, report.per_param
     with pytest.raises(DimensionError, match="attention"):
         attention(h, Tensor(v.data[0]), head)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_attention_pair_axis_shares_the_photos(count):
+    """Both halves of h (2, R, d) read v (R, n, k): each half's values are
+    bitwise a call of its own, and v's gradient sums over the pair."""
+    rng = Rng(85 + count)
+    head = MlpParams.create(rng, [7, 7, 1])
+    h = Tensor(rng.uniform(-1, 1, (2, count, 3)), requires_grad=True)
+    v = Tensor(rng.uniform(-1, 1, (count, 5, 4)), requires_grad=True)
+    weight = Tensor(rng.uniform(-1, 1, (2, count, 4)))
+    tensors = [t for _, t in head.named()] + [h, v]
+    alphas = []
+
+    def paired():
+        out, alpha = attention(h, v, head)
+        alphas.append(alpha)
+        return _pair_loss(out, weight), [out]
+
+    def apart():
+        halves = [attention(row(h, i), v, head) for i in (0, 1)]
+        alphas.append(np.stack([alpha for _, alpha in halves]))
+        loss = sum(_pair_loss(out, row(weight, i)) for i, (out, _) in enumerate(halves))
+        return loss, [out for out, _ in halves]
+
+    found, expected = _values_and_grads(paired, tensors), _values_and_grads(apart, tensors)
+    assert np.array_equal(found[0][0], np.stack(expected[0]))
+    assert np.array_equal(alphas[0], alphas[1]) and alphas[0].shape == (2, count, 5)
+    for a, b in zip(found[1], expected[1]):
+        assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
+    report = grad_check(lambda *ts: _pair_loss(attention(h, v, head)[0], weight),
+                        [t for _, t in head.named()[:-1]] + [h, v], tol=1e-5)
+    assert report.passed, report.per_param
+    with pytest.raises(DimensionError, match="attention"):
+        attention(h, Tensor(rng.uniform(-1, 1, (count + 1, 5, 4))), head)

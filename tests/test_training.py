@@ -12,7 +12,7 @@ from hatstory.diagnostics import toy_instance
 from hatstory.errors import ConfigurationError, ContractError
 from hatstory.model import ModelDims, init_model
 from hatstory import model, training
-from hatstory.tensor import Rng, Tensor, Tape, backward, grad_check, neg
+from hatstory.tensor import Rng, Tensor, Tape, backward, grad_check, neg, sum_all
 from hatstory.training import (
     VARIANTS,
     AdamState,
@@ -217,8 +217,12 @@ def test_ranked_acceptance_example_encodes_and_selects_once(monkeypatch):
     # per example: 2,794 records when every op was recorded separately and
     # the album was conditioned on twice, 552 with fused GRU steps and word
     # ops, 112 with one op per encoder direction and per sentence; 28 for
-    # the whole batch with its examples as rows
-    assert len(tape) <= 30
+    # the whole batch with its examples as rows, 25 with each story and its
+    # negative decoded in one pass
+    assert len(tape) <= 25
+    counts = tape.counts()
+    assert sum(counts.values()) == len(tape)
+    assert (counts["sentence_log_prob"], counts["gru_sequence"], counts["soft_select"]) == (5, 2, 1)
 
 
 def test_batch_records_no_more_tape_entries_than_one_example():
@@ -254,6 +258,32 @@ def mixed_batch(variant, rank_weight, carry_state):
     rng = Rng(4)
     negatives = [make_negative(s, rng) for _, s in pairs] if rank_weight > 0 else None
     return params, pairs, negatives, cfg
+
+
+def two_pass_combined_loss(params, features, stories, negatives, cfg):
+    """The ranked objective over album rows with the stories and their
+    negatives scored as two row sets against one conditioning."""
+    condition, _ = model.conditioner(params, model.encode_album(params, features), cfg.variant)
+    log_p_pos, log_p_neg = (model.story_log_prob(params, condition, s) for s in (stories, negatives))
+    return neg(log_p_pos) + cfg.rank_weight * ranking_loss(log_p_pos, log_p_neg, cfg.margin)
+
+
+@pytest.mark.parametrize("carry_state", [True, False])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_ranked_rows_in_one_pass_match_two_row_passes(variant, carry_state):
+    params, pairs, negatives, cfg = mixed_batch(variant, 2.0, carry_state)
+    rows = [i for i, (album, _) in enumerate(pairs) if len(album.features) == 8]
+    features = np.stack([pairs[i][0].features for i in rows])
+    stories, negs = [pairs[i][1] for i in rows], [negatives[i] for i in rows]
+    per_row, grads = [], []
+    for loss_fn in (lambda *args: combined_loss(*args)[0], two_pass_combined_loss):
+        def root():
+            per_row.append(loss_fn(params, features, stories, negs, cfg))
+            return sum_all(per_row[-1])
+        grads.append(_loss_and_grads(root, params, variant)[1])
+    assert len(rows) == 3 and np.array_equal(per_row[0].data, per_row[1].data)
+    for name in grads[0]:
+        assert np.max(np.abs(grads[0][name] - grads[1][name])) <= 1e-12, name
 
 
 @pytest.mark.parametrize("carry_state", [True, False])
