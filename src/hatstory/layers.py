@@ -1,8 +1,8 @@
 """Recurrent and feed-forward building blocks: GRU weights and step, small
 MLPs, and an embedding table. Every parameter is a plain Tensor, so the
-gradient tape sees everything. A GRU step is one fused tape op
-(`tensor.gru_cell`) over the nine gate tensors; a whole GRU run is one
-`tensor.gru_sequence` op over the same `GruParams`."""
+gradient tape sees everything. A GRU step is written with one tape op per
+arithmetic step; the program runs whole GRUs as one `tensor.gru_sequence`
+op over the same `GruParams`, whose values are bitwise a `gru_step` chain's."""
 
 from __future__ import annotations
 
@@ -11,9 +11,10 @@ from dataclasses import dataclass
 from .errors import ContractError, DimensionError
 from .tensor import (
     Tensor,
-    gru_cell,
     matmul,
+    mul,
     seeded_init,
+    sigmoid,
     tanh,
     tile_rows,
     vecmat,
@@ -66,7 +67,7 @@ class GruParams:
     @classmethod
     def create(cls, rng, d_in, d_h):
         """Xavier weights, zero biases."""
-        w = lambda shape: seeded_init(rng, shape, "xavier")
+        w = lambda shape: seeded_init(rng, shape)
         return cls(
             w_z=w((d_in, d_h)), w_r=w((d_in, d_h)), w_h=w((d_in, d_h)),
             u_z=w((d_h, d_h)), u_r=w((d_h, d_h)), u_h=w((d_h, d_h)),
@@ -77,10 +78,12 @@ class GruParams:
 
 
 def gru_step(params, x, h):
-    """One GRU update (the formula is in `tensor.gru_cell`), recorded as a
-    single tape entry."""
-    p = params
-    return gru_cell(x, h, p.w_z, p.w_r, p.w_h, p.u_z, p.u_r, p.u_h, p.b_z, p.b_r, p.b_h)
+    """One GRU update of the state h (d_h,) from the input x (d_in,), the
+    formula of `tensor.gru_update` in composed ops."""
+    z = sigmoid(vecmat(x, params.w_z) + vecmat(h, params.u_z) + params.b_z)
+    r = sigmoid(vecmat(x, params.w_r) + vecmat(h, params.u_r) + params.b_r)
+    cand = tanh(vecmat(x, params.w_h) + vecmat(mul(r, h), params.u_h) + params.b_h)
+    return (1.0 - z) * h + z * cand
 
 
 @dataclass
@@ -117,7 +120,7 @@ class MlpParams:
         layers = []
         for a, b in zip(sizes, sizes[1:]):
             layers.append(
-                (seeded_init(rng, (a, b), "xavier"), zeros(b, requires_grad=True))
+                (seeded_init(rng, (a, b)), zeros(b, requires_grad=True))
             )
         return cls(layers)
 
@@ -148,5 +151,5 @@ class EmbeddingTable:
 
     @classmethod
     def create(cls, rng, vocab_size, width):
-        return cls(seeded_init(rng, (vocab_size, width), "xavier"))
+        return cls(seeded_init(rng, (vocab_size, width)))
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import BOS_ID, EOS_ID, Story
 from .errors import ConfigurationError, ContractError, DimensionError
-from .layers import EmbeddingTable, GruParams, MlpParams, gru_step, mlp
+from .layers import EmbeddingTable, GruParams, MlpParams, mlp
 from .tensor import (
     Tensor,
     attention,
@@ -33,18 +33,11 @@ from .tensor import (
     gru_update,
     log_softmax_array,
     matmul,
-    mul,
     relu,
-    reshape,
     row,
     seeded_init,
     sentence_log_prob,
-    sigmoid,
     soft_select,
-    stack_rows,
-    sum_all,
-    tile_rows,
-    vecmat,
     zeros,
 )
 
@@ -183,9 +176,9 @@ def init_model(dims, rng, carry_state=True, enc_init_gain=1.0):
         sel_mlp=MlpParams.create(rng, [dims.d_s + dims.k, dims.d_s + dims.k, 1]),
         gen_gru=GruParams.create(rng, dims.d_w + dims.k, dims.d_g),
         embedding=EmbeddingTable.create(rng, dims.vocab_size, dims.d_w),
-        proj_w=seeded_init(rng, (dims.d_g, dims.vocab_size), "xavier"),
+        proj_w=seeded_init(rng, (dims.d_g, dims.vocab_size)),
         proj_b=zeros(dims.vocab_size, requires_grad=True),
-        encdec_w=seeded_init(rng, (dims.k, dims.k), "xavier"),
+        encdec_w=seeded_init(rng, (dims.k, dims.k)),
         encdec_b=zeros(dims.k, requires_grad=True),
         attn_mlp=MlpParams.create(rng, [dims.d_g + dims.k, dims.d_g + dims.k, 1]),
         carry_state=carry_state,
@@ -245,53 +238,22 @@ def encode_album(params, features):
 class SelectionResult:
     probs: Tensor  # (T, n), or (A, T, n) over album rows; each row sums to 1
     g: Tensor  # (T, k) or (A, T, k); row t equals probs[t] @ V
-
-    @functools.cached_property
-    def indices(self):
-        """One album's T photo indices: each step's argmax among the photos
-        not taken yet (all once every one is), ties to the lower index."""
-        chosen = []
-        for p in self.probs.data.tolist():
-            free = [i for i in range(len(p)) if i not in chosen] or range(len(p))
-            chosen.append(min(free, key=lambda i: (-p[i], i)))
-        return chosen
-
-
-def select_step(params, v_matrix, prev_g, state, excluded=None):
-    """One selector step.
-
-    state' = gru(prev_g, state); raw_i = sigmoid(mlp([state', v_i])); the
-    raw scores (zeroed where `excluded`) renormalize to a distribution.
-    Returns (p, state'). `excluded` is a boolean mask, True = unavailable.
-    """
-    n = v_matrix.shape[0]
-    if excluded is not None and bool(np.all(excluded)):
-        raise ContractError("select_step: every photo is masked")
-    state = gru_step(params.sel_gru, prev_g, state)
-    feats = concat([tile_rows(state, n), v_matrix], axis=1)
-    raw = sigmoid(reshape(mlp(params.sel_mlp, feats), (n,)))
-    if excluded is not None and bool(np.any(excluded)):
-        raw = mul(raw, Tensor((~np.asarray(excluded)).astype(np.float64)))
-    p = raw / sum_all(raw)
-    return p, state
+    indices: list  # the T chosen photo indices, or one such list per album row
 
 
 def select_summary(params, enc, mode, oracle_indices=None):
     """Run T selection steps in one of the three modes.
 
-    The first step attends from the mean photo representation; afterwards
-    the attended summary g_t feeds the next step. Indices are chosen
-    greedily distinct (argmax among photos not yet taken, ties to the lower
-    index); in hard mode the mask also zeroes taken photos' probability.
-    Soft mode is one `soft_select` op and also takes album rows.
+    Soft and hard mode are one `soft_select` op, which also takes album
+    rows: the first step attends from the mean photo representation and
+    afterwards the attended summary g_t feeds the next step. Its picks,
+    greedily distinct, are the indices; in hard mode the photos picked
+    before a step also get probability 0 in it.
     """
     if mode not in SELECTION_MODES:
         raise ContractError(f"select_summary: unknown mode {mode!r}")
     t_steps = params.dims.t_steps
     n = enc.n
-    if mode == "soft":
-        g, probs = soft_select(enc.v, params.sel_gru, params.sel_mlp, t_steps)
-        return SelectionResult(probs=Tensor(probs), g=g)
     if mode == "oracle":
         idx = list(oracle_indices or [])
         if len(idx) != t_steps or len(set(idx)) != t_steps:
@@ -303,24 +265,13 @@ def select_summary(params, enc, mode, oracle_indices=None):
         one_hot = np.zeros((t_steps, n))
         one_hot[np.arange(t_steps), idx] = 1.0
         probs = Tensor(one_hot)
-        return SelectionResult(probs=probs, g=matmul(probs, enc.v))
-    if n < t_steps:
+        return SelectionResult(probs=probs, g=matmul(probs, enc.v), indices=idx)
+    if mode == "hard" and n < t_steps:
         raise ContractError(
             f"select_summary: hard mode needs at least {t_steps} photos, album has {n}"
         )
-    state, prev_g = zeros(params.dims.d_s), vecmat(Tensor(np.full(n, 1.0 / n)), enc.v)
-    chosen, rows_p = [], []
-    for _ in range(t_steps):
-        excluded = None
-        if chosen:
-            excluded = np.zeros(n, dtype=bool)
-            excluded[chosen] = True
-        p, state = select_step(params, enc.v, prev_g, state, excluded)
-        chosen.append(min((i for i in range(n) if i not in chosen), key=lambda i: (-p.data[i], i)))
-        rows_p.append(p)
-        prev_g = vecmat(p, enc.v)
-    probs = stack_rows(rows_p)
-    return SelectionResult(probs=probs, g=matmul(probs, enc.v))
+    g, probs, picks = soft_select(enc.v, params.sel_gru, params.sel_mlp, t_steps, mode == "hard")
+    return SelectionResult(probs=Tensor(probs), g=g, indices=picks)
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,14 @@ broadcasting allowed is scalar-with-tensor, and every other alignment
 
 Per-op Python dispatch, not arithmetic, sets the speed of these small
 models, so the hottest compositions are fused ops with a hand-written
-backward, one tape record each: a GRU step (`gru_cell`) and run
-(`gru_sequence`), a teacher-forced sentence (`sentence_log_prob`), the
-selector's soft steps (`soft_select`) and an attention read (`attention`).
-All but `gru_cell` take a row axis, and the sentence and the attention read
-a leading pair axis too: a minibatch runs as rows on one tape, a ranked
-one's stories and negatives as the pair's halves, and tape-free inference
-runs the same ops. At one row, and per half, their values are bitwise the
-composed ops'; gradients agree to rounding.
+backward, one tape record each: a GRU run (`gru_sequence`), a
+teacher-forced sentence (`sentence_log_prob`), the selector's steps in soft
+or hard mode (`soft_select`) and an attention read (`attention`). All take
+a row axis, and the sentence and the attention read a leading pair axis
+too: a minibatch runs as rows on one tape, a ranked one's stories and
+negatives as the pair's halves, and tape-free inference runs the same ops.
+At one row, and per half, their values are bitwise the composed ops';
+gradients agree to rounding.
 """
 
 from __future__ import annotations
@@ -225,14 +225,16 @@ def log_softmax_array(x, axis=-1):
 
 def gru_update(x, h, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
     """One GRU update on arrays: x (d_in,) or (B, d_in), h (d_h,) or
-    (B, d_h). Returns (h', z, r, r * h, cand, 1 - z); the last five are what
-    `gru_cell`'s backward needs."""
+    (B, d_h). Returns (h', z, r, cand), with
+
+    z = sigmoid(x W_z + h U_z + b_z)
+    r = sigmoid(x W_r + h U_r + b_r)
+    cand = tanh(x W_h + (r * h) U_h + b_h)
+    h' = (1 - z) * h + z * cand"""
     z = sigmoid_array(x @ w_z + h @ u_z + b_z)
     r = sigmoid_array(x @ w_r + h @ u_r + b_r)
-    rh = r * h
-    cand = np.tanh(x @ w_h + rh @ u_h + b_h)
-    omz = 1.0 - z
-    return omz * h + z * cand, z, r, rh, cand, omz
+    cand = np.tanh(x @ w_h + (r * h) @ u_h + b_h)
+    return (1.0 - z) * h + z * cand, z, r, cand
 
 
 def gru_run(xs, h0, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, reverse=False):
@@ -552,71 +554,6 @@ def sum_all(a):
 # fused ops: one tape record for what would otherwise be many small ones
 
 
-def gru_cell(x, h, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
-    """One GRU update as a single op with a hand-written backward.
-
-    z = sigmoid(x W_z + h U_z + b_z)
-    r = sigmoid(x W_r + h U_r + b_r)
-    cand = tanh(x W_h + (r * h) U_h + b_h)
-    h' = (1 - z) * h + z * cand
-
-    x is (d_in,), h is (d_h,), w_* (d_in, d_h), u_* (d_h, d_h), b_* (d_h,).
-    Value and gradients are bitwise those of the formula written with
-    vecmat/add/sigmoid/mul/tanh: the backward adds into every input in the
-    order that composed tape would replay.
-    """
-    x, h = _as_tensor(x), _as_tensor(h)
-    d_in, d_h = w_z.data.shape
-    if x.data.shape != (d_in,) or h.data.shape != (d_h,):
-        raise DimensionError(
-            f"gru_cell: input {x.data.shape} and state {h.data.shape} do not fit "
-            f"weights ({d_in}, {d_h})"
-        )
-    xd, hd = x.data, h.data
-    h_new, z, r, rh, cand, omz = gru_update(
-        xd, hd, w_z.data, w_r.data, w_h.data, u_z.data, u_r.data, u_h.data,
-        b_z.data, b_r.data, b_h.data,
-    )
-    out = _out(h_new, x, h, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h)
-    if out.requires_grad:
-        # Replays the composed tape in reverse: the blend, the candidate, then
-        # the r and z gates. Each input's contributions are added one at a
-        # time in that order, because summing them first would round
-        # differently from the composed form.
-        def back():
-            g = out.grad
-            g_z = g * cand
-            g_z += -(g * hd)
-            if h.requires_grad:
-                _accum(h, g * omz)
-            g_c = (g * z) * (1.0 - cand * cand)
-            if b_h.requires_grad:
-                _accum(b_h, g_c)
-            g_rh = u_h.data @ g_c
-            if u_h.requires_grad:
-                _accum(u_h, rh[:, None] * g_c)
-            if h.requires_grad:
-                _accum(h, g_rh * r)
-            if x.requires_grad:
-                _accum(x, w_h.data @ g_c)
-            if w_h.requires_grad:
-                _accum(w_h, xd[:, None] * g_c)
-            for g_pre, w, u, b, gate in ((g_rh * hd, w_r, u_r, b_r, r), (g_z, w_z, u_z, b_z, z)):
-                g_pre = g_pre * gate * (1.0 - gate)
-                if b.requires_grad:
-                    _accum(b, g_pre)
-                if h.requires_grad:
-                    _accum(h, u.data @ g_pre)
-                if u.requires_grad:
-                    _accum(u, hd[:, None] * g_pre)
-                if x.requires_grad:
-                    _accum(x, w.data @ g_pre)
-                if w.requires_grad:
-                    _accum(w, xd[:, None] * g_pre)
-        _rec(out, back)
-    return out
-
-
 def _flat(a):
     return a.reshape(-1, a.shape[-1])
 
@@ -676,7 +613,7 @@ def gru_sequence(xs, h0, cell, reverse=False):
     """A whole GRU run as one op: row t of the (T, d_h) result is the state
     after input t of xs (T, d_in), from h0 (d_h,); `reverse` runs from the
     last input; over R rows xs is (R, T, d_in) and h0 (R, d_h). `cell` holds
-    the nine gate tensors. At one row values are a `gru_cell` chain's."""
+    the nine gate tensors. At one row values are a `layers.gru_step` chain's."""
     xs, h0 = _as_tensor(xs), _as_tensor(h0)
     weights = [t for _, t in cell.named()]
     d_in, d_h = cell.w_z.data.shape
@@ -827,31 +764,42 @@ def _scored_pairs(state, v):
     return np.concatenate([tiled, v], axis=2)
 
 
-def soft_select(v, cell, mlp, steps):
-    """The selector's `steps` soft steps as one op. From the mean photo of v
+def soft_select(v, cell, mlp, steps, hard=False):
+    """The selector's `steps` steps as one op. From the mean photo of v
     (n, k), each step runs the GRU `cell` on the last summary, scores every
     photo as sigmoid(mlp([state, v_i])) and renormalizes the scores to p_t;
-    the next step reads p_t @ v. Returns g = P @ v (steps, k) as a Tensor and
-    P (steps, n) as an array; over R rows v is (R, n, k). At one row the
-    values are bitwise `model.select_step`'s."""
+    the next step reads p_t @ v. Step t picks the argmax of p_t among the
+    photos not picked yet, ties to the lower index (every photo is free
+    again once all are picked). In `hard` mode the scores of the photos
+    picked before step t are zeroed before renormalizing. Returns g = P @ v
+    (steps, k) as a Tensor, P (steps, n) as an array and the picks as a
+    list; over R rows v is (R, n, k) and the picks are one list per row. At
+    one row the values are bitwise those of the composed steps."""
     v = _as_tensor(v)
     weights, layers = [t for _, t in cell.named()], mlp.layers
     tensors = (v, *weights, *(t for pair in layers for t in pair))
     vd = v.data.reshape((-1,) + v.data.shape[-2:])
     count, n, _ = vd.shape
     recording = _recording(*tensors)
-    saved = []  # per step: input, start state, z, r, cand, MLP activations, raw scores, their sum
+    saved = []  # per step: input, start state, z, r, cand, MLP activations, raw scores, kept sum, mask
     state = np.zeros((count, cell.w_z.data.shape[1]))
     x = (np.full((count, 1, n), 1.0 / n) @ vd)[:, 0]
     probs = np.empty((count, steps, n))
+    picks = np.empty((count, steps), dtype=int)
+    taken = np.zeros((count, n), dtype=bool)
     for t in range(steps):
-        new, z, r, _, cand, _ = gru_update(x, state, *(w.data for w in weights))
+        free = ~taken | taken.all(axis=1, keepdims=True)
+        keep = free if hard else 1.0
+        new, z, r, cand = gru_update(x, state, *(w.data for w in weights))
         acts = _mlp_run(layers, _scored_pairs(new, vd))
         raw = sigmoid_array(acts[-1][..., 0])
-        raw_sum = raw.sum(axis=1, keepdims=True)
-        p = probs[:, t] = raw / raw_sum
+        kept = raw * keep
+        raw_sum = kept.sum(axis=1, keepdims=True)
+        p = probs[:, t] = kept / raw_sum
+        picks[:, t] = np.where(free, p, -np.inf).argmax(axis=1)  # the first of equal maxima
+        taken[np.arange(count), picks[:, t]] = True
         if recording:
-            saved.append((x, state, z, r, cand, acts, raw, raw_sum))
+            saved.append((x, state, z, r, cand, acts, raw, raw_sum, keep))
         x, state = (p[:, None] @ vd)[:, 0], new
     g = probs @ vd
     out = _out(g.reshape(v.data.shape[:-2] + g.shape[1:]), *tensors)
@@ -865,10 +813,10 @@ def soft_select(v, cell, mlp, steps):
             gates = np.empty((3,) + starts.shape)
             carry, d_x = np.zeros_like(state), np.zeros_like(x)  # d_x: the next step's input
             for t in reversed(range(steps)):
-                acts, raw, raw_sum = saved[t][5:]
+                acts, raw, raw_sum, keep = saved[t][5:]
                 dp = d_p[:, t] + (d_x[:, None] @ v_t)[:, 0]  # the next step read p_t @ v
                 d_v += probs[:, t, :, None] * d_x[:, None]
-                d_raw = (dp - (dp * probs[:, t]).sum(axis=1, keepdims=True)) / raw_sum
+                d_raw = (dp - (dp * probs[:, t]).sum(axis=1, keepdims=True)) / raw_sum * keep
                 d_feats = _mlp_back(layers, acts, (d_raw * raw * (1.0 - raw))[..., None])
                 d_v += d_feats[..., state.shape[1]:]
                 carry = _gru_back_step(d_feats[..., :state.shape[1]].sum(axis=1) + carry, t,
@@ -879,7 +827,8 @@ def soft_select(v, cell, mlp, steps):
             if v.requires_grad:
                 _accum(v, d_v.reshape(v.data.shape))
         _rec(out, back)
-    return out, probs.reshape(v.data.shape[:-2] + probs.shape[1:])
+    lead = v.data.shape[:-2]
+    return out, probs.reshape(lead + probs.shape[1:]), picks.reshape(lead + (steps,)).tolist()
 
 
 def attention(h, v, mlp):
@@ -957,32 +906,18 @@ class Rng:
             raise ContractError(f"sample_distinct: cannot draw {count} from {n}")
         return sorted(int(i) for i in self._g.choice(n, size=count, replace=False))
 
-    def shuffled(self, seq):
-        return [seq[i] for i in self.permutation(len(seq))]
 
-
-def seeded_init(rng, shape, scheme="xavier", low=None, high=None, requires_grad=True):
-    """Draw an initial weight tensor.
-
-    schemes: "uniform" over [low, high); "xavier" uniform within
-    +/- sqrt(6 / (fan_in + fan_out)) where a matrix contributes
-    (rows, cols) and a vector uses its length for both fans.
-    """
+def seeded_init(rng, shape):
+    """Draw a trainable initial weight tensor, Xavier uniform within
+    +/- sqrt(6 / (fan_in + fan_out)), where a matrix contributes (rows,
+    cols) and a vector uses its length for both fans."""
     shape = tuple(int(d) for d in (shape if hasattr(shape, "__len__") else (shape,)))
     if not shape or any(d < 1 for d in shape):
         raise ContractError(f"seeded_init: invalid shape {shape}")
-    if scheme == "uniform":
-        if low is None or high is None:
-            raise ContractError("seeded_init: uniform scheme needs low and high")
-        vals = rng.uniform(low, high, shape)
-    elif scheme == "xavier":
-        fan_in = shape[0]
-        fan_out = shape[-1] if len(shape) > 1 else shape[0]
-        bound = math.sqrt(6.0 / (fan_in + fan_out))
-        vals = rng.uniform(-bound, bound, shape)
-    else:
-        raise ContractError(f"seeded_init: unknown scheme {scheme!r}")
-    return Tensor(vals, requires_grad=requires_grad)
+    fan_in = shape[0]
+    fan_out = shape[-1] if len(shape) > 1 else shape[0]
+    bound = math.sqrt(6.0 / (fan_in + fan_out))
+    return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hatstory import tensor
-from hatstory.layers import gru_step
+from hatstory.layers import gru_step, mlp
 from hatstory.tensor import Rng
 
 
@@ -41,3 +41,17 @@ def decode_word_step(params, prev_word_id, g, h):
     x = tensor.concat([tensor.row(params.embedding.table, prev_word_id), g])
     h2 = gru_step(params.gen_gru, x, h)
     return tensor.vecmat(h2, params.proj_w) + params.proj_b, h2
+
+
+def select_step(cell, head, v, prev_g, state, excluded=None):
+    """One selector step as composed ops, the reference for a step of
+    `soft_select`: state' = gru(prev_g, state), raw_i = sigmoid(head([state',
+    v_i])), zeroed where the boolean mask `excluded` is True, renormalized.
+    Returns (p, state')."""
+    n = v.shape[0]
+    state = gru_step(cell, prev_g, state)
+    feats = tensor.concat([tensor.tile_rows(state, n), v], axis=1)
+    raw = tensor.sigmoid(tensor.reshape(mlp(head, feats), (n,)))
+    if excluded is not None and excluded.any():
+        raw = tensor.mul(raw, tensor.Tensor((~excluded).astype(np.float64)))
+    return raw / tensor.sum_all(raw), state

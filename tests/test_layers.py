@@ -24,17 +24,15 @@ from hatstory.tensor import (
     reshape,
     row,
     sentence_log_prob,
-    sigmoid,
     soft_select,
     softmax,
     stack_rows,
     sum_all,
-    tanh,
     tile_rows,
     vecmat,
     zeros,
 )
-from conftest import assert_close, log_softmax_pick
+from conftest import assert_close, log_softmax_pick, select_step
 
 
 def scalar_gru(w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, x, h):
@@ -190,71 +188,11 @@ def test_mlp_and_embedding_gradients(rng):
     assert report.passed, report.max_rel_err
 
 
-# ---------------------------------------------------------------------------
-# the fused GRU step against the composed-op reference
-
-
-def composed_gru_step(params, x, h):
-    """The GRU step written with one tape op per arithmetic step, as the
-    fused op must reproduce it."""
-    z = sigmoid(vecmat(x, params.w_z) + vecmat(h, params.u_z) + params.b_z)
-    r = sigmoid(vecmat(x, params.w_r) + vecmat(h, params.u_r) + params.b_r)
-    cand = tanh(vecmat(x, params.w_h) + vecmat(mul(r, h), params.u_h) + params.b_h)
-    return (1.0 - z) * h + z * cand
-
-
 def _perturbed_cell(rng, d_in, d_h):
     cell = GruParams.create(rng, d_in, d_h)
     for _, t in cell.named():
         t.data += rng.uniform(-0.5, 0.5, t.shape)  # nonzero biases too
     return cell
-
-
-def _run_sequence(step, cell, xs, trainable_x):
-    """Unroll `step` over xs on one tape. The loss reads every state, so each
-    state's gradient sums several contributions. Returns (loss, states,
-    gradients of every tensor, tape length)."""
-    inputs = [Tensor(x, requires_grad=trainable_x) for x in xs]
-    for _, t in cell.named():
-        t.grad = None
-    with Tape() as tape:
-        h = zeros(cell.d_h)
-        states = []
-        for x in inputs:
-            h = step(cell, x, h)
-            states.append(h)
-        loss = sum_all(mul(states[-1], states[-1]))
-        for s in states[:-1]:
-            loss = loss + sum_all(mul(s, states[-1]))
-        backward(tape, loss)
-    grads = [t.grad for _, t in cell.named()]
-    if trainable_x:
-        grads += [x.grad for x in inputs]
-    return loss.data, [s.data for s in states], grads, len(tape)
-
-
-@pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("trainable_x", [True, False])
-def test_fused_gru_step_is_bitwise_equal_to_composed_ops(seed, trainable_x):
-    rng = Rng(seed)
-    d_in, d_h = 3 + seed, 2 + seed % 3
-    cell = _perturbed_cell(rng, d_in, d_h)
-    xs = [rng.uniform(-1, 1, d_in) for _ in range(4)]
-    loss_c, states_c, grads_c, _ = _run_sequence(composed_gru_step, cell, xs, trainable_x)
-    loss_f, states_f, grads_f, _ = _run_sequence(gru_step, cell, xs, trainable_x)
-    for a, b in zip(states_c, states_f):
-        assert np.array_equal(a, b)
-    assert np.array_equal(loss_c, loss_f)
-    # same accumulation order as the composed tape, so bitwise, not just close
-    for a, b in zip(grads_c, grads_f):
-        assert a.shape == b.shape and np.array_equal(a, b)
-
-
-def test_fused_gru_step_records_one_tape_entry_per_step(rng):
-    cell = GruParams.create(rng, 3, 2)
-    xs = [rng.uniform(-1, 1, 3) for _ in range(4)]
-    # 4 steps plus the loss's 2 + 3 * 3 records
-    assert _run_sequence(gru_step, cell, xs, True)[3] == 4 + 2 + 3 * 3
 
 
 def test_gru_step_gradients_with_constant_input(rng):
@@ -274,7 +212,7 @@ def test_gru_step_gradients_with_constant_input(rng):
     assert report.passed, report.per_param
 
 
-def test_fused_gru_step_rejects_wrong_widths(rng):
+def test_gru_step_rejects_wrong_widths(rng):
     cell = GruParams.create(rng, 3, 2)
     with pytest.raises(DimensionError):
         gru_step(cell, Tensor(np.ones(4)), zeros(2))
@@ -659,51 +597,65 @@ def _selector(rng, k=4, d_s=3):
     return cell, head
 
 
-def composed_soft_select(v, cell, head, steps):
-    """The selector's soft steps as composed ops over one album: the
-    reference that `soft_select` fuses."""
+def composed_select(v, cell, head, steps, hard=False):
+    """The selector's steps as composed ops over one album, the reference
+    that `soft_select` fuses: `select_step`, in hard mode excluding the
+    photos picked before, and the greedy-distinct picks. Returns (g, P,
+    picks) as `soft_select` does."""
     n = v.shape[0]
     state = zeros(cell.d_h)
     prev = vecmat(Tensor(np.full(n, 1.0 / n)), v)
-    rows_p = []
+    rows_p, chosen = [], []
     for _ in range(steps):
-        state = gru_step(cell, prev, state)
-        feats = concat([tile_rows(state, n), v], axis=1)
-        raw = sigmoid(reshape(mlp(head, feats), (n,)))
-        p = raw / sum_all(raw)
+        excluded = np.isin(np.arange(n), chosen) if hard else None
+        p, state = select_step(cell, head, v, prev, state, excluded)
+        free = [i for i in range(n) if i not in chosen] or range(n)
+        chosen.append(min(free, key=lambda i: (-p.data[i], i)))
         rows_p.append(p)
         prev = vecmat(p, v)
-    return matmul(stack_rows(rows_p), v)
+    probs = stack_rows(rows_p)
+    return matmul(probs, v), probs.data, chosen
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_soft_select_one_row_is_the_composed_steps_bitwise(seed):
+    """Both modes, albums of 5 to 8 photos."""
     rng = Rng(50 + seed)
     cell, head = _selector(rng)
-    v = Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
+    v = Tensor(rng.uniform(-1, 1, (5 + seed % 4, 4)), requires_grad=True)
     weight = Tensor(rng.uniform(-1, 1, (5, 4)))
     tensors = [t for _, t in cell.named()] + [t for _, t in head.named()] + [v]
-    fused = _values_and_grads(lambda: (lambda g: (_pair_loss(g, weight), [g]))(
-        soft_select(v, cell, head, 5)[0]), tensors)
-    composed = _values_and_grads(lambda: (lambda g: (_pair_loss(g, weight), [g]))(
-        composed_soft_select(v, cell, head, 5)), tensors)
-    assert np.array_equal(fused[0][0], composed[0][0])
-    for a, b in zip(fused[1], composed[1]):
-        assert np.max(np.abs(a - b)) <= 1e-12
-    rows, probs = soft_select(Tensor(v.data[None]), cell, head, 5)
-    assert np.array_equal(rows.data[0], fused[0][0]) and probs.shape == (1, 5, 6)
+    for hard in (False, True):
+        outs = []
+
+        def run(select):
+            outs.append(select(v, cell, head, 5, hard))
+            return _pair_loss(outs[-1][0], weight), [outs[-1][0]]
+
+        fused, composed = (_values_and_grads(lambda: run(f), tensors)
+                           for f in (soft_select, composed_select))
+        (_, probs_f, picks_f), (_, probs_c, picks_c) = outs
+        assert np.array_equal(fused[0][0], composed[0][0])
+        assert np.array_equal(probs_f, probs_c) and picks_f == picks_c
+        for a, b in zip(fused[1], composed[1]):
+            assert np.max(np.abs(a - b)) <= 1e-12
+        rows, probs, picks = soft_select(Tensor(v.data[None]), cell, head, 5, hard)
+        assert np.array_equal(rows.data[0], fused[0][0]) and np.array_equal(probs[0], probs_f)
+        assert picks == [picks_f]
 
 
 @pytest.mark.parametrize("count", [1, 3])
 def test_soft_select_rows_gradcheck(count):
+    """Both modes; in hard mode each row masks its own picks."""
     rng = Rng(60 + count)
     cell, head = _selector(rng)
     v = Tensor(rng.uniform(-2, 2, (count, 5, 4)), requires_grad=True)
     weight = Tensor(rng.uniform(-1, 1, (count, 5, 4)))
     tensors = [t for _, t in cell.named()] + [t for _, t in head.named()] + [v]
-    fn = lambda *ts: _pair_loss(soft_select(v, cell, head, 5)[0], weight)
-    report = grad_check(fn, tensors, tol=1e-5)
-    assert report.passed, report.per_param
+    for hard in (False, True):
+        fn = lambda *ts: _pair_loss(soft_select(v, cell, head, 5, hard)[0], weight)
+        report = grad_check(fn, tensors, tol=1e-5)
+        assert report.passed, (hard, report.per_param)
 
 
 def composed_attention(h, v, head):

@@ -26,7 +26,6 @@ from hatstory.model import (
     generate,
     generate_story,
     init_model,
-    select_step,
     select_summary,
     story_log_prob,
 )
@@ -46,7 +45,7 @@ from hatstory.tensor import (
     zeros,
 )
 
-from conftest import assert_close, decode_word_step, log_softmax_pick
+from conftest import assert_close, decode_word_step, log_softmax_pick, select_step
 
 
 def tiny_dims(**overrides):
@@ -117,50 +116,58 @@ def test_encode_album_input_validation():
 
 
 def test_select_step_recomputes_as_sigmoid_mlp_renormalized():
+    """Each hard step recomputed from its state: the GRU over the last
+    summary (the mean photo first), a sigmoid MLP score per photo, the
+    photos picked before zeroed, the rest renormalized."""
     params = tiny_model(seed=5)
-    rng = Rng(9)
-    enc = encode_album(params, random_features(rng, 4, 4))
-    prev_g = Tensor(rng.uniform(-1.0, 1.0, (4,)))
-    state0 = Tensor(rng.uniform(-1.0, 1.0, (3,)))
-
-    p, state1 = select_step(params, enc.v, prev_g, state0)
-
-    expected_state = gru_step(params.sel_gru, prev_g, state0)
-    assert_close(state1, expected_state)
-    raws = []
-    for i in range(4):
-        feats_i = Tensor(np.concatenate([expected_state.data, enc.v.data[i]]))
-        score = mlp(params.sel_mlp, feats_i).data.reshape(())
-        raws.append(1.0 / (1.0 + math.exp(-float(score))))
-    raws = np.array(raws)
-    assert_close(p, Tensor(raws / raws.sum()), tol=1e-12)
+    enc = encode_album(params, random_features(Rng(9), 6, 4))
+    sel = select_summary(params, enc, "hard")
+    state, prev_g = zeros(3), Tensor(enc.v.data.mean(axis=0))
+    for t in range(5):
+        state = gru_step(params.sel_gru, prev_g, state)
+        raws = []
+        for i in range(6):
+            feats_i = Tensor(np.concatenate([state.data, enc.v.data[i]]))
+            score = mlp(params.sel_mlp, feats_i).data.reshape(())
+            raws.append(0.0 if i in sel.indices[:t] else 1.0 / (1.0 + math.exp(-float(score))))
+        raws = np.array(raws)
+        assert_close(Tensor(sel.probs.data[t]), Tensor(raws / raws.sum()), tol=1e-12)
+        prev_g = Tensor(sel.g.data[t])
 
 
 def test_select_step_constant_scorer_is_uniform():
+    """A constant scorer gives uniform soft steps, and hard step t uniform
+    over the 5 - t photos not taken; ties pick the lower index."""
     params = tiny_model(seed=1)
     zero_weights(params.sel_mlp)
     enc = encode_album(params, random_features(Rng(2), 5, 4))
-    p, _ = select_step(params, enc.v, zeros(4), zeros(3))
-    assert_close(p, Tensor(np.full(5, 0.2)), tol=1e-15)
+    soft, hard = (select_summary(params, enc, mode) for mode in ("soft", "hard"))
+    assert_close(soft.probs, Tensor(np.full((5, 5), 0.2)), tol=1e-15)
+    for t in range(5):
+        assert_close(Tensor(hard.probs.data[t]),
+                     Tensor(np.where(np.arange(5) < t, 0.0, 1.0 / (5 - t))), tol=1e-15)
+    assert soft.indices == hard.indices == [0, 1, 2, 3, 4]
 
 
 def test_select_step_mask_zeroes_and_renormalizes():
+    """Step 0 masks nothing, so hard step 1 scores from soft step 1's state;
+    it zeroes step 0's pick and keeps the other photos' ratios."""
     params = tiny_model(seed=7)
-    rng = Rng(11)
-    enc = encode_album(params, random_features(rng, 4, 4))
-    prev_g, state = zeros(4), zeros(3)
-    unmasked, _ = select_step(params, enc.v, prev_g, state)
-    excluded = np.array([True, False, True, False])
-    masked, _ = select_step(params, enc.v, prev_g, state, excluded)
+    enc = encode_album(params, random_features(Rng(11), 5, 4))
+    soft, hard = (select_summary(params, enc, mode) for mode in ("soft", "hard"))
+    assert np.array_equal(soft.probs.data[0], hard.probs.data[0])
+    taken = hard.indices[0]
+    assert hard.probs.data[1, taken] == 0.0
+    expected = soft.probs.data[1] * (np.arange(5) != taken)
+    assert_close(Tensor(hard.probs.data[1]), Tensor(expected / expected.sum()), tol=1e-12)
 
-    assert masked.data[0] == 0.0 and masked.data[2] == 0.0
-    # the surviving entries keep their raw-score ratios
-    expected = unmasked.data * (~excluded)
-    expected = expected / expected.sum()
-    assert_close(masked, Tensor(expected), tol=1e-12)
 
-    with pytest.raises(ContractError):
-        select_step(params, enc.v, prev_g, state, np.array([True] * 4))
+def test_hard_selection_is_one_tape_entry():
+    params = tiny_model(seed=3)
+    enc = encode_album(params, random_features(Rng(4), 6, 4))
+    with Tape() as tape:
+        select_summary(params, enc, "hard")
+    assert tape.counts() == {"soft_select": 1}
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -199,7 +206,7 @@ def test_select_summary_hard_matches_stepwise_masking():
         if chosen:
             excluded = np.zeros(7, dtype=bool)
             excluded[chosen] = True
-        p, state = select_step(params, enc.v, prev_g, state, excluded)
+        p, state = select_step(params.sel_gru, params.sel_mlp, enc.v, prev_g, state, excluded)
         idx = min(
             (i for i in range(7) if i not in chosen),
             key=lambda i: (-p.data[i], i),

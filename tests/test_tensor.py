@@ -366,30 +366,20 @@ def test_rng_uniform_bounds_validated():
 
 
 def test_seeded_init_deterministic():
-    a = seeded_init(Rng(3), (4, 4), "xavier")
-    b = seeded_init(Rng(3), (4, 4), "xavier")
+    a = seeded_init(Rng(3), (4, 4))
+    b = seeded_init(Rng(3), (4, 4))
     assert np.array_equal(a.data, b.data)
 
 
 def test_xavier_bound_fan_4_4():
     bound = math.sqrt(0.75)  # sqrt(6 / (4 + 4))
-    draws = seeded_init(Rng(0), (4, 4), "xavier").data
+    draws = seeded_init(Rng(0), (4, 4)).data
     assert np.all(np.abs(draws) <= bound)
     # with a wider sample the draws should get near the bound
-    wide = np.concatenate([seeded_init(Rng(s), (4, 4), "xavier").data.ravel()
+    wide = np.concatenate([seeded_init(Rng(s), (4, 4)).data.ravel()
                            for s in range(200)])
     assert wide.max() > 0.95 * bound
     assert wide.min() < -0.95 * bound
-
-
-def test_uniform_init_mean():
-    draws = seeded_init(Rng(1), (100, 100), "uniform", low=0.0, high=1.0).data
-    assert abs(draws.mean() - 0.5) < 0.02
-
-
-def test_uniform_init_bad_bounds():
-    with pytest.raises(ContractError):
-        seeded_init(Rng(0), (2,), "uniform", low=1.0, high=0.0)
 
 
 @settings(max_examples=25, deadline=None)
