@@ -3,10 +3,11 @@
 the salient photos it was never directly supervised on?
 
 Generates a dataset, trains the full model with the ranking term on, then
-reports generation quality (BLEU/CIDEr), summarization precision/recall of
-the hard selector against the planted salient photos, and album retrieval
-by story likelihood. Optionally trains a rank-weight-0 contrast model and
-the two sequence-to-sequence baselines for comparison.
+reports summarization precision/recall of the hard selector against the
+planted salient photos, and album retrieval by story likelihood. Generation
+quality (BLEU, CIDEr) is `hatstory eval-gen` on a saved checkpoint.
+Optionally trains a rank-weight-0 contrast model and the two
+sequence-to-sequence baselines for comparison.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from hatstory.data import SynthSpec, save_dataset, synth_generate
 from hatstory.metrics import evaluate_retrieval, evaluate_summaries
 from hatstory.model import ModelDims, init_model
 from hatstory.tensor import Rng
-from hatstory.training import TrainConfig, train
+from hatstory.training import TrainConfig, train, write_loss_curve
 
 
 def train_variant(albums, vocab, cfg, run_dir, name):
@@ -33,8 +34,8 @@ def train_variant(albums, vocab, cfg, run_dir, name):
     )
     print(f"[{name}] training ({cfg.variant}, rank_weight={cfg.rank_weight}, "
           f"{cfg.epochs} epochs)")
-    curve = train(params, albums, cfg, loss_curve_path=run_dir / "loss_curve.csv",
-                  log=lambda msg: print(f"[{name}] {msg}"))
+    curve = train(params, albums, cfg, log=lambda msg: print(f"[{name}] {msg}"))
+    write_loss_curve(curve, run_dir / "loss_curve.csv")
     save_checkpoint(params, vocab, cfg.to_dict(), run_dir / "checkpoint.hat")
     print(f"[{name}] final loss {curve[-1]['mean_loss']:.4f}")
     return params

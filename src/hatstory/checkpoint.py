@@ -115,26 +115,27 @@ def load_checkpoint(path):
         isinstance(m, list) and len(m) == 2 and isinstance(m[1], list) for m in manifest
     ):
         raise FormatError("checkpoint: header needs a \"manifest\" list of [name, shape] pairs")
-    by_name = dict(params.named_tensors())
-    if [m[0] for m in manifest] != [n for n, _ in params.named_tensors()]:
+    named = params.named_tensors()
+    if [m[0] for m in manifest] != [n for n, _ in named]:
         raise FormatError("checkpoint: manifest does not match the model layout")
-    expected = sum(int(np.prod(shape)) * 8 for _, shape in manifest)
+    for (name, shape), (_, t) in zip(manifest, named):
+        # exact ints: 16.0 == 16 and True == 1 would pass the comparison
+        if any(type(d) is not int for d in shape) or shape != list(t.shape):
+            raise FormatError(
+                f"checkpoint: tensor {name} has shape {shape!r}, model wants {list(t.shape)}"
+            )
+    expected = sum(t.data.size * 8 for _, t in named)
     payload = blob[offset:]
     if len(payload) != expected:
         raise CorruptionError(
             f"checkpoint: payload holds {len(payload)} bytes, manifest expects {expected}"
         )
     pos = 0
-    for name, shape in manifest:
-        t = by_name[name]
-        if list(t.shape) != list(shape):
-            raise FormatError(
-                f"checkpoint: tensor {name} has shape {shape}, model wants {list(t.shape)}"
-            )
-        count = int(np.prod(shape))
+    for _, t in named:
+        count = t.data.size
         t.data = (
             np.frombuffer(payload, dtype="<f8", count=count, offset=pos)
-            .reshape(shape)
+            .reshape(t.shape)
             .astype(np.float64)
         )
         pos += count * 8

@@ -17,9 +17,9 @@ from pathlib import Path
 from .checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from .data import SynthSpec, load_dataset, save_dataset, synth_generate
 from .diagnostics import run_all
-from .errors import ConfigurationError, FormatError, HatstoryError
+from .errors import ConfigurationError, FormatError, HatstoryError, check_int
 from .metrics import MetricReport, bleu_n, cider, evaluate_retrieval, evaluate_summaries
-from .model import ModelDims, SelectionResult, check_int, from_json_object, generate, init_model
+from .model import ModelDims, SelectionResult, from_json_object, generate, init_model
 from .tensor import Rng
 from .training import TrainConfig, train, write_loss_curve
 

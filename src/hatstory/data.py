@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, DataError
+from .errors import ConfigurationError, ContractError, DataError, check_int, check_number
 from .tensor import Rng
 
 PAD_ID = 0
@@ -31,6 +31,7 @@ UNK_ID = 3
 SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
 SENTENCES_PER_STORY = 5
+MIN_PHOTOS, MAX_PHOTOS = SENTENCES_PER_STORY, 50  # photos an album file may hold
 
 _NUMBER_TYPES = {int, float}  # what JSON numbers parse to
 
@@ -138,12 +139,12 @@ def _parse_header(line):
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise DataError(f'line 1: header must declare "format": "{FORMAT_NAME}"')
     k = header.get("k")
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:  # bool is a subclass of int
         raise DataError("line 1: header needs a positive integer feature width k")
     return k
 
 
-def _parse_album(obj, k, lineno, min_photos, max_photos):
+def _parse_album(obj, k, lineno):
     album_id = obj.get("album_id") if isinstance(obj, dict) else None
     where = f"line {lineno}" + (f" (album {album_id})" if album_id else "")
     if not isinstance(obj, dict) or not isinstance(album_id, str):
@@ -151,10 +152,10 @@ def _parse_album(obj, k, lineno, min_photos, max_photos):
     photos = obj.get("photos")
     if not isinstance(photos, list):
         raise DataError(f"{where}: missing photos list")
-    if not min_photos <= len(photos) <= max_photos:
+    if not MIN_PHOTOS <= len(photos) <= MAX_PHOTOS:
         raise DataError(
             f"{where}: photo count {len(photos)} outside allowed range "
-            f"[{min_photos}, {max_photos}]"
+            f"[{MIN_PHOTOS}, {MAX_PHOTOS}]"
         )
     photo_ids = []
     feats = np.zeros((len(photos), k))
@@ -221,7 +222,7 @@ def _parse_album(obj, k, lineno, min_photos, max_photos):
     return album_id, photo_ids, feats, [list(s) for s in gt], texts
 
 
-def load_dataset(path, min_count=1, min_photos=5, max_photos=50, vocab=None):
+def load_dataset(path, min_count=1, vocab=None):
     """Read a hatstory-v1 file.
 
     Returns (albums, vocabulary). When `vocab` is given (e.g. from a
@@ -241,7 +242,7 @@ def load_dataset(path, min_count=1, min_photos=5, max_photos=50, vocab=None):
             obj = json.loads(line)
         except json.JSONDecodeError:
             raise DataError(f"line {lineno}: invalid JSON") from None
-        parsed.append(_parse_album(obj, k, lineno, min_photos, max_photos))
+        parsed.append(_parse_album(obj, k, lineno))
     if vocab is None:
         all_sentences = [t for _, _, _, _, texts in parsed for story in texts for t in story]
         vocab = Vocabulary.build(all_sentences, min_count=min_count)
@@ -321,20 +322,11 @@ class SynthSpec:
     noise_sigma: float = 0.05
 
     def __post_init__(self):
-        if self.albums < 1:
-            raise ConfigurationError("SynthSpec: albums must be >= 1")
-        if self.n < SENTENCES_PER_STORY:
-            raise ConfigurationError(
-                f"SynthSpec: n must be >= {SENTENCES_PER_STORY}, got {self.n}"
-            )
-        if self.classes < 1:
-            raise ConfigurationError("SynthSpec: classes must be >= 1")
-        if self.k < self.classes + 1:
-            raise ConfigurationError(
-                f"SynthSpec: k must be >= classes + 1, got k={self.k} classes={self.classes}"
-            )
-        if self.noise_sigma < 0:
-            raise ConfigurationError("SynthSpec: noise_sigma must be >= 0")
+        check_int("albums", self.albums, 1)
+        check_int("n", self.n, SENTENCES_PER_STORY)
+        check_int("classes", self.classes, 1)
+        check_int("k", self.k, self.classes + 1)
+        check_number("noise_sigma", self.noise_sigma, 0)
 
 
 def synth_generate(spec):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import BOS_ID, Album, Story
 from .layers import GruParams, MlpParams, gru_step, mlp
-from .model import VARIANTS, ModelDims, conditioner, encode_album, init_model, story_log_prob
+from .model import VARIANTS, ModelDims, init_model, variant_log_prob
 from .tensor import (
     GradCheckReport,
     Rng,
@@ -109,11 +109,7 @@ def check_sequence(seed=0, step=1e-5, tol=1e-4):
 
 def check_story_likelihood(seed=0, step=1e-5, tol=1e-4):
     params, features, story, _ = toy_instance(seed)
-
-    def fn(*tensors):
-        condition, _ = conditioner(params, encode_album(params, features), "hier")
-        return story_log_prob(params, condition, story)
-
+    fn = lambda *tensors: variant_log_prob(params, features, story)
     named = params.named_tensors()
     return grad_check(fn, [t for _, t in named], step=step, tol=tol, names=[n for n, _ in named])
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field checks that
+raise ConfigurationError."""
+
+import math
 
 
 class HatstoryError(Exception):
@@ -27,6 +30,23 @@ class DeterminismError(HatstoryError, RuntimeError):
 
 class ConfigurationError(HatstoryError, ValueError):
     """Invalid configuration value or combination."""
+
+
+def check_int(name, value, low):
+    """Raise ConfigurationError naming `name` unless `value` is an int, not
+    a bool, of at least `low`."""
+    if type(value) is not int or value < low:
+        raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_number(name, value, low, above=False, below=math.inf):
+    """Raise ConfigurationError naming `name` unless `value` is a finite int
+    or float, not a bool, in [low, below), or in (low, below) when `above`."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) < math.inf and (value > low if above else value >= low)
+            and value < below):
+        bound = f"{'>' if above else '>='} {low}" + (f" and < {below}" if below < math.inf else "")
+        raise ConfigurationError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 class DataError(HatstoryError, ValueError):

@@ -12,7 +12,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .model import encode_album, enc_attn_dec_generate, pool_story_log_probs, select_summary
+from .model import (
+    enc_attn_dec_generate,
+    encode_album,
+    group_by_photo_count,
+    select_summary,
+    variant_log_prob,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +160,21 @@ def cider(hypotheses, references, max_order=4):
 
 def retrieval_scores(params, story, album_features_list, variant="hier", per_word=False):
     """Story log-likelihood against each candidate album (soft selection for
-    the full model), in pool order. The whole pool is scored in one batched
-    pass, grouped by photo count."""
+    the full model), in pool order, without the tape. Each group of albums
+    with one photo count is one `variant_log_prob` over (A, n, k) rows, every
+    row reading the same story. The values equal per-album calls up to
+    rounding, because a matrix product over rows may round differently from
+    the vector products of one row."""
     if not album_features_list:
         raise ContractError("retrieval_scores: empty album pool")
     n_tokens = sum(len(s) for s in story.sentences)
     if per_word and n_tokens == 0:
         raise ContractError("retrieval_scores: per-word scores need a story with tokens")
-    scores = pool_story_log_probs(params, story, album_features_list, variant)
-    if per_word:
-        scores = [lp / n_tokens for lp in scores]
+    scores = [0.0] * len(album_features_list)
+    for rows, features in group_by_photo_count(params, album_features_list):
+        lps = variant_log_prob(params, features, [story] * len(rows), variant)
+        for i, lp in zip(rows, lps.data.tolist()):
+            scores[i] = lp / n_tokens if per_word else lp
     return scores
 
 

@@ -17,13 +17,12 @@ Selection modes:
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .data import BOS_ID, EOS_ID, Story
-from .errors import ConfigurationError, ContractError, DimensionError
+from .errors import ConfigurationError, ContractError, DimensionError, check_int
 from .layers import EmbeddingTable, GruParams, MlpParams, mlp
 from .tensor import (
     Tensor,
@@ -43,23 +42,6 @@ from .tensor import (
 
 SELECTION_MODES = ("soft", "hard", "oracle")
 VARIANTS = ("hier", "enc_dec", "enc_attn_dec")
-
-
-def check_int(name, value, low):
-    """Raise ConfigurationError naming `name` unless `value` is an int, not
-    a bool, of at least `low`."""
-    if type(value) is not int or value < low:
-        raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def check_number(name, value, low, above=False, below=math.inf):
-    """Raise ConfigurationError naming `name` unless `value` is a finite int
-    or float, not a bool, in [low, below), or in (low, below) when `above`."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and abs(value) < math.inf and (value > low if above else value >= low)
-            and value < below):
-        bound = f"{'>' if above else '>='} {low}" + (f" and < {below}" if below < math.inf else "")
-        raise ConfigurationError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 def from_json_object(cls, raw, where, error):
@@ -219,6 +201,17 @@ def _album_features(params, features):
     return features
 
 
+def group_by_photo_count(params, album_features_list):
+    """The albums of a list as row batches: one (indices, (A, n, k)
+    features) entry per photo count n, in first-seen order. Every album is
+    checked against the model before any is stacked."""
+    albums = [_album_features(params, f) for f in album_features_list]
+    groups = {}
+    for i, features in enumerate(albums):
+        groups.setdefault(features.shape[0], []).append(i)
+    return [(rows, np.stack([albums[i] for i in rows])) for rows in groups.values()]
+
+
 def encode_album(params, features):
     """v_i = relu([f_i; b_i] + x_i) over an (n, k) feature array, or over
     (A, n, k) rows: f_i and b_i are the forward and backward GRU states at
@@ -359,6 +352,15 @@ def story_log_prob(params, condition, story):
     return zeros(shape[:-1]) if total is None else total
 
 
+def variant_log_prob(params, features, story, variant="hier"):
+    """Teacher-forced log-probability of `story`, as `story_log_prob` takes
+    it, under one model variant, from one encoding and conditioning of the
+    album or album rows; the full model selects softly, as in training and
+    retrieval."""
+    condition, _ = conditioner(params, encode_album(params, features), variant)
+    return story_log_prob(params, condition, story)
+
+
 # ---------------------------------------------------------------------------
 # beam search and story generation
 
@@ -464,29 +466,3 @@ def enc_attn_dec_generate(params, features, beam, max_len):
     """The attention baseline's story and its (T, n) attention."""
     story, weights = generate(params, features, "enc_attn_dec", beam, max_len)
     return story, np.stack(weights)
-
-
-# ---------------------------------------------------------------------------
-# tape-free scoring of one story against a pool of albums
-
-
-def pool_story_log_probs(params, story, album_features_list, variant="hier"):
-    """Teacher-forced log p(story | album) for every album of a pool, in
-    pool order, without the tape.
-
-    Each group of albums with one photo count is scored once as (B, .) rows
-    by the ops training uses. The values equal per-album `variant_log_prob`
-    up to rounding, because a matrix product over rows may round
-    differently from the vector products of one row."""
-    if variant not in VARIANTS:
-        raise ConfigurationError(f"unknown variant {variant!r}")
-    pool = [_album_features(params, f) for f in album_features_list]
-    groups = {}
-    for i, features in enumerate(pool):
-        groups.setdefault(features.shape[0], []).append(i)
-    scores = {}
-    for rows in groups.values():
-        enc = encode_album(params, np.stack([pool[i] for i in rows]))
-        lps = story_log_prob(params, conditioner(params, enc, variant)[0], [story] * len(rows))
-        scores.update(zip(rows, lps.data.tolist()))
-    return [scores[i] for i in range(len(pool))]

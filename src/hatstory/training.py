@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import SENTENCES_PER_STORY, Story, validate_story
-from .errors import ConfigurationError, ContractError, NumericDomainError
-from .model import VARIANTS, check_int, check_number, conditioner, encode_album, story_log_prob
+from .errors import ConfigurationError, ContractError, NumericDomainError, check_int, check_number
+from .model import VARIANTS, group_by_photo_count, variant_log_prob
 from .tensor import Rng, Tape, backward, neg, relu, reshape, row, sum_all
 
 
@@ -72,14 +72,6 @@ class TrainConfig:
 
     def to_dict(self):
         return asdict(self)
-
-
-def variant_log_prob(params, features, story, variant="hier"):
-    """Teacher-forced log-probability of `story`, as `story_log_prob` takes
-    it, under one model variant, from one encoding and conditioning of the
-    album; the full model selects softly, as in training and retrieval."""
-    condition, _ = conditioner(params, encode_album(params, features), variant)
-    return story_log_prob(params, condition, story)
 
 
 def ranking_loss(log_p_pos, log_p_neg, margin):
@@ -143,13 +135,10 @@ def batch_loss(params, pairs, negatives, cfg):
     the (album, story) pairs is one `combined_loss` over (A, n, k) features,
     with the pairs' negatives (None when unranked). Returns the sum of every
     row's loss and each pair's (total, generation, ranking) floats."""
-    groups = {}
-    for i, (album, _) in enumerate(pairs):
-        groups.setdefault(len(album.features), []).append(i)
     root, parts = None, {}
-    for rows in groups.values():
+    for rows, features in group_by_photo_count(params, [album.features for album, _ in pairs]):
         total, gen, rank = combined_loss(
-            params, np.stack([pairs[i][0].features for i in rows]), [pairs[i][1] for i in rows],
+            params, features, [pairs[i][1] for i in rows],
             None if negatives is None else [negatives[i] for i in rows], cfg,
         )
         root = sum_all(total) if root is None else root + sum_all(total)
@@ -219,7 +208,7 @@ def clip_gradients(named_params, max_norm):
 
 
 @np.errstate(all="ignore")
-def train(params, albums, cfg, loss_curve_path=None, log=None, early_stop=None):
+def train(params, albums, cfg, log=None, early_stop=None):
     """Train in place; returns the per-epoch loss curve.
 
     Album/story pairs are shuffled each epoch with the config seed. A
@@ -286,8 +275,6 @@ def train(params, albums, cfg, loss_curve_path=None, log=None, early_stop=None):
             break
     if not all(np.isfinite(p.data).all() for _, p in trainable):
         raise NumericDomainError("train: non-finite weights after the last step")
-    if loss_curve_path is not None:
-        write_loss_curve(curve, loss_curve_path)
     return curve
 
 

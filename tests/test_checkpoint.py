@@ -208,6 +208,15 @@ def test_malformed_manifest_entries_are_a_format_error(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("dim", [4.0, "4", [4], True, -4])
+def test_manifest_shape_that_is_not_a_list_of_integers_is_a_format_error(tmp_path, dim):
+    _, path = saved(tmp_path)
+    # enc_fwd.w_z is (4, 2) in the small model
+    rewrite_header(path, lambda h: h["manifest"][0].__setitem__(1, [dim, 2]))
+    with pytest.raises(FormatError, match="tensor enc_fwd.w_z has shape"):
+        load_checkpoint(path)
+
+
 def test_payload_length_mismatch_is_a_corruption_error(tmp_path):
     _, path = saved(tmp_path)
     path.write_bytes(path.read_bytes() + b"\x00" * 8)  # trailing garbage

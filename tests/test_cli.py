@@ -89,6 +89,16 @@ def test_negative_seed_is_a_one_line_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_non_finite_noise_sigma_is_a_one_line_error(tmp_path, capsys, sigma):
+    out = tmp_path / "data.jsonl"
+    code = main(["synth", "--albums", "2", "--noise-sigma", sigma, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: noise_sigma must be a finite number >= 0, got {sigma}\n"
+    assert not out.exists()
+
+
 def test_synth_same_seed_writes_identical_bytes(tmp_path):
     a = synth(tmp_path, "a.jsonl", seed=3)
     b = synth(tmp_path, "b.jsonl", seed=3)

@@ -144,6 +144,11 @@ def test_load_dataset_reports_empty_and_bad_header(tmp_path):
     write_lines(path, [json.dumps({"format": "hatstory-v1", "k": 0})])
     with pytest.raises(DataError, match="k"):
         load_dataset(path)
+    # read as k = 1, a boolean k would load this album
+    write_lines(path, [json.dumps({"format": "hatstory-v1", "k": True}),
+                       json.dumps(album_record(k=1))])
+    with pytest.raises(DataError, match="line 1: header needs a positive integer feature width k"):
+        load_dataset(path)
 
 
 def test_load_dataset_reports_photo_count_with_location(tmp_path):
@@ -151,9 +156,9 @@ def test_load_dataset_reports_photo_count_with_location(tmp_path):
     write_lines(path, [header(), json.dumps(album_record(n=4))])
     with pytest.raises(DataError, match=r"line 2.*a1.*photo count 4"):
         load_dataset(path)
-    write_lines(path, [header(), json.dumps(album_record(n=6))])
-    with pytest.raises(DataError, match="photo count 6"):
-        load_dataset(path, max_photos=5)
+    write_lines(path, [header(), json.dumps(album_record(n=51))])
+    with pytest.raises(DataError, match=r"photo count 51 outside allowed range \[5, 50\]"):
+        load_dataset(path)
 
 
 def test_load_dataset_reports_feature_width_mismatch(tmp_path):
@@ -329,6 +334,9 @@ def test_synth_spec_validation():
         SynthSpec(albums=1, k=5, classes=5)
     with pytest.raises(ConfigurationError):
         SynthSpec(albums=1, noise_sigma=-0.1)
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="noise_sigma must be a finite number"):
+            SynthSpec(albums=1, noise_sigma=sigma)
 
 
 def test_class_noun_has_a_fallback_past_the_list():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hatstory.errors import ContractError, DimensionError
@@ -89,6 +89,7 @@ def test_gru_step_vector_matches_per_coordinate_recomputation(rng):
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=8))
+@example(6716, 7)  # float64 tanh rounds to exactly 1.0 here, so one state is 1.0
 def test_gru_hidden_stays_inside_unit_interval(seed, steps):
     rng = Rng(seed)
     cell = GruParams.create(rng, 3, 4)
@@ -98,7 +99,7 @@ def test_gru_hidden_stays_inside_unit_interval(seed, steps):
     h = zeros(4)
     for _ in range(steps):
         h = gru_step(cell, Tensor(rng.uniform(-5, 5, 3)), h)
-        assert np.all(np.abs(h.data) < 1.0)
+        assert np.all(np.abs(h.data) <= 1.0)
 
 
 def test_gru_params_shape_validation(rng):

@@ -11,7 +11,7 @@ from hatstory.data import Album, Story, SynthSpec, synth_generate
 from hatstory.diagnostics import toy_instance
 from hatstory.errors import ConfigurationError, ContractError
 from hatstory.model import ModelDims, init_model
-from hatstory import model, training
+from hatstory import model
 from hatstory.tensor import Rng, Tensor, Tape, backward, grad_check, neg, sum_all
 from hatstory.training import (
     VARIANTS,
@@ -207,9 +207,9 @@ def test_ranked_acceptance_example_encodes_and_selects_once(monkeypatch):
 
         return wrapper
 
-    # selection runs inside model.conditioner, encoding in training
-    for module, name in ((training, "encode_album"), (model, "select_summary")):
-        monkeypatch.setattr(module, name, counted(module, name))
+    # encoding and selection both run inside model.variant_log_prob
+    for name in ("encode_album", "select_summary"):
+        monkeypatch.setattr(model, name, counted(model, name))
     with Tape() as tape:
         root, _ = batch_loss(params, pairs, negatives, cfg)
         backward(tape, root)
@@ -459,7 +459,8 @@ def run_once(tmp_path, name, cfg):
     dims = ModelDims(k=6, d_s=cfg.d_s, d_g=cfg.d_g, d_w=cfg.d_w, vocab_size=vocab.size)
     params = init_model(dims, Rng(cfg.seed), carry_state=cfg.carry_state,
                         enc_init_gain=cfg.enc_init_gain)
-    curve = train(params, albums, cfg, loss_curve_path=tmp_path / name)
+    curve = train(params, albums, cfg)
+    write_loss_curve(curve, tmp_path / name)
     return params, curve, (tmp_path / name).read_bytes()
 
 
