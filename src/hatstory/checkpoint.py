@@ -79,6 +79,14 @@ class LoadedCheckpoint:
     vocab: Vocabulary | None
     config: dict | None
 
+    def fitted_vocab(self):
+        """The stored vocabulary, or None; a FormatError unless it holds one
+        token per output word of the model, as turning ids into text needs."""
+        if self.vocab is not None and self.vocab.size != self.params.dims.vocab_size:
+            raise FormatError(f"checkpoint: vocab.tokens holds {self.vocab.size} tokens, "
+                              f"dims.vocab_size is {self.params.dims.vocab_size}")
+        return self.vocab
+
 
 def load_checkpoint(path):
     with open(path, "rb") as f:

@@ -17,7 +17,7 @@ from pathlib import Path
 from .checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from .data import SynthSpec, load_dataset, save_dataset, synth_generate
 from .diagnostics import run_all
-from .errors import ConfigurationError, FormatError, HatstoryError, check_int
+from .errors import ConfigurationError, HatstoryError, check_int
 from .metrics import MetricReport, bleu_n, cider, evaluate_retrieval, evaluate_summaries
 from .model import ModelDims, SelectionResult, from_json_object, generate, init_model
 from .tensor import Rng
@@ -34,35 +34,29 @@ def load_config(path):
     return from_json_object(TrainConfig, raw, "config", ConfigurationError)
 
 
-def _fingerprint(cfg_dict, ckpt_path=None):
-    cfg_dict = cfg_dict or {}
-    fp = {"seed": cfg_dict.get("seed"), "dims": {x: cfg_dict.get(x) for x in ("k", "d_s", "d_g", "d_w")}}
-    if ckpt_path is not None:
-        fp["checkpoint_sha256"] = file_sha256(str(ckpt_path))
-    return fp
-
-
-def _write_report(report, out_dir, stem):
-    out_dir = Path(out_dir)
+def _write_report(ck, args, task, aggregate, per_item):
+    """Print an evaluation's aggregate, then write its report as JSON and CSV
+    into --out, fingerprinted by the checkpoint's seed, dims and hash."""
+    cfg = ck.config or {}
+    fingerprint = {"seed": cfg.get("seed"), "checkpoint_sha256": file_sha256(str(args.ckpt)),
+                   "dims": {x: cfg.get(x) for x in ("k", "d_s", "d_g", "d_w")}}
+    report = MetricReport(task, aggregate, per_item, fingerprint)
+    print(json.dumps(aggregate, sort_keys=True))
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jpath = out_dir / f"{stem}.json"
-    cpath = out_dir / f"{stem}.csv"
+    jpath, cpath = out_dir / f"report_{task}.json", out_dir / f"report_{task}.csv"
     jpath.write_text(report.to_json() + "\n", encoding="utf-8")
     cpath.write_text(report.to_csv(), encoding="utf-8")
     print(f"wrote {jpath} and {cpath}")
+    return 0
 
 
 def _load_for_eval(args):
     """The checkpoint, the dataset read with its vocabulary, and the
     checkpoint's stored config as a TrainConfig."""
     ck = load_checkpoint(args.ckpt)
-    if ck.vocab is None:
+    if ck.fitted_vocab() is None:
         raise ConfigurationError("checkpoint carries no vocabulary; cannot evaluate text")
-    if ck.vocab.size != ck.params.dims.vocab_size:
-        raise FormatError(
-            f"checkpoint: vocab.tokens holds {ck.vocab.size} tokens, "
-            f"dims.vocab_size is {ck.params.dims.vocab_size}"
-        )
     cfg = from_json_object(TrainConfig, ck.config or {}, "checkpoint config", ConfigurationError)
     albums, _ = load_dataset(args.data, vocab=ck.vocab)
     return ck, albums, cfg
@@ -176,13 +170,7 @@ def cmd_eval_gen(args):
         "albums": len(hyps),
         "beam": args.beam,
     }
-    report = MetricReport(
-        task="generation", aggregate=aggregate, per_item=per_item,
-        fingerprint=_fingerprint(ck.config, args.ckpt),
-    )
-    print(json.dumps(aggregate, sort_keys=True))
-    _write_report(report, args.out, "report_generation")
-    return 0
+    return _write_report(ck, args, "generation", aggregate, per_item)
 
 
 def cmd_eval_summ(args):
@@ -190,13 +178,7 @@ def cmd_eval_summ(args):
     aggregate, per_item = evaluate_summaries(
         ck.params, albums, args.baseline, cfg.beam_size, cfg.max_sentence_len
     )
-    report = MetricReport(
-        task="summarization", aggregate=aggregate, per_item=per_item,
-        fingerprint=_fingerprint(ck.config, args.ckpt),
-    )
-    print(json.dumps(aggregate, sort_keys=True))
-    _write_report(report, args.out, "report_summarization")
-    return 0
+    return _write_report(ck, args, "summarization", aggregate, per_item)
 
 
 def cmd_eval_retrieval(args):
@@ -205,13 +187,7 @@ def cmd_eval_retrieval(args):
     pool = albums[: args.pool_size] if args.pool_size else albums
     pool = [a for a in pool if a.stories]
     aggregate, per_item = evaluate_retrieval(ck.params, pool, cfg.variant)
-    report = MetricReport(
-        task="retrieval", aggregate=aggregate, per_item=per_item,
-        fingerprint=_fingerprint(ck.config, args.ckpt),
-    )
-    print(json.dumps(aggregate, sort_keys=True))
-    _write_report(report, args.out, "report_retrieval")
-    return 0
+    return _write_report(ck, args, "retrieval", aggregate, per_item)
 
 
 def cmd_gradcheck(args):

@@ -157,8 +157,7 @@ def _parse_album(obj, k, lineno):
             f"{where}: photo count {len(photos)} outside allowed range "
             f"[{MIN_PHOTOS}, {MAX_PHOTOS}]"
         )
-    photo_ids = []
-    feats = np.zeros((len(photos), k))
+    photo_ids, rows = [], []
     for i, p in enumerate(photos):
         if not isinstance(p, dict) or not isinstance(p.get("photo_id"), str):
             raise DataError(f"{where}: photo {i} must have a string photo_id")
@@ -176,11 +175,13 @@ def _parse_album(obj, k, lineno):
                 f"{where}: photo {p['photo_id']} features[{j}] is {fv[j]!r}, "
                 "not a JSON number"
             )
-        try:
-            feats[i] = fv
-        except OverflowError:  # an integer literal beyond the float range
-            feats[i] = [x if abs(x) <= sys.float_info.max else math.inf for x in fv]
+        rows.append(fv)
         photo_ids.append(p["photo_id"])
+    try:
+        feats = np.array(rows, dtype=np.float64)
+    except OverflowError:  # an integer literal beyond the float range
+        feats = np.array([[x if abs(x) <= sys.float_info.max else math.inf for x in fv]
+                          for fv in rows])
     bad = np.argwhere(~np.isfinite(feats))
     if bad.size:
         i, j = bad[0]
@@ -229,8 +230,12 @@ def load_dataset(path, min_count=1, vocab=None):
     checkpoint) it is used for tokenization instead of building a fresh one,
     so ids stay aligned with the model that will consume the stories.
     """
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as e:  # reading the whole file decodes all its bytes at once
+        lineno = e.object.count(b"\n", 0, e.start) + 1
+        raise DataError(f"line {lineno}: not UTF-8 text") from None
     if not lines:
         raise DataError("line 1: empty file, expected format header")
     k = _parse_header(lines[0])
@@ -323,7 +328,7 @@ class SynthSpec:
 
     def __post_init__(self):
         check_int("albums", self.albums, 1)
-        check_int("n", self.n, SENTENCES_PER_STORY)
+        check_int("n", self.n, MIN_PHOTOS, MAX_PHOTOS)  # what a dataset file may hold
         check_int("classes", self.classes, 1)
         check_int("k", self.k, self.classes + 1)
         check_number("noise_sigma", self.noise_sigma, 0)

@@ -98,7 +98,7 @@ def check_sequence(seed=0, step=1e-5, tol=1e-4):
         fwd = gru_sequence(xs, start, params.enc_fwd)
         bwd = gru_sequence(xs, start, params.enc_bwd, reverse=True)
         total, h = sentence_log_prob(
-            None, h0, g, [BOS_ID, *sentence[:-1]], sentence, params.embedding.table,
+            None, h0, g, [BOS_ID, *sentence[:-1]], sentence, params.embedding,
             params.gen_gru, params.proj_w, params.proj_b,
         )
         return total + sum_all(mul(fwd, bwd)) + sum_all(mul(h, h))

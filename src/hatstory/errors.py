@@ -32,11 +32,12 @@ class ConfigurationError(HatstoryError, ValueError):
     """Invalid configuration value or combination."""
 
 
-def check_int(name, value, low):
+def check_int(name, value, low, high=math.inf):
     """Raise ConfigurationError naming `name` unless `value` is an int, not
-    a bool, of at least `low`."""
-    if type(value) is not int or value < low:
-        raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
+    a bool, in [low, high]."""
+    if type(value) is not int or not low <= value <= high:
+        bound = f">= {low}" + (f" and <= {high}" if high < math.inf else "")
+        raise ConfigurationError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def check_number(name, value, low, above=False, below=math.inf):

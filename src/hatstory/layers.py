@@ -1,8 +1,8 @@
-"""Recurrent and feed-forward building blocks: GRU weights and step, small
-MLPs, and an embedding table. Every parameter is a plain Tensor, so the
-gradient tape sees everything. A GRU step is written with one tape op per
-arithmetic step; the program runs whole GRUs as one `tensor.gru_sequence`
-op over the same `GruParams`, whose values are bitwise a `gru_step` chain's."""
+"""Recurrent and feed-forward building blocks: GRU weights and step, and
+small MLPs. Every parameter is a plain Tensor, so the gradient tape sees
+everything. A GRU step is written with one tape op per arithmetic step; the
+program runs whole GRUs as one `tensor.gru_sequence` op over the same
+`GruParams`, whose values are bitwise a `gru_step` chain's."""
 
 from __future__ import annotations
 
@@ -49,14 +49,6 @@ class GruParams:
             if t.shape != want:
                 raise DimensionError(f"GruParams: {name} has shape {t.shape}, want {want}")
 
-    @property
-    def d_in(self):
-        return self.w_z.shape[0]
-
-    @property
-    def d_h(self):
-        return self.w_z.shape[1]
-
     def named(self):
         return [
             ("w_z", self.w_z), ("w_r", self.w_r), ("w_h", self.w_h),
@@ -79,7 +71,7 @@ class GruParams:
 
 def gru_step(params, x, h):
     """One GRU update of the state h (d_h,) from the input x (d_in,), the
-    formula of `tensor.gru_update` in composed ops."""
+    step of `tensor.gru_run` in composed ops."""
     z = sigmoid(vecmat(x, params.w_z) + vecmat(h, params.u_z) + params.b_z)
     r = sigmoid(vecmat(x, params.w_r) + vecmat(h, params.u_r) + params.b_r)
     cand = tanh(vecmat(x, params.w_h) + vecmat(mul(r, h), params.u_h) + params.b_h)
@@ -137,19 +129,3 @@ def mlp(params, x):
         if i < len(params.layers) - 1:
             x = tanh(x)
     return x
-
-
-@dataclass
-class EmbeddingTable:
-    """Token-id to vector lookup; gradients scatter into the looked-up rows."""
-
-    table: Tensor  # (vocab, d_w)
-
-    def __post_init__(self):
-        if self.table.ndim != 2:
-            raise DimensionError(f"EmbeddingTable: table must be 2-D, got {self.table.shape}")
-
-    @classmethod
-    def create(cls, rng, vocab_size, width):
-        return cls(seeded_init(rng, (vocab_size, width)))
-

@@ -23,13 +23,13 @@ import numpy as np
 
 from .data import BOS_ID, EOS_ID, Story
 from .errors import ConfigurationError, ContractError, DimensionError, check_int
-from .layers import EmbeddingTable, GruParams, MlpParams, mlp
+from .layers import GruParams, MlpParams, mlp
 from .tensor import (
     Tensor,
     attention,
     concat,
+    gru_run,
     gru_sequence,
-    gru_update,
     log_softmax_array,
     matmul,
     relu,
@@ -90,7 +90,7 @@ class ModelParams:
     sel_gru: GruParams
     sel_mlp: MlpParams
     gen_gru: GruParams
-    embedding: EmbeddingTable
+    embedding: Tensor  # (vocab, d_w) word vectors
     proj_w: Tensor  # (d_g, vocab)
     proj_b: Tensor  # (vocab,)
     encdec_w: Tensor  # (k, k): flat baseline's projection of the final encoder state
@@ -108,7 +108,7 @@ class ModelParams:
         ):
             out.extend((f"{prefix}.{n}", t) for n, t in grp.named())
         out.extend((f"sel_mlp.{n}", t) for n, t in self.sel_mlp.named())
-        out.append(("embedding.table", self.embedding.table))
+        out.append(("embedding.table", self.embedding))
         out.append(("proj.w", self.proj_w))
         out.append(("proj.b", self.proj_b))
         out.append(("encdec.w", self.encdec_w))
@@ -157,7 +157,7 @@ def init_model(dims, rng, carry_state=True, enc_init_gain=1.0):
         sel_gru=GruParams.create(rng, dims.k, dims.d_s),
         sel_mlp=MlpParams.create(rng, [dims.d_s + dims.k, dims.d_s + dims.k, 1]),
         gen_gru=GruParams.create(rng, dims.d_w + dims.k, dims.d_g),
-        embedding=EmbeddingTable.create(rng, dims.vocab_size, dims.d_w),
+        embedding=seeded_init(rng, (dims.vocab_size, dims.d_w)),
         proj_w=seeded_init(rng, (dims.d_g, dims.vocab_size)),
         proj_b=zeros(dims.vocab_size, requires_grad=True),
         encdec_w=seeded_init(rng, (dims.k, dims.k)),
@@ -325,8 +325,8 @@ def story_log_prob(params, condition, story):
     or a list with one per album row, giving (A,) log-probs, or a (stories,
     negatives) pair of such lists, decoded in one pass on a leading pair
     axis and giving (2, A). Each sentence starts at BOS and must end at EOS,
-    is one `sentence_log_prob` op over the rows (and halves), and hands its
-    state on unless carry_state is off."""
+    so none is empty; it is one `sentence_log_prob` op over the rows (and
+    halves), and hands its state on unless carry_state is off."""
     paired = isinstance(story, tuple)
     rows = paired or isinstance(story, list)
     stories = [*story[0], *story[1]] if paired else story if rows else [story]
@@ -334,6 +334,10 @@ def story_log_prob(params, condition, story):
     counts = {len(s.sentences) for s in stories} - {t_steps}
     if counts:
         raise ContractError(f"story has {counts.pop()} sentences, model expects {t_steps}")
+    empty = next(((i, t) for i, s in enumerate(stories) for t, sentence in enumerate(s.sentences)
+                  if not sentence), None)
+    if empty:
+        raise ContractError("story_log_prob: story {} has an empty sentence {}".format(*empty))
     shape = (((2, len(story[0])) if paired else (len(stories),) if rows else ())
              + (params.dims.d_g,))
     shared = all(s is stories[0] for s in stories)  # then every row reads one sentence
@@ -341,15 +345,14 @@ def story_log_prob(params, condition, story):
     for t in range(t_steps):
         if not params.carry_state:
             h = zeros(shape)
-        g = condition(t, h)
         targets = [s.sentences[t] for s in stories[:1 if shared else None]]
-        if any(targets):
-            words = [[BOS_ID, *sentence[:-1]] if sentence else [] for sentence in targets]
-            total, h = sentence_log_prob(
-                total, h, g, words[0] if shared else words, targets[0] if shared else targets,
-                params.embedding.table, params.gen_gru, params.proj_w, params.proj_b,
-            )
-    return zeros(shape[:-1]) if total is None else total
+        words = [[BOS_ID, *sentence[:-1]] for sentence in targets]
+        total, h = sentence_log_prob(
+            total, h, condition(t, h), words[0] if shared else words,
+            targets[0] if shared else targets,
+            params.embedding, params.gen_gru, params.proj_w, params.proj_b,
+        )
+    return total
 
 
 def variant_log_prob(params, features, story, variant="hier"):
@@ -384,7 +387,7 @@ def _beam_search(params, g, beam, max_len, h0=None):
     if max_len < 1:
         raise ContractError("beam search: max_len must be >= 1")
     d_g, vocab = params.dims.d_g, params.dims.vocab_size
-    table = params.embedding.table.data
+    table = params.embedding.data
     d_w = table.shape[1]
     gen = [t.data for _, t in params.gen_gru.named()]
     proj_w, proj_b = params.proj_w.data, params.proj_b.data
@@ -401,7 +404,7 @@ def _beam_search(params, g, beam, max_len, h0=None):
         x = np.empty((len(paths), 1, d_w + g.shape[0]))
         x[:, 0, :d_w] = table[prev]
         x[:, 0, d_w:] = g
-        h2 = gru_update(x, h, *gen)[0]
+        h2 = gru_run(x[None], h, *gen)[0][0]
         scores = (logp + log_softmax_array(h2 @ proj_w + proj_b)).ravel()
         order = (-scores).argsort(kind="stable")[:beam]
         rows, prev, live_logp = [], [], []

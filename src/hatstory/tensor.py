@@ -32,7 +32,6 @@ from .errors import (
     ContractError,
     DeterminismError,
     DimensionError,
-    NumericDomainError,
     StateError,
 )
 
@@ -90,9 +89,6 @@ class Tensor:
 
     def __rsub__(self, other):
         return sub(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, other)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -223,28 +219,20 @@ def log_softmax_array(x, axis=-1):
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def gru_update(x, h, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
-    """One GRU update on arrays: x (d_in,) or (B, d_in), h (d_h,) or
-    (B, d_h). Returns (h', z, r, cand), with
-
-    z = sigmoid(x W_z + h U_z + b_z)
-    r = sigmoid(x W_r + h U_r + b_r)
-    cand = tanh(x W_h + (r * h) U_h + b_h)
-    h' = (1 - z) * h + z * cand"""
-    z = sigmoid_array(x @ w_z + h @ u_z + b_z)
-    r = sigmoid_array(x @ w_r + h @ u_r + b_r)
-    cand = np.tanh(x @ w_h + (r * h) @ u_h + b_h)
-    return (1.0 - z) * h + z * cand, z, r, cand
-
-
 def gru_run(xs, h0, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, reverse=False):
     """A GRU over R rows of T inputs, xs (T, R, d_in), from h0 (R, d_h), or
     with a leading pair axis, xs (T, 2, R, d_in) from (2, R, d_h). The input
     products are made once for the run; only the recurrence steps. State t
     follows input t; `reverse` reads the inputs from the last. Products are
-    per (R, .) block, so each half is bitwise a run over its rows alone, and
-    at R = 1 the states are `gru_update`'s. Returns the states and z, r, cand
-    gates, each shaped as xs with d_h last."""
+    per (R, .) block, so each half is bitwise a run over its rows alone.
+    Each step is
+
+    z = sigmoid(x W_z + h U_z + b_z)
+    r = sigmoid(x W_r + h U_r + b_r)
+    cand = tanh(x W_h + (r * h) U_h + b_h)
+    h' = (1 - z) * h + z * cand
+
+    Returns the states and z, r, cand gates, each shaped as xs with d_h last."""
     hs = np.empty(xs.shape[:-1] + h0.shape[-1:])
     zr, cand = np.empty((len(xs), 2) + hs.shape[1:]), np.empty_like(hs)
     pre = np.empty(zr.shape[1:])  # both gates' pre-activations, one sigmoid call
@@ -304,23 +292,6 @@ def mul(a, b):
                 _accum(a, _fit(g * b.data, a.data.shape))
             if b.requires_grad:
                 _accum(b, _fit(g * a.data, b.data.shape))
-        _rec(out, back)
-    return out
-
-
-def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    _binary_shapes("div", a, b)
-    if np.any(b.data == 0.0):
-        raise NumericDomainError("div: division by zero")
-    out = _out(a.data / b.data, a, b)
-    if out.requires_grad:
-        def back():
-            g = out.grad
-            if a.requires_grad:
-                _accum(a, _fit(g / b.data, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _fit(-g * a.data / (b.data * b.data), b.data.shape))
         _rec(out, back)
     return out
 
@@ -652,7 +623,7 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
     halves, `total` (2, R), and the lists 2R, the first half's first; each
     half is bitwise a call over its rows alone. Shorter rows, also across
     halves, are padded and masked (padded steps get exactly zero gradient);
-    a row's final state follows its last word, or is h0 for an empty row.
+    a row's final state follows its last word.
 
     The record is keyed on the total, and the state's gradient is read when
     the total's backward runs: a caller that uses the state uses the total."""
@@ -664,7 +635,7 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
     seqs = [*words, *targets] if per_row else [words, targets]
     lengths, half = [len(seq) for seq in seqs], len(seqs) // 2
     if (len(seqs) != 2 * (count if per_row else 1) or lengths[:half] != lengths[half:]
-            or not max(lengths)):
+            or not min(lengths)):
         raise ContractError(f"sentence_log_prob: needs as many input words as targets, at least "
                             f"one, in each of {count} rows, got {words} and {targets}")
     steps = max(lengths)
@@ -693,8 +664,7 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
     if total is not None:
         picked[0] += total.data.reshape(lead)
     value = np.add.accumulate(picked)[-1]  # sequential: bitwise the word-by-word sum
-    end = run[0][-1] if not padded else np.where(
-        (lengths > 0)[..., None], run[0][(np.maximum(lengths - 1, 0),) + at[1:-1]], start)
+    end = run[0][(lengths - 1,) + at[1:-1]] if padded else run[0][-1]
     inputs = (h0, g, table, proj_w, proj_b, *weights) + (() if total is None else (total,))
     out, h = Tensor(value.reshape(h0.data.shape[:-1])), Tensor(end.reshape(h0.data.shape))
     out.requires_grad = h.requires_grad = _recording(*inputs)
@@ -703,23 +673,21 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
             g_out = out.grad.reshape(lead)
             if total is not None and total.requires_grad:
                 _accum(total, out.grad)
-            ends = lengths if padded else np.full(lead, steps)
             g_logits = np.exp(y) * -g_out[..., None]
             g_logits[at] += g_out
-            g_logits[at[0] >= ends] = 0.0
+            if padded:
+                g_logits[at[0] >= lengths] = 0.0
             if proj_b.requires_grad:
                 _accum(proj_b, _flat(g_logits).sum(axis=0))
             if proj_w.requires_grad:
                 _accum(proj_w, _flat(run[0]).T @ _flat(g_logits))
             g_states = g_logits @ proj_w.data.T
-            g_end = np.zeros_like(start) if h.grad is None else h.grad.reshape(start.shape)
-            ended = np.nonzero(ends)
-            g_states[(ends[ended] - 1,) + ended] += g_end[ended]
+            if h.grad is not None:
+                g_states[(lengths - 1,) + at[1:-1] if padded else -1] += h.grad.reshape(start.shape)
             g_h0, g_x = _gru_run_back(x, start, run, weights, g_states, False,
                                       g.requires_grad or table.requires_grad)
-            if h0.requires_grad:  # an empty row hands its state on unchanged
-                _accum(h0, (g_h0 + np.where((ends > 0)[..., None], 0.0, g_end))
-                       .reshape(h0.data.shape))
+            if h0.requires_grad:
+                _accum(h0, g_h0.reshape(h0.data.shape))
             if g.requires_grad:
                 g_g = g_x[..., d_w:].sum(axis=0)
                 shared = g.data.ndim < h0.data.ndim  # one g read by both halves
@@ -790,7 +758,7 @@ def soft_select(v, cell, mlp, steps, hard=False):
     for t in range(steps):
         free = ~taken | taken.all(axis=1, keepdims=True)
         keep = free if hard else 1.0
-        new, z, r, cand = gru_update(x, state, *(w.data for w in weights))
+        new, z, r, cand = (a[0] for a in gru_run(x[None], state, *(w.data for w in weights)))
         acts = _mlp_run(layers, _scored_pairs(new, vd))
         raw = sigmoid_array(acts[-1][..., 0])
         kept = raw * keep

@@ -1,6 +1,11 @@
+import functools
+import json
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from hatstory import tensor
 from hatstory.layers import gru_step, mlp
@@ -15,6 +20,75 @@ settings.load_profile("reproducible")
 @pytest.fixture
 def rng():
     return Rng(0)
+
+
+# arbitrary bytes, bytes that change what a JSON text means, and short
+# Unicode text as UTF-8
+FRAGMENTS = st.one_of(
+    st.binary(min_size=1, max_size=4),
+    st.sampled_from([b'"', b",", b":", b"{", b"}", b"[", b"]", b"0", b"-", b"1e999", b"\\",
+                     b"\n", b"\r", b"null", b"NaN", b"true"]),
+    st.text(min_size=1, max_size=3).map(str.encode),
+)
+
+
+@st.composite
+def byte_edits(draw, blob):
+    """`blob` after one to four edits, each deleting, inserting or replacing
+    a short run of bytes at a drawn offset, or cutting the rest off."""
+    data = bytearray(blob)
+    for _ in range(draw(st.integers(1, 4))):
+        at, chunk = draw(st.integers(0, len(data))), draw(FRAGMENTS)
+        edit = draw(st.sampled_from(["delete", "insert", "replace", "truncate"]))
+        if edit == "delete":
+            del data[at:at + len(chunk)]
+        elif edit == "insert":
+            data[at:at] = chunk
+        elif edit == "replace":
+            data[at:at + len(chunk)] = chunk
+        else:
+            del data[at:]
+    return bytes(data)
+
+
+JSON_VALUES = st.one_of(
+    st.sampled_from(["", "p0", 1.5, -2, True, None, [], ["p0"], {}, float("nan"), 1e308, 10**400]),
+    st.integers(-3, 60),
+    st.text(max_size=6),
+)
+
+
+def _json_paths(obj, path=()):
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+@st.composite
+def json_edits(draw, text):
+    """`text` after one to three edits of its JSON lines, each setting or
+    dropping one value of a line, adding a sibling next to it, or putting a
+    value in place of the whole line."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        root = json.loads(lines[i])
+        path = draw(st.sampled_from(list(_json_paths(root))))
+        parent = functools.reduce(operator.getitem, path[:-1], root)
+        edit = draw(st.sampled_from(["set", "drop", "add"]))
+        if not path:
+            root = draw(JSON_VALUES)
+        elif edit == "set":
+            parent[path[-1]] = draw(JSON_VALUES)
+        elif edit == "drop":
+            del parent[path[-1]]
+        elif isinstance(parent, list):
+            parent.append(draw(JSON_VALUES))
+        else:
+            parent[draw(st.text(max_size=8))] = draw(JSON_VALUES)
+        lines[i] = json.dumps(root, sort_keys=True)
+    return "\n".join(lines) + "\n"
 
 
 def assert_close(actual, expected, tol=1e-12):
@@ -44,7 +118,7 @@ def log_softmax_pick(a, i):
 def decode_word_step(params, prev_word_id, g, h):
     """One decoder step as the word-by-word loops made it: the GRU over
     [embedding row of the previous word, g], then the affine map to logits."""
-    x = tensor.concat([tensor.row(params.embedding.table, prev_word_id), g])
+    x = tensor.concat([tensor.row(params.embedding, prev_word_id), g])
     h2 = gru_step(params.gen_gru, x, h)
     return tensor.vecmat(h2, params.proj_w) + params.proj_b, h2
 
@@ -60,4 +134,16 @@ def select_step(cell, head, v, prev_g, state, excluded=None):
     raw = tensor.sigmoid(tensor.reshape(mlp(head, feats), (n,)))
     if excluded is not None and excluded.any():
         raw = tensor.mul(raw, tensor.Tensor((~excluded).astype(np.float64)))
-    return raw / tensor.sum_all(raw), state
+    return renormalize(raw), state
+
+
+def renormalize(raw):
+    """raw / sum(raw) as one taped op, the division a selector step makes."""
+    total = raw.data.sum()
+    out = tensor._out(raw.data / total, raw)
+    if out.requires_grad:
+        def back():
+            g = out.grad
+            tensor._accum(raw, (g - (g * out.data).sum()) / total)
+        tensor._rec(out, back)
+    return out

@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatstory.checkpoint import (
     MAGIC,
@@ -15,9 +17,10 @@ from hatstory.checkpoint import (
     save_checkpoint,
 )
 from hatstory.data import Vocabulary, SPECIAL_TOKENS
-from hatstory.errors import CorruptionError, FormatError
+from hatstory.errors import CorruptionError, FormatError, HatstoryError
 from hatstory.model import ModelDims, init_model
 from hatstory.tensor import Rng
+from conftest import byte_edits, json_edits
 
 
 def small_model(seed=0, carry_state=True):
@@ -201,6 +204,20 @@ def test_bad_header_fields_are_format_errors_naming_the_field(tmp_path, mutate, 
         load_checkpoint(path)
 
 
+def test_a_stored_vocabulary_must_fit_the_model_to_turn_ids_into_text(tmp_path):
+    """The model has 8 output words; a checkpoint may store 8 tokens or none,
+    and one storing 4 still loads but cannot decode text."""
+    for vocab, fits in ((small_vocab(), True), (None, True),
+                        (Vocabulary(list(SPECIAL_TOKENS)), False)):
+        _, path = saved(tmp_path, vocab=vocab)
+        loaded = load_checkpoint(path)
+        if fits:
+            assert loaded.fitted_vocab() is loaded.vocab
+        else:
+            with pytest.raises(FormatError, match="holds 4 tokens, dims.vocab_size is 8"):
+                loaded.fitted_vocab()
+
+
 def test_malformed_manifest_entries_are_a_format_error(tmp_path):
     _, path = saved(tmp_path)
     rewrite_header(path, lambda h: h["manifest"].__setitem__(0, "enc_fwd.w_z"))
@@ -230,3 +247,53 @@ def test_file_sha256_matches_content(tmp_path):
     import hashlib
 
     assert file_sha256(path) == hashlib.sha256(b"hello").hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the file boundary: mutated checkpoint bytes load or raise a
+# HatstoryError, and whatever loads saves to a file that reloads to itself
+# (an unmutated file's byte-for-byte round trip is tested above)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    _, path = saved(tmp_path_factory.mktemp("fuzz"), vocab=small_vocab(),
+                    config={"seed": 7, "learning_rate": 0.001})
+    return path.read_bytes()
+
+
+def _resaved(path, blob):
+    """The bytes that loading `blob` and saving it again writes, or None when
+    the load fails, which only a HatstoryError may do."""
+    path.write_bytes(blob)
+    try:
+        loaded = load_checkpoint(path)
+    except HatstoryError:
+        return None
+    save_checkpoint(loaded.params, loaded.vocab, loaded.config, path)
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_bytes_load_or_raise_a_hatstory_error(tmp_path_factory,
+                                                                 checkpoint_bytes, data):
+    path = tmp_path_factory.getbasetemp() / "mutated.hat"
+    first = _resaved(path, data.draw(byte_edits(checkpoint_bytes)))
+    if first is not None:
+        assert _resaved(path, first) == first
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_headers_load_or_raise_a_hatstory_error(tmp_path_factory,
+                                                                   checkpoint_bytes, data):
+    """Edits of the header's values, behind a length field that fits them."""
+    start = len(MAGIC) + 8
+    (length,) = struct.unpack_from("<Q", checkpoint_bytes, len(MAGIC))
+    header = data.draw(json_edits(checkpoint_bytes[start:start + length].decode())).encode()
+    path = tmp_path_factory.getbasetemp() / "header.hat"
+    first = _resaved(path, MAGIC + struct.pack("<Q", len(header)) + header
+                     + checkpoint_bytes[start + length:])
+    if first is not None:
+        assert _resaved(path, first) == first

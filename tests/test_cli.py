@@ -99,6 +99,14 @@ def test_non_finite_noise_sigma_is_a_one_line_error(tmp_path, capsys, sigma):
     assert not out.exists()
 
 
+def test_synth_more_photos_than_a_dataset_holds_is_a_one_line_error(tmp_path, capsys):
+    out = tmp_path / "data.jsonl"
+    code = main(["synth", "--albums", "2", "--photos", "51", "--k", "6", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: n must be an integer >= 5 and <= 50, got 51\n"
+    assert not out.exists()
+
+
 def test_synth_same_seed_writes_identical_bytes(tmp_path):
     a = synth(tmp_path, "a.jsonl", seed=3)
     b = synth(tmp_path, "b.jsonl", seed=3)

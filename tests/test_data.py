@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatstory.data import (
     BOS_ID,
@@ -26,7 +28,8 @@ from hatstory.data import (
     validate_story,
     word_tokens,
 )
-from hatstory.errors import ConfigurationError, ContractError, DataError
+from hatstory.errors import ConfigurationError, ContractError, DataError, HatstoryError
+from conftest import byte_edits, json_edits
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +171,10 @@ def test_load_dataset_reports_feature_width_mismatch(tmp_path):
     write_lines(path, [header(), json.dumps(rec)])
     with pytest.raises(DataError, match="feature width 3"):
         load_dataset(path)
+    # a width no array could hold is read as a mismatch, not allocated
+    write_lines(path, [header(k=10**400), json.dumps(album_record())])
+    with pytest.raises(DataError, match="photo a1-p0 feature width 4 != header k=1000"):
+        load_dataset(path)
 
 
 @pytest.mark.parametrize(
@@ -198,6 +205,9 @@ def test_load_dataset_rejects_malformed_records(tmp_path):
     path = tmp_path / "d.jsonl"
     write_lines(path, [header(), "{oops"])
     with pytest.raises(DataError, match="line 2.*JSON"):
+        load_dataset(path)
+    path.write_bytes(header().encode() + b"\n" + json.dumps(album_record()).encode()[:-1] + b"\xff}\n")
+    with pytest.raises(DataError, match="line 2: not UTF-8 text"):
         load_dataset(path)
 
     cases = [
@@ -343,3 +353,55 @@ def test_class_noun_has_a_fallback_past_the_list():
     assert class_noun(0) == "beach"
     assert class_noun(99) == "place99"
     assert len(template_sentences(1)) == 4
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the file boundary: a mutated dataset file loads or raises a
+# HatstoryError, and whatever loads saves to a file that reloads to itself
+# (an unmutated file's byte-for-byte round trip is tested above)
+
+@pytest.fixture(scope="module")
+def dataset_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "base.jsonl"
+    save_dataset(synth_generate(SynthSpec(albums=2, n=5, k=6, seed=3))[0], 6, path)
+    return path.read_bytes()
+
+
+def _load_or_fail_cleanly(path, blob):
+    """Load `blob` written to `path`; None when it is rejected, and a
+    HatstoryError is the only way to be rejected."""
+    path.write_bytes(blob)
+    try:
+        return load_dataset(path)[0]
+    except HatstoryError:
+        return None
+
+
+def _saves_to_a_fixed_point(path, albums):
+    k = albums[0].features.shape[1] if albums else 1
+    save_dataset(albums, k, path)
+    first = path.read_bytes()
+    save_dataset(load_dataset(path)[0], k, path)
+    assert path.read_bytes() == first
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_dataset_bytes_load_or_raise_a_hatstory_error(tmp_path_factory, dataset_bytes,
+                                                              data):
+    blob = data.draw(byte_edits(dataset_bytes))
+    path = tmp_path_factory.getbasetemp() / "bytes.jsonl"
+    albums = _load_or_fail_cleanly(path, blob)
+    if albums is not None:
+        _saves_to_a_fixed_point(path, albums)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_dataset_values_load_or_raise_a_hatstory_error(tmp_path_factory, dataset_bytes,
+                                                               data):
+    text = data.draw(json_edits(dataset_bytes.decode("utf-8")))
+    path = tmp_path_factory.getbasetemp() / "values.jsonl"
+    albums = _load_or_fail_cleanly(path, text.encode("utf-8"))
+    if albums is not None:
+        _saves_to_a_fixed_point(path, albums)

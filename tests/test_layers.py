@@ -1,4 +1,5 @@
-"""Recurrent cells, MLP, and embedding: hand oracles, properties, gradients."""
+"""Recurrent cells, MLP, embedding rows and the fused ops: hand oracles,
+properties, gradients."""
 
 import itertools
 import math
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hatstory.errors import ContractError, DimensionError
-from hatstory.layers import EmbeddingTable, GruParams, MlpParams, gru_step, mlp
+from hatstory.layers import GruParams, MlpParams, gru_step, mlp
 from hatstory.tensor import (
     Rng,
     Tape,
@@ -23,6 +24,7 @@ from hatstory.tensor import (
     mul,
     reshape,
     row,
+    seeded_init,
     sentence_log_prob,
     soft_select,
     softmax,
@@ -148,20 +150,20 @@ def test_mlp_create_validates_sizes(rng):
 
 
 def test_embedding_matches_one_hot_matmul(rng):
-    table = EmbeddingTable.create(rng, 6, 3)
+    table = seeded_init(rng, (6, 3))
     for tid in range(6):
         one_hot = np.zeros((1, 6))
         one_hot[0, tid] = 1.0
-        want = matmul(Tensor(one_hot), table.table).data[0]
-        assert_close(row(table.table, tid).data, want, tol=0)
+        want = matmul(Tensor(one_hot), table).data[0]
+        assert_close(row(table, tid).data, want, tol=0)
 
 
 def test_embedding_range_checked(rng):
-    table = EmbeddingTable.create(rng, 6, 3)
+    table = seeded_init(rng, (6, 3))
     with pytest.raises(IndexError):
-        row(table.table, 6)
+        row(table, 6)
     with pytest.raises(IndexError):
-        row(table.table, -1)
+        row(table, -1)
 
 
 def test_gru_step_gradients(rng):
@@ -179,11 +181,11 @@ def test_gru_step_gradients(rng):
 
 def test_mlp_and_embedding_gradients(rng):
     params = MlpParams.create(rng, [3, 3, 1])
-    table = EmbeddingTable.create(rng, 5, 3)
-    tensors = [t for _, t in params.named()] + [table.table]
+    table = seeded_init(rng, (5, 3))
+    tensors = [t for _, t in params.named()] + [table]
 
     def fn(*ts):
-        return sum_all(mlp(params, row(table.table, 2)))
+        return sum_all(mlp(params, row(table, 2)))
 
     report = grad_check(fn, tensors, tol=1e-5)
     assert report.passed, report.max_rel_err
@@ -267,8 +269,8 @@ def test_gru_sequence_matches_gru_step_chain_bitwise():
     rng = Rng(0)
     for seed, reverse, steps in itertools.product(range(4), (False, True), (1, 2, 6)):
         cell = _perturbed_cell(rng, 3 + seed, 2 + seed % 3)
-        xs = Tensor(rng.uniform(-1, 1, (steps, cell.d_in)), requires_grad=True)
-        h0 = Tensor(rng.uniform(-1, 1, cell.d_h), requires_grad=True)
+        xs = Tensor(rng.uniform(-1, 1, (steps, 3 + seed)), requires_grad=True)
+        h0 = Tensor(rng.uniform(-1, 1, 2 + seed % 3), requires_grad=True)
         tensors = [t for _, t in cell.named()] + [xs, h0]
 
         def fused():
@@ -386,7 +388,7 @@ def test_sentence_log_prob_gradcheck_and_errors(rng):
 
 # ---------------------------------------------------------------------------
 # the fused ops over rows: one row is bitwise the row-free op, more rows are
-# gradchecked with unequal sentence lengths and an empty sentence
+# gradchecked with unequal sentence lengths
 
 
 def _pair_loss(rows_out, weight):
@@ -418,10 +420,10 @@ def test_gru_sequence_one_row_is_the_row_free_run_bitwise():
 
 def _row_sentences(rng, lengths, vocab=6):
     targets = [[rng.integers(0, vocab) for _ in range(n)] for n in lengths]
-    return [[1, *t[:-1]] if t else [] for t in targets], targets
+    return [[1, *t[:-1]] for t in targets], targets
 
 
-@pytest.mark.parametrize("lengths", [[4], [3, 0, 5], [2, 6, 1]])
+@pytest.mark.parametrize("lengths", [[4], [3, 1, 5], [2, 6, 1]])
 def test_sentence_log_prob_rows_gradcheck(lengths):
     rng = Rng(len(lengths) + sum(lengths))
     table, cell, proj_w, proj_b = _decoder(rng)
@@ -466,12 +468,11 @@ def test_sentence_log_prob_one_sentence_read_by_every_row():
 def test_sentence_log_prob_rows_match_each_row_alone():
     rng = Rng(45)
     decoder = _decoder(rng)
-    lengths = [3, 0, 5]
+    lengths = [3, 1, 5]
     g, h0 = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3))
     words, targets = _row_sentences(rng, lengths)
     total, h = sentence_log_prob(None, Tensor(h0), Tensor(g), words, targets, *decoder)
-    assert np.array_equal(h.data[1], h0[1]) and total.data[1] == 0.0  # the empty row
-    for i in (0, 2):
+    for i in range(3):
         one, h_one = sentence_log_prob(None, Tensor(h0[i]), Tensor(g[i]), words[i], targets[i],
                                        *decoder)
         assert abs(total.data[i] - one.data) <= 1e-12 and np.max(np.abs(h.data[i] - h_one.data)) <= 1e-12
@@ -481,26 +482,36 @@ def test_sentence_log_prob_rows_match_each_row_alone():
 
 
 def test_sentence_log_prob_padded_steps_get_zero_gradient():
+    """Row 1 reads one word beside row 0's three: its two padded steps add
+    nothing, so its start state and g get the gradients of row 1 alone."""
     rng = Rng(46)
     table, cell, proj_w, proj_b = _decoder(rng)
     h0 = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
     g = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
-    for t in [table, proj_w, proj_b] + [w for _, w in cell.named()]:
-        t.grad = None
-    with Tape() as tape:  # row 1 is empty: only row 0 reaches the weights
-        total, h = sentence_log_prob(None, h0, g, [[1, 4, 3], []], [[4, 3, 2], []], table, cell,
-                                     proj_w, proj_b)
-        backward(tape, sum_all(total) + sum_all(h))
-    assert np.all(g.grad[1] == 0.0) and np.all(h0.grad[1] == 1.0)
-    assert np.all(table.grad[0] == 0.0)  # the padding id reads row 0
+
+    def grads(words, targets, pick=lambda t: t):
+        for t in [h0, g, table, proj_w, proj_b] + [w for _, w in cell.named()]:
+            t.grad = None
+        with Tape() as tape:
+            total, h = sentence_log_prob(None, pick(h0), pick(g), words, targets, table, cell,
+                                         proj_w, proj_b)
+            backward(tape, sum_all(total) + sum_all(h))
+        return h0.grad[1], g.grad[1], table.grad[0]
+
+    padded = grads([[1, 4, 3], [1]], [[4, 3, 2], [2]])
+    alone = grads([1], [2], lambda t: row(t, 1))
+    assert np.all(padded[2] == 0.0)  # the padding id reads table row 0, which no word reads
+    for a, b in zip(padded[:2], alone[:2]):
+        assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_sentence_log_prob_rows_errors():
     rng = Rng(47)
     decoder = _decoder(rng)
     h0, g = zeros((2, 3)), zeros((2, 3))
-    with pytest.raises(ContractError, match="at least one"):
-        sentence_log_prob(None, h0, g, [[], []], [[], []], *decoder)
+    for words, targets in (([[], []], [[], []]), ([[1, 4], []], [[4, 2], []])):
+        with pytest.raises(ContractError, match="at least one"):
+            sentence_log_prob(None, h0, g, words, targets, *decoder)
     with pytest.raises(ContractError):
         sentence_log_prob(None, h0, g, [[1, 4]], [[4, 2]], *decoder)  # one list for two rows
     with pytest.raises(ContractError):
@@ -517,13 +528,10 @@ def test_sentence_log_prob_rows_errors():
 def _pair_story(op, h0, g, g_pair, sentences, carry):
     """Two sentences chained as a story does, scored by `op(total, h0, g,
     words, targets)`; the second reads its own g per half and starts from the
-    first's state, or afresh from h0 when `carry` is off. A sentence whose
-    rows are all empty is skipped, as `story_log_prob` skips it."""
+    first's state, or afresh from h0 when `carry` is off."""
     total, h = None, h0
     for g_t, (words, targets) in zip((g, g_pair), sentences):
-        h = h if carry else h0
-        if any(targets):
-            total, h = op(total, h, g_t, words, targets)
+        total, h = op(total, h if carry else h0, g_t, words, targets)
     return total, h
 
 
@@ -533,10 +541,9 @@ def test_sentence_log_prob_pair_axis_is_two_calls_bitwise(count, carry):
     rng = Rng(90 + count + 2 * carry)
     decoder = _decoder(rng)
     # each sentence's story lengths, then its negative's: a negative longer
-    # than its story pads across halves, and an empty story sentence is
-    # scored by its negative only
-    lengths = ([([3], [5]), ([0], [2])] if count == 1 else
-               [([3, 0, 2], [1, 5, 0]), ([2, 4, 1], [4, 2, 3])])
+    # than its story pads across halves
+    lengths = ([([3], [5]), ([1], [2])] if count == 1 else
+               [([3, 1, 2], [1, 5, 2]), ([2, 4, 1], [4, 2, 3])])
     sentences = [[_row_sentences(rng, ls) for ls in sentence] for sentence in lengths]
     h0 = Tensor(rng.uniform(-1, 1, (2, count, 3)), requires_grad=True)
     g = Tensor(rng.uniform(-1, 1, (count, 3)), requires_grad=True)
@@ -574,7 +581,7 @@ def test_sentence_log_prob_pair_axis_is_two_calls_bitwise(count, carry):
 def test_sentence_log_prob_pair_axis_gradcheck(count):
     rng = Rng(95 + count)
     table, cell, proj_w, proj_b = _decoder(rng)
-    lengths = [2, 5] if count == 1 else [2, 4, 0, 3, 1, 5]  # the stories' rows, then negatives'
+    lengths = [2, 5] if count == 1 else [2, 4, 1, 3, 1, 5]  # the stories' rows, then negatives'
     words, targets = _row_sentences(rng, lengths)
     g = Tensor(rng.uniform(-1, 1, (count, 3)), requires_grad=True)
     h0 = Tensor(rng.uniform(-1, 1, (2, count, 3)), requires_grad=True)
@@ -604,7 +611,7 @@ def composed_select(v, cell, head, steps, hard=False):
     photos picked before, and the greedy-distinct picks. Returns (g, P,
     picks) as `soft_select` does."""
     n = v.shape[0]
-    state = zeros(cell.d_h)
+    state = zeros(cell.w_z.shape[1])
     prev = vecmat(Tensor(np.full(n, 1.0 / n)), v)
     rows_p, chosen = [], []
     for _ in range(steps):

@@ -270,7 +270,7 @@ def test_decode_zero_projection_is_uniform():
     params = tiny_model(seed=0)
     params.proj_w.data[...] = 0.0
     words, targets = [BOS_ID, 4, 0], [4, 0, EOS_ID]
-    total, _ = sentence_log_prob(None, zeros(3), zeros(4), words, targets, params.embedding.table,
+    total, _ = sentence_log_prob(None, zeros(3), zeros(4), words, targets, params.embedding,
                                  params.gen_gru, params.proj_w, params.proj_b)
     assert abs(float(total.data) + 3 * math.log(6)) < 1e-14
 
@@ -325,21 +325,19 @@ def test_story_log_prob_without_state_carry_resets_per_sentence():
     assert abs(float(lp.data) - total) < 1e-10
 
 
-def test_story_log_prob_skips_empty_sentences():
+def test_story_log_prob_rejects_an_empty_sentence():
+    """Every sentence ends at EOS, so an empty one is malformed: a
+    ContractError that names the story row and the sentence, raised before
+    anything is decoded."""
     params = init_model(tiny_dims(t_steps=3), Rng(19))
     enc = encode_album(params, random_features(Rng(20), 5, 4))
     condition, weights = conditioner(params, enc, "enc_attn_dec")
-    story = Story(sentences=[[4, 2], [], [3, 2]])
-    lp = story_log_prob(params, condition, story)
-    assert len(weights) == 3  # the empty sentence still attends, then adds nothing
-    total, h = None, zeros(3)
-    for t in (0, 2):
-        sentence = story.sentences[t]
-        total, h = sentence_log_prob(
-            total, h, Tensor(weights[t] @ enc.v.data), [BOS_ID, *sentence[:-1]], sentence,
-            params.embedding.table, params.gen_gru, params.proj_w, params.proj_b,
-        )
-    assert abs(float(lp.data) - float(total.data)) < 1e-12
+    good, bad = Story(sentences=[[4, 2], [5, 2], [3, 2]]), Story(sentences=[[4, 2], [], [3, 2]])
+    with pytest.raises(ContractError, match="story 0 has an empty sentence 1"):
+        story_log_prob(params, condition, bad)
+    with pytest.raises(ContractError, match="story 1 has an empty sentence 1"):
+        story_log_prob(params, condition, ([good], [bad]))
+    assert weights == []
 
 
 def test_story_log_prob_rejects_wrong_sentence_count():

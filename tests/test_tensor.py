@@ -12,7 +12,6 @@ from hatstory.errors import (
     ContractError,
     DeterminismError,
     DimensionError,
-    NumericDomainError,
     StateError,
 )
 from hatstory.tensor import (
@@ -22,7 +21,6 @@ from hatstory.tensor import (
     add,
     backward,
     concat,
-    div,
     grad_check,
     log_softmax_array,
     matmul,
@@ -124,7 +122,6 @@ def test_elementwise_binary_ops(rng):
     assert_close(add(Tensor(a), Tensor(b)).data, a + b, tol=0)
     assert_close(sub(Tensor(a), Tensor(b)).data, a - b, tol=0)
     assert_close(mul(Tensor(a), Tensor(b)).data, a * b, tol=0)
-    assert_close(div(Tensor(a), Tensor(b)).data, a / b, tol=0)
     assert_close(neg(Tensor(a)).data, -a, tol=0)
 
 
@@ -141,11 +138,6 @@ def test_scalar_broadcast_allowed():
     x = Tensor(np.arange(6.0).reshape(2, 3))
     assert_close((x * 2.0).data, np.arange(6.0).reshape(2, 3) * 2, tol=0)
     assert_close((1.0 - x).data, 1 - np.arange(6.0).reshape(2, 3), tol=0)
-
-
-def test_domain_errors():
-    with pytest.raises(NumericDomainError):
-        div(Tensor([1.0]), Tensor([0.0]))
 
 
 def test_structural_ops(rng):
@@ -275,7 +267,6 @@ def test_binary_and_structural_gradients():
         v = Tensor(rng.uniform(-1, 1, 4), requires_grad=True)
         checks = [
             (lambda a, b: sum_all(mul(add(a, b), sub(a, b))), [a, b]),
-            (lambda a, b: sum_all(div(a, b)), [a, b]),
             (lambda a, m: sum_all(matmul(a, m)), [a, m]),
             (lambda v, m: sum_all(vecmat(v, m)), [v, m]),
             (lambda a, b: sum_all(mul(concat([row(a, 0), row(b, 1)]),

@@ -316,16 +316,20 @@ def test_batch_gradient_is_the_sum_of_example_gradients(variant, rank_weight, ca
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_batch_loss_gradcheck_with_reset_state_and_an_empty_sentence(variant):
-    """Three rows without state carry, one story with an empty sentence."""
+    """Three rows without state carry, one story with a one-token sentence
+    among longer ones. The same story with that sentence empty is rejected."""
     params, features, story, _ = toy_instance(0)
     params.carry_state = False
     rng = Rng(2)
-    stories = [story, Story(sentences=[[6, 5, 4, 2], [], [3, 2], [5, 5, 2], [2]]),
+    stories = [story, Story(sentences=[[6, 5, 4, 2], [2], [3, 2], [5, 5, 2], [2]]),
                Story(sentences=story.sentences[::-1])]
     pairs = [(Album("toy", [], f, [], []), s) for f, s in zip(
         [features] + [rng.uniform(-2.0, 2.0, features.shape) for _ in range(2)], stories)]
     negatives = [make_negative(s, rng) for s in stories]
     cfg = tiny_cfg(k=4, d_s=3, d_g=3, d_w=3, variant=variant, carry_state=False)
+    empty = Story(sentences=[[6, 5, 4, 2], [], [3, 2], [5, 5, 2], [2]])
+    with pytest.raises(ContractError, match="empty sentence 1"):
+        batch_loss(params, pairs[:1] + [(pairs[1][0], empty)], negatives[:1] + [empty], cfg)
     named = params.trainable(variant)
     report = grad_check(lambda *ts: batch_loss(params, pairs, negatives, cfg)[0],
                         [t for _, t in named], tol=1e-4, names=[n for n, _ in named])
