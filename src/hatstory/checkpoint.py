@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -18,8 +19,8 @@ import numpy as np
 
 from .data import Vocabulary
 from .errors import ContractError, CorruptionError, FormatError
-from .model import ModelDims, ModelParams, from_json_object, init_model
-from .tensor import Rng
+from .model import ModelDims, ModelParams, build_model, from_json_object
+from .tensor import Tensor
 
 MAGIC = b"HATSTORY1"
 VERSION = 1
@@ -117,36 +118,35 @@ def load_checkpoint(path):
     if config is not None and not isinstance(config, dict):
         raise FormatError("checkpoint: config must be a JSON object or null")
     vocab = _header_vocab(header)
-    params = init_model(dims, Rng(0), carry_state=carry_state)
     manifest = header.get("manifest")
     if not isinstance(manifest, list) or not all(
         isinstance(m, list) and len(m) == 2 and isinstance(m[1], list) for m in manifest
     ):
         raise FormatError("checkpoint: header needs a \"manifest\" list of [name, shape] pairs")
-    named = params.named_tensors()
-    if [m[0] for m in manifest] != [n for n, _ in named]:
+    # the layout comes from the dims without building the model, so dims too
+    # large for memory fail here, before any weight array is allocated
+    layout = ModelParams.layout(dims)
+    if [m[0] for m in manifest] != [name for name, _ in layout]:
         raise FormatError("checkpoint: manifest does not match the model layout")
-    for (name, shape), (_, t) in zip(manifest, named):
+    for (name, shape), (_, want) in zip(manifest, layout):
         # exact ints: 16.0 == 16 and True == 1 would pass the comparison
-        if any(type(d) is not int for d in shape) or shape != list(t.shape):
+        if any(type(d) is not int for d in shape) or shape != list(want):
             raise FormatError(
-                f"checkpoint: tensor {name} has shape {shape!r}, model wants {list(t.shape)}"
+                f"checkpoint: tensor {name} has shape {shape!r}, model wants {list(want)}"
             )
-    expected = sum(t.data.size * 8 for _, t in named)
+    expected = sum(math.prod(shape) * 8 for _, shape in layout)
     payload = blob[offset:]
     if len(payload) != expected:
         raise CorruptionError(
             f"checkpoint: payload holds {len(payload)} bytes, manifest expects {expected}"
         )
-    pos = 0
-    for _, t in named:
-        count = t.data.size
-        t.data = (
-            np.frombuffer(payload, dtype="<f8", count=count, offset=pos)
-            .reshape(t.shape)
-            .astype(np.float64)
-        )
+    tensors, pos = {}, 0
+    for name, shape in layout:
+        count = math.prod(shape)
+        data = np.frombuffer(payload, dtype="<f8", count=count, offset=pos)
+        tensors[name] = Tensor(data.reshape(shape).astype(np.float64), requires_grad=True)
         pos += count * 8
+    params = build_model(dims, lambda name, shape: tensors[name], carry_state)
     return LoadedCheckpoint(params=params, vocab=vocab, config=config)
 
 

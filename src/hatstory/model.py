@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import MISSING, dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -116,6 +117,13 @@ class ModelParams:
         out.extend((f"attn_mlp.{n}", t) for n, t in self.attn_mlp.named())
         return out
 
+    @staticmethod
+    def layout(dims):
+        """Every tensor's name and shape in `named_tensors` order, from the dims
+        alone: the model is built of shape-only stand-ins, so nothing is allocated."""
+        model = build_model(dims, lambda _, shape: SimpleNamespace(shape=shape, ndim=len(shape)))
+        return [(name, t.shape) for name, t in model.named_tensors()]
+
     def trainable(self, variant):
         """Named tensors that participate in one model variant's loss."""
         names = {
@@ -128,6 +136,38 @@ class ModelParams:
         if names is None:
             raise ConfigurationError(f"unknown model variant {variant!r}")
         return [(n, t) for n, t in self.named_tensors() if n.split(".")[0] in names]
+
+
+def build_model(dims, make, carry_state=True):
+    """The model whose tensors `make(name, shape)` gives, named as in
+    `named_tensors` and asked for in one fixed order, the one `init_model`
+    draws in."""
+    k = dims.k
+
+    def gru(name, d_in, d_h):
+        shapes = {"w": (d_in, d_h), "u": (d_h, d_h), "b": (d_h,)}
+        return GruParams(**{f"{m}_{x}": make(f"{name}.{m}_{x}", shapes[m])
+                            for m in "wub" for x in "zrh"})
+
+    def head(name, d):  # sizes [d, d, 1]
+        return MlpParams([(make(f"{name}.0.w", (d, d)), make(f"{name}.0.b", (d,))),
+                          (make(f"{name}.1.w", (d, 1)), make(f"{name}.1.b", (1,)))])
+
+    return ModelParams(
+        dims=dims,
+        enc_fwd=gru("enc_fwd", k, k // 2),
+        enc_bwd=gru("enc_bwd", k, k // 2),
+        sel_gru=gru("sel_gru", k, dims.d_s),
+        sel_mlp=head("sel_mlp", dims.d_s + k),
+        gen_gru=gru("gen_gru", dims.d_w + k, dims.d_g),
+        embedding=make("embedding.table", (dims.vocab_size, dims.d_w)),
+        proj_w=make("proj.w", (dims.d_g, dims.vocab_size)),
+        proj_b=make("proj.b", (dims.vocab_size,)),
+        encdec_w=make("encdec.w", (k, k)),
+        encdec_b=make("encdec.b", (k,)),
+        attn_mlp=head("attn_mlp", dims.d_g + k),
+        carry_state=carry_state,
+    )
 
 
 def init_model(dims, rng, carry_state=True, enc_init_gain=1.0):
@@ -143,28 +183,16 @@ def init_model(dims, rng, carry_state=True, enc_init_gain=1.0):
     """
     if enc_init_gain <= 0:
         raise ConfigurationError("init_model: enc_init_gain must be positive")
-    half = dims.k // 2
-    enc_fwd = GruParams.create(rng, dims.k, half)
-    enc_bwd = GruParams.create(rng, dims.k, half)
-    if enc_init_gain != 1.0:
-        for cell in (enc_fwd, enc_bwd):
-            for _, tensor in cell.named():
-                tensor.data *= enc_init_gain
-    return ModelParams(
-        dims=dims,
-        enc_fwd=enc_fwd,
-        enc_bwd=enc_bwd,
-        sel_gru=GruParams.create(rng, dims.k, dims.d_s),
-        sel_mlp=MlpParams.create(rng, [dims.d_s + dims.k, dims.d_s + dims.k, 1]),
-        gen_gru=GruParams.create(rng, dims.d_w + dims.k, dims.d_g),
-        embedding=seeded_init(rng, (dims.vocab_size, dims.d_w)),
-        proj_w=seeded_init(rng, (dims.d_g, dims.vocab_size)),
-        proj_b=zeros(dims.vocab_size, requires_grad=True),
-        encdec_w=seeded_init(rng, (dims.k, dims.k)),
-        encdec_b=zeros(dims.k, requires_grad=True),
-        attn_mlp=MlpParams.create(rng, [dims.d_g + dims.k, dims.d_g + dims.k, 1]),
-        carry_state=carry_state,
-    )
+
+    def make(name, shape):
+        if name.split(".")[-1].startswith("b"):
+            return zeros(shape, requires_grad=True)
+        t = seeded_init(rng, shape)
+        if name.split(".")[0] in ("enc_fwd", "enc_bwd"):
+            t.data *= enc_init_gain
+        return t
+
+    return build_model(dims, make, carry_state)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ or hard mode (`soft_select`) and an attention read (`attention`). All take
 a row axis, and the sentence and the attention read a leading pair axis
 too: a minibatch runs as rows on one tape, a ranked one's stories and
 negatives as the pair's halves, and tape-free inference runs the same ops.
-At one row, and per half, their values are bitwise the composed ops';
-gradients agree to rounding.
+At one row, and per half, their values are bitwise the composed ops' (with
+the scoring MLP's first layer split alike); gradients agree to rounding.
 """
 
 from __future__ import annotations
@@ -701,35 +701,40 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
     return out, h
 
 
-def _mlp_run(layers, x):
-    """`layers.mlp` over x (..., d_in) on arrays; returns every activation."""
-    acts = [x]
-    for i, (w, b) in enumerate(layers):
-        x = x @ w.data + b.data
-        acts.append(np.tanh(x) if i < len(layers) - 1 else x)
-        x = acts[-1]
+def _head_run(layers, half, state):
+    """`layers.mlp` over [state, v_i] for every photo, its first layer split:
+    half = v W1_v + b1 (..., n, h), made once per op, plus state W1_s for the
+    state (..., d), broadcast over the photos. Returns every layer's output."""
+    acts = [half + (state @ layers[0][0].data[:state.shape[-1]])[..., None, :]]
+    for w, b in layers[1:]:
+        acts[-1] = np.tanh(acts[-1])
+        acts.append(acts[-1] @ w.data + b.data)
     return acts
 
 
-def _mlp_back(layers, acts, g):
-    """Backward of `_mlp_run` from the output gradient g: accumulates into
-    the layers' Tensors and returns the input's gradient."""
-    for i in reversed(range(len(layers))):
+def _head_back(layers, acts, g):
+    """Backward of `_head_run` from the output gradient g, accumulating into
+    the later layers; returns the first one's pre-activation gradient."""
+    for i in range(len(layers) - 1, 0, -1):  # g: layer i's pre-activation gradient
         w, b = layers[i]
-        if i < len(layers) - 1:
-            g = g * (1.0 - acts[i + 1] * acts[i + 1])
         if w.requires_grad:
-            _accum(w, _flat(acts[i]).T @ _flat(g))
+            _accum(w, _flat(acts[i - 1]).T @ _flat(g))
         if b.requires_grad:
             _accum(b, _flat(g).sum(axis=0))
-        g = g @ w.data.T
+        g = (g @ w.data.T) * (1.0 - acts[i - 1] * acts[i - 1])
     return g
 
 
-def _scored_pairs(state, v):
-    """[state, v_i] for every photo: state (R, d), v (R, n, k) -> (R, n, d + k)."""
-    tiled = np.broadcast_to(state[:, None], v.shape[:2] + state.shape[1:])
-    return np.concatenate([tiled, v], axis=2)
+def _head_first_back(layer, v, d_half, state, d_sum):
+    """The first layer's gradients once per op, from its pre-activation gradient
+    summed over steps and halves (d_half) and over the photos (d_sum): W1 gets
+    the two halves' stacked, and b1; returns the photos v's gradient."""
+    w, b = layer
+    if w.requires_grad:
+        _accum(w, np.concatenate([_flat(state).T @ _flat(d_sum), _flat(v).T @ _flat(d_half)]))
+    if b.requires_grad:
+        _accum(b, _flat(d_half).sum(axis=0))
+    return d_half @ w.data[state.shape[-1]:].T
 
 
 def soft_select(v, cell, mlp, steps, hard=False):
@@ -741,16 +746,19 @@ def soft_select(v, cell, mlp, steps, hard=False):
     again once all are picked). In `hard` mode the scores of the photos
     picked before step t are zeroed before renormalizing. Returns g = P @ v
     (steps, k) as a Tensor, P (steps, n) as an array and the picks as a
-    list; over R rows v is (R, n, k) and the picks are one list per row. At
-    one row the values are bitwise those of the composed steps."""
+    list; over R rows v is (R, n, k) and the picks are one list per row. The
+    MLP's first layer is split, (v_i W1_v + b1) + state W1_s, its photos' term
+    made once: at one row values are bitwise the composed steps' split alike."""
     v = _as_tensor(v)
     weights, layers = [t for _, t in cell.named()], mlp.layers
     tensors = (v, *weights, *(t for pair in layers for t in pair))
     vd = v.data.reshape((-1,) + v.data.shape[-2:])
     count, n, _ = vd.shape
+    d_s = cell.w_z.data.shape[1]
+    half = vd @ layers[0][0].data[d_s:] + layers[0][1].data
     recording = _recording(*tensors)
-    saved = []  # per step: input, start state, z, r, cand, MLP activations, raw scores, kept sum, mask
-    state = np.zeros((count, cell.w_z.data.shape[1]))
+    saved = []  # per step: input, start and new state, z, r, cand, MLP outputs, raw, kept sum, mask
+    state = np.zeros((count, d_s))
     x = (np.full((count, 1, n), 1.0 / n) @ vd)[:, 0]
     probs = np.empty((count, steps, n))
     picks = np.empty((count, steps), dtype=int)
@@ -759,7 +767,7 @@ def soft_select(v, cell, mlp, steps, hard=False):
         free = ~taken | taken.all(axis=1, keepdims=True)
         keep = free if hard else 1.0
         new, z, r, cand = (a[0] for a in gru_run(x[None], state, *(w.data for w in weights)))
-        acts = _mlp_run(layers, _scored_pairs(new, vd))
+        acts = _head_run(layers, half, new)
         raw = sigmoid_array(acts[-1][..., 0])
         kept = raw * keep
         raw_sum = kept.sum(axis=1, keepdims=True)
@@ -767,7 +775,7 @@ def soft_select(v, cell, mlp, steps, hard=False):
         picks[:, t] = np.where(free, p, -np.inf).argmax(axis=1)  # the first of equal maxima
         taken[np.arange(count), picks[:, t]] = True
         if recording:
-            saved.append((x, state, z, r, cand, acts, raw, raw_sum, keep))
+            saved.append((x, state, new, z, r, cand, acts, raw, raw_sum, keep))
         x, state = (p[:, None] @ vd)[:, 0], new
     g = probs @ vd
     out = _out(g.reshape(v.data.shape[:-2] + g.shape[1:]), *tensors)
@@ -776,21 +784,22 @@ def soft_select(v, cell, mlp, steps, hard=False):
             d_g = out.grad.reshape(g.shape)
             v_t = vd.transpose(0, 2, 1)
             d_v, d_p = probs.transpose(0, 2, 1) @ d_g, d_g @ v_t
-            xs, starts, zs, rs, cands = (np.stack(a) for a in list(zip(*saved))[:5])
+            xs, starts, news, zs, rs, cands = (np.stack(a) for a in list(zip(*saved))[:6])
             factors = _gru_factors(starts, zs, rs, cands)
             gates = np.empty((3,) + starts.shape)
             carry, d_x = np.zeros_like(state), np.zeros_like(x)  # d_x: the next step's input
+            d_pres = np.empty((steps,) + half.shape)  # the first layer's pre-activation gradients
             for t in reversed(range(steps)):
-                acts, raw, raw_sum, keep = saved[t][5:]
+                acts, raw, raw_sum, keep = saved[t][6:]
                 dp = d_p[:, t] + (d_x[:, None] @ v_t)[:, 0]  # the next step read p_t @ v
                 d_v += probs[:, t, :, None] * d_x[:, None]
                 d_raw = (dp - (dp * probs[:, t]).sum(axis=1, keepdims=True)) / raw_sum * keep
-                d_feats = _mlp_back(layers, acts, (d_raw * raw * (1.0 - raw))[..., None])
-                d_v += d_feats[..., state.shape[1]:]
-                carry = _gru_back_step(d_feats[..., :state.shape[1]].sum(axis=1) + carry, t,
+                d_pres[t] = _head_back(layers, acts, (d_raw * raw * (1.0 - raw))[..., None])
+                carry = _gru_back_step(d_pres[t].sum(axis=1) @ layers[0][0].data[:d_s].T + carry, t,
                                        factors, *(w.data for w in weights[3:6]), gates)
                 d_x = sum(gate[t] @ w.data.T for gate, w in zip(gates, weights[:3]))
             d_v += d_x[:, None] / n  # the first step read the mean photo
+            d_v += _head_first_back(layers[0], vd, d_pres.sum(axis=0), news, d_pres.sum(axis=2))
             _gru_weight_grads(weights, xs, starts, rs, gates)
             if v.requires_grad:
                 _accum(v, d_v.reshape(v.data.shape))
@@ -804,32 +813,33 @@ def attention(h, v, mlp):
     the photos of v (n, k) from the state h (d,); returns alpha @ v as a
     Tensor and alpha as an array. Over R rows h is (R, d) and v (R, n, k);
     with a leading pair axis h is (2, R, d), both halves read v, each
-    bitwise as if alone, and v's gradient sums over the pair."""
+    bitwise as if alone, and v's gradient sums over the pair. Its MLP's first
+    layer is split as in `soft_select`, the photos' term made once."""
     h, v = _as_tensor(h), _as_tensor(v)
     paired = h.data.ndim == v.data.ndim == 3
     if v.data.shape[:-2] != h.data.shape[paired:-1] or v.data.ndim != h.data.ndim + 1 - paired:
         raise DimensionError(f"attention: state {h.data.shape} does not fit photos {v.data.shape}")
     layers = mlp.layers
-    hd, vd = h.data.reshape(-1, h.data.shape[-1]), v.data.reshape((-1,) + v.data.shape[-2:])
-    if paired:
-        vd = np.concatenate([vd] * len(h.data))
-    acts = _mlp_run(layers, _scored_pairs(hd, vd))
-    alpha = softmax_array(acts[-1][..., 0], axis=1)
-    out = _out((alpha[:, None] @ vd)[:, 0].reshape(h.data.shape[:-1] + vd.shape[-1:]),
+    vd = v.data.reshape((-1,) + v.data.shape[-2:])
+    hd = h.data.reshape((-1,) + vd.shape[:1] + h.data.shape[-1:])  # (halves, rows, d)
+    half = vd @ layers[0][0].data[hd.shape[-1]:] + layers[0][1].data
+    acts = _head_run(layers, half, hd)
+    alpha = softmax_array(acts[-1][..., 0])
+    out = _out((alpha[..., None, :] @ vd)[..., 0, :].reshape(h.data.shape[:-1] + vd.shape[-1:]),
                h, v, *(t for pair in layers for t in pair))
     if out.requires_grad:
         def back():
-            d_out = out.grad.reshape(len(vd), -1)
+            d_out = out.grad.reshape(alpha.shape[:-1] + vd.shape[-1:])
             d_alpha = (vd @ d_out[..., None])[..., 0]
-            d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
-            d_feats = _mlp_back(layers, acts, d_scores[..., None])
+            d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True))
+            d_pre = _head_back(layers, acts, d_scores[..., None])
+            d_sum = d_pre.sum(axis=-2)
             if h.requires_grad:
-                _accum(h, d_feats[..., :hd.shape[1]].sum(axis=1).reshape(h.data.shape))
+                _accum(h, (d_sum @ layers[0][0].data[:hd.shape[-1]].T).reshape(h.data.shape))
+            d_v = _head_first_back(layers[0], vd, d_pre.sum(axis=0), hd, d_sum)
             if v.requires_grad:
-                d_v = d_feats[..., hd.shape[1]:] + alpha[..., None] * d_out[:, None]
-                if paired:
-                    d_v = d_v.reshape((-1,) + v.data.shape).sum(axis=0)
-                _accum(v, d_v.reshape(v.data.shape))
+                _accum(v, (d_v + (alpha[..., None] * d_out[..., None, :]).sum(axis=0))
+                       .reshape(v.data.shape))
         _rec(out, back)
     return out, alpha.reshape(h.data.shape[:-1] + vd.shape[1:2])
 

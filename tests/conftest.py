@@ -8,7 +8,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from hatstory import tensor
-from hatstory.layers import gru_step, mlp
+from hatstory.layers import gru_step
 from hatstory.tensor import Rng
 
 # Property tests draw the same examples on every run and store none, so a
@@ -123,15 +123,29 @@ def decode_word_step(params, prev_word_id, g, h):
     return tensor.vecmat(h2, params.proj_w) + params.proj_b, h2
 
 
+def head_scores(head, state, v):
+    """`layers.mlp` over [state, v_i] for every photo of v (n, k), as composed
+    ops with the first layer split as the fused ops split it:
+    (v W1_v + b1) + state W1_s, W1's rows taken apart by `row` and
+    `stack_rows`, so that W1's gradient is the two halves' stacked. The
+    reference for the scores of `soft_select` and `attention`; (n,)."""
+    (w, b), n, d = head.layers[0], v.shape[0], state.shape[0]
+    w_s, w_v = (tensor.stack_rows([tensor.row(w, i) for i in rows])
+                for rows in (range(d), range(d, w.shape[0])))
+    x = tensor.matmul(v, w_v) + tensor.tile_rows(b, n)
+    x = x + tensor.tile_rows(tensor.vecmat(state, w_s), n)
+    for w, b in head.layers[1:]:
+        x = tensor.matmul(tensor.tanh(x), w) + tensor.tile_rows(b, n)
+    return tensor.reshape(x, (n,))
+
+
 def select_step(cell, head, v, prev_g, state, excluded=None):
     """One selector step as composed ops, the reference for a step of
     `soft_select`: state' = gru(prev_g, state), raw_i = sigmoid(head([state',
     v_i])), zeroed where the boolean mask `excluded` is True, renormalized.
     Returns (p, state')."""
-    n = v.shape[0]
     state = gru_step(cell, prev_g, state)
-    feats = tensor.concat([tensor.tile_rows(state, n), v], axis=1)
-    raw = tensor.sigmoid(tensor.reshape(mlp(head, feats), (n,)))
+    raw = tensor.sigmoid(head_scores(head, state, v))
     if excluded is not None and excluded.any():
         raw = tensor.mul(raw, tensor.Tensor((~excluded).astype(np.float64)))
     return renormalize(raw), state

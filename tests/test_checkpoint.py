@@ -18,7 +18,7 @@ from hatstory.checkpoint import (
 )
 from hatstory.data import Vocabulary, SPECIAL_TOKENS
 from hatstory.errors import CorruptionError, FormatError, HatstoryError
-from hatstory.model import ModelDims, init_model
+from hatstory.model import ModelDims, ModelParams, init_model
 from hatstory.tensor import Rng
 from conftest import byte_edits, json_edits
 
@@ -237,6 +237,33 @@ def test_manifest_shape_that_is_not_a_list_of_integers_is_a_format_error(tmp_pat
 def test_payload_length_mismatch_is_a_corruption_error(tmp_path):
     _, path = saved(tmp_path)
     path.write_bytes(path.read_bytes() + b"\x00" * 8)  # trailing garbage
+    with pytest.raises(CorruptionError, match="payload"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dims", [dict(k=4, d_s=3, d_g=3, d_w=2, vocab_size=8),
+                                  dict(k=16, d_s=8, d_g=24, d_w=12, vocab_size=40, t_steps=3)])
+def test_the_layout_from_dims_is_the_built_models(dims):
+    dims = ModelDims(**dims)
+    built = init_model(dims, Rng(0)).named_tensors()
+    assert ModelParams.layout(dims) == [(name, t.shape) for name, t in built]
+
+
+@pytest.mark.parametrize("key", ["vocab_size", "d_w"])
+@pytest.mark.parametrize("size", [10**400, 10**12])
+def test_dims_too_large_for_memory_fail_before_any_weight_is_built(tmp_path, key, size):
+    """Neither an overflow nor a terabyte allocation: the header's dims are
+    compared with the manifest, and the manifest with the payload, first."""
+    _, path = saved(tmp_path)
+    rewrite_header(path, lambda h: h["dims"].update({key: size}))
+    with pytest.raises(FormatError, match="model wants"):
+        load_checkpoint(path)
+
+    def both(h):  # a manifest that agrees with the dims leaves the payload short
+        h["dims"].update({key: size})
+        h["manifest"] = [[name, list(shape)] for name, shape in ModelParams.layout(
+            ModelDims(**h["dims"]))]
+    rewrite_header(path, both)
     with pytest.raises(CorruptionError, match="payload"):
         load_checkpoint(path)
 

@@ -30,11 +30,10 @@ from hatstory.tensor import (
     softmax,
     stack_rows,
     sum_all,
-    tile_rows,
     vecmat,
     zeros,
 )
-from conftest import assert_close, log_softmax_pick, select_step
+from conftest import assert_close, head_scores, log_softmax_pick, select_step
 
 
 def scalar_gru(w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, x, h):
@@ -666,9 +665,70 @@ def test_soft_select_rows_gradcheck(count):
         assert report.passed, (hard, report.per_param)
 
 
+def _random_head(rng, d_in, hidden):
+    head = MlpParams.create(rng, [d_in, hidden, 1])
+    for _, t in head.named():
+        t.data += rng.uniform(-1, 1, t.shape)  # nonzero biases, a wider spread of scores
+    return head
+
+
+def _concatenated_scores(head, state, v):
+    """The paper's scorer: `layers.mlp` over the concatenation [state, v_i]."""
+    feats = np.concatenate([np.broadcast_to(state, (len(v), len(state))), v], axis=1)
+    return mlp(head, Tensor(feats)).data[:, 0]
+
+
+SPLIT_SHAPES = st.fixed_dictionaries({
+    "seed": st.integers(0, 10_000), "n": st.integers(1, 7), "k": st.integers(1, 6),
+    "d": st.integers(1, 5), "hidden": st.integers(1, 6), "rows": st.sampled_from([1, 3]),
+})
+
+
+@settings(max_examples=40, deadline=None)
+@given(SPLIT_SHAPES, st.booleans())
+def test_soft_select_stays_within_rounding_of_the_concatenated_mlp(shape, hard):
+    """The split first layer against the paper's formula, step by step in
+    numpy over each row, with the GRU of `layers.gru_step`."""
+    rng = Rng(shape["seed"])
+    n, k, d, rows = shape["n"], shape["k"], shape["d"], shape["rows"]
+    cell, head = _perturbed_cell(rng, k, d), _random_head(rng, d + k, shape["hidden"])
+    v = rng.uniform(-2, 2, (rows, n, k))
+    g, probs, picks = soft_select(Tensor(v), cell, head, 5, hard)
+    for i in range(rows):
+        state, prev, chosen = np.zeros(d), v[i].mean(axis=0), []
+        for t in range(5):
+            state = gru_step(cell, Tensor(prev), Tensor(state)).data
+            raw = 1.0 / (1.0 + np.exp(-_concatenated_scores(head, state, v[i])))
+            free = ~np.isin(np.arange(n), chosen) if len(set(chosen)) < n else np.ones(n, bool)
+            p = raw * free if hard else raw
+            p = p / p.sum()
+            assert np.max(np.abs(probs[i, t] - p)) <= 1e-12
+            chosen.append(int(np.flatnonzero(free)[np.argmax(p[free])]))
+            prev = p @ v[i]
+        assert picks[i] == chosen
+        assert np.max(np.abs(g.data[i] - probs[i] @ v[i])) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(SPLIT_SHAPES, st.booleans())
+def test_attention_stays_within_rounding_of_the_concatenated_mlp(shape, paired):
+    """Rows, or both halves of the pair axis, against the paper's formula."""
+    rng = Rng(shape["seed"])
+    n, k, d, rows = shape["n"], shape["k"], shape["d"], shape["rows"]
+    head = _random_head(rng, d + k, shape["hidden"])
+    h = rng.uniform(-2, 2, (2, rows, d) if paired else (rows, d))
+    v = rng.uniform(-2, 2, (rows, n, k))
+    out, alpha = attention(Tensor(h), Tensor(v), head)
+    for at in np.ndindex(h.shape[:-1]):
+        scores = _concatenated_scores(head, h[at], v[at[-1]])
+        weights = np.exp(scores - scores.max())
+        weights /= weights.sum()
+        assert np.max(np.abs(alpha[at] - weights)) <= 1e-12
+        assert np.max(np.abs(out.data[at] - weights @ v[at[-1]])) <= 1e-12
+
+
 def composed_attention(h, v, head):
-    n = v.shape[0]
-    alpha = softmax(reshape(mlp(head, concat([tile_rows(h, n), v], axis=1)), (n,)), axis=0)
+    alpha = softmax(head_scores(head, h, v), axis=0)
     return vecmat(alpha, v), alpha.data
 
 

@@ -34,18 +34,15 @@ from hatstory.tensor import (
     Tape,
     Tensor,
     backward,
-    concat,
     log_softmax_array,
-    reshape,
     row,
     sentence_log_prob,
     softmax,
-    tile_rows,
     vecmat,
     zeros,
 )
 
-from conftest import assert_close, decode_word_step, log_softmax_pick, select_step
+from conftest import assert_close, decode_word_step, head_scores, log_softmax_pick, select_step
 
 
 def tiny_dims(**overrides):
@@ -374,11 +371,8 @@ def reference_story_log_prob(params, sentence_inputs, story):
 
 def _attend(params, v_matrix, state):
     """Softmax attention over photos from [decoder state, v_i], as composed
-    ops: the attention the baseline used before it was one op."""
-    n = v_matrix.shape[0]
-    feats = concat([tile_rows(state, n), v_matrix], axis=1)
-    scores = reshape(mlp(params.attn_mlp, feats), (n,))
-    alpha = softmax(scores, axis=0)
+    ops with the first layer split as `attention` splits it."""
+    alpha = softmax(head_scores(params.attn_mlp, state, v_matrix), axis=0)
     return alpha, vecmat(alpha, v_matrix)
 
 
