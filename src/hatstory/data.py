@@ -262,13 +262,21 @@ def load_dataset(path, min_count=1, vocab=None):
 
 
 def save_dataset(albums, k, path):
-    """Write albums (which must carry raw story texts) as hatstory-v1."""
+    """Write albums (which must carry raw story texts and finite features) as
+    hatstory-v1; an album that `load_dataset` would reject writes nothing."""
     lines = [json.dumps({"format": FORMAT_NAME, "k": int(k)}, sort_keys=True)]
     for album in albums:
         if album.features.shape[1] != k:
             raise ContractError(
                 f"save_dataset: album {album.album_id} feature width "
                 f"{album.features.shape[1]} != k={k}"
+            )
+        bad = np.argwhere(~np.isfinite(album.features))
+        if bad.size:  # JSON has no infinities; the file would not load
+            i, j = bad[0]
+            raise ContractError(
+                f"save_dataset: album {album.album_id} photo {album.photo_ids[i]} "
+                f"features[{j}] is {float(album.features[i, j])}, not finite"
             )
         for story in album.stories:
             if story.texts is None:
@@ -347,7 +355,11 @@ def synth_generate(spec):
         album_id = f"synth-{a:03d}"
         positions = rng.sample_distinct(spec.n, SENTENCES_PER_STORY)
         classes = [rng.integers(0, spec.classes) for _ in positions]
-        feats = rng.normal(spec.noise_sigma, (spec.n, spec.k))
+        try:
+            feats = rng.normal(spec.noise_sigma, (spec.n, spec.k))
+        except (MemoryError, ValueError) as e:  # numpy refused the shape or its bytes
+            raise ConfigurationError(f"k={spec.k} features for each of {spec.n} photos "
+                                     f"are more than can be allocated ({e})") from None
         for pos, c in zip(positions, classes):
             feats[pos, c] += 1.0
         photo_ids = [f"{album_id}-p{i:02d}" for i in range(spec.n)]

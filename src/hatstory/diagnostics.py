@@ -57,16 +57,22 @@ def toy_instance(seed=0):
     return params, features, story, negative
 
 
-def check_primitives(seed=0, step=1e-5, tol=1e-5):
+def _check(fn, named, tol=1e-4):
+    """Tape gradients of fn over the (name, tensor) pairs `named` against
+    central differences of step 1e-5, passing within `tol`."""
+    return grad_check(fn, [t for _, t in named], step=1e-5, tol=tol, names=[n for n, _ in named])
+
+
+def check_primitives(seed=0):
     """matmul -> sigmoid -> sum exercises binary, unary, and reduction paths."""
     rng = Rng(seed)
     x = Tensor(rng.uniform(-1.0, 1.0, (3, 4)), requires_grad=True)
     w = Tensor(rng.uniform(-1.0, 1.0, (4, 2)), requires_grad=True)
     fn = lambda x, w: sum_all(sigmoid(matmul(x, w)))
-    return grad_check(fn, [x, w], step=step, tol=tol, names=["x", "w"])
+    return _check(fn, [("x", x), ("w", w)], tol=1e-5)
 
 
-def check_recurrent(seed=0, step=1e-5, tol=1e-5):
+def check_recurrent(seed=0):
     rng = Rng(seed)
     cell = GruParams.create(rng, 3, 2)
     head = MlpParams.create(rng, [2, 2, 1])
@@ -78,12 +84,11 @@ def check_recurrent(seed=0, step=1e-5, tol=1e-5):
             h = gru_step(cell, x, h)
         return sum_all(mlp(head, h))
 
-    tensors = [t for _, t in cell.named()] + [t for _, t in head.named()]
-    names = [f"gru.{n}" for n, _ in cell.named()] + [f"mlp.{n}" for n, _ in head.named()]
-    return grad_check(fn, tensors, step=step, tol=tol, names=names)
+    named = [(f"gru.{n}", t) for n, t in cell.named()] + [(f"mlp.{n}", t) for n, t in head.named()]
+    return _check(fn, named, tol=1e-5)
 
 
-def check_sequence(seed=0, step=1e-5, tol=1e-4):
+def check_sequence(seed=0):
     """Both encoder directions (`gru_sequence`) over trainable photo features
     and one decoder sentence (`sentence_log_prob`), each from a trainable
     nonzero state, the sentence with a repeated word, on the toy model."""
@@ -104,24 +109,22 @@ def check_sequence(seed=0, step=1e-5, tol=1e-4):
         return total + sum_all(mul(fwd, bwd)) + sum_all(mul(h, h))
 
     named = params.named_tensors() + [("features", xs), ("start", start), ("h0", h0), ("g", g)]
-    return grad_check(fn, [t for _, t in named], step=step, tol=tol, names=[n for n, _ in named])
+    return _check(fn, named)
 
 
-def check_story_likelihood(seed=0, step=1e-5, tol=1e-4):
+def check_story_likelihood(seed=0):
     params, features, story, _ = toy_instance(seed)
-    fn = lambda *tensors: variant_log_prob(params, features, story)
-    named = params.named_tensors()
-    return grad_check(fn, [t for _, t in named], step=step, tol=tol, names=[n for n, _ in named])
+    return _check(lambda *tensors: variant_log_prob(params, features, story),
+                  params.named_tensors())
 
 
-def check_training_loss(seed=0, step=1e-5, tol=1e-4):
+def check_training_loss(seed=0):
     """The acceptance check: combined loss with rank_weight 1 on the toy
     instance, every model tensor against central differences."""
     params, features, story, negative = toy_instance(seed)
     cfg = _toy_config()
     fn = lambda *tensors: combined_loss(params, features, story, negative, cfg)[0]
-    named = params.named_tensors()
-    return grad_check(fn, [t for _, t in named], step=step, tol=tol, names=[n for n, _ in named])
+    return _check(fn, params.named_tensors())
 
 
 def _toy_config(**overrides):
@@ -129,7 +132,7 @@ def _toy_config(**overrides):
                        d_w=TOY_DIMS["d_w"], rank_weight=1.0, margin=1.0, **overrides)
 
 
-def check_batch_loss(variant, seed=0, step=1e-5, tol=1e-4):
+def check_batch_loss(variant, seed=0):
     """The ranked loss of a 3-row batch (`training.batch_loss`), sentences of
     unequal lengths, under one variant: its trained tensors vs differences."""
     params, features, story, negative = toy_instance(seed)
@@ -140,9 +143,8 @@ def check_batch_loss(variant, seed=0, step=1e-5, tol=1e-4):
         [features] + [rng.uniform(-2.0, 2.0, features.shape) for _ in range(2)], stories)]
     negatives = [negative] + [make_negative(s, rng) for s in stories[1:]]
     cfg = _toy_config(variant=variant)
-    named = params.trainable(variant)
-    return grad_check(lambda *tensors: batch_loss(params, pairs, negatives, cfg)[0],
-                      [t for _, t in named], step=step, tol=tol, names=[n for n, _ in named])
+    return _check(lambda *tensors: batch_loss(params, pairs, negatives, cfg)[0],
+                  params.trainable(variant))
 
 
 @dataclass

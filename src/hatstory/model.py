@@ -17,13 +17,14 @@ Selection modes:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import MISSING, dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
 
 from .data import BOS_ID, EOS_ID, Story
-from .errors import ConfigurationError, ContractError, DimensionError, check_int
+from .errors import ConfigurationError, ContractError, DimensionError, HatstoryError, check_int
 from .layers import GruParams, MlpParams, mlp
 from .tensor import (
     Tensor,
@@ -179,7 +180,8 @@ def init_model(dims, rng, carry_state=True, enc_init_gain=1.0):
     representations close to relu(f_i)), which makes the raw photo signal
     dominate early selection learning; 1.0 leaves the draw untouched. The
     rng consumption is identical for every gain, so models with different
-    gains share all other initial weights.
+    gains share all other initial weights. A model too large for numpy to
+    allocate is a ConfigurationError naming its dims and weight count.
     """
     if enc_init_gain <= 0:
         raise ConfigurationError("init_model: enc_init_gain must be positive")
@@ -192,7 +194,14 @@ def init_model(dims, rng, carry_state=True, enc_init_gain=1.0):
             t.data *= enc_init_gain
         return t
 
-    return build_model(dims, make, carry_state)
+    try:
+        return build_model(dims, make, carry_state)
+    except HatstoryError:
+        raise
+    except (MemoryError, ValueError) as e:  # numpy refused the shape or its bytes
+        count = sum(math.prod(shape) for _, shape in ModelParams.layout(dims))
+        raise ConfigurationError(f"model {dims} has {count:,} weights, "
+                                 f"more than can be allocated ({e})") from None
 
 
 # ---------------------------------------------------------------------------

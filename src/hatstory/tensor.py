@@ -8,16 +8,20 @@ Shape rules are strict: binary elementwise ops need equal shapes, the only
 broadcasting allowed is scalar-with-tensor, and every other alignment
 (tiling, stacking, slicing) is an explicit op.
 
-Per-op Python dispatch, not arithmetic, sets the speed of these small
-models, so the hottest compositions are fused ops with a hand-written
-backward, one tape record each: a GRU run (`gru_sequence`), a
-teacher-forced sentence (`sentence_log_prob`), the selector's steps in soft
-or hard mode (`soft_select`) and an attention read (`attention`). All take
-a row axis, and the sentence and the attention read a leading pair axis
-too: a minibatch runs as rows on one tape, a ranked one's stories and
-negatives as the pair's halves, and tape-free inference runs the same ops.
-At one row, and per half, their values are bitwise the composed ops' (with
-the scoring MLP's first layer split alike); gradients agree to rounding.
+A composed op (`add` to `sum_all`) states its value and the gradient each
+input gets from the output's; one helper, `_op`, records it. `row` records
+itself, to add its gradient in place. Per-op Python dispatch, not
+arithmetic, sets the speed of these small models, so the hottest
+compositions are fused ops, one tape record each, that keep their own
+hand-written backward to give many inputs their gradients in one pass: a
+GRU run (`gru_sequence`), a teacher-forced sentence (`sentence_log_prob`),
+the selector's steps in soft or hard mode (`soft_select`) and an attention
+read (`attention`). All take a row axis, and the sentence and the
+attention read a leading pair axis too: a minibatch runs as rows on one
+tape, a ranked one's stories and negatives as the pair's halves, and
+tape-free inference runs the same ops. At one row, and per half, their
+values are bitwise the composed ops' (with the scoring MLP's first layer
+split alike); gradients agree to rounding.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -248,99 +253,68 @@ def gru_run(xs, h0, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, reverse=False):
 
 
 # ---------------------------------------------------------------------------
-# elementwise ops
+# composed ops: each states its value and, for every input, the gradient it
+# gets from the output's; `_op` records them
+
+
+def _op(name, value, inputs, grads):
+    """The op's output; under a tape, when some input needs a gradient, one
+    record named `name` whose backward accumulates grads[i](g), for the
+    output's gradient g, into each such inputs[i] in input order."""
+    out = _out(value, *inputs)
+    if out.requires_grad:
+        def back():
+            g = out.grad
+            for t, grad in zip(inputs, grads):
+                if t.requires_grad:
+                    _accum(t, grad(g))
+        back.__qualname__ = name  # what Tape.counts reads
+        _rec(out, back)
+    return out
 
 
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes("add", a, b)
-    out = _out(a.data + b.data, a, b)
-    if out.requires_grad:
-        def back():
-            g = out.grad
-            if a.requires_grad:
-                _accum(a, _fit(g, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _fit(g, b.data.shape))
-        _rec(out, back)
-    return out
+    return _op("add", a.data + b.data, (a, b),
+               (lambda g: _fit(g, a.data.shape), lambda g: _fit(g, b.data.shape)))
 
 
 def sub(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes("sub", a, b)
-    out = _out(a.data - b.data, a, b)
-    if out.requires_grad:
-        def back():
-            g = out.grad
-            if a.requires_grad:
-                _accum(a, _fit(g, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _fit(-g, b.data.shape))
-        _rec(out, back)
-    return out
+    return _op("sub", a.data - b.data, (a, b),
+               (lambda g: _fit(g, a.data.shape), lambda g: _fit(-g, b.data.shape)))
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes("mul", a, b)
-    out = _out(a.data * b.data, a, b)
-    if out.requires_grad:
-        def back():
-            g = out.grad
-            if a.requires_grad:
-                _accum(a, _fit(g * b.data, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _fit(g * a.data, b.data.shape))
-        _rec(out, back)
-    return out
+    return _op("mul", a.data * b.data, (a, b),
+               (lambda g: _fit(g * b.data, a.data.shape), lambda g: _fit(g * a.data, b.data.shape)))
 
 
 def neg(a):
     a = _as_tensor(a)
-    out = _out(-a.data, a)
-    if out.requires_grad:
-        def back():
-            _accum(a, -out.grad)
-        _rec(out, back)
-    return out
+    return _op("neg", -a.data, (a,), (np.negative,))
 
 
 def sigmoid(a):
     a = _as_tensor(a)
-    out = _out(sigmoid_array(a.data), a)
-    if out.requires_grad:
-        y = out.data
-        def back():
-            _accum(a, out.grad * y * (1.0 - y))
-        _rec(out, back)
-    return out
+    y = sigmoid_array(a.data)
+    return _op("sigmoid", y, (a,), (lambda g: g * y * (1.0 - y),))
 
 
 def tanh(a):
     a = _as_tensor(a)
-    out = _out(np.tanh(a.data), a)
-    if out.requires_grad:
-        y = out.data
-        def back():
-            _accum(a, out.grad * (1.0 - y * y))
-        _rec(out, back)
-    return out
+    y = np.tanh(a.data)
+    return _op("tanh", y, (a,), (lambda g: g * (1.0 - y * y),))
 
 
 def relu(a):
     a = _as_tensor(a)
-    out = _out(np.maximum(a.data, 0.0), a)
-    if out.requires_grad:
-        mask = a.data > 0  # subgradient 0 at the kink
-        def back():
-            _accum(a, out.grad * mask)
-        _rec(out, back)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# linear algebra and shape ops
+    # subgradient 0 at the kink
+    return _op("relu", np.maximum(a.data, 0.0), (a,), (lambda g: g * (a.data > 0),))
 
 
 def matmul(a, b):
@@ -353,16 +327,8 @@ def matmul(a, b):
         raise DimensionError(
             f"matmul: inner dimensions differ, {a.data.shape} x {b.data.shape}"
         )
-    out = _out(a.data @ b.data, a, b)
-    if out.requires_grad:
-        def back():
-            g = out.grad
-            if a.requires_grad:
-                _accum(a, g @ b.data.T)
-            if b.requires_grad:
-                _accum(b, a.data.T @ g)
-        _rec(out, back)
-    return out
+    return _op("matmul", a.data @ b.data, (a, b),
+               (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 def vecmat(x, m):
@@ -376,16 +342,8 @@ def vecmat(x, m):
         raise DimensionError(
             f"vecmat: inner dimensions differ, {x.data.shape} x {m.data.shape}"
         )
-    out = _out(x.data @ m.data, x, m)
-    if out.requires_grad:
-        def back():
-            g = out.grad
-            if x.requires_grad:
-                _accum(x, m.data @ g)
-            if m.requires_grad:
-                _accum(m, np.outer(x.data, g))
-        _rec(out, back)
-    return out
+    return _op("vecmat", x.data @ m.data, (x, m),
+               (lambda g: m.data @ g, lambda g: np.outer(x.data, g)))
 
 
 def softmax(a, axis=-1):
@@ -395,14 +353,8 @@ def softmax(a, axis=-1):
         raise DimensionError("softmax: input must have at least one axis")
     if a.data.shape[axis] == 0:
         raise DimensionError("softmax: empty axis")
-    out = _out(softmax_array(a.data, axis), a)
-    if out.requires_grad:
-        y = out.data
-        def back():
-            g = out.grad
-            _accum(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
-        _rec(out, back)
-    return out
+    y = softmax_array(a.data, axis)
+    return _op("softmax", y, (a,), (lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
 
 def concat(tensors, axis=0):
@@ -412,33 +364,18 @@ def concat(tensors, axis=0):
     ndim = ts[0].data.ndim
     if ndim == 0:
         raise DimensionError("concat: scalars cannot be concatenated")
-    for t in ts:
-        if t.data.ndim != ndim:
-            raise DimensionError("concat: mixed ranks")
+    if any(t.data.ndim != ndim for t in ts):
+        raise DimensionError("concat: mixed ranks")
     axis = axis % ndim
-    base = list(ts[0].data.shape)
-    for t in ts:
-        other = list(t.data.shape)
-        if [d for i, d in enumerate(other) if i != axis] != [
-            d for i, d in enumerate(base) if i != axis
-        ]:
-            raise DimensionError(
-                f"concat: off-axis extents differ, {ts[0].data.shape} vs {t.data.shape}"
-            )
-    out = _out(np.concatenate([t.data for t in ts], axis=axis), *ts)
-    if out.requires_grad:
-        widths = [t.data.shape[axis] for t in ts]
-        def back():
-            g = out.grad
-            start = 0
-            for t, w in zip(ts, widths):
-                if t.requires_grad:
-                    sl = [slice(None)] * ndim
-                    sl[axis] = slice(start, start + w)
-                    _accum(t, g[tuple(sl)])
-                start += w
-        _rec(out, back)
-    return out
+    first = ts[0].data.shape
+    grads, start, lead = [], 0, (slice(None),) * axis
+    for t in ts:  # each input's gradient is its slice of the output's
+        shape = t.data.shape
+        if shape[:axis] != first[:axis] or shape[axis + 1:] != first[axis + 1:]:
+            raise DimensionError(f"concat: off-axis extents differ, {first} vs {shape}")
+        grads.append(itemgetter(lead + (slice(start, start + shape[axis]),)))
+        start += shape[axis]
+    return _op("concat", np.concatenate([t.data for t in ts], axis=axis), ts, grads)
 
 
 def stack_rows(vectors):
@@ -450,15 +387,8 @@ def stack_rows(vectors):
     for v in vs:
         if v.data.ndim != 1 or v.data.shape != width:
             raise DimensionError("stack_rows: inputs must be 1-D and equally sized")
-    out = _out(np.stack([v.data for v in vs]), *vs)
-    if out.requires_grad:
-        def back():
-            g = out.grad
-            for i, v in enumerate(vs):
-                if v.requires_grad:
-                    _accum(v, g[i])
-        _rec(out, back)
-    return out
+    return _op("stack_rows", np.stack([v.data for v in vs]), vs,
+               [itemgetter(i) for i in range(len(vs))])
 
 
 def tile_rows(v, n):
@@ -468,12 +398,7 @@ def tile_rows(v, n):
         raise DimensionError(f"tile_rows: needs a vector, got shape {v.data.shape}")
     if n < 1:
         raise ContractError("tile_rows: n must be positive")
-    out = _out(np.tile(v.data, (n, 1)), v)
-    if out.requires_grad:
-        def back():
-            _accum(v, out.grad.sum(axis=0))
-        _rec(out, back)
-    return out
+    return _op("tile_rows", np.tile(v.data, (n, 1)), (v,), (lambda g: g.sum(axis=0),))
 
 
 def reshape(a, shape):
@@ -484,17 +409,19 @@ def reshape(a, shape):
         raise DimensionError(
             f"reshape: cannot view shape {a.data.shape} as {shape}"
         ) from None
-    out = _out(np.ascontiguousarray(data), a)
-    if out.requires_grad:
-        def back():
-            _accum(a, out.grad.reshape(a.data.shape))
-        _rec(out, back)
-    return out
+    return _op("reshape", np.ascontiguousarray(data), (a,), (lambda g: g.reshape(a.data.shape),))
+
+
+def sum_all(a):
+    a = _as_tensor(a)
+    return _op("sum_all", np.asarray(a.data.sum()), (a,),
+               (lambda g: np.broadcast_to(g, a.data.shape),))
 
 
 def row(m, i, axis=0):
     """Select index i along one axis (the first by default) of a tensor; the
-    gradient scatters back into that slice. From a vector it is a scalar."""
+    gradient scatters back into that slice. From a vector it is a scalar.
+    It records itself: its backward adds into m's gradient in place."""
     m = _as_tensor(m)
     if m.data.ndim < 1:
         raise DimensionError("row: needs at least a vector, got a scalar")
@@ -507,16 +434,6 @@ def row(m, i, axis=0):
             if m.grad is None:
                 m.grad = np.zeros_like(m.data)
             m.grad[at] += out.grad
-        _rec(out, back)
-    return out
-
-
-def sum_all(a):
-    a = _as_tensor(a)
-    out = _out(np.asarray(a.data.sum()), a)
-    if out.requires_grad:
-        def back():
-            _accum(a, np.broadcast_to(out.grad, a.data.shape))
         _rec(out, back)
     return out
 

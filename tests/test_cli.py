@@ -107,6 +107,28 @@ def test_synth_more_photos_than_a_dataset_holds_is_a_one_line_error(tmp_path, ca
     assert not out.exists()
 
 
+def test_synth_features_too_large_to_allocate_are_a_one_line_error(tmp_path, capsys):
+    out = tmp_path / "d.jsonl"
+    code = main(["synth", "--albums", "2", "--photos", "6", "--k", "1000000000000",
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: k=1000000000000 features for each of 6 photos are more than")
+    assert not out.exists()
+
+
+def test_synth_features_that_overflow_are_a_one_line_error_and_write_no_file(tmp_path, capsys):
+    out = tmp_path / "d.jsonl"
+    code = main(["synth", "--albums", "2", "--photos", "6", "--k", "6", "--classes", "2",
+                 "--noise-sigma", "1e308", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith(", not finite\n")
+    assert err.startswith("error: save_dataset: album synth-000 photo synth-000-p")
+    assert not out.exists()
+
+
 def test_synth_same_seed_writes_identical_bytes(tmp_path):
     a = synth(tmp_path, "a.jsonl", seed=3)
     b = synth(tmp_path, "b.jsonl", seed=3)
@@ -173,6 +195,24 @@ def test_a_failed_training_is_one_error_line_and_leaves_no_run_directory(tmp_pat
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("changes, dim", [({"k": 6, "d_s": 10**12}, "d_s=1000000000000"),
+                                          ({"k": 6, "d_w": 10**50}, f"d_w={10**50}")])
+def test_a_model_too_large_to_allocate_is_one_error_line_and_leaves_no_run_directory(
+        tmp_path, capsys, changes, dim):
+    data = synth(tmp_path, albums=2, photos=6, k=6, seed=0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(changes), encoding="utf-8")  # defaults otherwise
+    code = main([
+        "train", "--data", str(data), "--config", str(cfg),
+        "--out", str(tmp_path / "runs"), "--run-name", "big",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: model ModelDims(k=6, ")
+    assert dim in err and " weights, more than can be allocated (" in err
     assert not (tmp_path / "runs").exists()
 
 

@@ -282,6 +282,17 @@ def test_save_dataset_validation(tmp_path):
         save_dataset(albums, 6, tmp_path / "x.jsonl")
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_save_dataset_rejects_non_finite_features_before_writing(tmp_path, value):
+    albums, _ = synth_generate(SynthSpec(albums=2, n=5, k=6, classes=5, seed=0))
+    albums[1].features[3, 2] = value
+    path = tmp_path / "x.jsonl"
+    with pytest.raises(ContractError, match=rf"^save_dataset: album synth-001 photo synth-001-p03 "
+                                            rf"features\[2\] is {value}, not finite$"):
+        save_dataset(albums, 6, path)
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # synthetic generator
 
@@ -347,6 +358,12 @@ def test_synth_spec_validation():
     for sigma in (float("nan"), float("inf")):
         with pytest.raises(ConfigurationError, match="noise_sigma must be a finite number"):
             SynthSpec(albums=1, noise_sigma=sigma)
+
+
+def test_synth_features_too_large_to_allocate_are_a_configuration_error():
+    with pytest.raises(ConfigurationError, match=r"^k=1000000000000 features for each of 6 "
+                                                 r"photos are more than can be allocated \("):
+        synth_generate(SynthSpec(albums=2, n=6, k=10**12))
 
 
 def test_class_noun_has_a_fallback_past_the_list():

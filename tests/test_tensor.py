@@ -226,6 +226,39 @@ def test_no_tape_records_nothing():
     assert x.grad is None
 
 
+# every composed op over a (3, 4) matrix m, a (4, 2) matrix w and a vector v (4,)
+COMPOSED_OPS = {
+    "add": lambda m, w, v: add(m, m),
+    "sub": lambda m, w, v: sub(m, 1.0),
+    "mul": lambda m, w, v: mul(2.0, m),
+    "neg": lambda m, w, v: neg(m),
+    "sigmoid": lambda m, w, v: sigmoid(m),
+    "tanh": lambda m, w, v: tanh(m),
+    "relu": lambda m, w, v: relu(m),
+    "matmul": lambda m, w, v: matmul(m, w),
+    "vecmat": lambda m, w, v: vecmat(v, w),
+    "softmax": lambda m, w, v: softmax(m),
+    "concat": lambda m, w, v: concat([m, m], axis=-1),
+    "stack_rows": lambda m, w, v: stack_rows([v, v]),
+    "tile_rows": lambda m, w, v: tile_rows(v, 3),
+    "reshape": lambda m, w, v: reshape(m, (4, 3)),
+    "sum_all": lambda m, w, v: sum_all(m),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSED_OPS))
+def test_composed_op_records_once_under_its_name_only_when_tracked(name, rng):
+    def operands(requires_grad):
+        return [Tensor(rng.uniform(-1, 1, s), requires_grad) for s in ((3, 4), (4, 2), (4,))]
+
+    with Tape() as tape:
+        COMPOSED_OPS[name](*operands(True))
+    assert len(tape) == 1 and tape.counts() == {name: 1}
+    with Tape() as tape:
+        COMPOSED_OPS[name](*operands(False))
+    assert len(tape) == 0
+
+
 # ---------------------------------------------------------------------------
 # grad_check on every differentiable primitive (property over seeds)
 
