@@ -286,8 +286,9 @@ def save_dataset(albums, k, path):
         rec = {
             "album_id": album.album_id,
             "photos": [
-                {"photo_id": pid, "features": [float(x) for x in album.features[i]]}
-                for i, pid in enumerate(album.photo_ids)
+                {"photo_id": pid, "features": features}
+                for pid, features in zip(album.photo_ids,
+                                         album.features.astype(np.float64, copy=False).tolist())
             ],
             "gt_summaries": album.gt_summaries,
             "stories": [{"sentences": story.texts} for story in album.stories],

@@ -71,7 +71,7 @@ class GruParams:
 
 def gru_step(params, x, h):
     """One GRU update of the state h (d_h,) from the input x (d_in,), the
-    step of `tensor.gru_run` in composed ops."""
+    step of `tensor.gru_step_array` in composed ops."""
     z = sigmoid(vecmat(x, params.w_z) + vecmat(h, params.u_z) + params.b_z)
     r = sigmoid(vecmat(x, params.w_r) + vecmat(h, params.u_r) + params.b_r)
     cand = tanh(vecmat(x, params.w_h) + vecmat(mul(r, h), params.u_h) + params.b_h)

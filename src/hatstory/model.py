@@ -30,8 +30,9 @@ from .tensor import (
     Tensor,
     attention,
     concat,
-    gru_run,
     gru_sequence,
+    gru_stack,
+    gru_step_array,
     log_softmax_array,
     matmul,
     relu,
@@ -405,6 +406,25 @@ def variant_log_prob(params, features, story, variant="hier"):
 # beam search and story generation
 
 
+def _top_k(scores, k):
+    """The indices of the k largest flat scores, best first, ties to the
+    lower index, and their values: the first k of a stable argsort of
+    -scores. Each is an argmax over the scores not yet taken; the sort stays
+    for k >= scores.size and when a pick is not finite (argmax takes a NaN
+    first, and an -inf ties the -inf that masks a taken score)."""
+    if k < scores.size:
+        rest, picked, values = scores.copy() if k > 1 else scores, [], []
+        for j in range(k):
+            picked.append(int(rest.argmax()))
+            values.append(float(rest[picked[-1]]))
+            if j + 1 < k:
+                rest[picked[-1]] = -np.inf
+        if all(map(math.isfinite, values)):
+            return picked, values
+    order = (-scores).argsort(kind="stable")[:k]
+    return order.tolist(), scores[order].tolist()
+
+
 def _beam_search(params, g, beam, max_len, h0=None):
     """Length-capped beam search for one sentence, without the tape.
 
@@ -412,10 +432,10 @@ def _beam_search(params, g, beam, max_len, h0=None):
     state it starts from (zeros when None). The live hypotheses are rows:
     each step runs one GRU update and one output projection over all of
     them, adds each row's log-prob to its (V,) word log-probs, and keeps
-    the best `beam` of the rows x V extensions. Ties go to the earliest
-    creation: an earlier step, then a lower live row, then a lower token
-    id. Within a step that is the order of the flat index row * V + token,
-    which a stable sort keeps. A survivor ending in EOS is finished, and at
+    the best `beam` of the rows x V extensions (`_top_k`). Ties go to the
+    earliest creation: an earlier step, then a lower live row, then a lower
+    token id. Within a step that is the order of the flat index row * V +
+    token, which `_top_k` keeps. A survivor ending in EOS is finished, and at
     the length cap every survivor is. Returns (tokens, state) of the best
     finished hypothesis under the same order. No length normalization.
     """
@@ -427,25 +447,27 @@ def _beam_search(params, g, beam, max_len, h0=None):
     table = params.embedding.data
     d_w = table.shape[1]
     gen = [t.data for _, t in params.gen_gru.named()]
+    w_in, cell = np.stack(gen[:3])[:, None], gru_stack(*gen[3:], 3)  # one input product a step
     proj_w, proj_b = params.proj_w.data, params.proj_b.data
     # Rows are kept as (1, d) matrices: numpy then makes each row's products
     # as one vector-matrix product, which rounds exactly as a single
     # hypothesis's would; one (rows, d) matrix product rounds differently.
     h = np.zeros((1, 1, d_g)) if h0 is None else np.reshape(h0, (1, 1, d_g))
+    x = np.empty((0, 1, d_w + g.shape[0]))  # the live rows' inputs [table[prev], g]
     prev = [BOS_ID]
     logp = np.zeros((1, 1, 1))
     paths = [()]
     best = None  # (log-prob, tokens, state) of the best finished hypothesis
     for step in range(max_len):
         last = step == max_len - 1
-        x = np.empty((len(paths), 1, d_w + g.shape[0]))
-        x[:, 0, :d_w] = table[prev]
-        x[:, 0, d_w:] = g
-        h2 = gru_run(x[None], h, *gen)[0][0]
+        if len(prev) > len(x):  # room for every row the next step can keep
+            x = np.empty((min(beam, len(prev) * vocab),) + x.shape[1:])
+            x[..., d_w:] = g
+        x[:len(prev), 0, :d_w] = table[prev]
+        h2 = gru_step_array(x[:len(prev)] @ w_in, h, cell)[2]
         scores = (logp + log_softmax_array(h2 @ proj_w + proj_b)).ravel()
-        order = (-scores).argsort(kind="stable")[:beam]
         rows, prev, live_logp = [], [], []
-        for flat, lp in zip(order.tolist(), scores[order].tolist()):
+        for flat, lp in zip(*_top_k(scores, beam)):
             r, tok = divmod(flat, vocab)
             if tok != EOS_ID and not last:
                 rows.append(r)

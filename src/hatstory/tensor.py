@@ -205,11 +205,10 @@ def backward(tape, root):
 # inference; a leading row axis passes through unchanged
 
 
-def sigmoid_array(x):
+def sigmoid_array(x, out=None):
     # exp(-|x|) <= 1 on both branches, so no overflow in either tail
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def softmax_array(x, axis=-1):
@@ -224,31 +223,57 @@ def log_softmax_array(x, axis=-1):
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def gru_run(xs, h0, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, reverse=False):
-    """A GRU over R rows of T inputs, xs (T, R, d_in), from h0 (R, d_h), or
-    with a leading pair axis, xs (T, 2, R, d_in) from (2, R, d_h). The input
-    products are made once for the run; only the recurrence steps. State t
-    follows input t; `reverse` reads the inputs from the last. Products are
-    per (R, .) block, so each half is bitwise a run over its rows alone.
-    Each step is
+def gru_stack(u_z, u_r, u_h, b_z, b_r, b_h, ndim):
+    """A GRU's recurrent weights as `gru_step_array` reads them for states of
+    `ndim` dims: [U_z, U_r] (2, 1.., d_h, d_h), U_h, [b_z, b_r] (2, 1.., d_h)
+    and b_h. The gate axis leads, so the stacked product makes each gate's
+    own, bitwise the unstacked one."""
+    lead = (1,) * (ndim - 2)
+    return (np.stack([u_z, u_r]).reshape((2,) + lead + u_z.shape), u_h,
+            np.stack([b_z, b_r]).reshape((2,) + lead + (1,) + b_z.shape), b_h)
+
+
+def gru_step_array(xw, h, cell, out=None):
+    """One GRU step over the rows of the state h (..., d_h), from the input
+    products xw = [x W_z, x W_r, x W_h] (3, ..., d_h) and the `gru_stack`
+    `cell`:
 
     z = sigmoid(x W_z + h U_z + b_z)
     r = sigmoid(x W_r + h U_r + b_r)
     cand = tanh(x W_h + (r * h) U_h + b_h)
     h' = (1 - z) * h + z * cand
 
-    Returns the states and z, r, cand gates, each shaped as xs with d_h last."""
+    `out` holds the buffers (zr, cand, h'), zr = [z, r] (2, ..., d_h), which
+    are made when None; zr takes both gates' pre-activations first, so one
+    sigmoid call makes them. Returns the filled buffers."""
+    zr, cand, new = out or (np.empty((2,) + h.shape), np.empty(h.shape), np.empty(h.shape))
+    u_zr, u_h, b_zr, b_h = cell
+    np.matmul(h, u_zr, out=zr)
+    zr += xw[:2]
+    zr += b_zr
+    z, r = sigmoid_array(zr, out=zr)
+    np.tanh(xw[2] + (r * h) @ u_h + b_h, out=cand)
+    np.add((1.0 - z) * h, z * cand, out=new)
+    return zr, cand, new
+
+
+def gru_run(xs, h0, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, reverse=False):
+    """A GRU over R rows of T inputs, xs (T, R, d_in), from h0 (R, d_h), or
+    with a leading pair axis, xs (T, 2, R, d_in) from (2, R, d_h). The input
+    products are made once for the run; only the recurrence steps, each a
+    `gru_step_array`. State t follows input t; `reverse` reads the inputs
+    from the last. Products are per (R, .) block, so each half is bitwise a
+    run over its rows alone. Returns the states and z, r, cand gates, each
+    shaped as xs with d_h last."""
     hs = np.empty(xs.shape[:-1] + h0.shape[-1:])
     zr, cand = np.empty((len(xs), 2) + hs.shape[1:]), np.empty_like(hs)
-    pre = np.empty(zr.shape[1:])  # both gates' pre-activations, one sigmoid call
-    xz, xr, xh = xs @ w_z, xs @ w_r, xs @ w_h
+    xw = np.empty((3,) + hs.shape)
+    for w, products in zip((w_z, w_r, w_h), xw):
+        np.matmul(xs, w, out=products)
+    cell = gru_stack(u_z, u_r, u_h, b_z, b_r, b_h, h0.ndim)
     h = h0
     for t in reversed(range(len(xs))) if reverse else range(len(xs)):
-        np.add(xz[t] + h @ u_z, b_z, out=pre[0])
-        np.add(xr[t] + h @ u_r, b_r, out=pre[1])
-        z, r = zr[t] = sigmoid_array(pre)
-        c = np.tanh(xh[t] + (r * h) @ u_h + b_h, out=cand[t])
-        h = hs[t] = (1.0 - z) * h + z * c
+        h = gru_step_array(xw[:, t], h, cell, (zr[t], cand[t], hs[t]))[2]
     return hs, zr[:, 0], zr[:, 1], cand
 
 
@@ -673,6 +698,8 @@ def soft_select(v, cell, mlp, steps, hard=False):
     count, n, _ = vd.shape
     d_s = cell.w_z.data.shape[1]
     half = vd @ layers[0][0].data[d_s:] + layers[0][1].data
+    w_in = np.stack([w.data for w in weights[:3]])  # one input product per step
+    stacked = gru_stack(*(w.data for w in weights[3:]), 2)
     recording = _recording(*tensors)
     saved = []  # per step: input, start and new state, z, r, cand, MLP outputs, raw, kept sum, mask
     state = np.zeros((count, d_s))
@@ -683,7 +710,7 @@ def soft_select(v, cell, mlp, steps, hard=False):
     for t in range(steps):
         free = ~taken | taken.all(axis=1, keepdims=True)
         keep = free if hard else 1.0
-        new, z, r, cand = (a[0] for a in gru_run(x[None], state, *(w.data for w in weights)))
+        (z, r), cand, new = gru_step_array(x @ w_in, state, stacked)
         acts = _head_run(layers, half, new)
         raw = sigmoid_array(acts[-1][..., 0])
         kept = raw * keep

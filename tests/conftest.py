@@ -161,3 +161,29 @@ def renormalize(raw):
             tensor._accum(raw, (g - (g * out.data).sum()) / total)
         tensor._rec(out, back)
     return out
+
+
+def reference_sigmoid(x):
+    """The logistic function with two divides, one per sign of x: the
+    reference for `tensor.sigmoid_array`, which divides once."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def reference_gru_run(xs, h0, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, reverse=False):
+    """A GRU run with every gate's product made on its own and the biases
+    added per gate: the reference for `tensor.gru_run` and its stacked
+    step. Same arguments and results."""
+    hs = np.empty(xs.shape[:-1] + h0.shape[-1:])
+    zr, cand = np.empty((len(xs), 2) + hs.shape[1:]), np.empty_like(hs)
+    pre = np.empty(zr.shape[1:])
+    xz, xr, xh = xs @ w_z, xs @ w_r, xs @ w_h
+    h = h0
+    for t in reversed(range(len(xs))) if reverse else range(len(xs)):
+        np.add(xz[t] + h @ u_z, b_z, out=pre[0])
+        np.add(xr[t] + h @ u_r, b_r, out=pre[1])
+        z, r = zr[t] = reference_sigmoid(pre)
+        c = np.tanh(xh[t] + (r * h) @ u_h + b_h, out=cand[t])
+        h = hs[t] = (1.0 - z) * h + z * c
+    return hs, zr[:, 0], zr[:, 1], cand

@@ -2,6 +2,7 @@
 dataset IO with precise error reporting, and the synthetic album generator.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -271,6 +272,23 @@ def test_save_load_round_trip_is_structurally_identical(tmp_path):
     path_b = tmp_path / "b.jsonl"
     save_dataset(loaded, 6, path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
+
+
+def test_save_dataset_writes_the_pinned_bytes(tmp_path):
+    # digests of files written by the per-coordinate float() formatter that
+    # the one-call-per-album tolist() replaced; the edge values are signed
+    # zero, subnormals and the largest and smallest normal magnitudes
+    albums, _ = synth_generate(SynthSpec(albums=3, n=7, k=6, classes=3, seed=11, noise_sigma=0.3))
+    path = tmp_path / "x.jsonl"
+    save_dataset(albums, 6, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "da3c122c7ffc9b1e8051ad22de6574791731ad9cec9c9489e0576f60a07d6715")
+    edges = np.array([[-0.0, 5e-324, 1e300, -1e-300, 0.1, 1.0],
+                      [-1e300, 1e-300, 1.5e-323, -1.7976931348623157e308, 1 / 3, -2.5]])
+    save_dataset([Album("odd", ["p0", "p1"], edges, [], albums[0].stories)], 6, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "77cb3dd490ac41bf0c8617b1e073be06520f8a66f40b376cba5bd8778d70fabc")
+    assert '"features": [-0.0, 5e-324, 1e+300, -1e-300, 0.1, 1.0]' in path.read_text()
 
 
 def test_save_dataset_validation(tmp_path):

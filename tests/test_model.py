@@ -18,6 +18,7 @@ from hatstory.layers import gru_step, mlp
 from hatstory.model import (
     ModelDims,
     _beam_search,
+    _top_k,
     beam_decode,
     conditioner,
     enc_attn_dec_generate,
@@ -678,14 +679,48 @@ def test_beam_search_matches_reference(seed):
 @pytest.mark.parametrize("vocab_size", [6, 145])
 def test_beam_search_ties_match_reference(vocab_size, groups):
     # zero weights tie every candidate; a bias cycling over `groups` values
-    # ties the words in groups instead
+    # ties the words in groups instead; then a word in three, and EOS, gets
+    # log-prob -inf, which ties them at every beam that reaches them
     params = tiny_model(seed=0, vocab_size=vocab_size)
     for _, t in params.named_tensors():
         t.data[...] = 0.0
     params.proj_b.data[...] = -(np.arange(vocab_size) % groups)
-    for beam in (1, 2, 3, 5):
-        for max_len in (1, 2, 3, 4):
-            assert_same_winner(params, zeros(4), beam, max_len, None)
+    for blocked in (False, True):
+        if blocked:
+            params.proj_b.data[1::3] = -np.inf
+            params.proj_b.data[EOS_ID] = -np.inf
+        for beam in (1, 2, 3, 5):
+            for max_len in (1, 2, 3, 4):
+                assert_same_winner(params, zeros(4), beam, max_len, None)
+
+
+def test_beam_wider_than_every_live_row_matches_reference():
+    # every extension survives, so live rows grow as V^step, not to the beam
+    params = tiny_model(seed=3, vocab_size=5)
+    h0 = Tensor(Rng(8).uniform(-1.0, 1.0, (params.dims.d_g,)))
+    for max_len in (1, 3, 4):
+        assert_same_winner(params, Tensor(Rng(9).uniform(-2.0, 2.0, (4,))), 10**12, max_len, h0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_top_k_is_the_stable_argsort_prefix(seed):
+    rng = Rng(900 + seed)
+    size = rng.integers(1, 40)
+    scores = np.array([float(rng.integers(-3, 3)) for _ in range(size)])  # ties everywhere
+    kinds = [scores]
+    for specials in ([-np.inf], [np.inf], [np.nan], [-np.inf, np.inf, np.nan]):
+        marked = scores.copy()
+        for special in specials:
+            marked[rng.sample_distinct(size, rng.integers(1, size + 1))] = special
+        kinds.append(marked)
+    for values in kinds:
+        kept = values.copy()
+        for k in sorted({1, 2, 3, max(size - 1, 1), size, size + 1, 10**12}):
+            order = (-values).argsort(kind="stable")[:k]
+            picked, got = _top_k(values, k)
+            assert picked == order.tolist()
+            assert np.array_equal(got, values[order], equal_nan=True)
+            assert np.array_equal(values, kept, equal_nan=True)  # the scores are left as they were
 
 
 @pytest.mark.parametrize("carry_state", [True, False])

@@ -22,6 +22,7 @@ from hatstory.tensor import (
     backward,
     concat,
     grad_check,
+    gru_run,
     log_softmax_array,
     matmul,
     mul,
@@ -32,6 +33,7 @@ from hatstory.tensor import (
     row,
     seeded_init,
     sigmoid,
+    sigmoid_array,
     softmax,
     softmax_array,
     stack_rows,
@@ -42,7 +44,7 @@ from hatstory.tensor import (
     vecmat,
     zeros,
 )
-from conftest import assert_close
+from conftest import assert_close, reference_gru_run, reference_sigmoid
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +259,35 @@ def test_composed_op_records_once_under_its_name_only_when_tracked(name, rng):
     with Tape() as tape:
         COMPOSED_OPS[name](*operands(False))
     assert len(tape) == 0
+
+
+# ---------------------------------------------------------------------------
+# the plain-array GRU kernel against the per-gate reference
+
+
+def test_sigmoid_array_edge_values():
+    x = np.array([0.0, -0.0, 750.0, -750.0, np.inf, -np.inf, np.nan])
+    got = sigmoid_array(x)
+    assert np.array_equal(got, [0.5, 0.5, 1.0, 0.0, 1.0, 0.0, np.nan], equal_nan=True)
+    assert not np.signbit(got[:6]).any()
+    wide = np.concatenate([x, Rng(3).uniform(-40.0, 40.0, (200,)), np.linspace(-745.0, 745.0, 99)])
+    assert np.array_equal(sigmoid_array(wide), reference_sigmoid(wide), equal_nan=True)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("steps", [1, 5])
+@pytest.mark.parametrize("lead", [(3,), (2, 3), (3, 1)], ids=["rows", "pair", "beam-rows"])
+def test_gru_run_matches_the_per_gate_reference_bitwise(lead, steps, reverse):
+    rng = Rng(40 + steps)
+    for d_in, d_h, scale in ((5, 3, 1.0), (24, 16, 1.0), (7, 33, 1.0), (4, 2, 300.0)):
+        weights = [rng.uniform(-scale, scale, shape) for shape in
+                   3 * [(d_in, d_h)] + 3 * [(d_h, d_h)] + 3 * [(d_h,)]]
+        xs = rng.uniform(-2.0, 2.0, (steps,) + lead + (d_in,))
+        h0 = rng.uniform(-1.0, 1.0, lead + (d_h,))
+        got = gru_run(xs, h0, *weights, reverse=reverse)
+        want = reference_gru_run(xs, h0, *weights, reverse=reverse)
+        for a, b in zip(got, want):  # states, z, r, cand
+            assert a.shape == b.shape and np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
