@@ -413,12 +413,11 @@ def _top_k(scores, k):
     for k >= scores.size and when a pick is not finite (argmax takes a NaN
     first, and an -inf ties the -inf that masks a taken score)."""
     if k < scores.size:
-        rest, picked, values = scores.copy() if k > 1 else scores, [], []
-        for j in range(k):
+        rest, picked, values = scores.copy(), [], []
+        for _ in range(k):
             picked.append(int(rest.argmax()))
             values.append(float(rest[picked[-1]]))
-            if j + 1 < k:
-                rest[picked[-1]] = -np.inf
+            rest[picked[-1]] = -np.inf
         if all(map(math.isfinite, values)):
             return picked, values
     order = (-scores).argsort(kind="stable")[:k]
