@@ -41,7 +41,10 @@ def _header_dict(params, vocab, config):
 
 def save_checkpoint(params, vocab, config, path):
     """`config` is a plain JSON-safe dict (or None); `vocab` may be None for
-    throwaway models."""
+    throwaway models. A non-finite weight writes nothing."""
+    for name, t in params.named_tensors():
+        if not np.isfinite(t.data).all():
+            raise ContractError(f"save_checkpoint: tensor {name} holds a non-finite value")
     header = json.dumps(
         _header_dict(params, vocab, config), sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
@@ -144,6 +147,8 @@ def load_checkpoint(path):
     for name, shape in layout:
         count = math.prod(shape)
         data = np.frombuffer(payload, dtype="<f8", count=count, offset=pos)
+        if not np.isfinite(data).all():
+            raise CorruptionError(f"checkpoint: tensor {name} holds a non-finite value")
         tensors[name] = Tensor(data.reshape(shape).astype(np.float64), requires_grad=True)
         pos += count * 8
     params = build_model(dims, lambda name, shape: tensors[name], carry_state)

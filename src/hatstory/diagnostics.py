@@ -2,32 +2,31 @@
 
 Builds a tiny instance (2 photos, k=4, vocab of 7) and checks tape
 gradients of each layer of the system against central differences: a few
-primitives, the recurrent cells, the GRU-run and sentence ops, the story
-likelihood, the combined training loss with the ranking term on, and, for
-each model variant, the loss of a batch trained as rows.
+primitives, the selector and attention ops (over 6 photos of their own),
+the GRU-run and sentence ops, the story likelihood, the combined training
+loss with the ranking term on, and, for each model variant, the loss of a
+batch trained as rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .data import BOS_ID, Album, Story
-from .layers import GruParams, MlpParams, gru_step, mlp
 from .model import VARIANTS, ModelDims, init_model, variant_log_prob
 from .tensor import (
     GradCheckReport,
     Rng,
     Tensor,
+    attention,
     grad_check,
     gru_sequence,
     matmul,
     mul,
     sentence_log_prob,
     sigmoid,
+    soft_select,
     sum_all,
-    zeros,
 )
 from .training import TrainConfig, batch_loss, combined_loss, make_negative
 
@@ -72,20 +71,34 @@ def check_primitives(seed=0):
     return _check(fn, [("x", x), ("w", w)], tol=1e-5)
 
 
-def check_recurrent(seed=0):
-    rng = Rng(seed)
-    cell = GruParams.create(rng, 3, 2)
-    head = MlpParams.create(rng, [2, 2, 1])
-    xs = [Tensor(rng.uniform(-1.0, 1.0, 3)) for _ in range(3)]
+def check_selector(seed=0):
+    """One `soft_select` op over 6 trainable photos (hard mode needs at
+    least 5) and the toy selector's tensors, in soft and in hard mode: the
+    worse of the two reports."""
+    params, _, _, _ = toy_instance(seed)
+    rng, steps = Rng(seed + 3), params.dims.t_steps
+    v = Tensor(rng.uniform(-1.0, 1.0, (6, params.dims.k)), requires_grad=True)
+    weight = Tensor(rng.uniform(-1.0, 1.0, (steps, params.dims.k)))
+    named = [(n, t) for n, t in params.named_tensors() if n.startswith("sel_")] + [("photos", v)]
+    return max((_check(lambda *tensors: sum_all(mul(
+        soft_select(v, params.sel_gru, params.sel_mlp, steps, hard)[0], weight)), named, tol=1e-5)
+        for hard in (False, True)), key=lambda report: report.max_rel_err)
 
-    def fn(*tensors):
-        h = zeros(2)
-        for x in xs:
-            h = gru_step(cell, x, h)
-        return sum_all(mlp(head, h))
 
-    named = [(f"gru.{n}", t) for n, t in cell.named()] + [(f"mlp.{n}", t) for n, t in head.named()]
-    return _check(fn, named, tol=1e-5)
+def check_attention(seed=0):
+    """One `attention` op over 6 trainable photos from a trainable state,
+    drawn from ±2 to keep the scorer's gradients above difference noise. The
+    scorer's output bias is left out: softmax ignores a shift, so its
+    gradient is zero and its differences are rounding noise."""
+    params, _, _, _ = toy_instance(seed)
+    rng = Rng(seed + 3)
+    v = Tensor(rng.uniform(-1.0, 1.0, (6, params.dims.k)), requires_grad=True)
+    h = Tensor(rng.uniform(-2.0, 2.0, params.dims.d_g), requires_grad=True)
+    weight = Tensor(rng.uniform(-1.0, 1.0, params.dims.k))
+    named = [(n, t) for n, t in params.named_tensors()
+             if n.startswith("attn_mlp.") and n != "attn_mlp.1.b"] + [("state", h), ("photos", v)]
+    return _check(lambda *tensors: sum_all(mul(attention(h, v, params.attn_mlp)[0], weight)),
+                  named, tol=1e-5)
 
 
 def check_sequence(seed=0):
@@ -123,7 +136,7 @@ def check_training_loss(seed=0):
     instance, every model tensor against central differences."""
     params, features, story, negative = toy_instance(seed)
     cfg = _toy_config()
-    fn = lambda *tensors: combined_loss(params, features, story, negative, cfg)[0]
+    fn = lambda *tensors: sum_all(combined_loss(params, features[None], [story], [negative], cfg)[0])
     return _check(fn, params.named_tensors())
 
 
@@ -156,7 +169,8 @@ class ModuleCheck:
 def run_all(seed=0):
     return [
         ModuleCheck("primitives", check_primitives(seed)),
-        ModuleCheck("recurrent", check_recurrent(seed)),
+        ModuleCheck("selector", check_selector(seed)),
+        ModuleCheck("attention", check_attention(seed)),
         ModuleCheck("sequence", check_sequence(seed)),
         ModuleCheck("story-likelihood", check_story_likelihood(seed)),
         ModuleCheck("training-loss", check_training_loss(seed)),

@@ -1,25 +1,14 @@
-"""Recurrent and feed-forward building blocks: GRU weights and step, and
-small MLPs. Every parameter is a plain Tensor, so the gradient tape sees
-everything. A GRU step is written with one tape op per arithmetic step; the
-program runs whole GRUs as one `tensor.gru_sequence` op over the same
-`GruParams`, whose values are bitwise a `gru_step` chain's."""
+"""The weights of the recurrent and feed-forward blocks: a GRU's nine gate
+tensors and a small MLP's affine layers. Every parameter is a plain Tensor,
+so the gradient tape sees everything; the fused ops of `tensor` run them
+(`gru_sequence`, `sentence_log_prob`, `soft_select` and `attention`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import ContractError, DimensionError
-from .tensor import (
-    Tensor,
-    matmul,
-    mul,
-    seeded_init,
-    sigmoid,
-    tanh,
-    tile_rows,
-    vecmat,
-    zeros,
-)
+from .tensor import Tensor
 
 
 @dataclass
@@ -56,27 +45,6 @@ class GruParams:
             ("b_z", self.b_z), ("b_r", self.b_r), ("b_h", self.b_h),
         ]
 
-    @classmethod
-    def create(cls, rng, d_in, d_h):
-        """Xavier weights, zero biases."""
-        w = lambda shape: seeded_init(rng, shape)
-        return cls(
-            w_z=w((d_in, d_h)), w_r=w((d_in, d_h)), w_h=w((d_in, d_h)),
-            u_z=w((d_h, d_h)), u_r=w((d_h, d_h)), u_h=w((d_h, d_h)),
-            b_z=zeros(d_h, requires_grad=True),
-            b_r=zeros(d_h, requires_grad=True),
-            b_h=zeros(d_h, requires_grad=True),
-        )
-
-
-def gru_step(params, x, h):
-    """One GRU update of the state h (d_h,) from the input x (d_in,), the
-    step of `tensor.gru_step_array` in composed ops."""
-    z = sigmoid(vecmat(x, params.w_z) + vecmat(h, params.u_z) + params.b_z)
-    r = sigmoid(vecmat(x, params.w_r) + vecmat(h, params.u_r) + params.b_r)
-    cand = tanh(vecmat(x, params.w_h) + vecmat(mul(r, h), params.u_h) + params.b_h)
-    return (1.0 - z) * h + z * cand
-
 
 @dataclass
 class MlpParams:
@@ -99,33 +67,3 @@ class MlpParams:
             out.append((f"{i}.w", w))
             out.append((f"{i}.b", b))
         return out
-
-    @property
-    def d_in(self):
-        return self.layers[0][0].shape[0]
-
-    @classmethod
-    def create(cls, rng, sizes):
-        """sizes = [d_in, hidden..., d_out]; xavier weights, zero biases."""
-        if len(sizes) < 2:
-            raise ContractError("MlpParams.create: needs input and output sizes")
-        layers = []
-        for a, b in zip(sizes, sizes[1:]):
-            layers.append(
-                (seeded_init(rng, (a, b)), zeros(b, requires_grad=True))
-            )
-        return cls(layers)
-
-
-def mlp(params, x):
-    """Apply the stack to a vector (d_in,) -> (d_out,) or row-wise to a
-    matrix (n, d_in) -> (n, d_out)."""
-    if x.ndim not in (1, 2):
-        raise DimensionError(f"mlp: input must be 1-D or 2-D, got shape {x.shape}")
-    if x.shape[-1] != params.d_in:
-        raise DimensionError(f"mlp: input width {x.shape[-1]}, want {params.d_in}")
-    for i, (w, b) in enumerate(params.layers):
-        x = vecmat(x, w) + b if x.ndim == 1 else matmul(x, w) + tile_rows(b, x.shape[0])
-        if i < len(params.layers) - 1:
-            x = tanh(x)
-    return x

@@ -4,6 +4,8 @@ by generation likelihood."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from collections import Counter
@@ -158,7 +160,7 @@ def cider(hypotheses, references, max_order=4):
 # retrieval
 
 
-def retrieval_scores(params, story, album_features_list, variant="hier", per_word=False):
+def retrieval_scores(params, story, album_features_list, variant="hier"):
     """Story log-likelihood against each candidate album (soft selection for
     the full model), in pool order, without the tape. Each group of albums
     with one photo count is one `variant_log_prob` over (A, n, k) rows, every
@@ -167,14 +169,11 @@ def retrieval_scores(params, story, album_features_list, variant="hier", per_wor
     the vector products of one row."""
     if not album_features_list:
         raise ContractError("retrieval_scores: empty album pool")
-    n_tokens = sum(len(s) for s in story.sentences)
-    if per_word and n_tokens == 0:
-        raise ContractError("retrieval_scores: per-word scores need a story with tokens")
     scores = [0.0] * len(album_features_list)
     for rows, features in group_by_photo_count(params, album_features_list):
         lps = variant_log_prob(params, features, [story] * len(rows), variant)
         for i, lp in zip(rows, lps.data.tolist()):
-            scores[i] = lp / n_tokens if per_word else lp
+            scores[i] = lp
     return scores
 
 
@@ -238,14 +237,17 @@ class MetricReport:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def to_csv(self):
-        """Flat per-item table; aggregate values appear as a final row."""
+        """Flat per-item table, its fields quoted where CSV needs it;
+        aggregate values appear as a final row."""
         keys = sorted({k for item in self.per_item for k in item})
-        lines = [",".join(["row"] + keys)]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["row"] + keys)
         for i, item in enumerate(self.per_item):
-            lines.append(",".join([str(i)] + [repr(item.get(k, "")) for k in keys]))
+            writer.writerow([i] + [repr(item.get(k, "")) for k in keys])
         agg = ";".join(f"{k}={v!r}" for k, v in sorted(self.aggregate.items()))
-        lines.append(f"aggregate,{agg}" + "," * max(0, len(keys) - 1))
-        return "\n".join(lines) + "\n"
+        writer.writerow(["aggregate", agg] + [""] * (len(keys) - 1))
+        return out.getvalue()
 
 
 def hard_selection_ids(params, album):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import BOS_ID, EOS_ID, Story
 from .errors import ConfigurationError, ContractError, DimensionError, HatstoryError, check_int
-from .layers import GruParams, MlpParams, mlp
+from .layers import GruParams, MlpParams
 from .tensor import (
     Tensor,
     attention,
@@ -40,6 +40,8 @@ from .tensor import (
     seeded_init,
     sentence_log_prob,
     soft_select,
+    tile_rows,
+    vecmat,
     zeros,
 )
 
@@ -312,7 +314,10 @@ def select_summary(params, enc, mode, oracle_indices=None):
 def enc_dec_visual(params, enc):
     """The flat baseline's constant per-sentence visual input: one affine
     map of the final encoder state, per album row when it has rows."""
-    return mlp(MlpParams([(params.encdec_w, params.encdec_b)]), enc.final_state)
+    state, w, b = enc.final_state, params.encdec_w, params.encdec_b
+    if state.ndim == 1:
+        return vecmat(state, w) + b
+    return matmul(state, w) + tile_rows(b, state.shape[0])
 
 
 def conditioner(params, enc, variant, mode="soft", oracle_indices=None):

@@ -6,22 +6,22 @@ tape so the two routes can cross-validate each other.
 
 Shape rules are strict: binary elementwise ops need equal shapes, the only
 broadcasting allowed is scalar-with-tensor, and every other alignment
-(tiling, stacking, slicing) is an explicit op.
+(tiling, joining, slicing) is an explicit op.
 
-A composed op (`add` to `sum_all`) states its value and the gradient each
-input gets from the output's; one helper, `_op`, records it. `row` records
-itself, to add its gradient in place. Per-op Python dispatch, not
-arithmetic, sets the speed of these small models, so the hottest
-compositions are fused ops, one tape record each, that keep their own
-hand-written backward to give many inputs their gradients in one pass: a
-GRU run (`gru_sequence`), a teacher-forced sentence (`sentence_log_prob`),
-the selector's steps in soft or hard mode (`soft_select`) and an attention
-read (`attention`). All take a row axis, and the sentence and the
-attention read a leading pair axis too: a minibatch runs as rows on one
-tape, a ranked one's stories and negatives as the pair's halves, and
-tape-free inference runs the same ops. At one row, and per half, their
-values are bitwise the composed ops' (with the scoring MLP's first layer
-split alike); gradients agree to rounding.
+Only the composed ops the program calls live here (`add` to `sum_all`); each
+states its value and the gradient each input gets from the output's, and one
+helper, `_op`, records it. `row` records itself, to add its gradient in
+place. Per-op Python dispatch, not arithmetic, sets the speed of these small
+models, so the hottest compositions are fused ops, one tape record each,
+that keep their own hand-written backward to give many inputs their
+gradients in one pass: a GRU run (`gru_sequence`), a teacher-forced sentence
+(`sentence_log_prob`), the selector's steps in soft or hard mode
+(`soft_select`) and an attention read (`attention`). All take a row axis,
+and the sentence and the attention read a leading pair axis too: a minibatch
+runs as rows on one tape, a ranked one's stories and negatives as the pair's
+halves, and tape-free inference runs the same ops. At one row, and per half,
+their values are bitwise the composed references' that the tests keep (with
+the scoring MLP's first layer split alike); gradients agree to rounding.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class Tensor:
     def item(self):
         if self.data.size != 1:
             raise ContractError(f"item() needs a scalar, got shape {self.data.shape}")
-        return float(self.data)
+        return self.data.item()
 
     def sum(self):
         return sum_all(self)
@@ -330,12 +330,6 @@ def sigmoid(a):
     return _op("sigmoid", y, (a,), (lambda g: g * y * (1.0 - y),))
 
 
-def tanh(a):
-    a = _as_tensor(a)
-    y = np.tanh(a.data)
-    return _op("tanh", y, (a,), (lambda g: g * (1.0 - y * y),))
-
-
 def relu(a):
     a = _as_tensor(a)
     # subgradient 0 at the kink
@@ -371,17 +365,6 @@ def vecmat(x, m):
                (lambda g: m.data @ g, lambda g: np.outer(x.data, g)))
 
 
-def softmax(a, axis=-1):
-    """Max-subtracted exponential normalization along one axis."""
-    a = _as_tensor(a)
-    if a.data.ndim == 0:
-        raise DimensionError("softmax: input must have at least one axis")
-    if a.data.shape[axis] == 0:
-        raise DimensionError("softmax: empty axis")
-    y = softmax_array(a.data, axis)
-    return _op("softmax", y, (a,), (lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True)),))
-
-
 def concat(tensors, axis=0):
     ts = [_as_tensor(t) for t in tensors]
     if not ts:
@@ -403,19 +386,6 @@ def concat(tensors, axis=0):
     return _op("concat", np.concatenate([t.data for t in ts], axis=axis), ts, grads)
 
 
-def stack_rows(vectors):
-    """Stack 1-D tensors of equal length into a matrix, one per row."""
-    vs = [_as_tensor(v) for v in vectors]
-    if not vs:
-        raise ContractError("stack_rows: needs at least one vector")
-    width = vs[0].data.shape
-    for v in vs:
-        if v.data.ndim != 1 or v.data.shape != width:
-            raise DimensionError("stack_rows: inputs must be 1-D and equally sized")
-    return _op("stack_rows", np.stack([v.data for v in vs]), vs,
-               [itemgetter(i) for i in range(len(vs))])
-
-
 def tile_rows(v, n):
     """Repeat a 1-D tensor as n identical rows."""
     v = _as_tensor(v)
@@ -424,17 +394,6 @@ def tile_rows(v, n):
     if n < 1:
         raise ContractError("tile_rows: n must be positive")
     return _op("tile_rows", np.tile(v.data, (n, 1)), (v,), (lambda g: g.sum(axis=0),))
-
-
-def reshape(a, shape):
-    a = _as_tensor(a)
-    try:
-        data = a.data.reshape(shape)
-    except ValueError:
-        raise DimensionError(
-            f"reshape: cannot view shape {a.data.shape} as {shape}"
-        ) from None
-    return _op("reshape", np.ascontiguousarray(data), (a,), (lambda g: g.reshape(a.data.shape),))
 
 
 def sum_all(a):
@@ -526,7 +485,7 @@ def gru_sequence(xs, h0, cell, reverse=False):
     """A whole GRU run as one op: row t of the (T, d_h) result is the state
     after input t of xs (T, d_in), from h0 (d_h,); `reverse` runs from the
     last input; over R rows xs is (R, T, d_in) and h0 (R, d_h). `cell` holds
-    the nine gate tensors. At one row values are a `layers.gru_step` chain's."""
+    the nine gate tensors. At one row values are a chain of composed GRU steps'."""
     xs, h0 = _as_tensor(xs), _as_tensor(h0)
     weights = [t for _, t in cell.named()]
     d_in, d_h = cell.w_z.data.shape
@@ -644,7 +603,7 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
 
 
 def _head_run(layers, half, state):
-    """`layers.mlp` over [state, v_i] for every photo, its first layer split:
+    """The scoring MLP over [state, v_i] for every photo, its first layer split:
     half = v W1_v + b1 (..., n, h), made once per op, plus state W1_s for the
     state (..., d), broadcast over the photos. Returns every layer's output."""
     acts = [half + (state @ layers[0][0].data[:state.shape[-1]])[..., None, :]]

@@ -20,7 +20,7 @@ import numpy as np
 from .data import SENTENCES_PER_STORY, Story, validate_story
 from .errors import ConfigurationError, ContractError, NumericDomainError, check_int, check_number
 from .model import VARIANTS, group_by_photo_count, variant_log_prob
-from .tensor import Rng, Tape, backward, neg, relu, reshape, row, sum_all
+from .tensor import Rng, Tape, backward, neg, relu, row, sum_all
 
 
 @dataclass
@@ -107,23 +107,19 @@ def make_negative(story, rng):
     )
 
 
-def combined_loss(params, features, story, negative, cfg):
-    """(total, generation part, ranking part). `negative` may be None when
+def combined_loss(params, features, stories, negatives, cfg):
+    """(total, generation part, ranking part), each (A,), over (A, n, k)
+    album rows with one story per row. `negatives` may be None when
     rank_weight is 0, in which case the op sequence is exactly the
-    generation loss. Otherwise one encoding and conditioning of the album
-    serve one decoder pass over the pair (story, negative), whose (2, A)
-    total splits into log p(S) and log p(S'). Over (A, n, k) album rows,
-    `story` and `negative` list one story per row and each part is (A,)."""
+    generation loss. Otherwise one encoding and conditioning of the albums
+    serve one decoder pass over the pair (stories, negatives), whose (2, A)
+    total splits into log p(S) and log p(S')."""
     if cfg.rank_weight == 0.0:
-        gen = neg(variant_log_prob(params, features, story, cfg.variant))
+        gen = neg(variant_log_prob(params, features, stories, cfg.variant))
         return gen, gen, None
-    if negative is None:
-        raise ContractError("combined_loss: rank_weight > 0 needs a negative story")
-    rows = np.ndim(features) == 3
-    both = variant_log_prob(params, features if rows else np.asarray(features)[None],
-                            (story, negative) if rows else ([story], [negative]), cfg.variant)
-    if not rows:
-        both = reshape(both, (2,))
+    if negatives is None:
+        raise ContractError("combined_loss: rank_weight > 0 needs negative stories")
+    both = variant_log_prob(params, features, (stories, negatives), cfg.variant)
     log_p_pos, log_p_neg = row(both, 0), row(both, 1)
     gen = neg(log_p_pos)
     rank = ranking_loss(log_p_pos, log_p_neg, cfg.margin)

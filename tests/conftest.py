@@ -1,6 +1,7 @@
 import functools
 import json
 import operator
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from hatstory import tensor
-from hatstory.layers import gru_step
-from hatstory.tensor import Rng
+from hatstory.layers import GruParams, MlpParams
+from hatstory.tensor import Rng, matmul, mul, seeded_init, sigmoid, tile_rows, vecmat, zeros
 
 # Property tests draw the same examples on every run and store none, so a
 # failure shows up on the run that introduced it and on every later one.
@@ -99,6 +100,63 @@ def assert_close(actual, expected, tol=1e-12):
     assert err <= tol, f"max abs err {err} > {tol}\nactual={actual}\nexpected={expected}"
 
 
+# ---------------------------------------------------------------------------
+# composed references for the fused ops, each tape op one record named after it
+
+
+def tanh(a):
+    y = np.tanh(a.data)
+    return tensor._op("tanh", y, (a,), (lambda g: g * (1.0 - y * y),))
+
+
+def softmax(a, axis=-1):
+    y = tensor.softmax_array(a.data, axis)
+    return tensor._op("softmax", y, (a,),
+                      (lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True)),))
+
+
+def stack_rows(vectors):
+    """1-D tensors of equal length as the rows of a matrix."""
+    return tensor._op("stack_rows", np.stack([v.data for v in vectors]), vectors,
+                      [itemgetter(i) for i in range(len(vectors))])
+
+
+def reshape(a, shape):
+    return tensor._op("reshape", np.ascontiguousarray(a.data.reshape(shape)), (a,),
+                      (lambda g: g.reshape(a.data.shape),))
+
+
+def gru_step(params, x, h):
+    """One GRU update of the state h (d_h,) from the input x (d_in,), the
+    step of `tensor.gru_step_array` in composed ops."""
+    z = sigmoid(vecmat(x, params.w_z) + vecmat(h, params.u_z) + params.b_z)
+    r = sigmoid(vecmat(x, params.w_r) + vecmat(h, params.u_r) + params.b_r)
+    cand = tanh(vecmat(x, params.w_h) + vecmat(mul(r, h), params.u_h) + params.b_h)
+    return (1.0 - z) * h + z * cand
+
+
+def mlp(params, x):
+    """The affine stack over a vector (d_in,) -> (d_out,), or row-wise over a
+    matrix (n, d_in) -> (n, d_out): tanh on every hidden layer."""
+    for i, (w, b) in enumerate(params.layers):
+        x = vecmat(x, w) + b if x.ndim == 1 else matmul(x, w) + tile_rows(b, x.shape[0])
+        if i < len(params.layers) - 1:
+            x = tanh(x)
+    return x
+
+
+def gru_cell(rng, d_in, d_h):
+    """Xavier GRU weights, drawn w_z, w_r, w_h, u_z, u_r, u_h, and zero biases."""
+    return GruParams(*(seeded_init(rng, shape) for shape in 3 * [(d_in, d_h)] + 3 * [(d_h, d_h)]),
+                     *(zeros(d_h, requires_grad=True) for _ in range(3)))
+
+
+def mlp_head(rng, sizes):
+    """Xavier MLP weights over sizes [d_in, hidden..., d_out], and zero biases."""
+    return MlpParams([(seeded_init(rng, (a, b)), zeros(b, requires_grad=True))
+                      for a, b in zip(sizes, sizes[1:])])
+
+
 def log_softmax_pick(a, i):
     """The log-probability of class i under the logits vector a as one taped
     op: the reference for a word's log-prob that the word-by-word decoder
@@ -120,23 +178,30 @@ def decode_word_step(params, prev_word_id, g, h):
     [embedding row of the previous word, g], then the affine map to logits."""
     x = tensor.concat([tensor.row(params.embedding, prev_word_id), g])
     h2 = gru_step(params.gen_gru, x, h)
-    return tensor.vecmat(h2, params.proj_w) + params.proj_b, h2
+    return vecmat(h2, params.proj_w) + params.proj_b, h2
 
 
 def head_scores(head, state, v):
-    """`layers.mlp` over [state, v_i] for every photo of v (n, k), as composed
+    """`mlp` over [state, v_i] for every photo of v (n, k), as composed
     ops with the first layer split as the fused ops split it:
     (v W1_v + b1) + state W1_s, W1's rows taken apart by `row` and
     `stack_rows`, so that W1's gradient is the two halves' stacked. The
     reference for the scores of `soft_select` and `attention`; (n,)."""
     (w, b), n, d = head.layers[0], v.shape[0], state.shape[0]
-    w_s, w_v = (tensor.stack_rows([tensor.row(w, i) for i in rows])
+    w_s, w_v = (stack_rows([tensor.row(w, i) for i in rows])
                 for rows in (range(d), range(d, w.shape[0])))
-    x = tensor.matmul(v, w_v) + tensor.tile_rows(b, n)
-    x = x + tensor.tile_rows(tensor.vecmat(state, w_s), n)
+    x = matmul(v, w_v) + tile_rows(b, n)
+    x = x + tile_rows(vecmat(state, w_s), n)
     for w, b in head.layers[1:]:
-        x = tensor.matmul(tensor.tanh(x), w) + tensor.tile_rows(b, n)
-    return tensor.reshape(x, (n,))
+        x = matmul(tanh(x), w) + tile_rows(b, n)
+    return reshape(x, (n,))
+
+
+def composed_attention(h, v, head):
+    """The reference for `attention`: softmax(`head_scores`) weights alpha
+    over the photos of v from the state h; returns (alpha @ v, alpha)."""
+    alpha = softmax(head_scores(head, h, v), axis=0)
+    return vecmat(alpha, v), alpha
 
 
 def select_step(cell, head, v, prev_g, state, excluded=None):
@@ -145,9 +210,9 @@ def select_step(cell, head, v, prev_g, state, excluded=None):
     v_i])), zeroed where the boolean mask `excluded` is True, renormalized.
     Returns (p, state')."""
     state = gru_step(cell, prev_g, state)
-    raw = tensor.sigmoid(head_scores(head, state, v))
+    raw = sigmoid(head_scores(head, state, v))
     if excluded is not None and excluded.any():
-        raw = tensor.mul(raw, tensor.Tensor((~excluded).astype(np.float64)))
+        raw = mul(raw, tensor.Tensor((~excluded).astype(np.float64)))
     return renormalize(raw), state
 
 

@@ -25,7 +25,6 @@ from hatstory.data import (
     template_sentences,
 )
 from hatstory.diagnostics import run_all
-from hatstory.layers import GruParams, MlpParams, gru_step, mlp
 from hatstory.metrics import (
     bleu_n,
     cider,
@@ -44,9 +43,10 @@ from hatstory.model import (
     init_model,
     select_summary,
 )
-from hatstory.tensor import Rng, Tensor, grad_check, relu, sigmoid, sum_all, tanh
+from hatstory.tensor import Rng, Tensor, grad_check, gru_sequence, relu, sigmoid, sum_all, zeros
 from hatstory.training import TrainConfig, make_negative, train, variant_log_prob
 
+from conftest import gru_cell, mlp, mlp_head, tanh
 from test_metrics import cider_reference
 from test_model import exhaustive_argmax, greedy_decode, tiny_dims
 
@@ -379,18 +379,15 @@ def test_criterion_9_invariant_suites(capsys):
     # layers: a GRU state stays inside the unit box on random sequences
     for seed in seeds:
         rng = Rng(100 + seed)
-        cell = GruParams.create(rng, 3, 4)
-        h = Tensor(np.zeros(4))
-        for _ in range(8):
-            h = gru_step(cell, Tensor(rng.uniform(-3.0, 3.0, (3,))), h)
-            if not np.all(np.abs(h.data) < 1.0):
-                failures.append(f"gru bound seed {seed}")
-                break
+        cell = gru_cell(rng, 3, 4)
+        xs = np.stack([rng.uniform(-3.0, 3.0, (3,)) for _ in range(8)])
+        if not np.all(np.abs(gru_sequence(Tensor(xs), zeros(4), cell).data) < 1.0):
+            failures.append(f"gru bound seed {seed}")
 
     # layers: the MLP maps batches exactly like rows
     for seed in seeds:
         rng = Rng(200 + seed)
-        net = MlpParams.create(rng, [3, 5, 2])
+        net = mlp_head(rng, [3, 5, 2])
         batch = Tensor(rng.uniform(-1.0, 1.0, (4, 3)))
         rows = np.stack([mlp(net, Tensor(batch.data[i])).data for i in range(4)])
         if not np.allclose(mlp(net, batch).data, rows, atol=1e-12):

@@ -17,7 +17,7 @@ from hatstory.checkpoint import (
     save_checkpoint,
 )
 from hatstory.data import Vocabulary, SPECIAL_TOKENS
-from hatstory.errors import CorruptionError, FormatError, HatstoryError
+from hatstory.errors import ContractError, CorruptionError, FormatError, HatstoryError
 from hatstory.model import ModelDims, ModelParams, init_model
 from hatstory.tensor import Rng
 from conftest import byte_edits, json_edits
@@ -239,6 +239,22 @@ def test_payload_length_mismatch_is_a_corruption_error(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00" * 8)  # trailing garbage
     with pytest.raises(CorruptionError, match="payload"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_weight_is_refused_on_load_and_on_save(tmp_path, value):
+    params, path = small_model(), tmp_path / "m.hat"
+    params.proj_b.data[5] = 0.375  # no other weight of the file holds this value
+    save_checkpoint(params, None, None, path)
+    blob = path.read_bytes()
+    assert blob.count(struct.pack("<d", 0.375)) == 1
+    path.write_bytes(blob.replace(struct.pack("<d", 0.375), struct.pack("<d", value)))
+    with pytest.raises(CorruptionError, match="tensor proj.b holds a non-finite value"):
+        load_checkpoint(path)
+    params.proj_b.data[5] = value
+    with pytest.raises(ContractError, match="tensor proj.b holds a non-finite value"):
+        save_checkpoint(params, None, None, tmp_path / "refused.hat")
+    assert not (tmp_path / "refused.hat").exists()
 
 
 @pytest.mark.parametrize("dims", [dict(k=4, d_s=3, d_g=3, d_w=2, vocab_size=8),

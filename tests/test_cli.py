@@ -2,6 +2,7 @@
 dataset, reproducibility of artifacts, and error exit codes.
 """
 
+import csv
 import json
 import warnings
 
@@ -9,9 +10,11 @@ import pytest
 
 import hatstory.metrics
 import hatstory.model
+from hatstory import tensor
 from hatstory.checkpoint import load_checkpoint, save_checkpoint
 from hatstory.cli import load_config, main
 from hatstory.data import Vocabulary, load_dataset
+from hatstory.diagnostics import check_attention, check_selector
 from hatstory.errors import ConfigurationError
 from hatstory.metrics import hard_selection_ids
 from hatstory.model import generate_story
@@ -414,6 +417,14 @@ def test_vocabulary_that_does_not_fit_the_model_is_a_one_line_error(pipeline, tm
         assert not out.exists()
 
 
+def csv_row_count(path):
+    """The rows of a report CSV read back, each as wide as the header."""
+    with open(path, newline="", encoding="utf-8") as f:
+        widths = [len(row) for row in csv.reader(f)]
+    assert widths == [widths[0]] * len(widths)
+    return len(widths)
+
+
 def test_eval_gen_reports_bleu_and_cider(pipeline):
     tmp_path, data, ckpt = pipeline
     out = tmp_path / "report-gen"
@@ -425,7 +436,7 @@ def test_eval_gen_reports_bleu_and_cider(pipeline):
     assert {"bleu_1", "bleu_2", "bleu_3", "cider"} <= set(agg)
     for key in ("bleu_1", "bleu_2", "bleu_3", "cider"):
         assert 0.0 <= agg[key]  # cider is scaled by 10, bleu in [0, 1]
-    assert (out / "report_generation.csv").exists()
+    assert csv_row_count(out / "report_generation.csv") == 6  # header, 4 albums, aggregate
     assert report["fingerprint"]["seed"] == 0
     assert "checkpoint_sha256" in report["fingerprint"]
 
@@ -442,6 +453,7 @@ def test_eval_summ_reports_precision_recall(pipeline):
     assert 0.0 <= agg["precision"] <= 1.0
     assert 0.0 <= agg["recall"] <= 1.0
     assert len(report["per_item"]) == 4
+    assert csv_row_count(out / "report_summarization.csv") == 6  # "predicted" holds commas
 
 
 def test_eval_summ_attention_aggregation_baseline(pipeline):
@@ -465,6 +477,7 @@ def test_eval_retrieval_reports_recall_and_median(pipeline):
     assert {"recall_at_1", "recall_at_5", "recall_at_10", "median_rank"} <= set(agg)
     assert agg["median_rank"] >= 1.0
     assert len(report["per_item"]) == 4
+    assert csv_row_count(out / "report_retrieval.csv") == 6
 
 
 def test_eval_retrieval_pool_size_cap(pipeline):
@@ -521,3 +534,22 @@ def test_gradcheck_command_passes_and_exits_zero(capsys):
     out = capsys.readouterr().out
     assert "overall: pass" in out
     assert "fail" not in out
+    assert "\nselector: " in out and "\nattention: " in out and "recurrent" not in out
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_selector_and_attention_checks_pass(seed):
+    for check in (check_selector, check_attention):
+        report = check(seed)
+        assert report.passed, (check.__name__, report.per_param)
+
+
+@pytest.mark.parametrize("helper, checks", [("_head_back", (check_selector, check_attention)),
+                                            ("_head_first_back", (check_selector, check_attention)),
+                                            ("_gru_back_step", (check_selector,))])
+def test_selector_and_attention_checks_catch_a_backward_off_by_1e_4(monkeypatch, helper, checks):
+    """A backward helper of the fused ops, its result scaled by 1 + 1e-4."""
+    exact = getattr(tensor, helper)
+    monkeypatch.setattr(tensor, helper, lambda *args: exact(*args) * (1 + 1e-4))
+    for check in checks:
+        assert not check(0).passed, check.__name__

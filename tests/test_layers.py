@@ -1,5 +1,5 @@
-"""Recurrent cells, MLP, embedding rows and the fused ops: hand oracles,
-properties, gradients."""
+"""The composed GRU step and MLP that the fused ops are tested against,
+embedding rows and the fused ops: hand oracles, properties, gradients."""
 
 import itertools
 import math
@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hatstory.errors import ContractError, DimensionError
-from hatstory.layers import GruParams, MlpParams, gru_step, mlp
+from hatstory.layers import GruParams, MlpParams
 from hatstory.tensor import (
     Rng,
     Tape,
@@ -22,18 +22,16 @@ from hatstory.tensor import (
     gru_sequence,
     matmul,
     mul,
-    reshape,
     row,
     seeded_init,
     sentence_log_prob,
     soft_select,
-    softmax,
-    stack_rows,
     sum_all,
     vecmat,
     zeros,
 )
-from conftest import assert_close, head_scores, log_softmax_pick, select_step
+from conftest import (assert_close, composed_attention, gru_cell, gru_step, log_softmax_pick,
+                      mlp, mlp_head, reshape, select_step, stack_rows)
 
 
 def scalar_gru(w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, x, h):
@@ -75,7 +73,7 @@ def test_gru_step_zero_weights_halves_state():
 
 def test_gru_step_vector_matches_per_coordinate_recomputation(rng):
     d_in, d_h = 3, 2
-    cell = GruParams.create(rng, d_in, d_h)
+    cell = gru_cell(rng, d_in, d_h)
     x = rng.uniform(-1, 1, d_in)
     h = rng.uniform(-1, 1, d_h)
     got = gru_step(cell, Tensor(x), Tensor(h)).data
@@ -93,7 +91,7 @@ def test_gru_step_vector_matches_per_coordinate_recomputation(rng):
 @example(6716, 7)  # float64 tanh rounds to exactly 1.0 here, so one state is 1.0
 def test_gru_hidden_stays_inside_unit_interval(seed, steps):
     rng = Rng(seed)
-    cell = GruParams.create(rng, 3, 4)
+    cell = gru_cell(rng, 3, 4)
     # scale weights up so saturation would show if the bound could break
     for _, t in cell.named():
         t.data *= 3.0
@@ -104,7 +102,7 @@ def test_gru_hidden_stays_inside_unit_interval(seed, steps):
 
 
 def test_gru_params_shape_validation(rng):
-    good = GruParams.create(rng, 3, 2)
+    good = gru_cell(rng, 3, 2)
     with pytest.raises(DimensionError):
         GruParams(
             w_z=good.w_z, w_r=good.w_r, w_h=good.w_h,
@@ -134,18 +132,18 @@ def test_mlp_hand_computation_two_layers():
 
 
 def test_mlp_batched_rows_match_single_rows(rng):
-    params = MlpParams.create(rng, [4, 4, 2])
+    params = mlp_head(rng, [4, 4, 2])
     xs = rng.uniform(-1, 1, (5, 4))
     batched = mlp(params, Tensor(xs)).data
     for i in range(5):
         assert_close(batched[i], mlp(params, Tensor(xs[i])).data, tol=1e-14)
 
 
-def test_mlp_create_validates_sizes(rng):
-    with pytest.raises(ContractError):
-        MlpParams.create(rng, [4])
+def test_mlp_params_need_consistent_layers():
     with pytest.raises(ContractError):
         MlpParams([])
+    with pytest.raises(DimensionError):
+        MlpParams([(Tensor(np.ones((3, 2))), Tensor(np.ones(3)))])
 
 
 def test_embedding_matches_one_hot_matmul(rng):
@@ -166,7 +164,7 @@ def test_embedding_range_checked(rng):
 
 
 def test_gru_step_gradients(rng):
-    cell = GruParams.create(rng, 3, 2)
+    cell = gru_cell(rng, 3, 2)
     x = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
     h = Tensor(rng.uniform(-0.5, 0.5, 2), requires_grad=True)
     tensors = [t for _, t in cell.named()] + [x, h]
@@ -179,7 +177,7 @@ def test_gru_step_gradients(rng):
 
 
 def test_mlp_and_embedding_gradients(rng):
-    params = MlpParams.create(rng, [3, 3, 1])
+    params = mlp_head(rng, [3, 3, 1])
     table = seeded_init(rng, (5, 3))
     tensors = [t for _, t in params.named()] + [table]
 
@@ -191,7 +189,7 @@ def test_mlp_and_embedding_gradients(rng):
 
 
 def _perturbed_cell(rng, d_in, d_h):
-    cell = GruParams.create(rng, d_in, d_h)
+    cell = gru_cell(rng, d_in, d_h)
     for _, t in cell.named():
         t.data += rng.uniform(-0.5, 0.5, t.shape)  # nonzero biases too
     return cell
@@ -215,7 +213,7 @@ def test_gru_step_gradients_with_constant_input(rng):
 
 
 def test_gru_step_rejects_wrong_widths(rng):
-    cell = GruParams.create(rng, 3, 2)
+    cell = gru_cell(rng, 3, 2)
     with pytest.raises(DimensionError):
         gru_step(cell, Tensor(np.ones(4)), zeros(2))
     with pytest.raises(DimensionError):
@@ -289,7 +287,7 @@ def test_gru_sequence_matches_gru_step_chain_bitwise():
 
 
 def test_gru_sequence_records_one_tape_entry(rng):
-    cell = GruParams.create(rng, 3, 2)
+    cell = gru_cell(rng, 3, 2)
     with Tape() as tape:
         gru_sequence(Tensor(rng.uniform(-1, 1, (5, 3))), zeros(2), cell)
         gru_sequence(Tensor(rng.uniform(-1, 1, (5, 3))), zeros(2), cell, reverse=True)
@@ -297,7 +295,7 @@ def test_gru_sequence_records_one_tape_entry(rng):
 
 
 def test_gru_sequence_rejects_empty_and_mismatched(rng):
-    cell = GruParams.create(rng, 3, 2)
+    cell = gru_cell(rng, 3, 2)
     for xs, h0 in ((np.ones((0, 3)), np.zeros(2)), (np.ones((2, 4)), np.zeros(2)),
                    (np.ones(3), np.zeros(2)), (np.ones((2, 3)), np.zeros(3))):
         with pytest.raises(DimensionError, match="gru_sequence"):
@@ -598,7 +596,7 @@ def test_sentence_log_prob_pair_axis_gradcheck(count):
 
 def _selector(rng, k=4, d_s=3):
     cell = _perturbed_cell(rng, k, d_s)
-    head = MlpParams.create(rng, [d_s + k, d_s + k, 1])
+    head = mlp_head(rng, [d_s + k, d_s + k, 1])
     for _, t in head.named():
         t.data *= 3.0  # keeps the selection path's gradients above difference noise
     return cell, head
@@ -666,14 +664,14 @@ def test_soft_select_rows_gradcheck(count):
 
 
 def _random_head(rng, d_in, hidden):
-    head = MlpParams.create(rng, [d_in, hidden, 1])
+    head = mlp_head(rng, [d_in, hidden, 1])
     for _, t in head.named():
         t.data += rng.uniform(-1, 1, t.shape)  # nonzero biases, a wider spread of scores
     return head
 
 
 def _concatenated_scores(head, state, v):
-    """The paper's scorer: `layers.mlp` over the concatenation [state, v_i]."""
+    """The paper's scorer: `mlp` over the concatenation [state, v_i]."""
     feats = np.concatenate([np.broadcast_to(state, (len(v), len(state))), v], axis=1)
     return mlp(head, Tensor(feats)).data[:, 0]
 
@@ -688,7 +686,7 @@ SPLIT_SHAPES = st.fixed_dictionaries({
 @given(SPLIT_SHAPES, st.booleans())
 def test_soft_select_stays_within_rounding_of_the_concatenated_mlp(shape, hard):
     """The split first layer against the paper's formula, step by step in
-    numpy over each row, with the GRU of `layers.gru_step`."""
+    numpy over each row, with the GRU of the composed `gru_step`."""
     rng = Rng(shape["seed"])
     n, k, d, rows = shape["n"], shape["k"], shape["d"], shape["rows"]
     cell, head = _perturbed_cell(rng, k, d), _random_head(rng, d + k, shape["hidden"])
@@ -727,14 +725,9 @@ def test_attention_stays_within_rounding_of_the_concatenated_mlp(shape, paired):
         assert np.max(np.abs(out.data[at] - weights @ v[at[-1]])) <= 1e-12
 
 
-def composed_attention(h, v, head):
-    alpha = softmax(head_scores(head, h, v), axis=0)
-    return vecmat(alpha, v), alpha.data
-
-
 def test_attention_one_row_is_the_composed_ops_bitwise():
     rng = Rng(70)
-    head = MlpParams.create(rng, [7, 7, 1])
+    head = mlp_head(rng, [7, 7, 1])
     h = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
     v = Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
     weight = Tensor(rng.uniform(-1, 1, 4))
@@ -749,13 +742,13 @@ def test_attention_one_row_is_the_composed_ops_bitwise():
         assert np.max(np.abs(a - b)) <= 1e-12
     out, alpha = attention(Tensor(h.data[None]), Tensor(v.data[None]), head)
     assert np.array_equal(out.data[0], found[0][0])
-    assert np.array_equal(alpha[0], composed_attention(h, v, head)[1])
+    assert np.array_equal(alpha[0], composed_attention(h, v, head)[1].data)
 
 
 @pytest.mark.parametrize("count", [1, 3])
 def test_attention_rows_gradcheck(count):
     rng = Rng(80 + count)
-    head = MlpParams.create(rng, [7, 7, 1])
+    head = mlp_head(rng, [7, 7, 1])
     h = Tensor(rng.uniform(-1, 1, (count, 3)), requires_grad=True)
     v = Tensor(rng.uniform(-1, 1, (count, 5, 4)), requires_grad=True)
     weight = Tensor(rng.uniform(-1, 1, (count, 4)))
@@ -773,7 +766,7 @@ def test_attention_pair_axis_shares_the_photos(count):
     """Both halves of h (2, R, d) read v (R, n, k): each half's values are
     bitwise a call of its own, and v's gradient sums over the pair."""
     rng = Rng(85 + count)
-    head = MlpParams.create(rng, [7, 7, 1])
+    head = mlp_head(rng, [7, 7, 1])
     h = Tensor(rng.uniform(-1, 1, (2, count, 3)), requires_grad=True)
     v = Tensor(rng.uniform(-1, 1, (count, 5, 4)), requires_grad=True)
     weight = Tensor(rng.uniform(-1, 1, (2, count, 4)))

@@ -1,9 +1,9 @@
 """Model-composition tests: album encoder, summary selection, word decoding,
 story likelihood, beam search, and the two flat baselines.
 
-Layer primitives (gru_step, mlp, embed) are verified independently in
-test_layers.py, so they serve as trusted building blocks for recomputing
-what the model functions are supposed to wire together.
+The composed references of conftest.py (gru_step, mlp) are verified
+independently in test_layers.py, so they serve as trusted building blocks
+for recomputing what the model functions are supposed to wire together.
 """
 
 import math
@@ -14,7 +14,6 @@ import pytest
 
 from hatstory.data import BOS_ID, EOS_ID, Story
 from hatstory.errors import ConfigurationError, ContractError, DimensionError
-from hatstory.layers import gru_step, mlp
 from hatstory.model import (
     ModelDims,
     _beam_search,
@@ -38,12 +37,11 @@ from hatstory.tensor import (
     log_softmax_array,
     row,
     sentence_log_prob,
-    softmax,
-    vecmat,
     zeros,
 )
 
-from conftest import assert_close, decode_word_step, head_scores, log_softmax_pick, select_step
+from conftest import (assert_close, composed_attention, decode_word_step, gru_step,
+                      log_softmax_pick, mlp, select_step)
 
 
 def tiny_dims(**overrides):
@@ -291,17 +289,8 @@ def test_story_log_prob_matches_stepwise_recomputation():
     condition, sel = conditioner(params, enc, "hier")
     story = Story(sentences=[[4, 3, 2], [5, 2]])
     lp = story_log_prob(params, condition, story)
-
-    total = 0.0
-    h = zeros(3)
-    for t, sentence in enumerate(story.sentences):
-        g = Tensor(sel.g.data[t])
-        prev = BOS_ID
-        for tok in sentence:
-            logits, h = decode_word_step(params, prev, g, h)
-            total += float(log_softmax_array(logits.data)[tok])
-            prev = tok
-    assert abs(float(lp.data) - total) < 1e-10
+    total = reference_story_log_prob(params, [Tensor(g) for g in sel.g.data], story)
+    assert abs(float(lp.data) - float(total.data)) < 1e-10
 
 
 def test_story_log_prob_without_state_carry_resets_per_sentence():
@@ -370,13 +359,6 @@ def reference_story_log_prob(params, sentence_inputs, story):
     return Tensor(0.0) if total is None else total
 
 
-def _attend(params, v_matrix, state):
-    """Softmax attention over photos from [decoder state, v_i], as composed
-    ops with the first layer split as `attention` splits it."""
-    alpha = softmax(head_scores(params.attn_mlp, state, v_matrix), axis=0)
-    return alpha, vecmat(alpha, v_matrix)
-
-
 def reference_enc_attn_dec_log_prob(params, enc, story):
     """The attention baseline's own sentence loop; returns (log_prob, attention)."""
     if len(story.sentences) != params.dims.t_steps:
@@ -387,7 +369,7 @@ def reference_enc_attn_dec_log_prob(params, enc, story):
     for sentence in story.sentences:
         if not params.carry_state:
             h = zeros(params.dims.d_g)
-        alpha, vis = _attend(params, enc.v, h)
+        vis, alpha = composed_attention(h, enc.v, params.attn_mlp)
         weights.append(alpha.data.copy())
         prev = BOS_ID
         for tok in sentence:
@@ -748,7 +730,7 @@ def test_generators_match_reference_loops(seed, carry_state):
         weights = []
 
         def attend(t, h):
-            alpha, vis = _attend(params, enc.v, h)
+            vis, alpha = composed_attention(h, enc.v, params.attn_mlp)
             weights.append(alpha.data)
             return vis
 
@@ -781,15 +763,8 @@ def test_enc_dec_log_prob_uses_projected_final_state():
     condition, _ = conditioner(params, enc, "enc_dec")
     lp = story_log_prob(params, condition, story)
     vis = Tensor(enc.final_state.data @ params.encdec_w.data + params.encdec_b.data)
-    total = 0.0
-    h = zeros(3)
-    for sentence in story.sentences:
-        prev = BOS_ID
-        for tok in sentence:
-            logits, h = decode_word_step(params, prev, vis, h)
-            total += float(log_softmax_array(logits.data)[tok])
-            prev = tok
-    assert abs(float(lp.data) - total) < 1e-10
+    total = reference_story_log_prob(params, [vis] * 2, story)
+    assert abs(float(lp.data) - float(total.data)) < 1e-10
 
 
 def test_enc_dec_zero_projection_ignores_photos():
@@ -848,15 +823,8 @@ def test_enc_attn_dec_constant_scorer_attends_uniformly():
 
     # with uniform attention every sentence sees the mean photo representation
     mean_v = Tensor(enc.v.data.mean(axis=0))
-    total = 0.0
-    h = zeros(3)
-    for sentence in story.sentences:
-        prev = BOS_ID
-        for tok in sentence:
-            logits, h = decode_word_step(params, prev, mean_v, h)
-            total += float(log_softmax_array(logits.data)[tok])
-            prev = tok
-    assert abs(float(lp.data) - total) < 1e-10
+    total = reference_story_log_prob(params, [mean_v] * 2, story)
+    assert abs(float(lp.data) - float(total.data)) < 1e-10
 
 
 def test_enc_attn_dec_log_prob_rejects_wrong_sentence_count():

@@ -29,22 +29,19 @@ from hatstory.tensor import (
     neg,
     numeric_gradient,
     relu,
-    reshape,
     row,
     seeded_init,
     sigmoid,
     sigmoid_array,
-    softmax,
     softmax_array,
-    stack_rows,
     sub,
     sum_all,
-    tanh,
     tile_rows,
     vecmat,
     zeros,
 )
-from conftest import assert_close, reference_gru_run, reference_sigmoid
+from conftest import (assert_close, reference_gru_run, reference_sigmoid, reshape, softmax,
+                      stack_rows, tanh)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +225,8 @@ def test_no_tape_records_nothing():
     assert x.grad is None
 
 
-# every composed op over a (3, 4) matrix m, a (4, 2) matrix w and a vector v (4,)
+# every composed op, of the program or of the tests' references, over a (3, 4)
+# matrix m, a (4, 2) matrix w and a vector v (4,)
 COMPOSED_OPS = {
     "add": lambda m, w, v: add(m, m),
     "sub": lambda m, w, v: sub(m, 1.0),

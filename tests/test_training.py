@@ -130,11 +130,11 @@ def test_combined_loss_weighted_sum_of_parts():
     params = init_model(ModelDims(k=6, d_s=4, d_g=4, d_w=3, vocab_size=19), Rng(0))
     story = albums[0].stories[0]
     negative = make_negative(story, Rng(1))
-    total, gen, rank = combined_loss(params, albums[0].features, story, negative, cfg)
-    assert abs(float(total.data) - (float(gen.data) + 2.5 * float(rank.data))) < 1e-12
+    total, gen, rank = combined_loss(params, albums[0].features[None], [story], [negative], cfg)
+    assert abs(total.item() - (gen.item() + 2.5 * rank.item())) < 1e-12
     # generation part is the negative story likelihood
     lp = variant_log_prob(params, albums[0].features, story)
-    assert abs(float(gen.data) + float(lp.data)) < 1e-15
+    assert abs(gen.item() + float(lp.data)) < 1e-15
 
 
 def independent_combined_loss(params, features, story, negative, cfg):
@@ -164,7 +164,8 @@ def test_combined_loss_conditions_once_and_matches_independent_scoring(variant):
     album, story = albums[0], albums[0].stories[0]
     negative = make_negative(story, Rng(1))
     shared, shared_grads = _loss_and_grads(
-        lambda: combined_loss(params, album.features, story, negative, cfg)[0], params, variant
+        lambda: sum_all(combined_loss(params, album.features[None], [story], [negative], cfg)[0]),
+        params, variant,
     )
     apart, apart_grads = _loss_and_grads(
         lambda: independent_combined_loss(params, album.features, story, negative, cfg),
@@ -239,10 +240,10 @@ def test_batch_records_no_more_tape_entries_than_one_example():
 def test_batch_of_one_is_the_combined_loss_bitwise():
     params, pairs, negatives, cfg = acceptance_batch(1)
     (album, story), negative = pairs[0], negatives[0]
-    total, gen, rank = combined_loss(params, album.features, story, negative, cfg)
+    total, gen, rank = combined_loss(params, album.features[None], [story], [negative], cfg)
     root, parts = batch_loss(params, pairs, negatives, cfg)
-    assert parts == [(float(total.data), float(gen.data), float(rank.data))]
-    assert float(root.data) == float(total.data)
+    assert parts == [(total.item(), gen.item(), rank.item())]
+    assert root.item() == total.item()
 
 
 def mixed_batch(variant, rank_weight, carry_state):
@@ -299,11 +300,11 @@ def test_batch_gradient_is_the_sum_of_example_gradients(variant, rank_weight, ca
     for i, (album, story) in enumerate(pairs):
         with Tape() as tape:
             total, gen, rank = combined_loss(
-                params, album.features, story, None if negatives is None else negatives[i], cfg
+                params, album.features[None], [story],
+                None if negatives is None else [negatives[i]], cfg,
             )
             backward(tape, total)
-        parts.append((float(total.data), float(gen.data),
-                      0.0 if rank is None else float(rank.data)))
+        parts.append((total.item(), gen.item(), 0.0 if rank is None else rank.item()))
     summed = {n: t.grad for n, t in trainable}
     for _, t in trainable:
         t.grad = None
@@ -342,7 +343,7 @@ def test_combined_loss_zero_rank_weight_returns_generation_loss_itself():
     cfg = tiny_cfg(rank_weight=0.0)
     params = init_model(ModelDims(k=6, d_s=4, d_g=4, d_w=3, vocab_size=19), Rng(0))
     story = albums[0].stories[0]
-    total, gen, rank = combined_loss(params, albums[0].features, story, None, cfg)
+    total, gen, rank = combined_loss(params, albums[0].features[None], [story], None, cfg)
     assert total is gen  # identical op graph, not merely an equal value
     assert rank is None
 
@@ -351,7 +352,7 @@ def test_combined_loss_requires_negative_when_ranked():
     albums, _ = tiny_dataset()
     params = init_model(ModelDims(k=6, d_s=4, d_g=4, d_w=3, vocab_size=19), Rng(0))
     with pytest.raises(ContractError):
-        combined_loss(params, albums[0].features, albums[0].stories[0], None, tiny_cfg())
+        combined_loss(params, albums[0].features[None], [albums[0].stories[0]], None, tiny_cfg())
 
 
 def test_variant_log_prob_rejects_unknown_variant():
