@@ -10,9 +10,9 @@ import argparse
 import sys
 
 from hatstory.data import SynthSpec, synth_generate
-from hatstory.model import ModelDims, generate_story, init_model
+from hatstory.model import ModelDims, generate_story, init_model, variant_log_prob
 from hatstory.tensor import Rng
-from hatstory.training import TrainConfig, train, variant_log_prob
+from hatstory.training import TrainConfig, train
 
 
 def main():

@@ -41,15 +41,9 @@ def train_variant(albums, vocab, cfg, run_dir, name):
     return params
 
 
-def eval_summarization(params, albums, label):
-    agg, _ = evaluate_summaries(params, albums)
+def eval_summarization(params, albums, cfg, label):
+    agg, _ = evaluate_summaries(params, albums, cfg.variant, cfg.beam_size, cfg.max_sentence_len)
     print(f"[summ] {label}: precision={agg['precision']:.3f} recall={agg['recall']:.3f}")
-
-
-def eval_attn_baseline(params, albums, cfg, label):
-    agg, _ = evaluate_summaries(params, albums, "attn-agg", cfg.beam_size,
-                                cfg.max_sentence_len)
-    print(f"[summ] {label}: precision={agg['precision']:.3f}")
 
 
 def eval_retrieval(params, albums, variant, label):
@@ -84,13 +78,13 @@ def main():
                 batch_size=5, enc_init_gain=0.5)
     cfg = TrainConfig(rank_weight=3.0, **base)
     params = train_variant(albums, vocab, cfg, out, "hier-ranked")
-    eval_summarization(params, albums, f"hier rank_weight={cfg.rank_weight}")
+    eval_summarization(params, albums, cfg, f"hier rank_weight={cfg.rank_weight}")
     eval_retrieval(params, albums, "hier", f"hier rank_weight={cfg.rank_weight}")
 
     if args.with_contrast:
         cfg0 = TrainConfig(rank_weight=0.0, **base)
         params0 = train_variant(albums, vocab, cfg0, out, "hier-unranked")
-        eval_summarization(params0, albums, "hier rank_weight=0")
+        eval_summarization(params0, albums, cfg0, "hier rank_weight=0")
         eval_retrieval(params0, albums, "hier", "hier rank_weight=0")
 
     if args.with_baselines:
@@ -99,7 +93,7 @@ def main():
         eval_retrieval(p_ed, albums, "enc_dec", "enc-dec")
         cfg_ad = TrainConfig(variant="enc_attn_dec", rank_weight=0.0, **base)
         p_ad = train_variant(albums, vocab, cfg_ad, out, "enc-attn-dec")
-        eval_attn_baseline(p_ad, albums, cfg_ad, "attention-aggregation top-5")
+        eval_summarization(p_ad, albums, cfg_ad, "attention-aggregation top-5")
         eval_retrieval(p_ad, albums, "enc_attn_dec", "enc-attn-dec")
 
     return 0

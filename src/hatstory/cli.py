@@ -75,7 +75,7 @@ def _generate_for_album(ck, album, cfg, beam, oracle):
     )
     if oracle or not isinstance(decided, SelectionResult):
         return story, None
-    return story, [album.photo_ids[i] for i in decided.indices]
+    return story, [album.photo_ids[i] for i in decided.indices[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +176,7 @@ def cmd_eval_gen(args):
 def cmd_eval_summ(args):
     ck, albums, cfg = _load_for_eval(args)
     aggregate, per_item = evaluate_summaries(
-        ck.params, albums, args.baseline, cfg.beam_size, cfg.max_sentence_len
+        ck.params, albums, cfg.variant, cfg.beam_size, cfg.max_sentence_len
     )
     return _write_report(ck, args, "summarization", aggregate, per_item)
 
@@ -247,11 +247,10 @@ def build_parser():
     s.add_argument("--out", required=True, help="report directory")
     s.set_defaults(func=cmd_eval_gen)
 
-    s = sub.add_parser("eval-summ", help="summarization precision/recall")
+    s = sub.add_parser("eval-summ", help="summarization precision/recall of the "
+                       "checkpoint's selector, or of its attention for enc_attn_dec")
     s.add_argument("--ckpt", required=True)
     s.add_argument("--data", required=True)
-    s.add_argument("--baseline", choices=["attn-agg"],
-                   help="score aggregated baseline attention instead of the selector")
     s.add_argument("--out", required=True, help="report directory")
     s.set_defaults(func=cmd_eval_summ)
 

@@ -72,13 +72,13 @@ def check_primitives(seed=0):
 
 
 def check_selector(seed=0):
-    """One `soft_select` op over 6 trainable photos (hard mode needs at
-    least 5) and the toy selector's tensors, in soft and in hard mode: the
-    worse of the two reports."""
+    """One `soft_select` op over one row of 6 trainable photos (hard mode
+    needs at least 5) and the toy selector's tensors, in soft and in hard
+    mode: the worse of the two reports."""
     params, _, _, _ = toy_instance(seed)
     rng, steps = Rng(seed + 3), params.dims.t_steps
-    v = Tensor(rng.uniform(-1.0, 1.0, (6, params.dims.k)), requires_grad=True)
-    weight = Tensor(rng.uniform(-1.0, 1.0, (steps, params.dims.k)))
+    v = Tensor(rng.uniform(-1.0, 1.0, (1, 6, params.dims.k)), requires_grad=True)
+    weight = Tensor(rng.uniform(-1.0, 1.0, (1, steps, params.dims.k)))
     named = [(n, t) for n, t in params.named_tensors() if n.startswith("sel_")] + [("photos", v)]
     return max((_check(lambda *tensors: sum_all(mul(
         soft_select(v, params.sel_gru, params.sel_mlp, steps, hard)[0], weight)), named, tol=1e-5)
@@ -86,15 +86,15 @@ def check_selector(seed=0):
 
 
 def check_attention(seed=0):
-    """One `attention` op over 6 trainable photos from a trainable state,
-    drawn from ±2 to keep the scorer's gradients above difference noise. The
-    scorer's output bias is left out: softmax ignores a shift, so its
-    gradient is zero and its differences are rounding noise."""
+    """One `attention` op over one row of 6 trainable photos from a
+    trainable state, drawn from ±2 to keep the scorer's gradients above
+    difference noise. The scorer's output bias is left out: softmax ignores
+    a shift, so its gradient is zero and its differences are rounding noise."""
     params, _, _, _ = toy_instance(seed)
     rng = Rng(seed + 3)
-    v = Tensor(rng.uniform(-1.0, 1.0, (6, params.dims.k)), requires_grad=True)
-    h = Tensor(rng.uniform(-2.0, 2.0, params.dims.d_g), requires_grad=True)
-    weight = Tensor(rng.uniform(-1.0, 1.0, params.dims.k))
+    v = Tensor(rng.uniform(-1.0, 1.0, (1, 6, params.dims.k)), requires_grad=True)
+    h = Tensor(rng.uniform(-2.0, 2.0, (1, params.dims.d_g)), requires_grad=True)
+    weight = Tensor(rng.uniform(-1.0, 1.0, (1, params.dims.k)))
     named = [(n, t) for n, t in params.named_tensors()
              if n.startswith("attn_mlp.") and n != "attn_mlp.1.b"] + [("state", h), ("photos", v)]
     return _check(lambda *tensors: sum_all(mul(attention(h, v, params.attn_mlp)[0], weight)),
@@ -103,12 +103,13 @@ def check_attention(seed=0):
 
 def check_sequence(seed=0):
     """Both encoder directions (`gru_sequence`) over trainable photo features
-    and one decoder sentence (`sentence_log_prob`), each from a trainable
-    nonzero state, the sentence with a repeated word, on the toy model."""
+    and one decoder sentence (`sentence_log_prob`), each one row from a
+    trainable nonzero state, the sentence with a repeated word, on the toy
+    model."""
     params, features, story, _ = toy_instance(seed)
     rng = Rng(seed)
-    xs = Tensor(features, requires_grad=True)
-    start, h0, g = (Tensor(rng.uniform(-1.0, 1.0, d), requires_grad=True)
+    xs = Tensor(features[None], requires_grad=True)
+    start, h0, g = (Tensor(rng.uniform(-1.0, 1.0, (1, d)), requires_grad=True)
                     for d in (params.dims.k // 2, params.dims.d_g, params.dims.k))
     sentence = story.sentences[0] + story.sentences[1]  # word 5 comes twice
 
@@ -136,7 +137,7 @@ def check_training_loss(seed=0):
     instance, every model tensor against central differences."""
     params, features, story, negative = toy_instance(seed)
     cfg = _toy_config()
-    fn = lambda *tensors: sum_all(combined_loss(params, features[None], [story], [negative], cfg)[0])
+    fn = lambda *tensors: combined_loss(params, features[None], [story], [negative], cfg)[0]
     return _check(fn, params.named_tensors())
 
 

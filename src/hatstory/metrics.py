@@ -13,8 +13,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigurationError, ContractError
 from .model import (
+    album_row,
     enc_attn_dec_generate,
     encode_album,
     group_by_photo_count,
@@ -251,24 +252,28 @@ class MetricReport:
 
 
 def hard_selection_ids(params, album):
-    """Predicted summary photo ids under hard selection."""
-    enc = encode_album(params, album.features)
+    """Predicted summary photo ids under hard selection, the album as one row."""
+    enc = encode_album(params, album_row(params, album.features))
     sel = select_summary(params, enc, "hard")
-    return [album.photo_ids[i] for i in sel.indices]
+    return [album.photo_ids[i] for i in sel.indices[0]]
 
 
-def evaluate_summaries(params, albums, baseline=None, beam=3, max_len=12):
-    """Summary precision/recall of every album with ground-truth summaries.
-
-    The predicted photos come from hard selection, or, with baseline
-    "attn-agg", are the attention baseline's top 5 photos by attention summed
-    over the sentences it generates with the given beam and length cap.
+def evaluate_summaries(params, albums, variant="hier", beam=3, max_len=12):
+    """Summary precision/recall of every album with ground-truth summaries,
+    the photos picked as the model variant picks them. The full model's come
+    from hard selection; the attention baseline's are its top 5 photos by
+    attention summed over the sentences it generates with the given beam and
+    length cap. The flat baseline picks no photos: a ConfigurationError.
     Returns (aggregate, per_item)."""
+    methods = {"hier": "hard-selection", "enc_attn_dec": "attn-agg"}
+    if variant not in methods:
+        raise ConfigurationError(f"summarization needs a model that picks photos (hier or "
+                                 f"enc_attn_dec), not the {variant!r} variant")
     per_item = []
     for album in albums:
         if not album.gt_summaries:
             continue
-        if baseline == "attn-agg":
+        if variant == "enc_attn_dec":
             _, attn = enc_attn_dec_generate(params, album.features, beam, max_len)
             pred = [album.photo_ids[i] for i in attention_aggregate_topk(attn, 5)]
         else:
@@ -285,6 +290,6 @@ def evaluate_summaries(params, albums, baseline=None, beam=3, max_len=12):
         "precision": sum(precisions) / len(precisions),
         "recall": sum(recalls) / len(recalls),
         "albums": len(per_item),
-        "method": baseline or "hard-selection",
+        "method": methods[variant],
     }
     return aggregate, per_item

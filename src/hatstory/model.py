@@ -12,6 +12,9 @@ Selection modes:
   hard   - photos already taken are forced to weight 0 and the rows are
            renormalized over the rest; used at generation/evaluation time.
   oracle - probability rows are one-hot at caller-provided indices.
+
+Every model function takes album rows (A, n, k); one album's (n, k) features
+become one row only at `generate`, its wrappers and `variant_log_prob`.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .tensor import (
     sentence_log_prob,
     soft_select,
     tile_rows,
-    vecmat,
     zeros,
 )
 
@@ -213,51 +215,54 @@ def init_model(dims, rng, carry_state=True, enc_init_gain=1.0):
 
 @dataclass
 class AlbumEncoding:
-    v: Tensor  # (n, k) photo representations, or (A, n, k)
-    fwd: Tensor  # the forward GRU's states, (n, k/2) or (A, n, k/2)
+    v: Tensor  # (A, n, k) photo representations
+    fwd: Tensor  # the forward GRU's states, (A, n, k/2)
     bwd: Tensor  # the backward GRU's states, in photo order
-    n = property(lambda self: self.v.shape[-2])  # photos per album
+    n = property(lambda self: self.v.shape[1])  # photos per album
 
     @functools.cached_property
     def final_state(self):
-        """(k,) or (A, k): both directions' terminal states, concatenated."""
-        return concat([row(self.fwd, self.n - 1, axis=-2), row(self.bwd, 0, axis=-2)], axis=-1)
+        """(A, k): both directions' terminal states, concatenated."""
+        return concat([row(self.fwd, self.n - 1, axis=1), row(self.bwd, 0, axis=1)], axis=1)
 
 
-def _album_features(params, features):
-    """The float64 feature array of one album (n, k), or of A albums with
-    the same photo count (A, n, k), checked against the model."""
+def _album_rows(params, features):
+    """The float64 features of A albums with the same photo count, (A, n, k),
+    checked against the model."""
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim not in (2, 3):
-        raise DimensionError(f"encode_album: features must be (n, k) or (A, n, k), got "
-                             f"{features.shape}")
-    n, width = features.shape[-2:]
-    if n < 1:
+    if features.ndim != 3 or features.shape[2] != params.dims.k:
+        raise DimensionError(f"encode_album: features must be (A, n, k={params.dims.k}) rows, "
+                             f"got {features.shape}")
+    if features.shape[1] < 1:
         raise ContractError("encode_album: album has no photos")
-    if width != params.dims.k:
-        raise DimensionError(
-            f"encode_album: feature width {width} != model k={params.dims.k}"
-        )
     return features
+
+
+def album_row(params, features):
+    """One album's (n, k) features as one album row (1, n, k), checked
+    against the model: how every single-album entry point starts."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != params.dims.k:
+        raise DimensionError(f"album features must be (n, k={params.dims.k}), got {features.shape}")
+    return _album_rows(params, features[None])
 
 
 def group_by_photo_count(params, album_features_list):
     """The albums of a list as row batches: one (indices, (A, n, k)
     features) entry per photo count n, in first-seen order. Every album is
     checked against the model before any is stacked."""
-    albums = [_album_features(params, f) for f in album_features_list]
+    albums = [album_row(params, f) for f in album_features_list]
     groups = {}
     for i, features in enumerate(albums):
-        groups.setdefault(features.shape[0], []).append(i)
-    return [(rows, np.stack([albums[i] for i in rows])) for rows in groups.values()]
+        groups.setdefault(features.shape[1], []).append(i)
+    return [(rows, np.concatenate([albums[i] for i in rows])) for rows in groups.values()]
 
 
 def encode_album(params, features):
-    """v_i = relu([f_i; b_i] + x_i) over an (n, k) feature array, or over
-    (A, n, k) rows: f_i and b_i are the forward and backward GRU states at
-    photo i, one op each."""
-    xs = Tensor(_album_features(params, features))
-    start = zeros(xs.shape[:-2] + (params.dims.k // 2,))
+    """v_i = relu([f_i; b_i] + x_i) over (A, n, k) album rows: f_i and b_i
+    are the forward and backward GRU states at photo i, one op each."""
+    xs = Tensor(_album_rows(params, features))
+    start = zeros((xs.shape[0], params.dims.k // 2))
     fwd = gru_sequence(xs, start, params.enc_fwd)
     bwd = gru_sequence(xs, start, params.enc_bwd, reverse=True)
     return AlbumEncoding(v=relu(concat([fwd, bwd], axis=-1) + xs), fwd=fwd, bwd=bwd)
@@ -269,24 +274,24 @@ def encode_album(params, features):
 
 @dataclass
 class SelectionResult:
-    probs: Tensor  # (T, n), or (A, T, n) over album rows; each row sums to 1
-    g: Tensor  # (T, k) or (A, T, k); row t equals probs[t] @ V
-    indices: list  # the T chosen photo indices, or one such list per album row
+    probs: Tensor  # (A, T, n); each album's step t sums to 1
+    g: list  # T summaries, each (A, k): summary t of album a is probs[a, t] @ V[a]
+    indices: list  # the T chosen photo indices of each album row
 
 
 def select_summary(params, enc, mode, oracle_indices=None):
-    """Run T selection steps in one of the three modes.
+    """Run T selection steps over the album rows in one of the three modes.
 
-    Soft and hard mode are one `soft_select` op, which also takes album
-    rows: the first step attends from the mean photo representation and
-    afterwards the attended summary g_t feeds the next step. Its picks,
-    greedily distinct, are the indices; in hard mode the photos picked
-    before a step also get probability 0 in it.
+    Soft and hard mode are one `soft_select` op: the first step attends
+    from the mean photo representation and afterwards the attended summary
+    g_t feeds the next step. Its picks, greedily distinct, are the indices;
+    in hard mode the photos picked before a step also get probability 0 in
+    it. Oracle mode reads the given photos of every row.
     """
     if mode not in SELECTION_MODES:
         raise ContractError(f"select_summary: unknown mode {mode!r}")
     t_steps = params.dims.t_steps
-    n = enc.n
+    albums, n = enc.v.shape[:2]
     if mode == "oracle":
         idx = list(oracle_indices or [])
         if len(idx) != t_steps or len(set(idx)) != t_steps:
@@ -295,16 +300,17 @@ def select_summary(params, enc, mode, oracle_indices=None):
             )
         if any(not 0 <= i < n for i in idx):
             raise ContractError(f"select_summary: oracle index out of range for n={n}")
-        one_hot = np.zeros((t_steps, n))
-        one_hot[np.arange(t_steps), idx] = 1.0
-        probs = Tensor(one_hot)
-        return SelectionResult(probs=probs, g=matmul(probs, enc.v), indices=idx)
+        one_hot = np.zeros((albums, t_steps, n))
+        one_hot[:, np.arange(t_steps), idx] = 1.0
+        return SelectionResult(probs=Tensor(one_hot), g=[row(enc.v, i, axis=1) for i in idx],
+                               indices=[idx] * albums)
     if mode == "hard" and n < t_steps:
         raise ContractError(
             f"select_summary: hard mode needs at least {t_steps} photos, album has {n}"
         )
     g, probs, picks = soft_select(enc.v, params.sel_gru, params.sel_mlp, t_steps, mode == "hard")
-    return SelectionResult(probs=Tensor(probs), g=g, indices=picks)
+    return SelectionResult(probs=Tensor(probs), g=[row(g, t, axis=1) for t in range(t_steps)],
+                           indices=picks)
 
 
 # ---------------------------------------------------------------------------
@@ -313,34 +319,30 @@ def select_summary(params, enc, mode, oracle_indices=None):
 
 def enc_dec_visual(params, enc):
     """The flat baseline's constant per-sentence visual input: one affine
-    map of the final encoder state, per album row when it has rows."""
-    state, w, b = enc.final_state, params.encdec_w, params.encdec_b
-    if state.ndim == 1:
-        return vecmat(state, w) + b
-    return matmul(state, w) + tile_rows(b, state.shape[0])
+    map of each album row's final encoder state, (A, k)."""
+    state = enc.final_state
+    return matmul(state, params.encdec_w) + tile_rows(params.encdec_b, state.shape[0])
 
 
 def conditioner(params, enc, variant, mode="soft", oracle_indices=None):
     """One variant's per-sentence visual input over an album encoding.
 
-    Returns (condition, decided). `condition(t, h)` gives sentence t's (k,)
-    Tensor from the (d_g,) decoder state h at the sentence start ((A, k)
-    from (A, d_g) over A album rows):
-      hier         - row t of the summary g that `select_summary` picks in
-                     `mode`; `decided` is that SelectionResult. The T rows
+    Returns (condition, decided). `condition(t, h)` gives sentence t's
+    (A, k) Tensor from the (A, d_g) decoder states h at the sentence start:
+      hier         - summary t that `select_summary` picks in `mode`;
+                     `decided` is that SelectionResult. The T summaries
                      are made once, for every story scored against them.
-      enc_dec      - one projection of the album's final encoder state,
+      enc_dec      - one projection of each album's final encoder state,
                      the same for every sentence; `decided` is None.
       enc_attn_dec - one `attention` op over the photos from h; `decided`
-                     collects each call's (n,) or (A, n) weights.
+                     collects each call's (A, n) weights.
     Oracle selection exists only for the full model.
     """
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}")
     if variant == "hier":
         sel = select_summary(params, enc, mode, oracle_indices)
-        gs = [row(sel.g, t, axis=-2) for t in range(params.dims.t_steps)]
-        return (lambda t, h: gs[t]), sel
+        return (lambda t, h: sel.g[t]), sel
     if mode == "oracle":
         raise ConfigurationError("oracle selection only applies to the full model")
     if variant == "enc_dec":
@@ -364,15 +366,14 @@ def story_log_prob(params, condition, story):
     """Teacher-forced log p(story | album) under one variant's conditioner.
 
     `condition(t, h)` gives sentence t's visual input from the decoder
-    state h at the sentence start (see `conditioner`). `story` is one Story,
-    or a list with one per album row, giving (A,) log-probs, or a (stories,
+    states h at the sentence start (see `conditioner`). `story` is a list
+    of Stories, one per album row, giving (A,) log-probs, or a (stories,
     negatives) pair of such lists, decoded in one pass on a leading pair
     axis and giving (2, A). Each sentence starts at BOS and must end at EOS,
     so none is empty; it is one `sentence_log_prob` op over the rows (and
     halves), and hands its state on unless carry_state is off."""
     paired = isinstance(story, tuple)
-    rows = paired or isinstance(story, list)
-    stories = [*story[0], *story[1]] if paired else story if rows else [story]
+    stories = [*story[0], *story[1]] if paired else story
     t_steps = params.dims.t_steps
     counts = {len(s.sentences) for s in stories} - {t_steps}
     if counts:
@@ -381,8 +382,7 @@ def story_log_prob(params, condition, story):
                   if not sentence), None)
     if empty:
         raise ContractError("story_log_prob: story {} has an empty sentence {}".format(*empty))
-    shape = (((2, len(story[0])) if paired else (len(stories),) if rows else ())
-             + (params.dims.d_g,))
+    shape = ((2, len(story[0])) if paired else (len(stories),)) + (params.dims.d_g,)
     shared = all(s is stories[0] for s in stories)  # then every row reads one sentence
     total, h = None, zeros(shape)
     for t in range(t_steps):
@@ -401,8 +401,11 @@ def story_log_prob(params, condition, story):
 def variant_log_prob(params, features, story, variant="hier"):
     """Teacher-forced log-probability of `story`, as `story_log_prob` takes
     it, under one model variant, from one encoding and conditioning of the
-    album or album rows; the full model selects softly, as in training and
-    retrieval."""
+    (A, n, k) album rows; the full model selects softly, as in training and
+    retrieval. Given one Story, `features` is one (n, k) album, scored as
+    one row, and the log-probability is 0-d."""
+    if isinstance(story, Story):
+        return row(variant_log_prob(params, album_row(params, features), [story], variant), 0)
     condition, _ = conditioner(params, encode_album(params, features), variant)
     return story_log_prob(params, condition, story)
 
@@ -503,13 +506,13 @@ def beam_decode(params, g, beam, max_len, h0=None):
 
 
 def generate(params, features, variant, beam, max_len, oracle_indices=None):
-    """Encode the album and beam-decode one sentence per summary step from
-    the variant's conditioner; the winner's final state starts the next
-    sentence unless carry_state is off. The full model selects in hard
-    mode, or in oracle mode when indices are given (a ConfigurationError
-    for the baselines). Returns (story, decided), `decided` as
-    `conditioner` gives it."""
-    enc = encode_album(params, features)
+    """Encode one (n, k) album as one row and beam-decode one sentence per
+    summary step from the variant's conditioner; the winner's final state
+    starts the next sentence unless carry_state is off. The full model
+    selects in hard mode, or in oracle mode when indices are given (a
+    ConfigurationError for the baselines). Returns (story, decided),
+    `decided` as `conditioner` gives it for that one row."""
+    enc = encode_album(params, album_row(params, features))
     mode = "hard" if oracle_indices is None else "oracle"
     condition, decided = conditioner(params, enc, variant, mode, oracle_indices)
     start = np.zeros(params.dims.d_g)
@@ -518,7 +521,7 @@ def generate(params, features, variant, beam, max_len, oracle_indices=None):
     for t in range(params.dims.t_steps):
         if not params.carry_state:
             h = start
-        tokens, h = _beam_search(params, condition(t, Tensor(h)).data, beam, max_len, h)
+        tokens, h = _beam_search(params, condition(t, Tensor(h[None])).data[0], beam, max_len, h)
         sentences.append(list(tokens))
     return Story(sentences=sentences), decided
 
@@ -531,4 +534,4 @@ def generate_story(params, features, beam, max_len, oracle_indices=None):
 def enc_attn_dec_generate(params, features, beam, max_len):
     """The attention baseline's story and its (T, n) attention."""
     story, weights = generate(params, features, "enc_attn_dec", beam, max_len)
-    return story, np.stack(weights)
+    return story, np.concatenate(weights)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from hatstory import tensor
 from hatstory.layers import GruParams, MlpParams
-from hatstory.tensor import Rng, matmul, mul, seeded_init, sigmoid, tile_rows, vecmat, zeros
+from hatstory.errors import DimensionError
+from hatstory.tensor import Rng, matmul, mul, seeded_init, sigmoid, tile_rows, zeros
 
 # Property tests draw the same examples on every run and store none, so a
 # failure shows up on the run that introduced it and on every later one.
@@ -102,6 +103,21 @@ def assert_close(actual, expected, tol=1e-12):
 
 # ---------------------------------------------------------------------------
 # composed references for the fused ops, each tape op one record named after it
+
+
+def vecmat(x, m):
+    """Row-vector times matrix: (p,) @ (p, q) -> (q,)."""
+    x, m = tensor._as_tensor(x), tensor._as_tensor(m)
+    if x.data.ndim != 1 or m.data.ndim != 2:
+        raise DimensionError(
+            f"vecmat: needs vector and matrix, got shapes {x.data.shape} and {m.data.shape}"
+        )
+    if x.data.shape[0] != m.data.shape[0]:
+        raise DimensionError(
+            f"vecmat: inner dimensions differ, {x.data.shape} x {m.data.shape}"
+        )
+    return tensor._op("vecmat", x.data @ m.data, (x, m),
+                      (lambda g: m.data @ g, lambda g: np.outer(x.data, g)))
 
 
 def tanh(a):

@@ -381,7 +381,7 @@ def test_criterion_9_invariant_suites(capsys):
         rng = Rng(100 + seed)
         cell = gru_cell(rng, 3, 4)
         xs = np.stack([rng.uniform(-3.0, 3.0, (3,)) for _ in range(8)])
-        if not np.all(np.abs(gru_sequence(Tensor(xs), zeros(4), cell).data) < 1.0):
+        if not np.all(np.abs(gru_sequence(Tensor(xs[None]), zeros((1, 4)), cell).data) < 1.0):
             failures.append(f"gru bound seed {seed}")
 
     # layers: the MLP maps batches exactly like rows
@@ -399,14 +399,15 @@ def test_criterion_9_invariant_suites(capsys):
         rng = Rng(300 + seed)
         params = init_model(tiny_dims(), Rng(seed))
         n = 5 + seed % 4
-        enc = encode_album(params, rng.uniform(-1.0, 1.0, (n, 4)))
+        enc = encode_album(params, rng.uniform(-1.0, 1.0, (1, n, 4)))
         for mode in ("soft", "hard"):
             sel = select_summary(params, enc, mode)
             ok = (
-                np.allclose(sel.probs.data.sum(axis=1), 1.0, atol=1e-12)
+                np.allclose(sel.probs.data.sum(axis=2), 1.0, atol=1e-12)
                 and np.all(sel.probs.data >= 0.0)
-                and len(set(sel.indices)) == 5
-                and np.allclose(sel.g.data, sel.probs.data @ enc.v.data, atol=1e-12)
+                and len(set(sel.indices[0])) == 5
+                and np.allclose(np.stack([g.data for g in sel.g], axis=1),
+                                sel.probs.data @ enc.v.data, atol=1e-12)
             )
             if not ok:
                 failures.append(f"selection {mode} seed {seed}")

@@ -452,18 +452,32 @@ def test_eval_summ_reports_precision_recall(pipeline):
     assert {"precision", "recall"} <= set(agg)
     assert 0.0 <= agg["precision"] <= 1.0
     assert 0.0 <= agg["recall"] <= 1.0
+    assert agg["method"] == "hard-selection"
     assert len(report["per_item"]) == 4
     assert csv_row_count(out / "report_summarization.csv") == 6  # "predicted" holds commas
 
 
 def test_eval_summ_attention_aggregation_baseline(pipeline):
-    tmp_path, data, ckpt = pipeline
+    tmp_path, data, _ = pipeline
+    ckpt = train(tmp_path, data, "run-attn", variant="enc_attn_dec") / "checkpoint.hat"
     out = tmp_path / "report-summ-attn"
-    code = main(["eval-summ", "--ckpt", str(ckpt), "--data", str(data),
-                 "--baseline", "attn-agg", "--out", str(out)])
+    code = main(["eval-summ", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)])
     assert code == 0
     report = json.loads((out / "report_summarization.json").read_text())
     assert {"precision", "recall"} <= set(report["aggregate"])
+    assert report["aggregate"]["method"] == "attn-agg"
+
+
+def test_eval_summ_of_the_flat_baseline_is_a_one_line_error(pipeline, capsys):
+    tmp_path, data, _ = pipeline
+    ckpt = train(tmp_path, data, "run-flat", variant="enc_dec") / "checkpoint.hat"
+    out = tmp_path / "report-summ-flat"
+    capsys.readouterr()
+    code = main(["eval-summ", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "'enc_dec'" in err
+    assert not out.exists()
 
 
 def test_eval_retrieval_reports_recall_and_median(pipeline):

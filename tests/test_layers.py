@@ -27,11 +27,10 @@ from hatstory.tensor import (
     sentence_log_prob,
     soft_select,
     sum_all,
-    vecmat,
     zeros,
 )
 from conftest import (assert_close, composed_attention, gru_cell, gru_step, log_softmax_pick,
-                      mlp, mlp_head, reshape, select_step, stack_rows)
+                      mlp, mlp_head, reshape, select_step, stack_rows, vecmat)
 
 
 def scalar_gru(w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, x, h):
@@ -255,6 +254,11 @@ def _values_and_grads(run, tensors):
     return [v.data.copy() for v in values], [t.grad for t in tensors]
 
 
+def one_row(t):
+    """t as one album row, the shape the fused ops take, on the tape."""
+    return reshape(t, (1,) + t.shape)
+
+
 def _sequence_loss(states):
     loss = sum_all(mul(states[0], states[0]))
     for s in states[1:]:
@@ -271,8 +275,8 @@ def test_gru_sequence_matches_gru_step_chain_bitwise():
         tensors = [t for _, t in cell.named()] + [xs, h0]
 
         def fused():
-            hs = gru_sequence(xs, h0, cell, reverse)
-            states = [row(hs, t) for t in range(steps)]
+            hs = gru_sequence(one_row(xs), one_row(h0), cell, reverse)
+            states = [row(hs, t, axis=1) for t in range(steps)]
             return _sequence_loss(states), [hs]
 
         def chain():
@@ -281,7 +285,7 @@ def test_gru_sequence_matches_gru_step_chain_bitwise():
 
         (hs,), grads_f = _values_and_grads(fused, tensors)
         states, grads_c = _values_and_grads(chain, tensors)
-        assert np.array_equal(hs, np.stack(states))  # values bitwise
+        assert np.array_equal(hs[0], np.stack(states))  # values bitwise
         for a, b in zip(grads_f, grads_c):  # gradients summed over the run at once
             assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
 
@@ -289,15 +293,17 @@ def test_gru_sequence_matches_gru_step_chain_bitwise():
 def test_gru_sequence_records_one_tape_entry(rng):
     cell = gru_cell(rng, 3, 2)
     with Tape() as tape:
-        gru_sequence(Tensor(rng.uniform(-1, 1, (5, 3))), zeros(2), cell)
-        gru_sequence(Tensor(rng.uniform(-1, 1, (5, 3))), zeros(2), cell, reverse=True)
+        gru_sequence(Tensor(rng.uniform(-1, 1, (1, 5, 3))), zeros((1, 2)), cell)
+        gru_sequence(Tensor(rng.uniform(-1, 1, (1, 5, 3))), zeros((1, 2)), cell, reverse=True)
     assert len(tape) == 2
 
 
 def test_gru_sequence_rejects_empty_and_mismatched(rng):
     cell = gru_cell(rng, 3, 2)
-    for xs, h0 in ((np.ones((0, 3)), np.zeros(2)), (np.ones((2, 4)), np.zeros(2)),
-                   (np.ones(3), np.zeros(2)), (np.ones((2, 3)), np.zeros(3))):
+    for xs, h0 in ((np.ones((1, 0, 3)), np.zeros((1, 2))), (np.ones((1, 2, 4)), np.zeros((1, 2))),
+                   (np.ones((1, 3)), np.zeros((1, 2))), (np.ones((1, 2, 3)), np.zeros((1, 3))),
+                   (np.ones((2, 2, 3)), np.zeros((1, 2))),
+                   (np.ones((2, 3)), np.zeros(2))):  # the last without the row axis
         with pytest.raises(DimensionError, match="gru_sequence"):
             gru_sequence(Tensor(xs), Tensor(h0), cell)
 
@@ -307,9 +313,9 @@ def test_gru_sequence_gradients(rng):
         for reverse in (False, True):
             for trainable in (False, True):
                 cell = _perturbed_cell(rng, 3, 2)
-                xs = Tensor(rng.uniform(-1, 1, (steps, 3)), requires_grad=trainable)
-                h0 = Tensor(rng.uniform(-0.5, 0.5, 2), requires_grad=trainable)
-                weight = Tensor(rng.uniform(-1, 1, (steps, 2)))
+                xs = Tensor(rng.uniform(-1, 1, (1, steps, 3)), requires_grad=trainable)
+                h0 = Tensor(rng.uniform(-0.5, 0.5, (1, 2)), requires_grad=trainable)
+                weight = Tensor(rng.uniform(-1, 1, (1, steps, 2)))
                 tensors = [t for _, t in cell.named()] + ([xs, h0] if trainable else [])
 
                 def fn(*ts):
@@ -340,13 +346,14 @@ def test_sentence_log_prob_matches_gru_step_chain_bitwise(seed):
     targets = [rng.integers(0, 6) for _ in range(1 + seed % 5)]
     words = [1] + targets[:-1]
     tensors = [t for _, t in cell.named()] + [table, proj_w, proj_b, g, h0, start]
-    found, expected = (
-        _values_and_grads(lambda: _two_sentences(op, start, h0, g, words, targets,
-                                                table, cell, proj_w, proj_b), tensors)
-        for op in (sentence_log_prob, sentence_chain)
-    )
-    for a, b in zip(found[0], expected[0]):  # both totals and the final state
-        assert np.array_equal(a, b)
+    def story(op, shape):  # the fused op over one row, the chain over vectors
+        return lambda: _two_sentences(op, shape(start), shape(h0), shape(g), words, targets,
+                                      table, cell, proj_w, proj_b)
+
+    found, expected = (_values_and_grads(story(op, shape), tensors) for op, shape in
+                       ((sentence_log_prob, one_row), (sentence_chain, lambda t: t)))
+    for a, b in zip(found[0], expected[0]):  # both totals and the final state, one row
+        assert np.array_equal(a[0], b)
     for a, b in zip(found[1], expected[1]):
         assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
 
@@ -361,8 +368,8 @@ def _two_sentences(op, start, h0, g, words, targets, *decoder):
 
 def test_sentence_log_prob_gradcheck_and_errors(rng):
     table, cell, proj_w, proj_b = _decoder(rng)
-    g = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
-    h0 = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
+    g = Tensor(rng.uniform(-1, 1, (1, 3)), requires_grad=True)
+    h0 = Tensor(rng.uniform(-1, 1, (1, 3)), requires_grad=True)
     words, targets = [1, 4, 3, 4, 4], [4, 3, 4, 4, 2]  # a repeated word scatter-adds
     tensors = [t for _, t in cell.named()] + [table, proj_w, proj_b, g, h0]
 
@@ -381,11 +388,14 @@ def test_sentence_log_prob_gradcheck_and_errors(rng):
         sentence_log_prob(None, h0, g, [1], [6], *decoder)
     with pytest.raises(IndexError):
         sentence_log_prob(None, h0, g, [-1], [2], *decoder)
+    for state, summary in ((h0.data[0], g.data[0]), (h0.data, g.data[0]), (h0.data[0], g.data),
+                           (h0.data, np.ones((1, 4))), (np.ones((1, 4)), g.data)):
+        with pytest.raises(DimensionError, match="sentence_log_prob"):
+            sentence_log_prob(None, Tensor(state), Tensor(summary), words, targets, *decoder)
 
 
 # ---------------------------------------------------------------------------
-# the fused ops over rows: one row is bitwise the row-free op, more rows are
-# gradchecked with unequal sentence lengths
+# the fused ops over more rows, gradchecked with unequal sentence lengths
 
 
 def _pair_loss(rows_out, weight):
@@ -403,16 +413,6 @@ def test_gru_sequence_rows_gradcheck(count):
         fn = lambda *ts: _pair_loss(gru_sequence(xs, h0, cell, reverse), weight)
         report = grad_check(fn, [t for _, t in cell.named()] + [xs, h0], tol=1e-5)
         assert report.passed, (reverse, report.per_param)
-
-
-def test_gru_sequence_one_row_is_the_row_free_run_bitwise():
-    rng = Rng(44)
-    cell = _perturbed_cell(rng, 3, 2)
-    xs, h0 = rng.uniform(-1, 1, (5, 3)), rng.uniform(-1, 1, 2)
-    for reverse in (False, True):
-        single = gru_sequence(Tensor(xs), Tensor(h0), cell, reverse).data
-        rows = gru_sequence(Tensor(xs[None]), Tensor(h0[None]), cell, reverse).data
-        assert np.array_equal(rows[0], single)
 
 
 def _row_sentences(rng, lengths, vocab=6):
@@ -470,8 +470,8 @@ def test_sentence_log_prob_rows_match_each_row_alone():
     words, targets = _row_sentences(rng, lengths)
     total, h = sentence_log_prob(None, Tensor(h0), Tensor(g), words, targets, *decoder)
     for i in range(3):
-        one, h_one = sentence_log_prob(None, Tensor(h0[i]), Tensor(g[i]), words[i], targets[i],
-                                       *decoder)
+        one, h_one = sentence_chain(None, Tensor(h0[i]), Tensor(g[i]), words[i], targets[i],
+                                    *decoder)
         assert abs(total.data[i] - one.data) <= 1e-12 and np.max(np.abs(h.data[i] - h_one.data)) <= 1e-12
         row_one, h_row = sentence_log_prob(None, Tensor(h0[i:i + 1]), Tensor(g[i:i + 1]),
                                            [words[i]], [targets[i]], *decoder)
@@ -496,7 +496,7 @@ def test_sentence_log_prob_padded_steps_get_zero_gradient():
         return h0.grad[1], g.grad[1], table.grad[0]
 
     padded = grads([[1, 4, 3], [1]], [[4, 3, 2], [2]])
-    alone = grads([1], [2], lambda t: row(t, 1))
+    alone = grads([1], [2], lambda t: one_row(row(t, 1)))
     assert np.all(padded[2] == 0.0)  # the padding id reads table row 0, which no word reads
     for a, b in zip(padded[:2], alone[:2]):
         assert np.max(np.abs(a - b)) <= 1e-12
@@ -555,14 +555,10 @@ def test_sentence_log_prob_pair_axis_is_two_calls_bitwise(count, carry):
         return sum_all(total) + sum_all(mul(h, h)), [total, h]
 
     def apart():
-        # one example is scored row-free, as a single story is
-        squeeze = (lambda t: reshape(t, t.shape[1:])) if count == 1 else (lambda t: t)
-        one = (lambda ws: ws[0]) if count == 1 else (lambda ws: ws)
         results = []
         for i in (0, 1):
-            halves = [(one(half[i][0]), one(half[i][1])) for half in sentences]
-            results.append(_pair_story(op, squeeze(row(h0, i)), squeeze(g),
-                                       squeeze(row(g_pair, i)), halves, carry))
+            halves = [half[i] for half in sentences]
+            results.append(_pair_story(op, row(h0, i), g, row(g_pair, i), halves, carry))
         (t_0, h_0), (t_1, h_1) = results
         loss = sum_all(t_0) + sum_all(t_1) + sum_all(mul(h_0, h_0)) + sum_all(mul(h_1, h_1))
         return loss, [t_0, t_1, h_0, h_1]
@@ -602,6 +598,13 @@ def _selector(rng, k=4, d_s=3):
     return cell, head
 
 
+def one_row_select(v, cell, head, steps, hard=False):
+    """`soft_select` over the photos v (n, k) as one album row, its results
+    taken out of the row, as `composed_select` gives them."""
+    g, probs, picks = soft_select(one_row(v), cell, head, steps, hard)
+    return row(g, 0), probs[0], picks[0]
+
+
 def composed_select(v, cell, head, steps, hard=False):
     """The selector's steps as composed ops over one album, the reference
     that `soft_select` fuses: `select_step`, in hard mode excluding the
@@ -638,7 +641,7 @@ def test_soft_select_one_row_is_the_composed_steps_bitwise(seed):
             return _pair_loss(outs[-1][0], weight), [outs[-1][0]]
 
         fused, composed = (_values_and_grads(lambda: run(f), tensors)
-                           for f in (soft_select, composed_select))
+                           for f in (one_row_select, composed_select))
         (_, probs_f, picks_f), (_, probs_c, picks_c) = outs
         assert np.array_equal(fused[0][0], composed[0][0])
         assert np.array_equal(probs_f, probs_c) and picks_f == picks_c
@@ -647,6 +650,8 @@ def test_soft_select_one_row_is_the_composed_steps_bitwise(seed):
         rows, probs, picks = soft_select(Tensor(v.data[None]), cell, head, 5, hard)
         assert np.array_equal(rows.data[0], fused[0][0]) and np.array_equal(probs[0], probs_f)
         assert picks == [picks_f]
+    with pytest.raises(DimensionError, match="soft_select"):
+        soft_select(Tensor(v.data), cell, head, 5)
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -725,6 +730,13 @@ def test_attention_stays_within_rounding_of_the_concatenated_mlp(shape, paired):
         assert np.max(np.abs(out.data[at] - weights @ v[at[-1]])) <= 1e-12
 
 
+def one_row_attention(h, v, head):
+    """`attention` from the state h (d,) over the photos v (n, k) as one
+    album row, its results taken out of the row."""
+    out, alpha = attention(one_row(h), one_row(v), head)
+    return row(out, 0), alpha[0]
+
+
 def test_attention_one_row_is_the_composed_ops_bitwise():
     rng = Rng(70)
     head = mlp_head(rng, [7, 7, 1])
@@ -735,7 +747,7 @@ def test_attention_one_row_is_the_composed_ops_bitwise():
     found, expected = (
         _values_and_grads(lambda: (lambda out: (_pair_loss(out[0], weight), [out[0]]))(
             op(h, v, head)), tensors)
-        for op in (attention, composed_attention)
+        for op in (one_row_attention, composed_attention)
     )
     assert np.array_equal(found[0][0], expected[0][0])
     for a, b in zip(found[1], expected[1]):
@@ -743,6 +755,8 @@ def test_attention_one_row_is_the_composed_ops_bitwise():
     out, alpha = attention(Tensor(h.data[None]), Tensor(v.data[None]), head)
     assert np.array_equal(out.data[0], found[0][0])
     assert np.array_equal(alpha[0], composed_attention(h, v, head)[1].data)
+    with pytest.raises(DimensionError, match="attention"):
+        attention(h, v, head)
 
 
 @pytest.mark.parametrize("count", [1, 3])

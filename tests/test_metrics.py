@@ -329,12 +329,13 @@ def test_hard_selection_ids_and_soft_log_prob_helpers():
     params = init_model(dims, Rng(3))
     album = albums[0]
     ids = hard_selection_ids(params, album)
-    enc = encode_album(params, album.features)
+    enc = encode_album(params, album.features[None])
     sel = select_summary(params, enc, "hard")
-    assert ids == [album.photo_ids[i] for i in sel.indices]
+    assert ids == [album.photo_ids[i] for i in sel.indices[0]]
     condition, _ = conditioner(params, enc, "hier")
-    lp = story_log_prob(params, condition, album.stories[0])
-    assert float(lp.data) == float(variant_log_prob(params, album.features, album.stories[0]).data)
+    lp = story_log_prob(params, condition, [album.stories[0]])
+    one = variant_log_prob(params, album.features, album.stories[0])
+    assert float(lp.data[0]) == float(one.data)
 
 
 # ---------------------------------------------------------------------------

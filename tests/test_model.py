@@ -7,13 +7,15 @@ for recomputing what the model functions are supposed to wire together.
 """
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from hatstory.data import BOS_ID, EOS_ID, Story
+from hatstory.data import BOS_ID, EOS_ID, Album, Story
 from hatstory.errors import ConfigurationError, ContractError, DimensionError
+from hatstory.metrics import attention_aggregate_topk, hard_selection_ids
 from hatstory.model import (
     ModelDims,
     _beam_search,
@@ -28,6 +30,7 @@ from hatstory.model import (
     init_model,
     select_summary,
     story_log_prob,
+    variant_log_prob,
 )
 from hatstory.tensor import (
     Rng,
@@ -72,7 +75,7 @@ def test_encode_album_is_residual_relu_over_bigru():
     params = tiny_model(seed=3)
     rng = Rng(42)
     feats = random_features(rng, 3, 4)
-    enc = encode_album(params, feats)
+    enc = encode_album(params, feats[None])
 
     fwd, bwd = [], []
     h_f = h_b = zeros(2)
@@ -83,8 +86,8 @@ def test_encode_album_is_residual_relu_over_bigru():
         bwd.insert(0, h_b.data)
     for i in range(3):
         expected = np.maximum(np.concatenate([fwd[i], bwd[i]]) + feats[i], 0.0)
-        assert np.array_equal(enc.v.data[i], expected)
-    assert np.array_equal(enc.final_state.data, np.concatenate([fwd[-1], bwd[0]]))
+        assert np.array_equal(enc.v.data[0, i], expected)
+    assert np.array_equal(enc.final_state.data[0], np.concatenate([fwd[-1], bwd[0]]))
     assert enc.n == 3
 
 
@@ -92,9 +95,9 @@ def test_encode_album_zero_encoder_passes_relu_features():
     params = tiny_model(seed=0)
     zero_weights(params.enc_fwd, params.enc_bwd)
     feats = np.array([[-1.0, 2.0, -0.5, 3.0], [0.0, -4.0, 1.5, 0.25]])
-    enc = encode_album(params, feats)
-    assert_close(enc.v, Tensor(np.maximum(feats, 0.0)))
-    assert_close(enc.final_state, Tensor(np.zeros(4)))
+    enc = encode_album(params, feats[None])
+    assert_close(enc.v, Tensor(np.maximum(feats, 0.0)[None]))
+    assert_close(enc.final_state, Tensor(np.zeros((1, 4))))
 
 
 def test_encode_album_input_validation():
@@ -102,9 +105,11 @@ def test_encode_album_input_validation():
     with pytest.raises(DimensionError):
         encode_album(params, np.zeros(4))
     with pytest.raises(DimensionError):
-        encode_album(params, np.zeros((3, 5)))
+        encode_album(params, np.zeros((1, 3, 5)))
+    with pytest.raises(DimensionError, match=r"\(3, 4\)"):
+        encode_album(params, np.zeros((3, 4)))  # one album, not a row of albums
     with pytest.raises(ContractError):
-        encode_album(params, np.zeros((0, 4)))
+        encode_album(params, np.zeros((1, 0, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -116,19 +121,19 @@ def test_select_step_recomputes_as_sigmoid_mlp_renormalized():
     summary (the mean photo first), a sigmoid MLP score per photo, the
     photos picked before zeroed, the rest renormalized."""
     params = tiny_model(seed=5)
-    enc = encode_album(params, random_features(Rng(9), 6, 4))
+    enc = encode_album(params, random_features(Rng(9), 6, 4)[None])
     sel = select_summary(params, enc, "hard")
-    state, prev_g = zeros(3), Tensor(enc.v.data.mean(axis=0))
+    state, prev_g = zeros(3), Tensor(enc.v.data[0].mean(axis=0))
     for t in range(5):
         state = gru_step(params.sel_gru, prev_g, state)
         raws = []
         for i in range(6):
-            feats_i = Tensor(np.concatenate([state.data, enc.v.data[i]]))
+            feats_i = Tensor(np.concatenate([state.data, enc.v.data[0, i]]))
             score = mlp(params.sel_mlp, feats_i).data.reshape(())
-            raws.append(0.0 if i in sel.indices[:t] else 1.0 / (1.0 + math.exp(-float(score))))
+            raws.append(0.0 if i in sel.indices[0][:t] else 1.0 / (1.0 + math.exp(-float(score))))
         raws = np.array(raws)
-        assert_close(Tensor(sel.probs.data[t]), Tensor(raws / raws.sum()), tol=1e-12)
-        prev_g = Tensor(sel.g.data[t])
+        assert_close(Tensor(sel.probs.data[0, t]), Tensor(raws / raws.sum()), tol=1e-12)
+        prev_g = Tensor(sel.g[t].data[0])
 
 
 def test_select_step_constant_scorer_is_uniform():
@@ -136,34 +141,35 @@ def test_select_step_constant_scorer_is_uniform():
     over the 5 - t photos not taken; ties pick the lower index."""
     params = tiny_model(seed=1)
     zero_weights(params.sel_mlp)
-    enc = encode_album(params, random_features(Rng(2), 5, 4))
+    enc = encode_album(params, random_features(Rng(2), 5, 4)[None])
     soft, hard = (select_summary(params, enc, mode) for mode in ("soft", "hard"))
-    assert_close(soft.probs, Tensor(np.full((5, 5), 0.2)), tol=1e-15)
+    assert_close(soft.probs, Tensor(np.full((1, 5, 5), 0.2)), tol=1e-15)
     for t in range(5):
-        assert_close(Tensor(hard.probs.data[t]),
+        assert_close(Tensor(hard.probs.data[0, t]),
                      Tensor(np.where(np.arange(5) < t, 0.0, 1.0 / (5 - t))), tol=1e-15)
-    assert soft.indices == hard.indices == [0, 1, 2, 3, 4]
+    assert soft.indices == hard.indices == [[0, 1, 2, 3, 4]]
 
 
 def test_select_step_mask_zeroes_and_renormalizes():
     """Step 0 masks nothing, so hard step 1 scores from soft step 1's state;
     it zeroes step 0's pick and keeps the other photos' ratios."""
     params = tiny_model(seed=7)
-    enc = encode_album(params, random_features(Rng(11), 5, 4))
+    enc = encode_album(params, random_features(Rng(11), 5, 4)[None])
     soft, hard = (select_summary(params, enc, mode) for mode in ("soft", "hard"))
-    assert np.array_equal(soft.probs.data[0], hard.probs.data[0])
-    taken = hard.indices[0]
-    assert hard.probs.data[1, taken] == 0.0
-    expected = soft.probs.data[1] * (np.arange(5) != taken)
-    assert_close(Tensor(hard.probs.data[1]), Tensor(expected / expected.sum()), tol=1e-12)
+    assert np.array_equal(soft.probs.data[0, 0], hard.probs.data[0, 0])
+    taken = hard.indices[0][0]
+    assert hard.probs.data[0, 1, taken] == 0.0
+    expected = soft.probs.data[0, 1] * (np.arange(5) != taken)
+    assert_close(Tensor(hard.probs.data[0, 1]), Tensor(expected / expected.sum()), tol=1e-12)
 
 
-def test_hard_selection_is_one_tape_entry():
+def test_hard_selection_is_one_fused_op():
+    """One `soft_select` entry; the T summaries are `row` reads of its output."""
     params = tiny_model(seed=3)
-    enc = encode_album(params, random_features(Rng(4), 6, 4))
+    enc = encode_album(params, random_features(Rng(4), 6, 4)[None])
     with Tape() as tape:
         select_summary(params, enc, "hard")
-    assert tape.counts() == {"soft_select": 1}
+    assert tape.counts() == {"soft_select": 1, "row": 5}
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -171,83 +177,86 @@ def test_select_summary_soft_invariants(seed):
     rng = Rng(seed)
     params = tiny_model(seed=seed)
     n = 5 + seed % 4
-    enc = encode_album(params, random_features(rng, n, 4))
+    enc = encode_album(params, random_features(rng, n, 4)[None])
     sel = select_summary(params, enc, "soft")
 
-    assert sel.probs.shape == (5, n)
+    assert sel.probs.shape == (1, 5, n)
     assert np.all(sel.probs.data >= 0.0)
-    assert np.allclose(sel.probs.data.sum(axis=1), 1.0, atol=1e-12)
-    assert len(sel.indices) == 5 and len(set(sel.indices)) == 5
-    assert_close(sel.g, Tensor(sel.probs.data @ enc.v.data), tol=1e-12)
+    assert np.allclose(sel.probs.data.sum(axis=2), 1.0, atol=1e-12)
+    indices = sel.indices[0]
+    assert len(sel.indices) == 1 and len(indices) == 5 and len(set(indices)) == 5
+    assert_close(Tensor(np.stack([g.data for g in sel.g], axis=1)),
+                 Tensor(sel.probs.data @ enc.v.data), tol=1e-12)
     # greedy-distinct: each index is the best-scoring photo not yet taken
     taken = set()
     for t in range(5):
         available = [i for i in range(n) if i not in taken]
-        best = min(available, key=lambda i: (-sel.probs.data[t, i], i))
-        assert sel.indices[t] == best
+        best = min(available, key=lambda i: (-sel.probs.data[0, t, i], i))
+        assert indices[t] == best
         taken.add(best)
 
 
 def test_select_summary_hard_matches_stepwise_masking():
     params = tiny_model(seed=13)
     rng = Rng(29)
-    enc = encode_album(params, random_features(rng, 7, 4))
+    enc = encode_album(params, random_features(rng, 7, 4)[None])
     sel = select_summary(params, enc, "hard")
+    v = Tensor(enc.v.data[0])
 
     state = zeros(3)
-    prev_g = Tensor(np.full(7, 1.0 / 7) @ enc.v.data)
+    prev_g = Tensor(np.full(7, 1.0 / 7) @ v.data)
     chosen = []
     for t in range(5):
         excluded = None
         if chosen:
             excluded = np.zeros(7, dtype=bool)
             excluded[chosen] = True
-        p, state = select_step(params.sel_gru, params.sel_mlp, enc.v, prev_g, state, excluded)
+        p, state = select_step(params.sel_gru, params.sel_mlp, v, prev_g, state, excluded)
         idx = min(
             (i for i in range(7) if i not in chosen),
             key=lambda i: (-p.data[i], i),
         )
-        assert_close(Tensor(sel.probs.data[t]), p)
-        assert sel.indices[t] == idx
+        assert_close(Tensor(sel.probs.data[0, t]), p)
+        assert sel.indices[0][t] == idx
         chosen.append(idx)
-        prev_g = Tensor(p.data @ enc.v.data)
+        prev_g = Tensor(p.data @ v.data)
     # taken photos carry exactly zero probability afterwards
     for t in range(1, 5):
-        assert np.all(sel.probs.data[t, sel.indices[:t]] == 0.0)
+        assert np.all(sel.probs.data[0, t, sel.indices[0][:t]] == 0.0)
 
 
 def test_select_summary_hard_requires_enough_photos():
     params = tiny_model()
-    enc = encode_album(params, random_features(Rng(0), 4, 4))
+    enc = encode_album(params, random_features(Rng(0), 4, 4)[None])
     with pytest.raises(ContractError):
         select_summary(params, enc, "hard")
 
 
 def test_select_summary_soft_allows_fewer_photos_than_steps():
     params = tiny_model(seed=2)
-    enc = encode_album(params, random_features(Rng(1), 3, 4))
+    enc = encode_album(params, random_features(Rng(1), 3, 4)[None])
     sel = select_summary(params, enc, "soft")
-    assert len(sel.indices) == 5
-    assert all(0 <= i < 3 for i in sel.indices)
-    assert set(sel.indices[:3]) == {0, 1, 2}  # distinct until photos run out
+    assert len(sel.indices[0]) == 5
+    assert all(0 <= i < 3 for i in sel.indices[0])
+    assert set(sel.indices[0][:3]) == {0, 1, 2}  # distinct until photos run out
 
 
 def test_select_summary_oracle_copies_photo_rows():
     params = tiny_model(seed=4)
-    enc = encode_album(params, random_features(Rng(6), 8, 4))
+    enc = encode_album(params, random_features(Rng(6), 8, 4)[None])
     idx = [6, 0, 3, 7, 2]
     sel = select_summary(params, enc, "oracle", idx)
-    assert sel.indices == idx
-    expected = np.zeros((5, 8))
-    expected[np.arange(5), idx] = 1.0
+    assert sel.indices == [idx]
+    expected = np.zeros((1, 5, 8))
+    expected[0, np.arange(5), idx] = 1.0
     assert np.array_equal(sel.probs.data, expected)
     for t, i in enumerate(idx):
-        assert np.array_equal(sel.g.data[t], enc.v.data[i])
+        assert np.array_equal(sel.g[t].data, enc.v.data[:, i])
 
 
 def test_select_summary_oracle_and_mode_validation():
     params = tiny_model()
-    enc = encode_album(params, random_features(Rng(0), 6, 4))
+    enc = encode_album(params, random_features(Rng(0), 6, 4)[None])
     with pytest.raises(ContractError):
         select_summary(params, enc, "oracle", [0, 1, 2])  # too few
     with pytest.raises(ContractError):
@@ -266,50 +275,50 @@ def test_decode_zero_projection_is_uniform():
     params = tiny_model(seed=0)
     params.proj_w.data[...] = 0.0
     words, targets = [BOS_ID, 4, 0], [4, 0, EOS_ID]
-    total, _ = sentence_log_prob(None, zeros(3), zeros(4), words, targets, params.embedding,
-                                 params.gen_gru, params.proj_w, params.proj_b)
-    assert abs(float(total.data) + 3 * math.log(6)) < 1e-14
+    total, _ = sentence_log_prob(None, zeros((1, 3)), zeros((1, 4)), words, targets,
+                                 params.embedding, params.gen_gru, params.proj_w, params.proj_b)
+    assert abs(float(total.data[0]) + 3 * math.log(6)) < 1e-14
 
 
 def test_story_log_prob_uniform_model_counts_tokens():
     params = tiny_model(seed=1)
     params.proj_w.data[...] = 0.0
     params.proj_b.data[...] = 0.0
-    enc = encode_album(params, random_features(Rng(3), 6, 4))
+    enc = encode_album(params, random_features(Rng(3), 6, 4)[None])
     condition, _ = conditioner(params, enc, "hier")
     story = Story(sentences=[[4, 5, 2], [5, 2], [3, 3, 4, 2], [2], [4, 2]])
     total_tokens = sum(len(s) for s in story.sentences)
-    lp = story_log_prob(params, condition, story)
-    assert abs(float(lp.data) - (-total_tokens * math.log(6))) < 1e-12
+    lp = story_log_prob(params, condition, [story])
+    assert abs(float(lp.data[0]) - (-total_tokens * math.log(6))) < 1e-12
 
 
 def test_story_log_prob_matches_stepwise_recomputation():
     params = init_model(tiny_dims(t_steps=2), Rng(17))
-    enc = encode_album(params, random_features(Rng(18), 5, 4))
+    enc = encode_album(params, random_features(Rng(18), 5, 4)[None])
     condition, sel = conditioner(params, enc, "hier")
     story = Story(sentences=[[4, 3, 2], [5, 2]])
-    lp = story_log_prob(params, condition, story)
-    total = reference_story_log_prob(params, [Tensor(g) for g in sel.g.data], story)
-    assert abs(float(lp.data) - float(total.data)) < 1e-10
+    lp = story_log_prob(params, condition, [story])
+    total = reference_story_log_prob(params, [Tensor(g.data[0]) for g in sel.g], story)
+    assert abs(float(lp.data[0]) - float(total.data)) < 1e-10
 
 
 def test_story_log_prob_without_state_carry_resets_per_sentence():
     params = init_model(tiny_dims(t_steps=2), Rng(21), carry_state=False)
-    enc = encode_album(params, random_features(Rng(22), 5, 4))
+    enc = encode_album(params, random_features(Rng(22), 5, 4)[None])
     condition, sel = conditioner(params, enc, "hier")
     story = Story(sentences=[[4, 3, 2], [5, 2]])
-    lp = story_log_prob(params, condition, story)
+    lp = story_log_prob(params, condition, [story])
 
     total = 0.0
     for t, sentence in enumerate(story.sentences):
-        g = Tensor(sel.g.data[t])
+        g = Tensor(sel.g[t].data[0])
         h = zeros(3)  # fresh state every sentence
         prev = BOS_ID
         for tok in sentence:
             logits, h = decode_word_step(params, prev, g, h)
             total += float(log_softmax_array(logits.data)[tok])
             prev = tok
-    assert abs(float(lp.data) - total) < 1e-10
+    assert abs(float(lp.data[0]) - total) < 1e-10
 
 
 def test_story_log_prob_rejects_an_empty_sentence():
@@ -317,11 +326,11 @@ def test_story_log_prob_rejects_an_empty_sentence():
     ContractError that names the story row and the sentence, raised before
     anything is decoded."""
     params = init_model(tiny_dims(t_steps=3), Rng(19))
-    enc = encode_album(params, random_features(Rng(20), 5, 4))
+    enc = encode_album(params, random_features(Rng(20), 5, 4)[None])
     condition, weights = conditioner(params, enc, "enc_attn_dec")
     good, bad = Story(sentences=[[4, 2], [5, 2], [3, 2]]), Story(sentences=[[4, 2], [], [3, 2]])
     with pytest.raises(ContractError, match="story 0 has an empty sentence 1"):
-        story_log_prob(params, condition, bad)
+        story_log_prob(params, condition, [bad])
     with pytest.raises(ContractError, match="story 1 has an empty sentence 1"):
         story_log_prob(params, condition, ([good], [bad]))
     assert weights == []
@@ -329,11 +338,11 @@ def test_story_log_prob_rejects_an_empty_sentence():
 
 def test_story_log_prob_rejects_wrong_sentence_count():
     params = tiny_model()
-    enc = encode_album(params, random_features(Rng(0), 6, 4))
+    enc = encode_album(params, random_features(Rng(0), 6, 4)[None])
     for variant in ("hier", "enc_dec", "enc_attn_dec"):
         condition, _ = conditioner(params, enc, variant)
         with pytest.raises(ContractError):
-            story_log_prob(params, condition, Story(sentences=[[2], [2]]))
+            story_log_prob(params, condition, [Story(sentences=[[2], [2]])])
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +378,7 @@ def reference_enc_attn_dec_log_prob(params, enc, story):
     for sentence in story.sentences:
         if not params.carry_state:
             h = zeros(params.dims.d_g)
-        vis, alpha = composed_attention(h, enc.v, params.attn_mlp)
+        vis, alpha = composed_attention(h, row(enc.v, 0), params.attn_mlp)
         weights.append(alpha.data.copy())
         prev = BOS_ID
         for tok in sentence:
@@ -381,18 +390,19 @@ def reference_enc_attn_dec_log_prob(params, enc, story):
 
 
 def reference_log_probs(params, features, variant, mode, indices, stories):
-    """Encode, then score each story as the per-variant code did: the
-    selection rows and the flat projection made anew for every story."""
-    enc = encode_album(params, features)
+    """Encode the album as one row, then score each story as the per-variant
+    code did: the selection rows and the flat projection made anew for
+    every story."""
+    enc = encode_album(params, features[None])
     steps = range(params.dims.t_steps)
     if variant == "hier":
         sel = select_summary(params, enc, mode, indices)
         return [
-            reference_story_log_prob(params, [row(sel.g, t) for t in steps], s) for s in stories
+            reference_story_log_prob(params, [row(sel.g[t], 0) for t in steps], s) for s in stories
         ], None
     if variant == "enc_dec":
         return [
-            reference_story_log_prob(params, [enc_dec_visual(params, enc)] * len(steps), s)
+            reference_story_log_prob(params, [row(enc_dec_visual(params, enc), 0)] * len(steps), s)
             for s in stories
         ], None
     scored = [reference_enc_attn_dec_log_prob(params, enc, s) for s in stories]
@@ -401,10 +411,10 @@ def reference_log_probs(params, features, variant, mode, indices, stories):
 
 def conditioned_log_probs(params, features, variant, mode, indices, stories):
     condition, decided = conditioner(
-        params, encode_album(params, features), variant, mode, indices
+        params, encode_album(params, features[None]), variant, mode, indices
     )
-    lps = [story_log_prob(params, condition, s) for s in stories]
-    return lps, np.stack(decided) if variant == "enc_attn_dec" else None
+    lps = [row(story_log_prob(params, condition, [s]), 0) for s in stories]
+    return lps, np.concatenate(decided) if variant == "enc_attn_dec" else None
 
 
 def value_and_grads(params, score):
@@ -461,16 +471,16 @@ def test_conditioned_loop_matches_reference_loops_bitwise(variant, mode, carry_s
 
 def test_conditioner_rejects_unknown_variants_and_baseline_oracles():
     params = tiny_model()
-    enc = encode_album(params, random_features(Rng(0), 6, 4))
+    enc = encode_album(params, random_features(Rng(0), 6, 4)[None])
     with pytest.raises(ConfigurationError, match="unknown variant 'lstm'"):
         conditioner(params, enc, "lstm")
     for variant in ("enc_dec", "enc_attn_dec"):
         with pytest.raises(ConfigurationError, match="oracle"):
             conditioner(params, enc, variant, "oracle", [0, 1, 2, 3, 4])
         with pytest.raises(ConfigurationError, match="oracle"):
-            generate(params, enc.v.data, variant, 1, 3, [0, 1, 2, 3, 4])
+            generate(params, enc.v.data[0], variant, 1, 3, [0, 1, 2, 3, 4])
     with pytest.raises(ConfigurationError, match="unknown variant"):
-        generate(params, enc.v.data, "lstm", 1, 3)
+        generate(params, enc.v.data[0], "lstm", 1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +579,10 @@ def test_generate_story_oracle_decodes_from_chosen_photos():
     idx = [5, 2, 0, 4, 1]
     story = generate_story(params, feats, beam=2, max_len=4, oracle_indices=idx)
 
-    enc = encode_album(params, feats)
+    enc = encode_album(params, feats[None])
     h = None
     for t, i in enumerate(idx):
-        tokens, h = _beam_search(params, enc.v.data[i], 2, 4, h)
+        tokens, h = _beam_search(params, enc.v.data[0, i], 2, 4, h)
         assert story.sentences[t] == list(tokens)
 
 
@@ -710,18 +720,18 @@ def test_top_k_is_the_stable_argsort_prefix(seed):
 def test_generators_match_reference_loops(seed, carry_state):
     params = init_model(tiny_dims(vocab_size=7), Rng(600 + seed), carry_state=carry_state)
     feats = random_features(Rng(700 + seed), 7, 4)
-    enc = encode_album(params, feats)
+    enc = encode_album(params, feats[None])
     oracle = [6, 1, 3, 0, 5]
     for beam in (1, 3):
         for indices in (None, oracle):
             sel = select_summary(params, enc, "hard" if indices is None else "oracle", indices)
-            expected = reference_story(params, lambda t, h: row(sel.g, t), beam, 5)
+            expected = reference_story(params, lambda t, h: row(sel.g[t], 0), beam, 5)
             story, selection = generate(params, feats, "hier", beam, 5, indices)
             assert story.sentences == expected
             assert selection.indices == sel.indices
             assert generate_story(params, feats, beam, 5, indices).sentences == expected
 
-        vis = enc_dec_visual(params, enc)
+        vis = row(enc_dec_visual(params, enc), 0)
         expected = reference_story(params, lambda t, h: vis, beam, 5)
         story, decided = generate(params, feats, "enc_dec", beam, 5)
         assert story.sentences == expected
@@ -730,14 +740,14 @@ def test_generators_match_reference_loops(seed, carry_state):
         weights = []
 
         def attend(t, h):
-            vis, alpha = composed_attention(h, enc.v, params.attn_mlp)
+            vis, alpha = composed_attention(h, row(enc.v, 0), params.attn_mlp)
             weights.append(alpha.data)
             return vis
 
         expected = reference_story(params, attend, beam, 5)
         story, attention = generate(params, feats, "enc_attn_dec", beam, 5)
         assert story.sentences == expected
-        assert np.array_equal(np.stack(attention), np.stack(weights))
+        assert np.array_equal(np.concatenate(attention), np.stack(weights))
         story, attention = enc_attn_dec_generate(params, feats, beam, 5)
         assert story.sentences == expected
         assert np.array_equal(attention, np.stack(weights))
@@ -759,12 +769,12 @@ def test_enc_dec_log_prob_uses_projected_final_state():
     params = init_model(tiny_dims(t_steps=2), Rng(25))
     feats = random_features(Rng(26), 5, 4)
     story = Story(sentences=[[4, 2], [5, 3, 2]])
-    enc = encode_album(params, feats)
+    enc = encode_album(params, feats[None])
     condition, _ = conditioner(params, enc, "enc_dec")
-    lp = story_log_prob(params, condition, story)
-    vis = Tensor(enc.final_state.data @ params.encdec_w.data + params.encdec_b.data)
+    lp = story_log_prob(params, condition, [story])
+    vis = Tensor(enc.final_state.data[0] @ params.encdec_w.data + params.encdec_b.data)
     total = reference_story_log_prob(params, [vis] * 2, story)
-    assert abs(float(lp.data) - float(total.data)) < 1e-10
+    assert abs(float(lp.data[0]) - float(total.data)) < 1e-10
 
 
 def test_enc_dec_zero_projection_ignores_photos():
@@ -772,13 +782,13 @@ def test_enc_dec_zero_projection_ignores_photos():
     params.encdec_w.data[...] = 0.0
     params.encdec_b.data[...] = 0.0
     story = Story(sentences=[[4, 5, 2]])
-    enc_a = encode_album(params, random_features(Rng(1), 5, 4))
-    enc_b = encode_album(params, random_features(Rng(2), 8, 4))
+    enc_a = encode_album(params, random_features(Rng(1), 5, 4)[None])
+    enc_b = encode_album(params, random_features(Rng(2), 8, 4)[None])
     lp_a, lp_b = (
-        story_log_prob(params, conditioner(params, enc, "enc_dec")[0], story)
+        story_log_prob(params, conditioner(params, enc, "enc_dec")[0], [story])
         for enc in (enc_a, enc_b)
     )
-    assert float(lp_a.data) == float(lp_b.data)
+    assert float(lp_a.data[0]) == float(lp_b.data[0])
 
 
 def test_enc_dec_generate_shapes():
@@ -801,13 +811,13 @@ def conditioned_attention(params, enc, story):
     """The attention baseline's log-prob and its (T, n) attention, as the
     conditioner collects the weights."""
     condition, weights = conditioner(params, enc, "enc_attn_dec")
-    return story_log_prob(params, condition, story), np.stack(weights)
+    return story_log_prob(params, condition, [story]), np.concatenate(weights)
 
 
 def test_enc_attn_dec_single_photo_gets_full_attention():
     params = init_model(tiny_dims(t_steps=1), Rng(32))
     story = Story(sentences=[[4, 2]])
-    enc = encode_album(params, random_features(Rng(5), 1, 4))
+    enc = encode_album(params, random_features(Rng(5), 1, 4)[None])
     _, attn = conditioned_attention(params, enc, story)
     assert np.array_equal(attn, np.ones((1, 1)))
 
@@ -817,21 +827,71 @@ def test_enc_attn_dec_constant_scorer_attends_uniformly():
     zero_weights(params.attn_mlp)
     feats = random_features(Rng(36), 4, 4)
     story = Story(sentences=[[4, 2], [5, 2]])
-    enc = encode_album(params, feats)
+    enc = encode_album(params, feats[None])
     lp, attn = conditioned_attention(params, enc, story)
     assert np.allclose(attn, 0.25, atol=1e-15)
 
     # with uniform attention every sentence sees the mean photo representation
-    mean_v = Tensor(enc.v.data.mean(axis=0))
+    mean_v = Tensor(enc.v.data[0].mean(axis=0))
     total = reference_story_log_prob(params, [mean_v] * 2, story)
-    assert abs(float(lp.data) - float(total.data)) < 1e-10
+    assert abs(float(lp.data[0]) - float(total.data)) < 1e-10
 
 
 def test_enc_attn_dec_log_prob_rejects_wrong_sentence_count():
     params = tiny_model()
-    enc = encode_album(params, random_features(Rng(0), 5, 4))
+    enc = encode_album(params, random_features(Rng(0), 5, 4)[None])
     with pytest.raises(ContractError):
         conditioned_attention(params, enc, Story(sentences=[[2]]))
+
+
+# ---------------------------------------------------------------------------
+# the single-album entry points: one (n, k) album becomes one album row
+
+
+def one_album(seed, n=7):
+    features = random_features(Rng(seed), n, 4)
+    return Album(f"a{seed}", [f"a{seed}-p{i}" for i in range(n)], features, [], [])
+
+
+@pytest.mark.parametrize("variant", ["hier", "enc_dec", "enc_attn_dec"])
+def test_variant_log_prob_of_one_album_and_story_is_0d(variant):
+    """What the benchmark reads with float(.data), bitwise the album's row."""
+    params = tiny_model(seed=12)
+    album, story = one_album(40), random_story(Rng(41), 5, 6)
+    lp = variant_log_prob(params, album.features, story, variant)
+    assert isinstance(lp, Tensor) and lp.shape == ()
+    rows = variant_log_prob(params, album.features[None], [story], variant)
+    assert float(lp.data) == rows.data[0]
+
+
+def test_single_album_generators_and_selection_ids():
+    params = tiny_model(seed=13)
+    album = one_album(42)
+    story, attn = enc_attn_dec_generate(params, album.features, beam=2, max_len=4)
+    assert isinstance(story, Story) and attn.shape == (5, 7)
+    assert len(attention_aggregate_topk(attn, 5)) == 5
+    story = generate_story(params, album.features, beam=2, max_len=4)
+    assert isinstance(story, Story) and len(story.sentences) == 5
+    ids = hard_selection_ids(params, album)
+    assert len(ids) == 5 and set(ids) <= set(album.photo_ids)
+
+
+def test_single_album_entry_points_reject_other_shapes():
+    """(k,) features, album rows (A, n, k) and a wrong k: a DimensionError
+    that names the shape it got."""
+    params = tiny_model(seed=14)
+    album, story = one_album(43), random_story(Rng(44), 5, 6)
+    entry_points = [
+        lambda f: variant_log_prob(params, f, story),
+        lambda f: generate(params, f, "hier", 2, 4),
+        lambda f: generate_story(params, f, 2, 4),
+        lambda f: enc_attn_dec_generate(params, f, 2, 4),
+        lambda f: hard_selection_ids(params, Album("a", album.photo_ids, f, [], [])),
+    ]
+    for features in (album.features[0], album.features[None], random_features(Rng(45), 7, 6)):
+        for call in entry_points:
+            with pytest.raises(DimensionError, match=re.escape(str(features.shape))):
+                call(features)
 
 
 # ---------------------------------------------------------------------------

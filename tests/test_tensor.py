@@ -37,11 +37,10 @@ from hatstory.tensor import (
     sub,
     sum_all,
     tile_rows,
-    vecmat,
     zeros,
 )
 from conftest import (assert_close, reference_gru_run, reference_sigmoid, reshape, softmax,
-                      stack_rows, tanh)
+                      stack_rows, tanh, vecmat)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +384,18 @@ def test_grad_check_rejects_nondeterministic_function():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(DeterminismError):
         grad_check(noisy, [x])
+
+
+def test_grad_check_reads_a_one_element_value_of_any_rank():
+    """A (1,) value, such as a loss over one album row, is checked as a
+    scalar; its gradient of 2x at x = 0.5 is 1."""
+    report = grad_check(lambda x: mul(x, x), [Tensor([0.5], requires_grad=True)], tol=1e-5)
+    assert report.passed and report.max_rel_err < 1e-9
+
+
+def test_grad_check_rejects_a_value_of_more_than_one_element():
+    with pytest.raises(ContractError, match=r"\(2,\)"):
+        grad_check(lambda x: mul(x, x), [Tensor([0.5, 1.0], requires_grad=True)])
 
 
 def test_numeric_gradient_restores_inputs(rng):
