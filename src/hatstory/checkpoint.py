@@ -3,8 +3,8 @@
 Layout: the 9-byte magic "HATSTORY1", a little-endian u64 byte length, a
 UTF-8 JSON header (model dimensions, vocabulary, the resolved training
 config, and an ordered name/shape manifest), then every tensor's float64
-payload little-endian in manifest order. Saving, loading, and saving again
-is byte-identical.
+payload little-endian in manifest order: the model's flat store, as it is.
+Saving, loading, and saving again is byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 from .data import Vocabulary
 from .errors import ContractError, CorruptionError, FormatError
 from .model import ModelDims, ModelParams, build_model, from_json_object
-from .tensor import Tensor
 
 MAGIC = b"HATSTORY1"
 VERSION = 1
@@ -39,24 +38,27 @@ def _header_dict(params, vocab, config):
     }
 
 
+def _non_finite(params):
+    """The name of the first tensor that holds a non-finite value, or None."""
+    if np.isfinite(params.store).all():
+        return None
+    return next(name for name, t in params.named_tensors() if not np.isfinite(t.data).all())
+
+
 def save_checkpoint(params, vocab, config, path):
     """`config` is a plain JSON-safe dict (or None); `vocab` may be None for
     throwaway models. A non-finite weight writes nothing."""
-    for name, t in params.named_tensors():
-        if not np.isfinite(t.data).all():
-            raise ContractError(f"save_checkpoint: tensor {name} holds a non-finite value")
+    bad = _non_finite(params)
+    if bad:
+        raise ContractError(f"save_checkpoint: tensor {bad} holds a non-finite value")
     header = json.dumps(
         _header_dict(params, vocab, config), sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    payload = b"".join(
-        np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-        for _, t in params.named_tensors()
-    )
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<Q", len(header)))
         f.write(header)
-        f.write(payload)
+        f.write(np.ascontiguousarray(params.store, dtype="<f8"))
 
 
 def _header_vocab(header):
@@ -127,7 +129,7 @@ def load_checkpoint(path):
     ):
         raise FormatError("checkpoint: header needs a \"manifest\" list of [name, shape] pairs")
     # the layout comes from the dims without building the model, so dims too
-    # large for memory fail here, before any weight array is allocated
+    # large for the payload or for memory fail here, before the store is allocated
     layout = ModelParams.layout(dims)
     if [m[0] for m in manifest] != [name for name, _ in layout]:
         raise FormatError("checkpoint: manifest does not match the model layout")
@@ -143,15 +145,11 @@ def load_checkpoint(path):
         raise CorruptionError(
             f"checkpoint: payload holds {len(payload)} bytes, manifest expects {expected}"
         )
-    tensors, pos = {}, 0
-    for name, shape in layout:
-        count = math.prod(shape)
-        data = np.frombuffer(payload, dtype="<f8", count=count, offset=pos)
-        if not np.isfinite(data).all():
-            raise CorruptionError(f"checkpoint: tensor {name} holds a non-finite value")
-        tensors[name] = Tensor(data.reshape(shape).astype(np.float64), requires_grad=True)
-        pos += count * 8
-    params = build_model(dims, lambda name, shape: tensors[name], carry_state)
+    params = build_model(dims, lambda name, view: None, FormatError, carry_state)
+    params.store[...] = np.frombuffer(payload, dtype="<f8")
+    bad = _non_finite(params)
+    if bad:
+        raise CorruptionError(f"checkpoint: tensor {bad} holds a non-finite value")
     return LoadedCheckpoint(params=params, vocab=vocab, config=config)
 
 

@@ -20,14 +20,16 @@ become one row only at `generate`, its wrappers and `variant_log_prob`.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import MISSING, dataclass, fields
+import os
+from dataclasses import MISSING, dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
 
 from .data import BOS_ID, EOS_ID, Story
-from .errors import ConfigurationError, ContractError, DimensionError, HatstoryError, check_int
+from .errors import ConfigurationError, ContractError, DimensionError, check_int
 from .layers import GruParams, MlpParams
 from .tensor import (
     Tensor,
@@ -89,7 +91,8 @@ class ModelDims:
 
 @dataclass
 class ModelParams:
-    """Every trainable tensor of the full model plus the baseline heads."""
+    """Every trainable tensor of the full model plus the baseline heads, each
+    a view of one flat float64 `store`, in `named_tensors` order."""
 
     dims: ModelDims
     enc_fwd: GruParams
@@ -104,6 +107,7 @@ class ModelParams:
     encdec_b: Tensor  # (k,)
     attn_mlp: MlpParams  # attention baseline scorer over [decoder state, v_i]
     carry_state: bool = True  # keep decoder state across sentence boundaries
+    store: np.ndarray = field(default=None, repr=False)
 
     def named_tensors(self):
         out = []
@@ -127,7 +131,7 @@ class ModelParams:
     def layout(dims):
         """Every tensor's name and shape in `named_tensors` order, from the dims
         alone: the model is built of shape-only stand-ins, so nothing is allocated."""
-        model = build_model(dims, lambda _, shape: SimpleNamespace(shape=shape, ndim=len(shape)))
+        model = _assemble(dims, lambda _, shape: SimpleNamespace(shape=shape, ndim=len(shape)))
         return [(name, t.shape) for name, t in model.named_tensors()]
 
     def trainable(self, variant):
@@ -143,11 +147,52 @@ class ModelParams:
             raise ConfigurationError(f"unknown model variant {variant!r}")
         return [(n, t) for n, t in self.named_tensors() if n.split(".")[0] in names]
 
+    def store_runs(self, variant):
+        """Views of the store, one per run of the variant's trainable tensors
+        in `named_tensors`, in order: the weights that training updates."""
+        names, tensors = dict(self.trainable(variant)), self.named_tensors()
+        ends = list(itertools.accumulate((t.size for _, t in tensors), initial=0))
+        inside = [False] + [name in names for name, _ in tensors] + [False]
+        edges = [ends[i] for i in range(len(tensors) + 1) if inside[i] != inside[i + 1]]
+        return [self.store[lo:hi] for lo, hi in zip(edges[::2], edges[1::2])]
 
-def build_model(dims, make, carry_state=True):
-    """The model whose tensors `make(name, shape)` gives, named as in
-    `named_tensors` and asked for in one fixed order, the one `init_model`
-    draws in."""
+
+def flat_views(flat, layout):
+    """{name: view} of the 1-D array `flat`, one view per (name, shape) of
+    `layout`, side by side in its order."""
+    ends = list(itertools.accumulate((math.prod(shape) for _, shape in layout), initial=0))
+    return {name: flat[a:b].reshape(shape) for (name, shape), a, b in zip(layout, ends, ends[1:])}
+
+
+def physical_memory():
+    """Bytes of physical memory: the bound on a model's training state."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def build_model(dims, fill, error, carry_state=True):
+    """The model over a new zeroed store, cut by `flat_views`; `fill(name,
+    view)` writes a tensor's first values, in the order `init_model` draws.
+    `error` when its W weights, their gradients and Adam's moments (4 W
+    float64s) would exceed physical memory, raised before allocating."""
+    layout = ModelParams.layout(dims)
+    count = sum(math.prod(shape) for _, shape in layout)
+    if 32 * count > physical_memory():
+        raise error(f"model {dims} has {count:,} weights, more than can be allocated "
+                    f"({32 * count:,} bytes with their gradients and Adam's moments, "
+                    f"{physical_memory():,} bytes of physical memory)")
+    store = np.zeros(count)
+    views = flat_views(store, layout)
+
+    def make(name, _):
+        fill(name, views[name])
+        return Tensor(views[name], requires_grad=True)
+
+    return _assemble(dims, make, carry_state, store)
+
+
+def _assemble(dims, make, carry_state=True, store=None):
+    """The model whose tensors `make(name, shape)` gives, in `build_model`'s
+    order."""
     k = dims.k
 
     def gru(name, d_in, d_h):
@@ -173,6 +218,7 @@ def build_model(dims, make, carry_state=True):
         encdec_b=make("encdec.b", (k,)),
         attn_mlp=head("attn_mlp", dims.d_g + k),
         carry_state=carry_state,
+        store=store,
     )
 
 
@@ -185,28 +231,20 @@ def init_model(dims, rng, carry_state=True, enc_init_gain=1.0):
     representations close to relu(f_i)), which makes the raw photo signal
     dominate early selection learning; 1.0 leaves the draw untouched. The
     rng consumption is identical for every gain, so models with different
-    gains share all other initial weights. A model too large for numpy to
-    allocate is a ConfigurationError naming its dims and weight count.
+    gains share all other initial weights. A model too large for memory
+    (`build_model`) is a ConfigurationError.
     """
     if enc_init_gain <= 0:
         raise ConfigurationError("init_model: enc_init_gain must be positive")
 
-    def make(name, shape):
+    def fill(name, view):  # biases stay zero
         if name.split(".")[-1].startswith("b"):
-            return zeros(shape, requires_grad=True)
-        t = seeded_init(rng, shape)
+            return
+        view[...] = seeded_init(rng, view.shape).data
         if name.split(".")[0] in ("enc_fwd", "enc_bwd"):
-            t.data *= enc_init_gain
-        return t
+            view *= enc_init_gain
 
-    try:
-        return build_model(dims, make, carry_state)
-    except HatstoryError:
-        raise
-    except (MemoryError, ValueError) as e:  # numpy refused the shape or its bytes
-        count = sum(math.prod(shape) for _, shape in ModelParams.layout(dims))
-        raise ConfigurationError(f"model {dims} has {count:,} weights, "
-                                 f"more than can be allocated ({e})") from None
+    return build_model(dims, fill, ConfigurationError, carry_state)
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +470,19 @@ def _top_k(scores, k):
     return order.tolist(), scores[order].tolist()
 
 
-def _beam_search(params, g, beam, max_len, h0=None):
+def _decoder_gates(params):
+    """The decoder's [W_z, W_r, W_h] stacked, for one input product a beam
+    step, and its `gru_stack` cell."""
+    gen = [t.data for _, t in params.gen_gru.named()]
+    return np.stack(gen[:3])[:, None], gru_stack(*gen[3:], 3)
+
+
+def _beam_search(params, g, beam, max_len, h0=None, gates=None):
     """Length-capped beam search for one sentence, without the tape.
 
     g is the sentence's (k,) conditioning array and h0 the (d_g,) decoder
-    state it starts from (zeros when None). The live hypotheses are rows:
+    state it starts from (zeros when None); `gates` are the decoder's
+    `_decoder_gates`, made here when None. The live hypotheses are rows:
     each step runs one GRU update and one output projection over all of
     them, adds each row's log-prob to its (V,) word log-probs, and keeps
     the best `beam` of the rows x V extensions (`_top_k`). Ties go to the
@@ -453,8 +499,7 @@ def _beam_search(params, g, beam, max_len, h0=None):
     d_g, vocab = params.dims.d_g, params.dims.vocab_size
     table = params.embedding.data
     d_w = table.shape[1]
-    gen = [t.data for _, t in params.gen_gru.named()]
-    w_in, cell = np.stack(gen[:3])[:, None], gru_stack(*gen[3:], 3)  # one input product a step
+    w_in, cell = gates or _decoder_gates(params)
     proj_w, proj_b = params.proj_w.data, params.proj_b.data
     # Rows are kept as (1, d) matrices: numpy then makes each row's products
     # as one vector-matrix product, which rounds exactly as a single
@@ -515,13 +560,14 @@ def generate(params, features, variant, beam, max_len, oracle_indices=None):
     enc = encode_album(params, album_row(params, features))
     mode = "hard" if oracle_indices is None else "oracle"
     condition, decided = conditioner(params, enc, variant, mode, oracle_indices)
-    start = np.zeros(params.dims.d_g)
+    start, gates = np.zeros(params.dims.d_g), _decoder_gates(params)
     h = start
     sentences = []
     for t in range(params.dims.t_steps):
         if not params.carry_state:
             h = start
-        tokens, h = _beam_search(params, condition(t, Tensor(h[None])).data[0], beam, max_len, h)
+        tokens, h = _beam_search(params, condition(t, Tensor(h[None])).data[0], beam, max_len, h,
+                                 gates)
         sentences.append(list(tokens))
     return Story(sentences=sentences), decided
 

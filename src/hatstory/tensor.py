@@ -47,15 +47,17 @@ class Tensor:
 
     Values are immutable by convention once created; the two sanctioned
     writers are the optimizer (between tapes) and the finite-difference
-    checker (which restores what it perturbs).
+    checker (which restores what it perturbs). A gradient reaching a tensor
+    whose `grad` is None is written into `grad_buffer` when that is set.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "grad_buffer")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.grad_buffer = None
 
     @property
     def shape(self):
@@ -159,10 +161,13 @@ def _rec(out, back):
 
 
 def _accum(t, g):
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
-    else:
+    if t.grad is not None:
         t.grad += g
+    elif t.grad_buffer is None:
+        t.grad = np.array(g, dtype=np.float64)
+    else:  # a copy, as above, so a -0.0 stays one
+        t.grad = t.grad_buffer
+        t.grad[...] = g
 
 
 def _fit(g, shape):
@@ -402,7 +407,7 @@ def row(m, i, axis=0):
     if out.requires_grad:
         def back():
             if m.grad is None:
-                m.grad = np.zeros_like(m.data)
+                _accum(m, np.zeros_like(m.data))
             m.grad[at] += out.grad
         _rec(out, back)
     return out
@@ -582,7 +587,7 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
                 _accum(g, g_g.sum(axis=0) if shared else g_g)
             if table.requires_grad:
                 if table.grad is None:
-                    table.grad = np.zeros_like(table.data)
+                    _accum(table, np.zeros_like(table.data))
                 # a repeated word adds twice
                 np.add.at(table.grad, np.broadcast_to(ids[0], g_x.shape[:-1]), g_x[..., :d_w])
         _rec(out, back)

@@ -13,13 +13,13 @@ bitwise identical to the plain generation loss.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import SENTENCES_PER_STORY, Story, validate_story
 from .errors import ConfigurationError, ContractError, NumericDomainError, check_int, check_number
-from .model import VARIANTS, group_by_photo_count, variant_log_prob
+from .model import VARIANTS, flat_views, group_by_photo_count, variant_log_prob
 from .tensor import Rng, Tape, backward, neg, relu, row, sum_all
 
 
@@ -147,55 +147,72 @@ def batch_loss(params, pairs, negatives, cfg):
 # optimizer
 
 
-@dataclass
+# Elements per pass of the Adam update; its two scratch arrays are this long.
+ADAM_CHUNK = 1 << 15
+
+
 class AdamState:
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """Adam over the (name, tensor) pairs `named`, whose weights the store
+    views `weights` hold side by side, in order. Each tensor's `grad_buffer`
+    becomes its view of the flat `grads`, which the moments follow; each
+    chunk holds aligned views of at most ADAM_CHUNK weights, of their
+    (gradients, m, v) and of two scratch arrays."""
+
+    def __init__(self, named, weights):
+        self.named, self.step = named, 0
+        gmv = np.zeros((3, sum(w.size for w in weights)))
+        self.grads = gmv[0]
+        views = flat_views(self.grads, [(name, t.shape) for name, t in named])
+        for name, t in named:  # gradients from before training are dropped
+            t.grad, t.grad_buffer = None, views[name]
+        scratch, self.chunks, pos = np.empty((2, min(gmv.shape[1], ADAM_CHUNK))), [], 0
+        for w in weights:
+            for lo in range(0, w.size, ADAM_CHUNK):
+                part = w[lo:lo + ADAM_CHUNK]
+                self.chunks.append((part, gmv[:, pos + lo:pos + lo + part.size],
+                                    scratch[:, :part.size]))
+            pos += w.size
 
 
-def adam_step(named_params, state, cfg):
-    """One bias-corrected Adam update over (name, tensor) pairs.
+def adam_step(state, cfg):
+    """One bias-corrected Adam update, in place on the weights, moments and
+    gradients, chunk by chunk, in the elementwise order of
 
-    Every tensor must carry a gradient; the caller clears gradients after
-    the step (they accumulate across a batch before it)."""
-    state.step += 1
-    t = state.step
-    b1, b2 = cfg.beta1, cfg.beta2
-    for name, p in named_params:
-        if p.grad is None:
+        m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        w -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+
+    Every tensor must carry a gradient; the step takes them all, so the next
+    gradient to reach a tensor starts its buffer anew."""
+    for name, t in state.named:
+        if t.grad is None:
             raise ContractError(f"adam_step: missing gradient for {name}")
-        g = p.grad
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-            state.m[name] = m
-            state.v[name] = v
+        t.grad = None
+    state.step += 1
+    b1, b2 = cfg.beta1, cfg.beta2
+    c1, c2 = 1.0 - b1**state.step, 1.0 - b2**state.step
+    for w, (g, m, v), (a, b) in state.chunks:
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=a)
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        v += np.multiply(np.multiply(g, 1.0 - b2, out=a), g, out=a)
+        np.multiply(np.divide(m, c1, out=a), cfg.learning_rate, out=a)
+        np.add(np.sqrt(np.divide(v, c2, out=b), out=b), cfg.epsilon, out=b)
+        w -= np.divide(a, b, out=a)
 
 
-def clip_gradients(named_params, max_norm):
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+def clip_gradients(named, grads, max_norm):
+    """Scale the flat gradients `grads` so that their global L2 norm is at
+    most max_norm. The norm sums each (name, tensor) pair's squared gradient
+    on its own, in order, skipping a tensor no gradient reached."""
     if max_norm <= 0:
         raise ContractError("clip_gradients: max_norm must be positive")
     total = 0.0
-    for _, p in named_params:
+    for _, p in named:
         if p.grad is not None:
             total += float((p.grad * p.grad).sum())
     norm = math.sqrt(total)
     if norm > max_norm:
-        scale = max_norm / norm
-        for _, p in named_params:
-            if p.grad is not None:
-                p.grad *= scale
+        grads *= max_norm / norm
     return norm
 
 
@@ -210,8 +227,9 @@ def train(params, albums, cfg, log=None, early_stop=None):
     Album/story pairs are shuffled each epoch with the config seed. A
     batch's negatives are drawn in example order, then the whole batch is
     one forward pass on one tape, its examples as rows (`batch_loss`), and
-    one backward from the sum of their losses gives the batch's gradients;
-    they are averaged, and one Adam step fires per batch. The whole run is
+    one backward from the sum of their losses gives the batch's gradients,
+    in one flat array (`AdamState`); they are averaged by one multiply, and
+    one Adam step fires per batch. The whole run is
     bitwise reproducible for a fixed config. `early_stop`, if given,
     receives each finished epoch's curve row and halts training by
     returning True. A non-finite loss or final weight raises
@@ -223,8 +241,7 @@ def train(params, albums, cfg, log=None, early_stop=None):
             examples.append((album, story))
     if not examples:
         raise ContractError("train: dataset has no stories")
-    trainable = params.trainable(cfg.variant)
-    state = AdamState()
+    state = AdamState(params.trainable(cfg.variant), params.store_runs(cfg.variant))
     rng = Rng(cfg.seed)
     curve = []
     for epoch in range(cfg.epochs):
@@ -244,15 +261,10 @@ def train(params, albums, cfg, log=None, early_stop=None):
                     sums["gen"] += gen
                     sums["rank"] += rank
                 backward(tape, root)
-            inv = 1.0 / len(pairs)
-            for _, p in trainable:
-                if p.grad is not None:
-                    p.grad *= inv
+            state.grads *= 1.0 / len(pairs)
             if cfg.grad_clip > 0:
-                clip_gradients(trainable, cfg.grad_clip)
-            adam_step(trainable, state, cfg)
-            for _, p in trainable:
-                p.grad = None
+                clip_gradients(state.named, state.grads, cfg.grad_clip)
+            adam_step(state, cfg)
         count = len(examples)
         curve.append(
             {
@@ -269,7 +281,9 @@ def train(params, albums, cfg, log=None, early_stop=None):
             )
         if early_stop is not None and early_stop(curve[-1]):
             break
-    if not all(np.isfinite(p.data).all() for _, p in trainable):
+    for _, t in state.named:
+        t.grad_buffer = None
+    if not all(np.isfinite(w).all() for w, _, _ in state.chunks):
         raise NumericDomainError("train: non-finite weights after the last step")
     return curve
 

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import operator
 from operator import itemgetter
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from hatstory import tensor
 from hatstory.layers import GruParams, MlpParams
-from hatstory.errors import DimensionError
+from hatstory.errors import ContractError, DimensionError
 from hatstory.tensor import Rng, matmul, mul, seeded_init, sigmoid, tile_rows, zeros
 
 # Property tests draw the same examples on every run and store none, so a
@@ -268,3 +269,49 @@ def reference_gru_run(xs, h0, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, rever
         c = np.tanh(xh[t] + (r * h) @ u_h + b_h, out=cand[t])
         h = hs[t] = (1.0 - z) * h + z * c
     return hs, zr[:, 0], zr[:, 1], cand
+
+
+# ---------------------------------------------------------------------------
+# the per-tensor optimizer that the flat one replaced, as its reference
+
+
+def reference_adam_step(named_params, state, cfg):
+    """One bias-corrected Adam update over (name, tensor) pairs, tensor by
+    tensor; `state` has `step` and the dicts `m` and `v`."""
+    state.step += 1
+    t = state.step
+    b1, b2 = cfg.beta1, cfg.beta2
+    for name, p in named_params:
+        if p.grad is None:
+            raise ContractError(f"adam_step: missing gradient for {name}")
+        g = p.grad
+        m = state.m.get(name)
+        v = state.v.get(name)
+        if m is None:
+            m = np.zeros_like(p.data)
+            v = np.zeros_like(p.data)
+            state.m[name] = m
+            state.v[name] = v
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        p.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+
+
+def reference_clip_gradients(named_params, max_norm):
+    """Scale all gradients so their global L2 norm, summed tensor by tensor,
+    is at most max_norm."""
+    total = 0.0
+    for _, p in named_params:
+        if p.grad is not None:
+            total += float((p.grad * p.grad).sum())
+    norm = math.sqrt(total)
+    if norm > max_norm:
+        scale = max_norm / norm
+        for _, p in named_params:
+            if p.grad is not None:
+                p.grad *= scale
+    return norm

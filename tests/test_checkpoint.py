@@ -3,7 +3,9 @@ modes for damaged or mismatched files.
 """
 
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +18,12 @@ from hatstory.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from hatstory.data import Vocabulary, SPECIAL_TOKENS
+from hatstory import model
+from hatstory.data import SynthSpec, Vocabulary, SPECIAL_TOKENS, synth_generate
 from hatstory.errors import ContractError, CorruptionError, FormatError, HatstoryError
 from hatstory.model import ModelDims, ModelParams, init_model
 from hatstory.tensor import Rng
+from hatstory.training import TrainConfig, train
 from conftest import byte_edits, json_edits
 
 
@@ -282,6 +286,49 @@ def test_dims_too_large_for_memory_fail_before_any_weight_is_built(tmp_path, key
     rewrite_header(path, both)
     with pytest.raises(CorruptionError, match="payload"):
         load_checkpoint(path)
+
+
+def test_a_model_whose_training_state_exceeds_physical_memory_fails_to_load(tmp_path,
+                                                                             monkeypatch):
+    params, path = saved(tmp_path)
+    count = params.store.size
+    monkeypatch.setattr(model, "physical_memory", lambda: 32 * count - 1)
+    with pytest.raises(FormatError, match=rf"^model {re.escape(str(params.dims))} has {count:,} "
+                       rf"weights, more than can be allocated \({32 * count:,} bytes"):
+        load_checkpoint(path)
+    monkeypatch.setattr(model, "physical_memory", lambda: 32 * count)
+    assert np.array_equal(load_checkpoint(path).params.store, params.store)
+
+
+# A checkpoint written by the per-tensor payload code that the flat store
+# replaced: the small model below after `trained_small_model`'s three epochs.
+SMALL_TRAINED = Path(__file__).parent / "data" / "small-trained.hat"
+SMALL_TRAINED_SHA256 = "47cffd2595f0e903bc5dd7afbd323ea7111fcfe5d7a2b9cbaedd5706dc9382a0"
+
+
+def trained_small_model():
+    albums, vocab = synth_generate(SynthSpec(albums=2, n=5, k=6, classes=5, seed=3))
+    cfg = TrainConfig(k=6, d_s=4, d_g=4, d_w=3, epochs=3, batch_size=2, seed=0,
+                      learning_rate=1e-2, grad_clip=0.5)
+    params = init_model(ModelDims(k=6, d_s=4, d_g=4, d_w=3, vocab_size=vocab.size),
+                        Rng(cfg.seed))
+    train(params, albums, cfg)
+    return params, vocab, cfg
+
+
+def test_an_earlier_checkpoint_loads_to_the_same_training_and_resaves_byte_for_byte(tmp_path):
+    assert file_sha256(SMALL_TRAINED) == SMALL_TRAINED_SHA256
+    loaded = load_checkpoint(SMALL_TRAINED)
+    params, vocab, cfg = trained_small_model()
+    assert loaded.config == cfg.to_dict()
+    assert loaded.vocab.id_to_token == vocab.id_to_token
+    assert loaded.params.dims == params.dims
+    for (name, t), (_, want) in zip(loaded.params.named_tensors(), params.named_tensors()):
+        assert np.array_equal(t.data.view(np.uint64), want.data.view(np.uint64)), name
+    save_checkpoint(loaded.params, loaded.vocab, loaded.config, tmp_path / "again.hat")
+    assert (tmp_path / "again.hat").read_bytes() == SMALL_TRAINED.read_bytes()
+    save_checkpoint(params, vocab, cfg.to_dict(), tmp_path / "fresh.hat")
+    assert (tmp_path / "fresh.hat").read_bytes() == SMALL_TRAINED.read_bytes()
 
 
 def test_file_sha256_matches_content(tmp_path):

@@ -15,6 +15,7 @@ import pytest
 
 from hatstory.data import BOS_ID, EOS_ID, Album, Story
 from hatstory.errors import ConfigurationError, ContractError, DimensionError
+from hatstory import model
 from hatstory.metrics import attention_aggregate_topk, hard_selection_ids
 from hatstory.model import (
     ModelDims,
@@ -940,6 +941,35 @@ def test_init_model_encoder_gain_scales_only_encoder():
             assert np.array_equal(t_scaled.data, t_base.data * 0.5)
         else:
             assert np.array_equal(t_scaled.data, t_base.data)
+
+
+@pytest.mark.parametrize("spare", [0, -1])
+def test_a_model_whose_training_state_exceeds_physical_memory_is_refused(monkeypatch, spare):
+    """Its weights, gradients and Adam's two moments are 32 bytes a weight;
+    the memory probe is patched, so nothing large is asked for."""
+    dims = tiny_dims()
+    count = sum(math.prod(shape) for _, shape in model.ModelParams.layout(dims))
+    monkeypatch.setattr(model, "physical_memory", lambda: 32 * count + spare)
+    if spare == 0:
+        assert init_model(dims, Rng(0)).store.size == count
+        return
+    with pytest.raises(ConfigurationError) as caught:
+        init_model(dims, Rng(0))
+    assert str(caught.value) == (
+        f"model {dims} has {count:,} weights, more than can be allocated ({32 * count:,} bytes "
+        f"with their gradients and Adam's moments, {32 * count - 1:,} bytes of physical memory)")
+
+
+def test_each_variant_trains_one_to_four_runs_of_the_store():
+    params = tiny_model()
+    for variant, count in (("hier", 1), ("enc_dec", 3), ("enc_attn_dec", 4)):
+        runs = params.store_runs(variant)
+        assert len(runs) == count
+        trainable = dict(params.trainable(variant))
+        assert sum(run.size for run in runs) == sum(t.size for t in trainable.values())
+        for name, t in params.named_tensors():
+            inside = any(np.shares_memory(t.data, run) for run in runs)
+            assert inside == (name in trainable), (variant, name)
 
 
 def test_init_model_rejects_nonpositive_gain():

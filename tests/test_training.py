@@ -3,20 +3,22 @@ negatives, Adam arithmetic, gradient clipping, and bitwise-reproducible runs.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from hatstory.checkpoint import load_checkpoint, save_checkpoint
 from hatstory.data import Album, Story, SynthSpec, synth_generate
 from hatstory.diagnostics import toy_instance
 from hatstory.errors import ConfigurationError, ContractError
 from hatstory.model import ModelDims, init_model
 from hatstory import model
-from hatstory.tensor import Rng, Tensor, Tape, backward, grad_check, neg, sum_all
+from hatstory.tensor import Rng, Tensor, Tape, _accum, backward, grad_check, neg, sum_all
 from hatstory.training import (
     VARIANTS,
-    AdamState,
     TrainConfig,
+    AdamState,
     adam_step,
     batch_loss,
     clip_gradients,
@@ -27,6 +29,7 @@ from hatstory.training import (
     variant_log_prob,
     write_loss_curve,
 )
+from conftest import reference_adam_step, reference_clip_gradients
 
 
 def tiny_cfg(**overrides):
@@ -375,12 +378,18 @@ def test_generation_loss_is_finite_for_all_variants():
 # Adam
 
 
+def lone_adam(*weights):
+    """A tensor of the given weights and the Adam state over it alone, its
+    gradient buffer the state's `grads`."""
+    p = Tensor(np.array(weights), requires_grad=True)
+    return p, AdamState([("p", p)], [p.data])
+
+
 def test_adam_first_step_matches_hand_formula():
-    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    p.grad = np.array([0.5, -1.5])
+    p, state = lone_adam(1.0, -2.0)
+    _accum(p, np.array([0.5, -1.5]))
     cfg = tiny_cfg(learning_rate=0.1)
-    state = AdamState()
-    adam_step([("p", p)], state, cfg)
+    adam_step(state, cfg)
 
     expected = []
     for start, g in ((1.0, 0.5), (-2.0, -1.5)):
@@ -397,8 +406,7 @@ def test_adam_first_step_matches_hand_formula():
 
 def test_adam_two_steps_match_reference_loop():
     cfg = tiny_cfg(learning_rate=0.05)
-    p = Tensor(np.array([0.3]), requires_grad=True)
-    state = AdamState()
+    p, state = lone_adam(0.3)
     grads = [np.array([0.7]), np.array([-0.2])]
 
     # reference implementation with explicit scalars
@@ -411,28 +419,108 @@ def test_adam_two_steps_match_reference_loop():
         x -= cfg.learning_rate * m_hat / (math.sqrt(v_hat) + cfg.epsilon)
 
     for g in grads:
-        p.grad = g.copy()
-        adam_step([("p", p)], state, cfg)
+        _accum(p, g)
+        adam_step(state, cfg)
     assert abs(float(p.data[0]) - x) < 1e-15
     assert state.step == 2
 
 
 def test_adam_requires_gradients():
-    p = Tensor(np.array([1.0]), requires_grad=True)
+    p, state = lone_adam(1.0)
     with pytest.raises(ContractError):
-        adam_step([("p", p)], AdamState(), tiny_cfg())
+        adam_step(state, tiny_cfg())
+
+
+def test_a_tensor_no_gradient_reached_since_the_last_step_is_missing():
+    """Its buffer still holds the last batch's gradient; the step tells the
+    two apart by whether a gradient reached the tensor since."""
+    params = init_model(ModelDims(k=6, d_s=4, d_g=4, d_w=3, vocab_size=19), Rng(0))
+    state = AdamState(params.trainable("hier"), params.store_runs("hier"))
+    for _, t in state.named:
+        _accum(t, np.ones(t.shape))
+    adam_step(state, tiny_cfg())
+    for name, t in state.named:
+        if name != "sel_mlp.1.b":
+            _accum(t, np.ones(t.shape))
+    with pytest.raises(ContractError, match="missing gradient for sel_mlp.1.b"):
+        adam_step(state, tiny_cfg())
+
+
+def _random_gradients(rng, named, step):
+    """One batch's gradients: a scale drawn across four decades, with exact
+    zeros and negative zeros among the values; some tensors get two."""
+    scale = 10.0 ** rng.uniform(-3.0, 1.0)
+    out = []
+    for i, (_, t) in enumerate(named):
+        parts = []
+        for _ in range(1 + (i + step) % 3 // 2):
+            g = rng.normal(scale, t.shape)
+            g[rng.uniform(0.0, 1.0, t.shape) < 0.05] = 0.0
+            g[rng.uniform(0.0, 1.0, t.shape) < 0.05] = -0.0
+            parts.append(g)
+        out.append(parts)
+    return out
+
+
+@pytest.mark.parametrize("grad_clip", [0.0, 0.5])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_flat_adam_is_bitwise_the_per_tensor_reference(variant, grad_clip):
+    """100 steps over the variant's trainable tensors, gradients averaged and
+    clipped as `train` does; tensors outside the variant are untouched."""
+    dims = ModelDims(k=6, d_s=4, d_g=5, d_w=3, vocab_size=19)
+    flat, ref = (init_model(dims, Rng(4)) for _ in range(2))
+    before = {name: t.data.copy() for name, t in flat.named_tensors()}
+    cfg = tiny_cfg(variant=variant, grad_clip=grad_clip, learning_rate=3e-2)
+    state = AdamState(flat.trainable(variant), flat.store_runs(variant))
+    ref_state = SimpleNamespace(step=0, m={}, v={})
+    ref_named = ref.trainable(variant)
+    rng = Rng(11)
+    for step in range(100):
+        grads = _random_gradients(rng, state.named, step)
+        for (_, t), (_, r), parts in zip(state.named, ref_named, grads):
+            for g in parts:
+                _accum(t, g)
+            r.grad = parts[0].copy()
+            for g in parts[1:]:
+                r.grad += g
+            r.grad *= 1.0 / 3
+        state.grads *= 1.0 / 3
+        assert np.array_equal(state.grads.view(np.uint64), np.concatenate(
+            [r.grad.ravel() for _, r in ref_named]).view(np.uint64))
+        if grad_clip:
+            assert (clip_gradients(state.named, state.grads, grad_clip)
+                    == reference_clip_gradients(ref_named, grad_clip))
+        adam_step(state, cfg)
+        reference_adam_step(ref_named, ref_state, cfg)
+        for _, r in ref_named:
+            r.grad = None
+        assert np.array_equal(flat.store.view(np.uint64), ref.store.view(np.uint64)), step
+    trained = {name for name, _ in state.named}
+    for name, t in flat.named_tensors():
+        moved = not np.array_equal(t.data.view(np.uint64), before[name].view(np.uint64))
+        assert moved == (name in trained), name
 
 
 # ---------------------------------------------------------------------------
 # gradient clipping
 
 
+def flat_gradients(*grads):
+    """(named, grads): one tensor per given gradient (None: none reached it),
+    each gradient a view of the flat array `grads`, side by side in order."""
+    flat = np.concatenate([np.zeros(2) if g is None else g for g in grads])
+    named = []
+    for i, g in enumerate(grads):
+        t = Tensor(np.zeros(2), requires_grad=True)
+        t.grad = None if g is None else flat[2 * i:2 * i + 2]
+        named.append((f"t{i}", t))
+    return named, flat
+
+
 def test_clip_gradients_rescales_to_global_norm():
-    a = Tensor(np.zeros(2), requires_grad=True)
-    b = Tensor(np.zeros(2), requires_grad=True)
-    a.grad = np.array([3.0, 0.0])
-    b.grad = np.array([0.0, 4.0])
-    norm = clip_gradients([("a", a), ("b", b)], max_norm=1.0)
+    named, flat = flat_gradients(np.array([3.0, 0.0]), np.array([0.0, 4.0]))
+    (_, a), (_, b) = named
+    norm = clip_gradients(named, flat, max_norm=1.0)
     assert abs(norm - 5.0) < 1e-12
     clipped = math.sqrt(float((a.grad**2).sum() + (b.grad**2).sum()))
     assert abs(clipped - 1.0) < 1e-12
@@ -441,19 +529,19 @@ def test_clip_gradients_rescales_to_global_norm():
 
 
 def test_clip_gradients_leaves_small_gradients_alone():
-    a = Tensor(np.zeros(2), requires_grad=True)
-    a.grad = np.array([0.3, 0.4])
+    named, flat = flat_gradients(np.array([0.3, 0.4]))
+    a = named[0][1]
     before = a.grad.copy()
-    norm = clip_gradients([("a", a)], max_norm=1.0)
+    norm = clip_gradients(named, flat, max_norm=1.0)
     assert abs(norm - 0.5) < 1e-12
     assert np.array_equal(a.grad, before)
 
 
 def test_clip_gradients_skips_missing_and_validates_norm():
-    a = Tensor(np.zeros(2), requires_grad=True)
-    assert clip_gradients([("a", a)], max_norm=1.0) == 0.0
+    named, flat = flat_gradients(None)
+    assert clip_gradients(named, flat, max_norm=1.0) == 0.0
     with pytest.raises(ContractError):
-        clip_gradients([("a", a)], max_norm=0.0)
+        clip_gradients(named, flat, max_norm=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +556,33 @@ def run_once(tmp_path, name, cfg):
     curve = train(params, albums, cfg)
     write_loss_curve(curve, tmp_path / name)
     return params, curve, (tmp_path / name).read_bytes()
+
+
+def test_every_tensor_views_the_store_after_init_load_and_train(tmp_path):
+    cfg = tiny_cfg(epochs=1)
+    params, _, _ = run_once(tmp_path, "curve.csv", cfg)
+    save_checkpoint(params, None, None, tmp_path / "m.hat")
+    loaded = load_checkpoint(tmp_path / "m.hat").params
+    init = init_model(params.dims, Rng(1))
+    for p in (params, loaded, init):
+        layout = model.ModelParams.layout(p.dims)
+        assert p.store.shape == (sum(math.prod(shape) for _, shape in layout),)
+        views = model.flat_views(p.store, layout)
+        for name, t in p.named_tensors():
+            assert t.data.base is p.store and np.shares_memory(t.data, views[name]), name
+            assert t.grad is None and t.grad_buffer is None, name
+    assert np.array_equal(params.store, loaded.store)
+
+
+def test_gradients_left_on_the_model_do_not_reach_its_training(tmp_path):
+    cfg = tiny_cfg(epochs=1)
+    clean, _, curve = run_once(tmp_path, "clean.csv", cfg)
+    albums, vocab = tiny_dataset()
+    params = init_model(clean.dims, Rng(cfg.seed))
+    for _, t in params.named_tensors():
+        t.grad = np.ones(t.shape)
+    train(params, albums, cfg)
+    assert np.array_equal(params.store, clean.store)
 
 
 def test_train_is_bitwise_reproducible(tmp_path):
