@@ -140,7 +140,7 @@ def load_checkpoint(path):
                 f"checkpoint: tensor {name} has shape {shape!r}, model wants {list(want)}"
             )
     expected = sum(math.prod(shape) * 8 for _, shape in layout)
-    payload = blob[offset:]
+    payload = memoryview(blob)[offset:]  # no copy of the weights
     if len(payload) != expected:
         raise CorruptionError(
             f"checkpoint: payload holds {len(payload)} bytes, manifest expects {expected}"

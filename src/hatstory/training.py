@@ -147,7 +147,8 @@ def batch_loss(params, pairs, negatives, cfg):
 # optimizer
 
 
-# Elements per pass of the Adam update; its two scratch arrays are this long.
+# Elements per pass of the Adam update, the length of its two scratch arrays:
+# the fastest of 2^12 to 2^17 on a 440,000-weight model, one BLAS thread.
 ADAM_CHUNK = 1 << 15
 
 
