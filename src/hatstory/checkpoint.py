@@ -12,7 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -95,22 +97,28 @@ class LoadedCheckpoint:
 
 
 def load_checkpoint(path):
+    """The checkpoint at `path`. Its header is read and checked first, then
+    its payload goes straight into the new model's store, so the weights
+    are held once."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[: len(MAGIC)] != MAGIC:
+        return _load(f, os.fstat(f.fileno()).st_size)
+
+
+def _load(f, size):
+    """Load from the open file f of `size` bytes."""
+    if f.read(len(MAGIC)) != MAGIC:
         raise FormatError("checkpoint: bad magic, not a model checkpoint")
-    offset = len(MAGIC)
-    if len(blob) < offset + 8:
+    length = f.read(8)
+    if len(length) < 8:
         raise CorruptionError("checkpoint: truncated before header length")
-    (header_len,) = struct.unpack_from("<Q", blob, offset)
-    offset += 8
-    if len(blob) < offset + header_len:
+    (header_len,) = struct.unpack("<Q", length)
+    offset = len(MAGIC) + 8 + header_len
+    if size < offset:  # checked first: the length field may claim more than memory holds
         raise CorruptionError("checkpoint: truncated header")
     try:
-        header = json.loads(blob[offset : offset + header_len].decode("utf-8"))
+        header = json.loads(f.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise CorruptionError("checkpoint: header is not valid JSON") from None
-    offset += header_len
     if not isinstance(header, dict):
         raise FormatError("checkpoint: header must be a JSON object")
     if header.get("version") != VERSION:
@@ -140,13 +148,16 @@ def load_checkpoint(path):
                 f"checkpoint: tensor {name} has shape {shape!r}, model wants {list(want)}"
             )
     expected = sum(math.prod(shape) * 8 for _, shape in layout)
-    payload = memoryview(blob)[offset:]  # no copy of the weights
-    if len(payload) != expected:
+    if size - offset != expected:
         raise CorruptionError(
-            f"checkpoint: payload holds {len(payload)} bytes, manifest expects {expected}"
+            f"checkpoint: payload holds {size - offset} bytes, manifest expects {expected}"
         )
     params = build_model(dims, lambda name, view: None, FormatError, carry_state)
-    params.store[...] = np.frombuffer(payload, dtype="<f8")
+    got = f.readinto(params.store.view(np.uint8))
+    if got != expected:  # the file shrank since it was opened
+        raise CorruptionError(f"checkpoint: payload holds {got} bytes, manifest expects {expected}")
+    if sys.byteorder == "big":  # the payload is little-endian
+        params.store.byteswap(inplace=True)
     bad = _non_finite(params)
     if bad:
         raise CorruptionError(f"checkpoint: tensor {bad} holds a non-finite value")

@@ -102,25 +102,25 @@ def check_attention(seed=0):
 
 
 def check_sequence(seed=0):
-    """Both encoder directions (`gru_sequence`) over trainable photo features
-    and one decoder sentence (`sentence_log_prob`), each one row from a
-    trainable nonzero state, the sentence with a repeated word, on the toy
-    model."""
+    """The bidirectional encoder op (`gru_sequence`) over trainable photo
+    features from a trainable nonzero start state that both directions
+    share, and one decoder sentence (`sentence_log_prob`) from a trainable
+    state, with a repeated word, each one row, on the toy model."""
     params, features, story, _ = toy_instance(seed)
     rng = Rng(seed)
     xs = Tensor(features[None], requires_grad=True)
     start, h0, g = (Tensor(rng.uniform(-1.0, 1.0, (1, d)), requires_grad=True)
                     for d in (params.dims.k // 2, params.dims.d_g, params.dims.k))
+    weight = Tensor(rng.uniform(-1.0, 1.0, xs.shape))
     sentence = story.sentences[0] + story.sentences[1]  # word 5 comes twice
 
     def fn(*tensors):
-        fwd = gru_sequence(xs, start, params.enc_fwd)
-        bwd = gru_sequence(xs, start, params.enc_bwd, reverse=True)
+        states = gru_sequence(xs, start, params.enc_fwd, params.enc_bwd)
         total, h = sentence_log_prob(
             None, h0, g, [BOS_ID, *sentence[:-1]], sentence, params.embedding,
             params.gen_gru, params.proj_w, params.proj_b,
         )
-        return total + sum_all(mul(fwd, bwd)) + sum_all(mul(h, h))
+        return total + sum_all(mul(states, states + weight)) + sum_all(mul(h, h))
 
     named = params.named_tensors() + [("features", xs), ("start", start), ("h0", h0), ("g", g)]
     return _check(fn, named)

@@ -1,7 +1,8 @@
 """The weights of the recurrent and feed-forward blocks: a GRU's nine gate
 tensors and a small MLP's affine layers. Every parameter is a plain Tensor,
 so the gradient tape sees everything; the fused ops of `tensor` run them
-(`gru_sequence`, `sentence_log_prob`, `soft_select` and `attention`)."""
+(`gru_sequence`, which takes the encoder's two GRUs, `sentence_log_prob`,
+`soft_select` and `attention`)."""
 
 from __future__ import annotations
 

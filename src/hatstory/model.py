@@ -254,14 +254,15 @@ def init_model(dims, rng, carry_state=True, enc_init_gain=1.0):
 @dataclass
 class AlbumEncoding:
     v: Tensor  # (A, n, k) photo representations
-    fwd: Tensor  # the forward GRU's states, (A, n, k/2)
-    bwd: Tensor  # the backward GRU's states, in photo order
+    states: Tensor  # (A, n, k): [f_i; b_i], the forward and backward GRU states at photo i
     n = property(lambda self: self.v.shape[1])  # photos per album
 
     @functools.cached_property
     def final_state(self):
-        """(A, k): both directions' terminal states, concatenated."""
-        return concat([row(self.fwd, self.n - 1, axis=1), row(self.bwd, 0, axis=1)], axis=1)
+        """(A, k): both directions' terminal states, [f_{n-1}; b_0]."""
+        half = self.states.shape[2] // 2
+        return concat([row(row(self.states, self.n - 1, axis=1), slice(None, half), axis=1),
+                       row(row(self.states, 0, axis=1), slice(half, None), axis=1)], axis=1)
 
 
 def _album_rows(params, features):
@@ -298,12 +299,11 @@ def group_by_photo_count(params, album_features_list):
 
 def encode_album(params, features):
     """v_i = relu([f_i; b_i] + x_i) over (A, n, k) album rows: f_i and b_i
-    are the forward and backward GRU states at photo i, one op each."""
+    are the forward and backward GRU states at photo i, one op for both."""
     xs = Tensor(_album_rows(params, features))
-    start = zeros((xs.shape[0], params.dims.k // 2))
-    fwd = gru_sequence(xs, start, params.enc_fwd)
-    bwd = gru_sequence(xs, start, params.enc_bwd, reverse=True)
-    return AlbumEncoding(v=relu(concat([fwd, bwd], axis=-1) + xs), fwd=fwd, bwd=bwd)
+    states = gru_sequence(xs, zeros((xs.shape[0], params.dims.k // 2)), params.enc_fwd,
+                          params.enc_bwd)
+    return AlbumEncoding(v=relu(states + xs), states=states)
 
 
 # ---------------------------------------------------------------------------

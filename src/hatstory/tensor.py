@@ -14,15 +14,18 @@ helper, `_op`, records it. `row` records itself, to add its gradient in
 place. Per-op Python dispatch, not arithmetic, sets the speed of these small
 models, so the hottest compositions are fused ops, one tape record each,
 that keep their own hand-written backward to give many inputs their
-gradients in one pass: a GRU run (`gru_sequence`), a teacher-forced sentence
-(`sentence_log_prob`), the selector's steps in soft or hard mode
-(`soft_select`) and an attention read (`attention`). All take album rows
-only, one album being one row, and the sentence and the attention read a
-leading pair axis too: a minibatch runs as rows on one tape, a ranked one's
-stories and negatives as the pair's halves, and tape-free inference runs the
-same ops. At one row, and per half, their values are bitwise the composed
-references' that the tests keep (with the scoring MLP's first layer split
-alike); gradients agree to rounding.
+gradients in one pass: the bidirectional encoder (`gru_sequence`), a
+teacher-forced sentence (`sentence_log_prob`), the selector's steps in soft
+or hard mode (`soft_select`) and an attention read (`attention`). All take
+album rows only, one album being one row, and the sentence and the attention
+read a leading pair axis too: a minibatch runs as rows on one tape, a ranked
+one's stories and negatives as the pair's halves, and tape-free inference
+runs the same ops. At one row, and per half, their values are bitwise the
+composed references' that the tests keep (with the scoring MLP's first layer
+split alike); gradients agree to rounding. The encoder and the sentence run
+one GRU kernel, `gru_run`, which steps the cells it is given in lockstep on
+a leading direction axis: the encoder's two directions take one step per
+photo, their values and gradients bitwise those of one run per direction.
 """
 
 from __future__ import annotations
@@ -231,12 +234,15 @@ def log_softmax_array(x, axis=-1):
 
 def gru_stack(u_z, u_r, u_h, b_z, b_r, b_h, ndim):
     """A GRU's recurrent weights as `gru_step_array` reads them for states of
-    `ndim` dims: [U_z, U_r] (2, 1.., d_h, d_h), U_h, [b_z, b_r] (2, 1.., d_h)
-    and b_h. The gate axis leads, so the stacked product makes each gate's
-    own, bitwise the unstacked one."""
-    lead = (1,) * (ndim - 2)
-    return (np.stack([u_z, u_r]).reshape((2,) + lead + u_z.shape), u_h,
-            np.stack([b_z, b_r]).reshape((2,) + lead + (1,) + b_z.shape), b_h)
+    `ndim` dims: [U_z, U_r] (2, 1.., d_h, d_h), U_h (1.., d_h, d_h), [b_z,
+    b_r] (2, 1.., 1, d_h) and b_h (1.., 1, d_h). Given sequences of D cells'
+    weights instead, for states (D, ..., d_h) that step D cells in lockstep,
+    the direction axis D takes the first of the 1s. The gate axis leads, so
+    the stacked product makes each gate's own, bitwise the unstacked one."""
+    u_zr, u_h, b_zr, b_h = np.array([u_z, u_r]), np.asarray(u_h), np.array([b_z, b_r]), b_h
+    lead, d_h = u_h.shape[:-2] + (1,) * (ndim - u_h.ndim), u_h.shape[-1]
+    return (u_zr.reshape((2,) + lead + (d_h, d_h)), u_h.reshape(lead + (d_h, d_h)),
+            b_zr.reshape((2,) + lead + (1, d_h)), np.reshape(b_h, lead + (1, d_h)))
 
 
 def gru_step_array(xw, h, cell, out=None):
@@ -263,23 +269,27 @@ def gru_step_array(xw, h, cell, out=None):
     return zr, cand, new
 
 
-def gru_run(xs, h0, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, reverse=False):
-    """A GRU over R rows of T inputs, xs (T, R, d_in), from h0 (R, d_h), or
-    with a leading pair axis, xs (T, 2, R, d_in) from (2, R, d_h). The input
-    products are made once for the run; only the recurrence steps, each a
-    `gru_step_array`. State t follows input t; `reverse` reads the inputs
-    from the last. Products are per (R, .) block, so each half is bitwise a
-    run over its rows alone. Returns the states and z, r, cand gates, each
-    shaped as xs with d_h last."""
-    hs = np.empty(xs.shape[:-1] + h0.shape[-1:])
-    zr, cand = np.empty((len(xs), 2) + hs.shape[1:]), np.empty_like(hs)
+def gru_run(xs, h0, cells):
+    """GRUs over R rows of T inputs, xs (T, R, d_in), stepped in lockstep, one
+    per cell of `cells` (each its nine gate arrays, w_z to b_h), from h0 (D,
+    R, d_h) for D cells; or with a pair axis after the first, xs (T, 2, R,
+    d_in) from (D, 2, R, d_h). The first cell reads the inputs from the
+    first, a second one from the last. The input products are made once for
+    the run, one per cell and gate; only the recurrence steps, each one
+    `gru_step_array` over all the cells. Products are per (R, .) block, so
+    each cell, and each half, is bitwise a run over its rows alone. Returns
+    the states and z, r, cand gates, each (T, D, ..., d_h) in step order:
+    [t, 1] follows input T - 1 - t."""
+    hs = np.empty((len(xs),) + h0.shape)
+    zr, cand = np.empty((len(xs), 2) + h0.shape), np.empty_like(hs)
     xw = np.empty((3,) + hs.shape)
-    for w, products in zip((w_z, w_r, w_h), xw):
-        np.matmul(xs, w, out=products)
-    cell = gru_stack(u_z, u_r, u_h, b_z, b_r, b_h, h0.ndim)
+    for d, cell in enumerate(cells):
+        for w, products in zip(cell[:3], xw[:, :, d]):
+            np.matmul(xs[::-1] if d else xs, w, out=products)
+    stacked = gru_stack(*zip(*(cell[3:] for cell in cells)), h0.ndim)
     h = h0
-    for t in reversed(range(len(xs))) if reverse else range(len(xs)):
-        h = gru_step_array(xw[:, t], h, cell, (zr[t], cand[t], hs[t]))[2]
+    for t in range(len(xs)):
+        h = gru_step_array(xw[:, t], h, stacked, (zr[t], cand[t], hs[t]))[2]
     return hs, zr[:, 0], zr[:, 1], cand
 
 
@@ -394,15 +404,18 @@ def sum_all(a):
 
 
 def row(m, i, axis=0):
-    """Select index i along one axis (the first by default) of a tensor; the
-    gradient scatters back into that slice. From a vector it is a scalar.
-    It records itself: its backward adds into m's gradient in place."""
+    """Select index i, or the slice i, along one axis (the first by default)
+    of a tensor; the gradient scatters back into that part. From a vector an
+    index gives a scalar. It records itself: its backward adds into m's
+    gradient in place."""
     m = _as_tensor(m)
     if m.data.ndim < 1:
         raise DimensionError("row: needs at least a vector, got a scalar")
-    if not isinstance(i, (int, np.integer)) or not 0 <= i < m.data.shape[axis]:
-        raise IndexError(f"row index {i} out of range for shape {m.data.shape}")
-    at = (slice(None),) * (axis % m.data.ndim) + (int(i),)
+    if not isinstance(i, slice):
+        if not isinstance(i, (int, np.integer)) or not 0 <= i < m.data.shape[axis]:
+            raise IndexError(f"row index {i} out of range for shape {m.data.shape}")
+        i = int(i)
+    at = (slice(None),) * (axis % m.data.ndim) + (i,)
     out = _out(m.data[at].copy(), m)
     if out.requires_grad:
         def back():
@@ -428,13 +441,14 @@ def _gru_factors(hp, z, r, cand):
 
 def _gru_back_step(g, t, factors, u_z, u_r, u_h, gates):
     """Step t of GRU backpropagation for the state gradient g: fills the z, r
-    and cand pre-activation gradients gates[:, t]; returns the start state's."""
+    and cand pre-activation gradients gates[:, t]; returns the start state's.
+    The recurrent weights may be `gru_stack`'s, with a direction axis."""
     omz, dc, dr, dz, r = (f[t] for f in factors)
-    g_rh = np.multiply(g, dc, out=gates[2, t]) @ u_h.T
+    g_rh = np.multiply(g, dc, out=gates[2, t]) @ np.swapaxes(u_h, -1, -2)
     carry = g * omz
     carry += g_rh * r
-    carry += np.multiply(g_rh, dr, out=gates[1, t]) @ u_r.T
-    carry += np.multiply(g, dz, out=gates[0, t]) @ u_z.T
+    carry += np.multiply(g_rh, dr, out=gates[1, t]) @ np.swapaxes(u_r, -1, -2)
+    carry += np.multiply(g, dz, out=gates[0, t]) @ np.swapaxes(u_z, -1, -2)
     return carry
 
 
@@ -451,50 +465,65 @@ def _gru_weight_grads(weights, x, hp, r, gates):
             _accum(b, gate.sum(axis=0))
 
 
-def _gru_run_back(x, h0, run, weights, g_states, reverse, need_x):
+def _gru_run_back(x, h0, run, cells, g_states, need_x):
     """Backpropagation through time of a `gru_run` over x (T, ..., d_in) from
-    the array h0 (..., d_h), whose states get g_states (T, ..., d_h) from
-    outside. Returns the gradient of h0 and, when `need_x`, of x."""
+    the array h0 (D, ..., d_h), `cells` holding the D cells' gate tensors,
+    whose states get g_states (T, D, ..., d_h), in step order, from outside.
+    All cells step back together; each weight's gradient is one product per
+    cell, the last cell's first, as if each had been its own op on the tape.
+    Returns the gradient of h0 and one gradient of x per cell, in input
+    order, each None unless `need_x`."""
     hs, z, r, cand = run
-    if reverse:
-        x, hs, z, r, cand, g_states = (a[::-1] for a in (x, hs, z, r, cand, g_states))
     hp = np.concatenate([h0[None], hs[:-1]])  # the state each step starts from
     factors = _gru_factors(hp, z, r, cand)
     gates = np.empty((3,) + hs.shape)  # pre-activation gradients of z, r, cand
+    u_zr, u_h = gru_stack(*zip(*([w.data for w in cell[3:]] for cell in cells)), h0.ndim)[:2]
     carry = None
     for t in range(len(hs) - 1, -1, -1):
         g = g_states[t] if carry is None else carry + g_states[t]
-        carry = _gru_back_step(g, t, factors, *(w.data for w in weights[3:6]), gates)
-    _gru_weight_grads(weights, x, hp, r, gates)
-    if not need_x:
-        return carry, None
-    g_x = sum(gate @ w.data.T for gate, w in zip(gates, weights[:3]))
-    return carry, g_x[::-1] if reverse else g_x
+        carry = _gru_back_step(g, t, factors, u_zr[0], u_zr[1], u_h, gates)
+    g_x = [None] * len(cells)
+    for d in reversed(range(len(cells))):
+        x_d, gates_d = x[::-1] if d else x, gates[:, :, d]
+        _gru_weight_grads(cells[d], x_d, hp[:, d], r[:, d], gates_d)
+        if need_x:
+            g = sum(gate @ w.data.T for gate, w in zip(gates_d, cells[d][:3]))
+            g_x[d] = g[::-1] if d else g
+    return carry, g_x
 
 
-def gru_sequence(xs, h0, cell, reverse=False):
-    """A whole GRU run over R rows as one op: [r, t] of the (R, T, d_h)
-    result is row r's state after its input t of xs (R, T, d_in), from h0
-    (R, d_h); `reverse` runs from the last input. `cell` holds the nine gate
-    tensors. At one row values are a chain of composed GRU steps'."""
+def gru_sequence(xs, h0, fwd, bwd):
+    """A bidirectional GRU over R rows as one op, its directions stepped in
+    lockstep: [r, t] of the (R, T, 2 d_h) result is [f; b], row r's state
+    under the cell `fwd` after its input t of xs (R, T, d_in) and under the
+    cell `bwd` after reading its inputs from the last down to t, both from
+    h0 (R, d_h). Values and gradients are bitwise those of a one-direction
+    run per cell, the second over the reversed inputs, recorded as two ops."""
     xs, h0 = _as_tensor(xs), _as_tensor(h0)
-    weights = [t for _, t in cell.named()]
-    d_in, d_h = cell.w_z.data.shape
-    if (xs.data.ndim != 3 or xs.data.shape[1] < 1 or xs.data.shape[2] != d_in
-            or h0.data.shape != (xs.data.shape[0], d_h)):
-        raise DimensionError(f"gru_sequence: inputs {xs.data.shape} and state "
-                             f"{h0.data.shape} do not fit weights ({d_in}, {d_h}) as rows")
+    cells = [[t for _, t in cell.named()] for cell in (fwd, bwd)]
+    d_in, d_h = fwd.w_z.data.shape
+    if (bwd.w_z.data.shape != (d_in, d_h) or xs.data.ndim != 3 or xs.data.shape[1] < 1
+            or xs.data.shape[2] != d_in or h0.data.shape != (xs.data.shape[0], d_h)):
+        raise DimensionError(f"gru_sequence: inputs {xs.data.shape} and state {h0.data.shape} "
+                             f"do not fit weights {fwd.w_z.data.shape} and "
+                             f"{bwd.w_z.data.shape} as rows")
     x = xs.data.transpose(1, 0, 2)  # (T, R, d_in)
-    run = gru_run(x, h0.data, *(w.data for w in weights), reverse=reverse)
-    out = _out(run[0].transpose(1, 0, 2), xs, h0, *weights)
+    start = np.broadcast_to(h0.data, (2,) + h0.data.shape)
+    run = gru_run(x, start, [[w.data for w in cell] for cell in cells])
+    states = [run[0][:, 0], run[0][::-1, 1]]  # both in input order
+    out = _out(np.concatenate([s.transpose(1, 0, 2) for s in states], axis=-1),
+               xs, h0, *cells[0], *cells[1])
     if out.requires_grad:
         def back():
-            g_h0, g_x = _gru_run_back(x, h0.data, run, weights, out.grad.transpose(1, 0, 2),
-                                      reverse, xs.requires_grad)
-            if h0.requires_grad:
-                _accum(h0, g_h0)
-            if xs.requires_grad:
-                _accum(xs, g_x.transpose(1, 0, 2))
+            g = out.grad.transpose(1, 0, 2)
+            g_h0, g_x = _gru_run_back(x, start, run, cells,
+                                      np.stack([g[..., :d_h], g[::-1, :, d_h:]], axis=1),
+                                      xs.requires_grad)
+            for d in (1, 0):  # in the order two ops' backwards would add them
+                if h0.requires_grad:
+                    _accum(h0, g_h0[d])
+                if xs.requires_grad:
+                    _accum(xs, g_x[d].transpose(1, 0, 2))
         _rec(out, back)
     return out
 
@@ -548,8 +577,9 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
     x = np.empty((steps,) + lead + (d_in,))
     x[..., :d_w] = table.data[ids[0]]
     x[..., d_w:] = g.data
-    run = gru_run(x, h0.data, *(w.data for w in weights))
-    y = log_softmax_array(run[0] @ proj_w.data + proj_b.data)
+    run = gru_run(x, h0.data[None], [[w.data for w in weights]])
+    states = run[0][:, 0]
+    y = log_softmax_array(states @ proj_w.data + proj_b.data)
     at = tuple(np.arange(n).reshape((-1,) + (1,) * (len(lead) - i))
                for i, n in enumerate((steps,) + lead)) + (ids[1],)  # each step's targets
     picked = y[at]
@@ -558,7 +588,7 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
     if total is not None:
         picked[0] += total.data
     value = np.add.accumulate(picked)[-1]  # sequential: bitwise the word-by-word sum
-    end = run[0][(lengths - 1,) + at[1:-1]] if padded else run[0][-1]
+    end = states[(lengths - 1,) + at[1:-1]] if padded else states[-1]
     inputs = (h0, g, table, proj_w, proj_b, *weights) + (() if total is None else (total,))
     out, h = Tensor(value), Tensor(end)
     out.requires_grad = h.requires_grad = _recording(*inputs)
@@ -574,12 +604,12 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
             if proj_b.requires_grad:
                 _accum(proj_b, _flat(g_logits).sum(axis=0))
             if proj_w.requires_grad:
-                _accum(proj_w, _flat(run[0]).T @ _flat(g_logits))
+                _accum(proj_w, _flat(states).T @ _flat(g_logits))
             g_states = g_logits @ proj_w.data.T
             if h.grad is not None:
                 g_states[(lengths - 1,) + at[1:-1] if padded else -1] += h.grad
-            g_h0, g_x = _gru_run_back(x, h0.data, run, weights, g_states, False,
-                                      g.requires_grad or table.requires_grad)
+            (g_h0,), (g_x,) = _gru_run_back(x, h0.data[None], run, [weights], g_states[:, None],
+                                            g.requires_grad or table.requires_grad)
             if h0.requires_grad:
                 _accum(h0, g_h0)
             if g.requires_grad:

@@ -271,6 +271,39 @@ def reference_gru_run(xs, h0, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, rever
     return hs, zr[:, 0], zr[:, 1], cand
 
 
+def gru_direction(xs, h0, cell):
+    """One GRU direction over (R, T, d_in) rows from h0 (R, d_h) as one taped
+    op, `tensor.gru_run` and its backward over the one cell."""
+    weights = [t for _, t in cell.named()]
+    x, start = xs.data.transpose(1, 0, 2), h0.data[None]
+    run = tensor.gru_run(x, start, [[w.data for w in weights]])
+    out = tensor._out(run[0][:, 0].transpose(1, 0, 2), xs, h0, *weights)
+    if out.requires_grad:
+        def back():
+            (g_h0,), (g_x,) = tensor._gru_run_back(x, start, run, [weights],
+                                                   out.grad.transpose(1, 0, 2)[:, None],
+                                                   xs.requires_grad)
+            if h0.requires_grad:
+                tensor._accum(h0, g_h0)
+            if xs.requires_grad:
+                tensor._accum(xs, g_x.transpose(1, 0, 2))
+        tensor._rec(out, back)
+    return out
+
+
+def flip_steps(a):
+    """(R, T, d) rows with their T steps in reverse order, as one taped op."""
+    return tensor._op("flip_steps", a.data[:, ::-1].copy(), (a,), (lambda g: g[:, ::-1],))
+
+
+def reference_gru_sequence(xs, h0, fwd, bwd):
+    """The two-run form of `tensor.gru_sequence`: one `gru_direction` op per
+    cell, the `bwd` one over the flipped inputs, its states flipped back and
+    concatenated after the `fwd` ones."""
+    back = flip_steps(gru_direction(flip_steps(xs), h0, bwd))
+    return tensor.concat([gru_direction(xs, h0, fwd), back], axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # the per-tensor optimizer that the flat one replaced, as its reference
 

@@ -17,7 +17,7 @@ def workload(monkeypatch):
     return workload
 
 
-@pytest.mark.parametrize("name", ["acceptance", "attn-baseline"])
+@pytest.mark.parametrize("name", ["acceptance", "attn-baseline", "wide"])
 def test_a_benchmark_workload_runs_without_a_failed_operation(workload, tmp_path, name):
     run = workload.run_workload(workload.WORKLOADS[name], 7, tmp_path, rounds=1, setups=1)
     assert set(run.tallies) == {"train", "generate", "summarize", "retrieve"}

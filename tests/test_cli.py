@@ -14,7 +14,7 @@ from hatstory import tensor
 from hatstory.checkpoint import load_checkpoint, save_checkpoint
 from hatstory.cli import load_config, main
 from hatstory.data import Vocabulary, load_dataset
-from hatstory.diagnostics import check_attention, check_selector
+from hatstory.diagnostics import check_attention, check_selector, check_sequence
 from hatstory.errors import ConfigurationError
 from hatstory.metrics import hard_selection_ids
 from hatstory.model import generate_story
@@ -553,14 +553,14 @@ def test_gradcheck_command_passes_and_exits_zero(capsys):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_selector_and_attention_checks_pass(seed):
-    for check in (check_selector, check_attention):
+    for check in (check_selector, check_attention, check_sequence):
         report = check(seed)
         assert report.passed, (check.__name__, report.per_param)
 
 
 @pytest.mark.parametrize("helper, checks", [("_head_back", (check_selector, check_attention)),
                                             ("_head_first_back", (check_selector, check_attention)),
-                                            ("_gru_back_step", (check_selector,))])
+                                            ("_gru_back_step", (check_selector, check_sequence))])
 def test_selector_and_attention_checks_catch_a_backward_off_by_1e_4(monkeypatch, helper, checks):
     """A backward helper of the fused ops, its result scaled by 1 + 1e-4."""
     exact = getattr(tensor, helper)

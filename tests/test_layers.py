@@ -30,7 +30,8 @@ from hatstory.tensor import (
     zeros,
 )
 from conftest import (assert_close, composed_attention, gru_cell, gru_step, log_softmax_pick,
-                      mlp, mlp_head, reshape, select_step, stack_rows, vecmat)
+                      mlp, mlp_head, reference_gru_sequence, reshape, select_step, stack_rows,
+                      vecmat)
 
 
 def scalar_gru(w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, x, h):
@@ -268,19 +269,20 @@ def _sequence_loss(states):
 
 def test_gru_sequence_matches_gru_step_chain_bitwise():
     rng = Rng(0)
-    for seed, reverse, steps in itertools.product(range(4), (False, True), (1, 2, 6)):
-        cell = _perturbed_cell(rng, 3 + seed, 2 + seed % 3)
+    for seed, steps in itertools.product(range(4), (1, 2, 6)):
+        fwd, bwd = (_perturbed_cell(rng, 3 + seed, 2 + seed % 3) for _ in range(2))
         xs = Tensor(rng.uniform(-1, 1, (steps, 3 + seed)), requires_grad=True)
         h0 = Tensor(rng.uniform(-1, 1, 2 + seed % 3), requires_grad=True)
-        tensors = [t for _, t in cell.named()] + [xs, h0]
+        tensors = [t for cell in (fwd, bwd) for _, t in cell.named()] + [xs, h0]
 
         def fused():
-            hs = gru_sequence(one_row(xs), one_row(h0), cell, reverse)
-            states = [row(hs, t, axis=1) for t in range(steps)]
+            hs = gru_sequence(one_row(xs), one_row(h0), fwd, bwd)
+            states = [row(row(hs, 0), t) for t in range(steps)]
             return _sequence_loss(states), [hs]
 
         def chain():
-            states = gru_chain(cell, xs, h0, reverse)
+            states = [concat([f, b]) for f, b in zip(gru_chain(fwd, xs, h0),
+                                                     gru_chain(bwd, xs, h0, reverse=True))]
             return _sequence_loss(states), states
 
         (hs,), grads_f = _values_and_grads(fused, tensors)
@@ -290,12 +292,36 @@ def test_gru_sequence_matches_gru_step_chain_bitwise():
             assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
 
 
+@pytest.mark.parametrize("shared", [False, True], ids=["two-cells", "one-cell-twice"])
+def test_gru_sequence_is_two_one_direction_runs_bitwise(shared):
+    """States and every gradient of the lockstep op equal, bit for bit, those
+    of a one-direction op per cell, the second over the flipped inputs."""
+    rng = Rng(7)
+    for count, steps, (d_in, d_h), trainable in itertools.product(
+            (1, 3), (1, 2, 6), ((3, 2), (24, 16)), (False, True)):
+        fwd = _perturbed_cell(rng, d_in, d_h)
+        bwd = fwd if shared else _perturbed_cell(rng, d_in, d_h)
+        xs = Tensor(rng.uniform(-1, 1, (count, steps, d_in)), requires_grad=trainable)
+        h0 = Tensor(rng.uniform(-1, 1, (count, d_h)), requires_grad=trainable)
+        weight = Tensor(rng.uniform(-1, 1, (count, steps, 2 * d_h)))
+        cells = (fwd,) if shared else (fwd, bwd)
+        tensors = [t for cell in cells for _, t in cell.named()] + ([xs, h0] if trainable else [])
+        results = []
+        for op in (gru_sequence, reference_gru_sequence):
+            def run():
+                hs = op(xs, h0, fwd, bwd)
+                return _pair_loss(hs, weight), [hs]
+            values, grads = _values_and_grads(run, tensors)
+            results.append(values + grads)
+        for a, b in zip(*results):
+            assert a.shape == b.shape and np.array_equal(a, b), (count, steps, d_in, trainable)
+
+
 def test_gru_sequence_records_one_tape_entry(rng):
-    cell = gru_cell(rng, 3, 2)
+    fwd, bwd = gru_cell(rng, 3, 2), gru_cell(rng, 3, 2)
     with Tape() as tape:
-        gru_sequence(Tensor(rng.uniform(-1, 1, (1, 5, 3))), zeros((1, 2)), cell)
-        gru_sequence(Tensor(rng.uniform(-1, 1, (1, 5, 3))), zeros((1, 2)), cell, reverse=True)
-    assert len(tape) == 2
+        gru_sequence(Tensor(rng.uniform(-1, 1, (1, 5, 3))), zeros((1, 2)), fwd, bwd)
+    assert tape.counts() == {"gru_sequence": 1}
 
 
 def test_gru_sequence_rejects_empty_and_mismatched(rng):
@@ -305,25 +331,28 @@ def test_gru_sequence_rejects_empty_and_mismatched(rng):
                    (np.ones((2, 2, 3)), np.zeros((1, 2))),
                    (np.ones((2, 3)), np.zeros(2))):  # the last without the row axis
         with pytest.raises(DimensionError, match="gru_sequence"):
-            gru_sequence(Tensor(xs), Tensor(h0), cell)
+            gru_sequence(Tensor(xs), Tensor(h0), cell, cell)
+    for other in (gru_cell(rng, 4, 2), gru_cell(rng, 3, 3)):  # directions of unequal widths
+        with pytest.raises(DimensionError, match="gru_sequence"):
+            gru_sequence(Tensor(np.ones((1, 2, 3))), Tensor(np.zeros((1, 2))), cell, other)
 
 
 def test_gru_sequence_gradients(rng):
     for steps in (1, 2, 6):
-        for reverse in (False, True):
-            for trainable in (False, True):
-                cell = _perturbed_cell(rng, 3, 2)
-                xs = Tensor(rng.uniform(-1, 1, (1, steps, 3)), requires_grad=trainable)
-                h0 = Tensor(rng.uniform(-0.5, 0.5, (1, 2)), requires_grad=trainable)
-                weight = Tensor(rng.uniform(-1, 1, (1, steps, 2)))
-                tensors = [t for _, t in cell.named()] + ([xs, h0] if trainable else [])
+        for trainable in (False, True):
+            fwd, bwd = _perturbed_cell(rng, 3, 2), _perturbed_cell(rng, 3, 2)
+            xs = Tensor(rng.uniform(-1, 1, (1, steps, 3)), requires_grad=trainable)
+            h0 = Tensor(rng.uniform(-0.5, 0.5, (1, 2)), requires_grad=trainable)
+            weight = Tensor(rng.uniform(-1, 1, (1, steps, 4)))
+            tensors = [t for cell in (fwd, bwd) for _, t in cell.named()]
+            tensors += [xs, h0] if trainable else []
 
-                def fn(*ts):
-                    hs = gru_sequence(xs, h0, cell, reverse)
-                    return sum_all(mul(hs, hs + weight))
+            def fn(*ts):
+                hs = gru_sequence(xs, h0, fwd, bwd)
+                return sum_all(mul(hs, hs + weight))
 
-                report = grad_check(fn, tensors, tol=1e-5)
-                assert report.passed, (steps, reverse, trainable, report.per_param)
+            report = grad_check(fn, tensors, tol=1e-5)
+            assert report.passed, (steps, trainable, report.per_param)
 
 
 def _decoder(rng, vocab=6, d_w=2, k=3, d_g=3):
@@ -405,14 +434,14 @@ def _pair_loss(rows_out, weight):
 @pytest.mark.parametrize("count", [1, 3])
 def test_gru_sequence_rows_gradcheck(count):
     rng = Rng(40 + count)
-    for reverse in (False, True):
-        cell = _perturbed_cell(rng, 3, 2)
-        xs = Tensor(rng.uniform(-1, 1, (count, 4, 3)), requires_grad=True)
-        h0 = Tensor(rng.uniform(-0.5, 0.5, (count, 2)), requires_grad=True)
-        weight = Tensor(rng.uniform(-1, 1, (count, 4, 2)))
-        fn = lambda *ts: _pair_loss(gru_sequence(xs, h0, cell, reverse), weight)
-        report = grad_check(fn, [t for _, t in cell.named()] + [xs, h0], tol=1e-5)
-        assert report.passed, (reverse, report.per_param)
+    fwd, bwd = _perturbed_cell(rng, 3, 2), _perturbed_cell(rng, 3, 2)
+    xs = Tensor(rng.uniform(-1, 1, (count, 4, 3)), requires_grad=True)
+    h0 = Tensor(rng.uniform(-0.5, 0.5, (count, 2)), requires_grad=True)
+    weight = Tensor(rng.uniform(-1, 1, (count, 4, 4)))
+    fn = lambda *ts: _pair_loss(gru_sequence(xs, h0, fwd, bwd), weight)
+    tensors = [t for cell in (fwd, bwd) for _, t in cell.named()] + [xs, h0]
+    report = grad_check(fn, tensors, tol=1e-5)
+    assert report.passed, report.per_param
 
 
 def _row_sentences(rng, lengths, vocab=6):

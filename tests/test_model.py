@@ -15,7 +15,7 @@ import pytest
 
 from hatstory.data import BOS_ID, EOS_ID, Album, Story
 from hatstory.errors import ConfigurationError, ContractError, DimensionError
-from hatstory import model
+from hatstory import model, tensor
 from hatstory.metrics import attention_aggregate_topk, hard_selection_ids
 from hatstory.model import (
     ModelDims,
@@ -90,6 +90,20 @@ def test_encode_album_is_residual_relu_over_bigru():
         assert np.array_equal(enc.v.data[0, i], expected)
     assert np.array_equal(enc.final_state.data[0], np.concatenate([fwd[-1], bwd[0]]))
     assert enc.n == 3
+
+
+@pytest.mark.parametrize("albums", [1, 3])
+def test_encode_album_is_one_gru_record_of_n_lockstep_steps(monkeypatch, albums):
+    """Both directions step together: an n-photo album takes n GRU steps and
+    one `gru_sequence` record, whatever the number of album rows."""
+    params, n = tiny_model(seed=1), 6
+    calls = []
+    step = tensor.gru_step_array
+    monkeypatch.setattr(tensor, "gru_step_array", lambda *args: calls.append(1) or step(*args))
+    with Tape() as tape:
+        encode_album(params, Rng(albums).uniform(-1.0, 1.0, (albums, n, 4)))
+    assert len(calls) == n
+    assert tape.counts() == {"gru_sequence": 1, "add": 1, "relu": 1}
 
 
 def test_encode_album_zero_encoder_passes_relu_features():

@@ -271,20 +271,24 @@ def test_sigmoid_array_edge_values():
     assert np.array_equal(sigmoid_array(wide), reference_sigmoid(wide), equal_nan=True)
 
 
-@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("both", [False, True])
 @pytest.mark.parametrize("steps", [1, 5])
 @pytest.mark.parametrize("lead", [(3,), (2, 3), (3, 1)], ids=["rows", "pair", "beam-rows"])
-def test_gru_run_matches_the_per_gate_reference_bitwise(lead, steps, reverse):
+def test_gru_run_matches_the_per_gate_reference_bitwise(lead, steps, both):
+    """One cell, or two in lockstep, the second reading the inputs from the
+    last: each is bitwise its own reference run."""
     rng = Rng(40 + steps)
     for d_in, d_h, scale in ((5, 3, 1.0), (24, 16, 1.0), (7, 33, 1.0), (4, 2, 300.0)):
-        weights = [rng.uniform(-scale, scale, shape) for shape in
-                   3 * [(d_in, d_h)] + 3 * [(d_h, d_h)] + 3 * [(d_h,)]]
+        cells = [[rng.uniform(-scale, scale, shape) for shape in
+                  3 * [(d_in, d_h)] + 3 * [(d_h, d_h)] + 3 * [(d_h,)]] for _ in range(1 + both)]
         xs = rng.uniform(-2.0, 2.0, (steps,) + lead + (d_in,))
-        h0 = rng.uniform(-1.0, 1.0, lead + (d_h,))
-        got = gru_run(xs, h0, *weights, reverse=reverse)
-        want = reference_gru_run(xs, h0, *weights, reverse=reverse)
-        for a, b in zip(got, want):  # states, z, r, cand
-            assert a.shape == b.shape and np.array_equal(a, b)
+        h0 = rng.uniform(-1.0, 1.0, (len(cells),) + lead + (d_h,))
+        got = gru_run(xs, h0, cells)
+        for d, weights in enumerate(cells):
+            want = reference_gru_run(xs, h0[d], *weights, reverse=bool(d))
+            for a, b in zip(got, want):  # states, z, r, cand; the second cell's in step order
+                assert a.shape[:1] + a.shape[2:] == b.shape
+                assert np.array_equal(a[:, d], b[::-1] if d else b)
 
 
 # ---------------------------------------------------------------------------
