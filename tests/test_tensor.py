@@ -142,6 +142,7 @@ def test_structural_ops(rng):
     m = rng.uniform(-1, 1, (4, 6))
     t = Tensor(m)
     assert_close(row(t, 2).data, m[2], tol=0)
+    assert_close(row(t, slice(1, 3), axis=1).data, m[:, 1:3], tol=0)
     assert_close(reshape(t, (2, 12)).data, m.reshape(2, 12), tol=0)
     assert_close(concat([Tensor(m[0]), Tensor(m[1])]).data, np.concatenate([m[0], m[1]]), tol=0)
     assert_close(stack_rows([Tensor(m[i]) for i in range(4)]).data, m, tol=0)
@@ -300,7 +301,8 @@ UNARY_BUILDERS = {
     "neg": lambda t: sum_all(neg(t)),
     "softmax": lambda t: sum_all(mul(softmax(t, axis=1), t)),
     "reshape": lambda t: sum_all(mul(reshape(t, (6, 2)), reshape(t, (6, 2)))),
-    "row": lambda t: sum_all(mul(row(t, 1), row(t, 1))),
+    "row": lambda t: sum_all(mul(row(t, 1), row(t, 1))) + sum_all(mul(  # overlapping slices
+        row(t, slice(1, 3), axis=1), row(t, slice(None, 2), axis=1))),
     "tile_sum": lambda t: sum_all(mul(t, t)),
 }
 
