@@ -17,6 +17,7 @@ from .errors import (
     DimensionError,
     FormatError,
     HatstoryError,
+    IndexRangeError,
     NumericDomainError,
     StateError,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "DimensionError",
     "FormatError",
     "HatstoryError",
+    "IndexRangeError",
     "ModelDims",
     "ModelParams",
     "NumericDomainError",

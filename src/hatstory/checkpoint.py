@@ -40,11 +40,14 @@ def _header_dict(params, vocab, config):
     }
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _non_finite(params):
-    """The name of the first tensor that holds a non-finite value, or None."""
-    if np.isfinite(params.store).all():
+    """The name of the first tensor that holds a non-finite value, or None; the
+    tensors are scanned only when the store's sum is not finite."""
+    if np.isfinite(params.store.sum()):
         return None
-    return next(name for name, t in params.named_tensors() if not np.isfinite(t.data).all())
+    return next((name for name, t in params.named_tensors() if not np.isfinite(t.data).all()),
+                None)
 
 
 def save_checkpoint(params, vocab, config, path):

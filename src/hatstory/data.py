@@ -318,11 +318,6 @@ def class_noun(c):
     return _CLASS_NOUNS[c] if c < len(_CLASS_NOUNS) else f"place{c}"
 
 
-def template_sentences(c):
-    """Every sentence the grammar can produce for one class."""
-    return [t.format(noun=class_noun(c)) for t in _TEMPLATES]
-
-
 @dataclass
 class SynthSpec:
     """Synthetic data knobs. Salient photos carry a unit class indicator in

@@ -20,6 +20,10 @@ class ContractError(HatstoryError, ValueError):
     """A documented precondition was violated by the caller."""
 
 
+class IndexRangeError(HatstoryError, IndexError):
+    """An index, a row or a token id, falls outside the axis it selects from."""
+
+
 class StateError(HatstoryError, RuntimeError):
     """Operation invoked in an invalid object state (e.g. replaying a spent tape)."""
 

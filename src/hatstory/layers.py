@@ -6,10 +6,10 @@ so the gradient tape sees everything; the fused ops of `tensor` run them
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ContractError, DimensionError
-from .tensor import Tensor
+from .tensor import Tensor, gru_sides
 
 
 @dataclass
@@ -29,6 +29,7 @@ class GruParams:
     b_z: Tensor
     b_r: Tensor
     b_h: Tensor
+    _sides: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d_in, d_h = self.w_z.shape
@@ -38,6 +39,12 @@ class GruParams:
             )
             if t.shape != want:
                 raise DimensionError(f"GruParams: {name} has shape {t.shape}, want {want}")
+
+    def sides(self):
+        """The weights side by side, `tensor.gru_sides`, copied afresh on each
+        call into arrays that this GRU keeps, so no call allocates them."""
+        self._sides = gru_sides([t.data for _, t in self.named()], self._sides)
+        return self._sides
 
     def named(self):
         return [

@@ -36,7 +36,6 @@ from .tensor import (
     attention,
     concat,
     gru_sequence,
-    gru_stack,
     gru_step_array,
     log_softmax_array,
     matmul,
@@ -470,19 +469,12 @@ def _top_k(scores, k):
     return order.tolist(), scores[order].tolist()
 
 
-def _decoder_gates(params):
-    """The decoder's [W_z, W_r, W_h] stacked, for one input product a beam
-    step, and its `gru_stack` cell."""
-    gen = [t.data for _, t in params.gen_gru.named()]
-    return np.stack(gen[:3])[:, None], gru_stack(*gen[3:], 3)
-
-
 def _beam_search(params, g, beam, max_len, h0=None, gates=None):
     """Length-capped beam search for one sentence, without the tape.
 
     g is the sentence's (k,) conditioning array and h0 the (d_g,) decoder
     state it starts from (zeros when None); `gates` are the decoder's
-    `_decoder_gates`, made here when None. The live hypotheses are rows:
+    `gru_sides`, made here when None. The live hypotheses are rows:
     each step runs one GRU update and one output projection over all of
     them, adds each row's log-prob to its (V,) word log-probs, and keeps
     the best `beam` of the rows x V extensions (`_top_k`). Ties go to the
@@ -499,13 +491,13 @@ def _beam_search(params, g, beam, max_len, h0=None, gates=None):
     d_g, vocab = params.dims.d_g, params.dims.vocab_size
     table = params.embedding.data
     d_w = table.shape[1]
-    w_in, cell = gates or _decoder_gates(params)
+    w_in, u_zr, u_h = gates or params.gen_gru.sides()
     proj_w, proj_b = params.proj_w.data, params.proj_b.data
     # Rows are kept as (1, d) matrices: numpy then makes each row's products
     # as one vector-matrix product, which rounds exactly as a single
     # hypothesis's would; one (rows, d) matrix product rounds differently.
     h = np.zeros((1, 1, d_g)) if h0 is None else np.reshape(h0, (1, 1, d_g))
-    x = np.empty((0, 1, d_w + g.shape[0]))  # the live rows' inputs [table[prev], g]
+    x = np.empty((0, 1, d_w + g.shape[0] + 1))  # the live rows' inputs [table[prev], g, 1]
     prev = [BOS_ID]
     logp = np.zeros((1, 1, 1))
     paths = [()]
@@ -514,9 +506,9 @@ def _beam_search(params, g, beam, max_len, h0=None, gates=None):
         last = step == max_len - 1
         if len(prev) > len(x):  # room for every row the next step can keep
             x = np.empty((min(beam, len(prev) * vocab),) + x.shape[1:])
-            x[..., d_w:] = g
+            x[..., d_w:-1], x[..., -1] = g, 1.0
         x[:len(prev), 0, :d_w] = table[prev]
-        h2 = gru_step_array(x[:len(prev)] @ w_in, h, cell)[2]
+        h2 = gru_step_array(x[:len(prev)] @ w_in, h, u_zr, u_h)[2]
         scores = (logp + log_softmax_array(h2 @ proj_w + proj_b)).ravel()
         rows, prev, live_logp = [], [], []
         for flat, lp in zip(*_top_k(scores, beam)):
@@ -535,21 +527,6 @@ def _beam_search(params, g, beam, max_len, h0=None, gates=None):
     return best[1], best[2]
 
 
-def beam_decode(params, g, beam, max_len, h0=None):
-    """Best token sequence for one sentence, given its photo summary g and
-    the decoder state h0 it starts from (Tensors or arrays)."""
-    g = np.asarray(getattr(g, "data", g), dtype=np.float64)
-    if h0 is not None:
-        h0 = np.asarray(getattr(h0, "data", h0), dtype=np.float64)
-    shapes = (g.shape, (params.dims.d_g,) if h0 is None else h0.shape)
-    if shapes != ((params.dims.k,), (params.dims.d_g,)):
-        raise DimensionError(
-            f"beam_decode: g and h0 must be ({params.dims.k},) and ({params.dims.d_g},), "
-            f"got {shapes[0]} and {shapes[1]}"
-        )
-    return list(_beam_search(params, g, beam, max_len, h0)[0])
-
-
 def generate(params, features, variant, beam, max_len, oracle_indices=None):
     """Encode one (n, k) album as one row and beam-decode one sentence per
     summary step from the variant's conditioner; the winner's final state
@@ -560,7 +537,7 @@ def generate(params, features, variant, beam, max_len, oracle_indices=None):
     enc = encode_album(params, album_row(params, features))
     mode = "hard" if oracle_indices is None else "oracle"
     condition, decided = conditioner(params, enc, variant, mode, oracle_indices)
-    start, gates = np.zeros(params.dims.d_g), _decoder_gates(params)
+    start, gates = np.zeros(params.dims.d_g), params.gen_gru.sides()
     h = start
     sentences = []
     for t in range(params.dims.t_steps):

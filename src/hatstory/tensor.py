@@ -24,8 +24,9 @@ runs the same ops. At one row, and per half, their values are bitwise the
 composed references' that the tests keep (with the scoring MLP's first layer
 split alike); gradients agree to rounding. The encoder and the sentence run
 one GRU kernel, `gru_run`, which steps the cells it is given in lockstep on
-a leading direction axis: the encoder's two directions take one step per
-photo, their values and gradients bitwise those of one run per direction.
+a leading direction axis, bitwise one run per cell. Every GRU step is
+`gru_step_array`: gates 0.5 tanh(0.5 a) + 0.5, biases folded into the input
+products, each kind of weight side by side in one product, and h + z (cand - h).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .errors import (
     ContractError,
     DeterminismError,
     DimensionError,
+    IndexRangeError,
     StateError,
 )
 
@@ -214,10 +216,10 @@ def backward(tape, root):
 # inference; a leading row axis passes through unchanged
 
 
-def sigmoid_array(x, out=None):
+def sigmoid_array(x):
     # exp(-|x|) <= 1 on both branches, so no overflow in either tail
     e = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax_array(x, axis=-1):
@@ -232,65 +234,71 @@ def log_softmax_array(x, axis=-1):
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def gru_stack(u_z, u_r, u_h, b_z, b_r, b_h, ndim):
-    """A GRU's recurrent weights as `gru_step_array` reads them for states of
-    `ndim` dims: [U_z, U_r] (2, 1.., d_h, d_h), U_h (1.., d_h, d_h), [b_z,
-    b_r] (2, 1.., 1, d_h) and b_h (1.., 1, d_h). Given sequences of D cells'
-    weights instead, for states (D, ..., d_h) that step D cells in lockstep,
-    the direction axis D takes the first of the 1s. The gate axis leads, so
-    the stacked product makes each gate's own, bitwise the unstacked one."""
-    u_zr, u_h, b_zr, b_h = np.array([u_z, u_r]), np.asarray(u_h), np.array([b_z, b_r]), b_h
-    lead, d_h = u_h.shape[:-2] + (1,) * (ndim - u_h.ndim), u_h.shape[-1]
-    return (u_zr.reshape((2,) + lead + (d_h, d_h)), u_h.reshape(lead + (d_h, d_h)),
-            b_zr.reshape((2,) + lead + (1, d_h)), np.reshape(b_h, lead + (1, d_h)))
+def gru_sides(cell, out=None):
+    """A GRU's nine gate arrays, w_z to b_h, side by side as the step reads
+    them: [W_z | W_r | W_h] over [b_z | b_r | b_h] (d_in + 1, 3 d_h), which
+    makes [x, 1] W = x W + b in one product, [U_z | U_r] (d_h, 2 d_h) and U_h.
+    The first two are written into those of `out`, an earlier result, if given."""
+    (d_in, d), u_h = cell[0].shape, cell[5]
+    w, u_zr = out[:2] if out else (np.empty((d_in + 1, 3 * d)), np.empty((d, 2 * d)))
+    np.concatenate(cell[:3], axis=1, out=w[:-1])
+    np.concatenate(cell[6:], out=w[-1])
+    np.concatenate(cell[3:5], axis=1, out=u_zr)
+    return w, u_zr, u_h
 
 
-def gru_step_array(xw, h, cell, out=None):
-    """One GRU step over the rows of the state h (..., d_h), from the input
-    products xw = [x W_z, x W_r, x W_h] (3, ..., d_h) and the `gru_stack`
-    `cell`:
+def gru_step_array(xw, h, u_zr, u_h, out=None):
+    """One GRU step over the rows of the state h (..., d_h) from the input
+    products, xw = x [W_z | W_r | W_h] + [b_z | b_r | b_h] (..., 3 d_h):
 
-    z = sigmoid(x W_z + h U_z + b_z)
-    r = sigmoid(x W_r + h U_r + b_r)
-    cand = tanh(x W_h + (r * h) U_h + b_h)
-    h' = (1 - z) * h + z * cand
+    [z | r] = sigmoid(xw[:2 d_h] + h [U_z | U_r])
+    cand = tanh(xw[2 d_h:] + (r * h) U_h)
+    h' = h + z * (cand - h)
 
-    `out` holds the buffers (zr, cand, h'), zr = [z, r] (2, ..., d_h), which
-    are made when None; zr takes both gates' pre-activations first, so one
-    sigmoid call makes them. Returns the filled buffers."""
-    zr, cand, new = out or (np.empty((2,) + h.shape), np.empty(h.shape), np.empty(h.shape))
-    u_zr, u_h, b_zr, b_h = cell
+    with sigmoid(a) = 0.5 tanh(0.5 a) + 0.5, in place. `out` holds the
+    buffers (zr, cand, h'), zr = [z | r] (..., 2 d_h), made when None."""
+    d = h.shape[-1]
+    zr, cand, new = out or (np.empty(h.shape[:-1] + (2 * d,)), np.empty_like(h), np.empty_like(h))
     np.matmul(h, u_zr, out=zr)
-    zr += xw[:2]
-    zr += b_zr
-    z, r = sigmoid_array(zr, out=zr)
-    np.tanh(xw[2] + (r * h) @ u_h + b_h, out=cand)
-    np.add((1.0 - z) * h, z * cand, out=new)
+    zr += xw[..., :2 * d]
+    zr *= 0.5
+    np.tanh(zr, out=zr)
+    zr *= 0.5
+    zr += 0.5
+    np.matmul(zr[..., d:] * h, u_h, out=cand)
+    cand += xw[..., 2 * d:]
+    np.tanh(cand, out=cand)
+    np.subtract(cand, h, out=new)
+    new *= zr[..., :d]
+    new += h
     return zr, cand, new
 
 
-def gru_run(xs, h0, cells):
+def gru_run(xs, h0, sides):
     """GRUs over R rows of T inputs, xs (T, R, d_in), stepped in lockstep, one
-    per cell of `cells` (each its nine gate arrays, w_z to b_h), from h0 (D,
-    R, d_h) for D cells; or with a pair axis after the first, xs (T, 2, R,
-    d_in) from (D, 2, R, d_h). The first cell reads the inputs from the
-    first, a second one from the last. The input products are made once for
-    the run, one per cell and gate; only the recurrence steps, each one
-    `gru_step_array` over all the cells. Products are per (R, .) block, so
-    each cell, and each half, is bitwise a run over its rows alone. Returns
-    the states and z, r, cand gates, each (T, D, ..., d_h) in step order:
-    [t, 1] follows input T - 1 - t."""
+    per `gru_sides` of `sides`, from h0 (D, R, d_h) for D cells; or with a
+    pair axis after the first, xs (T, 2, R, d_in) from (D, 2, R, d_h). The
+    first cell reads the inputs from the first, a second one from the last.
+    The input products, biases included, are made once, one per cell; each
+    step is one `gru_step_array` over all the cells. Products are per (R, .)
+    block, so each cell, and each half, is bitwise a run over its rows alone.
+    Returns the states and z, r, cand gates, each (T, D, ..., d_h) in step
+    order ([t, 1] follows input T - 1 - t), and for the backward the inputs
+    with their 1s, each cell's input weights and the stacked recurrent ones."""
+    x = np.empty(xs.shape[:-1] + (xs.shape[-1] + 1,))
+    x[..., :-1], x[..., -1] = xs, 1.0
     hs = np.empty((len(xs),) + h0.shape)
-    zr, cand = np.empty((len(xs), 2) + h0.shape), np.empty_like(hs)
-    xw = np.empty((3,) + hs.shape)
-    for d, cell in enumerate(cells):
-        for w, products in zip(cell[:3], xw[:, :, d]):
-            np.matmul(xs[::-1] if d else xs, w, out=products)
-    stacked = gru_stack(*zip(*(cell[3:] for cell in cells)), h0.ndim)
+    d = h0.shape[-1]
+    zr, cand = np.empty(hs.shape[:-1] + (2 * d,)), np.empty_like(hs)
+    xw = np.empty(hs.shape[:-1] + (3 * d,))
+    for i, (w, _, _) in enumerate(sides):
+        np.matmul(x[::-1] if i else x, w, out=xw[:, i])
+    lead = (len(sides),) + (1,) * (h0.ndim - 3)
+    u_zr, u_h = (np.stack([s[i] for s in sides]).reshape(lead + sides[0][i].shape) for i in (1, 2))
     h = h0
     for t in range(len(xs)):
-        h = gru_step_array(xw[:, t], h, stacked, (zr[t], cand[t], hs[t]))[2]
-    return hs, zr[:, 0], zr[:, 1], cand
+        h = gru_step_array(xw[t], h, u_zr, u_h, (zr[t], cand[t], hs[t]))[2]
+    return hs, zr[..., :d], zr[..., d:], cand, (x, [s[0] for s in sides], u_zr, u_h)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +421,7 @@ def row(m, i, axis=0):
         raise DimensionError("row: needs at least a vector, got a scalar")
     if not isinstance(i, slice):
         if not isinstance(i, (int, np.integer)) or not 0 <= i < m.data.shape[axis]:
-            raise IndexError(f"row index {i} out of range for shape {m.data.shape}")
+            raise IndexRangeError(f"row index {i} out of range for shape {m.data.shape}")
         i = int(i)
     at = (slice(None),) * (axis % m.data.ndim) + (i,)
     out = _out(m.data[at].copy(), m)
@@ -439,55 +447,61 @@ def _gru_factors(hp, z, r, cand):
     return 1.0 - z, z * (1.0 - cand * cand), hp * r * (1.0 - r), (cand - hp) * z * (1.0 - z), r
 
 
-def _gru_back_step(g, t, factors, u_z, u_r, u_h, gates):
+def _gru_back_step(g, t, factors, u_zr_t, u_h_t, gates):
     """Step t of GRU backpropagation for the state gradient g: fills the z, r
-    and cand pre-activation gradients gates[:, t]; returns the start state's.
-    The recurrent weights may be `gru_stack`'s, with a direction axis."""
+    and cand pre-activation gradients gates[t], side by side (..., 3 d_h);
+    returns the start state's. The recurrent weights come transposed,
+    [U_z | U_r]^T and U_h^T, and may be stacked on a direction axis."""
     omz, dc, dr, dz, r = (f[t] for f in factors)
-    g_rh = np.multiply(g, dc, out=gates[2, t]) @ np.swapaxes(u_h, -1, -2)
+    d = g.shape[-1]
+    gate = gates[t]
+    g_rh = np.multiply(g, dc, out=gate[..., 2 * d:]) @ u_h_t
+    np.multiply(g, dz, out=gate[..., :d])
+    np.multiply(g_rh, dr, out=gate[..., d:2 * d])
     carry = g * omz
     carry += g_rh * r
-    carry += np.multiply(g_rh, dr, out=gates[1, t]) @ np.swapaxes(u_r, -1, -2)
-    carry += np.multiply(g, dz, out=gates[0, t]) @ np.swapaxes(u_z, -1, -2)
+    carry += gate[..., :2 * d] @ u_zr_t
     return carry
 
 
 def _gru_weight_grads(weights, x, hp, r, gates):
-    """Each GRU weight's gradient over all steps and rows in one product."""
-    for w, u, b, gate, h_in in zip(weights[:3], weights[3:6], weights[6:], gates,
-                                   (hp, hp, r * hp)):
-        gate = _flat(gate)
-        if w.requires_grad:
-            _accum(w, _flat(x).T @ gate)
-        if u.requires_grad:
-            _accum(u, _flat(h_in).T @ gate)
-        if b.requires_grad:
-            _accum(b, gate.sum(axis=0))
+    """The GRU weights' gradients over all steps and rows from the inputs x
+    (with their 1s), start states hp and [z | r | cand] gate gradients: one
+    product each for [W_z | W_r | W_h] over the biases, [U_z | U_r] and U_h."""
+    gates = _flat(gates)
+    d = gates.shape[-1] // 3
+    g_w, g_u = _flat(x).T @ gates, _flat(hp).T @ gates[:, :2 * d]
+    grads = (g_w[:-1, :d], g_w[:-1, d:2 * d], g_w[:-1, 2 * d:], g_u[:, :d], g_u[:, d:],
+             _flat(r * hp).T @ gates[:, 2 * d:], g_w[-1, :d], g_w[-1, d:2 * d], g_w[-1, 2 * d:])
+    for t, grad in zip(weights, grads):
+        if t.requires_grad:
+            _accum(t, grad)
 
 
-def _gru_run_back(x, h0, run, cells, g_states, need_x):
-    """Backpropagation through time of a `gru_run` over x (T, ..., d_in) from
-    the array h0 (D, ..., d_h), `cells` holding the D cells' gate tensors,
-    whose states get g_states (T, D, ..., d_h), in step order, from outside.
-    All cells step back together; each weight's gradient is one product per
-    cell, the last cell's first, as if each had been its own op on the tape.
-    Returns the gradient of h0 and one gradient of x per cell, in input
-    order, each None unless `need_x`."""
-    hs, z, r, cand = run
+def _gru_run_back(h0, run, cells, g_states, need_x):
+    """Backpropagation through time of a `gru_run` from the array h0 (D, ...,
+    d_h), `cells` holding the D cells' gate tensors, whose states get
+    g_states (T, D, ..., d_h), in step order, from outside. All cells step
+    back together; each weight's gradient is one product per cell, the last
+    cell's first, as if each were its own op. Returns the gradient of h0 and
+    one of the inputs per cell, in input order, each None unless `need_x`."""
+    hs, z, r, cand, (x, w_in, u_zr, u_h) = run
     hp = np.concatenate([h0[None], hs[:-1]])  # the state each step starts from
     factors = _gru_factors(hp, z, r, cand)
-    gates = np.empty((3,) + hs.shape)  # pre-activation gradients of z, r, cand
-    u_zr, u_h = gru_stack(*zip(*([w.data for w in cell[3:]] for cell in cells)), h0.ndim)[:2]
+    # the [z | r | cand] pre-activation gradients, each cell's steps contiguous
+    by_cell = np.empty(hs.shape[1::-1] + hs.shape[2:-1] + (3 * hs.shape[-1],))
+    gates = np.swapaxes(by_cell, 0, 1)
+    u_zr_t, u_h_t = np.swapaxes(u_zr, -1, -2), np.swapaxes(u_h, -1, -2)
     carry = None
     for t in range(len(hs) - 1, -1, -1):
         g = g_states[t] if carry is None else carry + g_states[t]
-        carry = _gru_back_step(g, t, factors, u_zr[0], u_zr[1], u_h, gates)
+        carry = _gru_back_step(g, t, factors, u_zr_t, u_h_t, gates)
     g_x = [None] * len(cells)
     for d in reversed(range(len(cells))):
-        x_d, gates_d = x[::-1] if d else x, gates[:, :, d]
+        x_d, gates_d = x[::-1] if d else x, by_cell[d]
         _gru_weight_grads(cells[d], x_d, hp[:, d], r[:, d], gates_d)
         if need_x:
-            g = sum(gate @ w.data.T for gate, w in zip(gates_d, cells[d][:3]))
+            g = gates_d @ w_in[d][:-1].T
             g_x[d] = g[::-1] if d else g
     return carry, g_x
 
@@ -509,14 +523,14 @@ def gru_sequence(xs, h0, fwd, bwd):
                              f"{bwd.w_z.data.shape} as rows")
     x = xs.data.transpose(1, 0, 2)  # (T, R, d_in)
     start = np.broadcast_to(h0.data, (2,) + h0.data.shape)
-    run = gru_run(x, start, [[w.data for w in cell] for cell in cells])
+    run = gru_run(x, start, [fwd.sides(), bwd.sides()])
     states = [run[0][:, 0], run[0][::-1, 1]]  # both in input order
     out = _out(np.concatenate([s.transpose(1, 0, 2) for s in states], axis=-1),
                xs, h0, *cells[0], *cells[1])
     if out.requires_grad:
         def back():
             g = out.grad.transpose(1, 0, 2)
-            g_h0, g_x = _gru_run_back(x, start, run, cells,
+            g_h0, g_x = _gru_run_back(start, run, cells,
                                       np.stack([g[..., :d_h], g[::-1, :, d_h:]], axis=1),
                                       xs.requires_grad)
             for d in (1, 0):  # in the order two ops' backwards would add them
@@ -567,7 +581,7 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
     if ids.dtype.kind not in "biu" or ids.min() < 0 or ids.max() >= vocab:
         bad = next(i for seq in seqs for i in seq
                    if not isinstance(i, (int, np.integer)) or not 0 <= i < vocab)
-        raise IndexError(f"sentence_log_prob: token id {bad} out of range for vocab {vocab}")
+        raise IndexRangeError(f"sentence_log_prob: token id {bad} out of range for vocab {vocab}")
     # (2, T, *lead), or (2, T, 1, ...) for one sentence that every row reads
     ids = ids.reshape((2,) + (lead if per_row else (1,) * len(lead)) + (steps,))
     ids = ids.transpose(0, -1, *range(1, len(lead) + 1))
@@ -577,7 +591,7 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
     x = np.empty((steps,) + lead + (d_in,))
     x[..., :d_w] = table.data[ids[0]]
     x[..., d_w:] = g.data
-    run = gru_run(x, h0.data[None], [[w.data for w in weights]])
+    run = gru_run(x, h0.data[None], [cell.sides()])
     states = run[0][:, 0]
     y = log_softmax_array(states @ proj_w.data + proj_b.data)
     at = tuple(np.arange(n).reshape((-1,) + (1,) * (len(lead) - i))
@@ -608,7 +622,7 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
             g_states = g_logits @ proj_w.data.T
             if h.grad is not None:
                 g_states[(lengths - 1,) + at[1:-1] if padded else -1] += h.grad
-            (g_h0,), (g_x,) = _gru_run_back(x, h0.data[None], run, [weights], g_states[:, None],
+            (g_h0,), (g_x,) = _gru_run_back(h0.data[None], run, [weights], g_states[:, None],
                                             g.requires_grad or table.requires_grad)
             if h0.requires_grad:
                 _accum(h0, g_h0)
@@ -681,19 +695,19 @@ def soft_select(v, cell, mlp, steps, hard=False):
         raise DimensionError(f"soft_select: photos must be (R, n, {k}) rows, got {vd.shape}")
     count, n, _ = vd.shape
     half = vd @ layers[0][0].data[d_s:] + layers[0][1].data
-    w_in = np.stack([w.data for w in weights[:3]])  # one input product per step
-    stacked = gru_stack(*(w.data for w in weights[3:]), 2)
+    w_in, u_zr, u_h = cell.sides()
     recording = _recording(*tensors)
-    saved = []  # per step: input, start and new state, z, r, cand, MLP outputs, raw, kept sum, mask
+    saved = []  # per step: start and new state, z, r, cand, MLP outputs, raw, kept sum, mask
     state = np.zeros((count, d_s))
-    x = (np.full((count, 1, n), 1.0 / n) @ vd)[:, 0]
+    xs = np.ones((steps + 1, count, k + 1))  # each step's input, ending in a constant 1
+    xs[0, :, :k] = (np.full((count, 1, n), 1.0 / n) @ vd)[:, 0]
     probs = np.empty((count, steps, n))
     picks = np.empty((count, steps), dtype=int)
     taken = np.zeros((count, n), dtype=bool)
     for t in range(steps):
         free = ~taken | taken.all(axis=1, keepdims=True)
         keep = free if hard else 1.0
-        (z, r), cand, new = gru_step_array(x @ w_in, state, stacked)
+        zr, cand, new = gru_step_array(xs[t] @ w_in, state, u_zr, u_h)
         acts = _head_run(layers, half, new)
         raw = sigmoid_array(acts[-1][..., 0])
         kept = raw * keep
@@ -702,8 +716,8 @@ def soft_select(v, cell, mlp, steps, hard=False):
         picks[:, t] = np.where(free, p, -np.inf).argmax(axis=1)  # the first of equal maxima
         taken[np.arange(count), picks[:, t]] = True
         if recording:
-            saved.append((x, state, new, z, r, cand, acts, raw, raw_sum, keep))
-        x, state = (p[:, None] @ vd)[:, 0], new
+            saved.append((state, new, zr[:, :d_s], zr[:, d_s:], cand, acts, raw, raw_sum, keep))
+        xs[t + 1, :, :k], state = (p[:, None] @ vd)[:, 0], new
     g = probs @ vd
     out = _out(g, *tensors)
     if out.requires_grad:
@@ -711,23 +725,23 @@ def soft_select(v, cell, mlp, steps, hard=False):
             d_g = out.grad
             v_t = vd.transpose(0, 2, 1)
             d_v, d_p = probs.transpose(0, 2, 1) @ d_g, d_g @ v_t
-            xs, starts, news, zs, rs, cands = (np.stack(a) for a in list(zip(*saved))[:6])
+            starts, news, zs, rs, cands = (np.stack(a) for a in list(zip(*saved))[:5])
             factors = _gru_factors(starts, zs, rs, cands)
-            gates = np.empty((3,) + starts.shape)
-            carry, d_x = np.zeros_like(state), np.zeros_like(x)  # d_x: the next step's input
+            gates = np.empty(starts.shape[:-1] + (3 * d_s,))
+            carry, d_x = np.zeros_like(state), np.zeros((count, k))  # d_x: the next step's input
             d_pres = np.empty((steps,) + half.shape)  # the first layer's pre-activation gradients
             for t in reversed(range(steps)):
-                acts, raw, raw_sum, keep = saved[t][6:]
+                acts, raw, raw_sum, keep = saved[t][5:]
                 dp = d_p[:, t] + (d_x[:, None] @ v_t)[:, 0]  # the next step read p_t @ v
                 d_v += probs[:, t, :, None] * d_x[:, None]
                 d_raw = (dp - (dp * probs[:, t]).sum(axis=1, keepdims=True)) / raw_sum * keep
                 d_pres[t] = _head_back(layers, acts, (d_raw * raw * (1.0 - raw))[..., None])
                 carry = _gru_back_step(d_pres[t].sum(axis=1) @ layers[0][0].data[:d_s].T + carry, t,
-                                       factors, *(w.data for w in weights[3:6]), gates)
-                d_x = sum(gate[t] @ w.data.T for gate, w in zip(gates, weights[:3]))
+                                       factors, u_zr.T, u_h.T, gates)
+                d_x = gates[t] @ w_in[:-1].T
             d_v += d_x[:, None] / n  # the first step read the mean photo
             d_v += _head_first_back(layers[0], vd, d_pres.sum(axis=0), news, d_pres.sum(axis=2))
-            _gru_weight_grads(weights, xs, starts, rs, gates)
+            _gru_weight_grads(weights, xs[:steps], starts, rs, gates)
             if v.requires_grad:
                 _accum(v, d_v)
         _rec(out, back)

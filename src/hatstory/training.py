@@ -201,17 +201,12 @@ def adam_step(state, cfg):
         w -= np.divide(a, b, out=a)
 
 
-def clip_gradients(named, grads, max_norm):
-    """Scale the flat gradients `grads` so that their global L2 norm is at
-    most max_norm. The norm sums each (name, tensor) pair's squared gradient
-    on its own, in order, skipping a tensor no gradient reached."""
+def clip_gradients(grads, max_norm):
+    """Scale the flat gradients `grads` so that their global L2 norm, one dot
+    product over them, is at most max_norm; returns the norm before."""
     if max_norm <= 0:
         raise ContractError("clip_gradients: max_norm must be positive")
-    total = 0.0
-    for _, p in named:
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    norm = math.sqrt(total)
+    norm = math.sqrt(grads @ grads)
     if norm > max_norm:
         grads *= max_norm / norm
     return norm
@@ -264,7 +259,7 @@ def train(params, albums, cfg, log=None, early_stop=None):
                 backward(tape, root)
             state.grads *= 1.0 / len(pairs)
             if cfg.grad_clip > 0:
-                clip_gradients(state.named, state.grads, cfg.grad_clip)
+                clip_gradients(state.grads, cfg.grad_clip)
             adam_step(state, cfg)
         count = len(examples)
         curve.append(

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from hatstory import tensor
+from hatstory import data, model, tensor
 from hatstory.layers import GruParams, MlpParams
 from hatstory.errors import ContractError, DimensionError
-from hatstory.tensor import Rng, matmul, mul, seeded_init, sigmoid, tile_rows, zeros
+from hatstory.tensor import Rng, concat, matmul, mul, row, seeded_init, sigmoid, tile_rows, zeros
 
 # Property tests draw the same examples on every run and store none, so a
 # failure shows up on the run that introduced it and on every later one.
@@ -143,13 +143,25 @@ def reshape(a, shape):
                       (lambda g: g.reshape(a.data.shape),))
 
 
+def gate_sigmoid(a):
+    """The logistic function as the GRU gates take it, 0.5 tanh(0.5 a) + 0.5."""
+    return 0.5 * tanh(0.5 * a) + 0.5
+
+
 def gru_step(params, x, h):
     """One GRU update of the state h (d_h,) from the input x (d_in,), the
-    step of `tensor.gru_step_array` in composed ops."""
-    z = sigmoid(vecmat(x, params.w_z) + vecmat(h, params.u_z) + params.b_z)
-    r = sigmoid(vecmat(x, params.w_r) + vecmat(h, params.u_r) + params.b_r)
-    cand = tanh(vecmat(x, params.w_h) + vecmat(mul(r, h), params.u_h) + params.b_h)
-    return (1.0 - z) * h + z * cand
+    step of `tensor.gru_step_array` in composed ops: the gates' products side
+    by side, [x, 1] [W_z | W_r | W_h; b_z | b_r | b_h] and h [U_z | U_r],
+    each gate its slice."""
+    d = params.u_h.shape[0]
+    w = concat([concat([params.w_z, params.w_r, params.w_h], axis=1),
+                reshape(concat([params.b_z, params.b_r, params.b_h]), (1, 3 * d))])
+    xw = vecmat(concat([x, tensor.Tensor(np.ones(1))]), w)
+    zr = gate_sigmoid(row(xw, slice(None, 2 * d)) + vecmat(h, concat([params.u_z, params.u_r],
+                                                                     axis=1)))
+    z, r = row(zr, slice(None, d)), row(zr, slice(d, None))
+    cand = tanh(row(xw, slice(2 * d, None)) + vecmat(mul(r, h), params.u_h))
+    return h + z * (cand - h)
 
 
 def mlp(params, x):
@@ -254,21 +266,23 @@ def reference_sigmoid(x):
 
 
 def reference_gru_run(xs, h0, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, reverse=False):
-    """A GRU run with every gate's product made on its own and the biases
-    added per gate: the reference for `tensor.gru_run` and its stacked
-    step. Same arguments and results."""
-    hs = np.empty(xs.shape[:-1] + h0.shape[-1:])
-    zr, cand = np.empty((len(xs), 2) + hs.shape[1:]), np.empty_like(hs)
-    pre = np.empty(zr.shape[1:])
-    xz, xr, xh = xs @ w_z, xs @ w_r, xs @ w_h
+    """One GRU over xs (T, ..., d_in) from h0 (..., d_h), a step at a time
+    with a fresh array per value, the inputs read last-first when `reverse`:
+    the reference for one cell of `tensor.gru_run` and its in-place step.
+    Returns the states and z, r, cand gates, each (T, ..., d_h), in input
+    order."""
+    d = h0.shape[-1]
+    hs, z, r, cand = (np.empty(xs.shape[:-1] + (d,)) for _ in range(4))
+    w = np.concatenate([np.concatenate([w_z, w_r, w_h], axis=1), [np.concatenate([b_z, b_r, b_h])]])
+    xw = np.concatenate([xs, np.ones(xs.shape[:-1] + (1,))], axis=-1) @ w
+    u_zr = np.concatenate([u_z, u_r], axis=1)
     h = h0
     for t in reversed(range(len(xs))) if reverse else range(len(xs)):
-        np.add(xz[t] + h @ u_z, b_z, out=pre[0])
-        np.add(xr[t] + h @ u_r, b_r, out=pre[1])
-        z, r = zr[t] = reference_sigmoid(pre)
-        c = np.tanh(xh[t] + (r * h) @ u_h + b_h, out=cand[t])
-        h = hs[t] = (1.0 - z) * h + z * c
-    return hs, zr[:, 0], zr[:, 1], cand
+        zr = 0.5 * np.tanh(0.5 * (h @ u_zr + xw[t, ..., :2 * d])) + 0.5
+        z[t], r[t] = zr[..., :d], zr[..., d:]
+        cand[t] = np.tanh((r[t] * h) @ u_h + xw[t, ..., 2 * d:])
+        h = hs[t] = h + z[t] * (cand[t] - h)
+    return hs, z, r, cand
 
 
 def gru_direction(xs, h0, cell):
@@ -276,11 +290,11 @@ def gru_direction(xs, h0, cell):
     op, `tensor.gru_run` and its backward over the one cell."""
     weights = [t for _, t in cell.named()]
     x, start = xs.data.transpose(1, 0, 2), h0.data[None]
-    run = tensor.gru_run(x, start, [[w.data for w in weights]])
+    run = tensor.gru_run(x, start, [cell.sides()])
     out = tensor._out(run[0][:, 0].transpose(1, 0, 2), xs, h0, *weights)
     if out.requires_grad:
         def back():
-            (g_h0,), (g_x,) = tensor._gru_run_back(x, start, run, [weights],
+            (g_h0,), (g_x,) = tensor._gru_run_back(start, run, [weights],
                                                    out.grad.transpose(1, 0, 2)[:, None],
                                                    xs.requires_grad)
             if h0.requires_grad:
@@ -302,6 +316,30 @@ def reference_gru_sequence(xs, h0, fwd, bwd):
     concatenated after the `fwd` ones."""
     back = flip_steps(gru_direction(flip_steps(xs), h0, bwd))
     return tensor.concat([gru_direction(xs, h0, fwd), back], axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# entry points that only the tests call
+
+
+def beam_decode(params, g, beam, max_len, h0=None):
+    """Best token sequence for one sentence, given its photo summary g and
+    the decoder state h0 it starts from (Tensors or arrays)."""
+    g = np.asarray(getattr(g, "data", g), dtype=np.float64)
+    if h0 is not None:
+        h0 = np.asarray(getattr(h0, "data", h0), dtype=np.float64)
+    shapes = (g.shape, (params.dims.d_g,) if h0 is None else h0.shape)
+    if shapes != ((params.dims.k,), (params.dims.d_g,)):
+        raise DimensionError(
+            f"beam_decode: g and h0 must be ({params.dims.k},) and ({params.dims.d_g},), "
+            f"got {shapes[0]} and {shapes[1]}"
+        )
+    return list(model._beam_search(params, g, beam, max_len, h0)[0])
+
+
+def template_sentences(c):
+    """Every sentence the synthetic grammar can produce for one class."""
+    return [t.format(noun=data.class_noun(c)) for t in data._TEMPLATES]
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +373,10 @@ def reference_adam_step(named_params, state, cfg):
 
 
 def reference_clip_gradients(named_params, max_norm):
-    """Scale all gradients so their global L2 norm, summed tensor by tensor,
-    is at most max_norm."""
-    total = 0.0
-    for _, p in named_params:
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    norm = math.sqrt(total)
+    """Scale all gradients so their global L2 norm, one dot product over the
+    gradients side by side, is at most max_norm."""
+    flat = np.concatenate([p.grad.ravel() for _, p in named_params if p.grad is not None])
+    norm = math.sqrt(flat @ flat)
     if norm > max_norm:
         scale = max_norm / norm
         for _, p in named_params:

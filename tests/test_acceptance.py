@@ -22,7 +22,6 @@ from hatstory.data import (
     SynthSpec,
     Vocabulary,
     synth_generate,
-    template_sentences,
 )
 from hatstory.diagnostics import run_all
 from hatstory.metrics import (
@@ -37,7 +36,6 @@ from hatstory.metrics import (
 )
 from hatstory.model import (
     ModelDims,
-    beam_decode,
     encode_album,
     generate_story,
     init_model,
@@ -46,7 +44,7 @@ from hatstory.model import (
 from hatstory.tensor import Rng, Tensor, grad_check, gru_sequence, relu, sigmoid, sum_all, zeros
 from hatstory.training import TrainConfig, make_negative, train, variant_log_prob
 
-from conftest import gru_cell, mlp, mlp_head, tanh
+from conftest import beam_decode, gru_cell, mlp, mlp_head, tanh, template_sentences
 from test_metrics import cider_reference
 from test_model import exhaustive_argmax, greedy_decode, tiny_dims
 

@@ -4,10 +4,16 @@ dataset, reproducibility of artifacts, and error exit codes.
 
 import csv
 import json
+import os
+import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import hatstory.cli
 import hatstory.metrics
 import hatstory.model
 from hatstory import tensor
@@ -19,6 +25,8 @@ from hatstory.errors import ConfigurationError
 from hatstory.metrics import hard_selection_ids
 from hatstory.model import generate_story
 from hatstory.training import TrainConfig
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 TINY_CONFIG = {
     "k": 6,
@@ -217,6 +225,45 @@ def test_a_model_too_large_to_allocate_is_one_error_line_and_leaves_no_run_direc
     assert err.count("\n") == 1 and err.startswith("error: model ModelDims(k=6, ")
     assert dim in err and " weights, more than can be allocated (" in err
     assert not (tmp_path / "runs").exists()
+
+
+def test_an_interrupted_training_exits_130_with_one_line_and_no_checkpoint(tmp_path):
+    data = synth(tmp_path)
+    cfg = write_config(tmp_path, epochs=10**6)
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hatstory", "train", "--data", str(data), "--config", str(cfg),
+         "--out", str(tmp_path / "runs"), "--run-name", "cut"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        for line in proc.stdout:
+            if line.startswith("epoch 0:"):  # training is under way
+                break
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130
+    assert err == "interrupted\n"
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("raise_it, code", [(lambda: tensor.row(tensor.Tensor([1.0]), 3), 1),
+                                            (lambda: [][0], None)])
+def test_only_a_deliberate_index_error_is_a_one_line_error(tmp_path, capsys, monkeypatch,
+                                                           raise_it, code):
+    """An out-of-range `row` is the caller's; a bare IndexError is a fault."""
+    monkeypatch.setattr(hatstory.cli, "cmd_synth", lambda args: raise_it())
+    argv = ["synth", "--albums", "2", "--out", str(tmp_path / "d.jsonl")]
+    if code is None:
+        with pytest.raises(IndexError):
+            main(argv)
+        return
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith("error: row index 3 out of range")
 
 
 # ---------------------------------------------------------------------------

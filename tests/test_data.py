@@ -25,12 +25,11 @@ from hatstory.data import (
     load_dataset,
     save_dataset,
     synth_generate,
-    template_sentences,
     validate_story,
     word_tokens,
 )
 from hatstory.errors import ConfigurationError, ContractError, DataError, HatstoryError
-from conftest import byte_edits, json_edits
+from conftest import byte_edits, json_edits, template_sentences
 
 
 # ---------------------------------------------------------------------------

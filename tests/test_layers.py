@@ -697,6 +697,21 @@ def test_soft_select_rows_gradcheck(count):
         assert report.passed, (hard, report.per_param)
 
 
+@pytest.mark.parametrize("hard", [False, True])
+def test_soft_select_renormalizes_scores_far_below_zero(hard):
+    """Every photo's score pre-activation at -40: the exp-form sigmoid keeps
+    each score positive (4.2e-18), so every p_t row is finite and sums to 1.
+    In the tanh form that the GRU gates take, each score would be exactly 0
+    and each row 0 / 0."""
+    rng = Rng(70)
+    cell, head = _selector(rng)
+    w, b = head.layers[-1]
+    w.data[...], b.data[...] = 0.0, -40.0
+    _, probs, _ = soft_select(Tensor(rng.uniform(-1, 1, (2, 6, 4))), cell, head, 5, hard)
+    assert np.isfinite(probs).all()
+    assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) <= 1e-15
+
+
 def _random_head(rng, d_in, hidden):
     head = mlp_head(rng, [d_in, hidden, 1])
     for _, t in head.named():

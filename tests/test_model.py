@@ -21,7 +21,6 @@ from hatstory.model import (
     ModelDims,
     _beam_search,
     _top_k,
-    beam_decode,
     conditioner,
     enc_attn_dec_generate,
     enc_dec_visual,
@@ -44,7 +43,7 @@ from hatstory.tensor import (
     zeros,
 )
 
-from conftest import (assert_close, composed_attention, decode_word_step, gru_step,
+from conftest import (assert_close, beam_decode, composed_attention, decode_word_step, gru_step,
                       log_softmax_pick, mlp, select_step)
 
 

@@ -23,6 +23,7 @@ from hatstory.tensor import (
     concat,
     grad_check,
     gru_run,
+    gru_sides,
     log_softmax_array,
     matmul,
     mul,
@@ -284,7 +285,7 @@ def test_gru_run_matches_the_per_gate_reference_bitwise(lead, steps, both):
                   3 * [(d_in, d_h)] + 3 * [(d_h, d_h)] + 3 * [(d_h,)]] for _ in range(1 + both)]
         xs = rng.uniform(-2.0, 2.0, (steps,) + lead + (d_in,))
         h0 = rng.uniform(-1.0, 1.0, (len(cells),) + lead + (d_h,))
-        got = gru_run(xs, h0, cells)
+        got = gru_run(xs, h0, [gru_sides(cell) for cell in cells])
         for d, weights in enumerate(cells):
             want = reference_gru_run(xs, h0[d], *weights, reverse=bool(d))
             for a, b in zip(got, want):  # states, z, r, cand; the second cell's in step order

@@ -488,7 +488,7 @@ def test_flat_adam_is_bitwise_the_per_tensor_reference(variant, grad_clip):
         assert np.array_equal(state.grads.view(np.uint64), np.concatenate(
             [r.grad.ravel() for _, r in ref_named]).view(np.uint64))
         if grad_clip:
-            assert (clip_gradients(state.named, state.grads, grad_clip)
+            assert (clip_gradients(state.grads, grad_clip)
                     == reference_clip_gradients(ref_named, grad_clip))
         adam_step(state, cfg)
         reference_adam_step(ref_named, ref_state, cfg)
@@ -520,7 +520,7 @@ def flat_gradients(*grads):
 def test_clip_gradients_rescales_to_global_norm():
     named, flat = flat_gradients(np.array([3.0, 0.0]), np.array([0.0, 4.0]))
     (_, a), (_, b) = named
-    norm = clip_gradients(named, flat, max_norm=1.0)
+    norm = clip_gradients(flat, max_norm=1.0)
     assert abs(norm - 5.0) < 1e-12
     clipped = math.sqrt(float((a.grad**2).sum() + (b.grad**2).sum()))
     assert abs(clipped - 1.0) < 1e-12
@@ -532,16 +532,16 @@ def test_clip_gradients_leaves_small_gradients_alone():
     named, flat = flat_gradients(np.array([0.3, 0.4]))
     a = named[0][1]
     before = a.grad.copy()
-    norm = clip_gradients(named, flat, max_norm=1.0)
+    norm = clip_gradients(flat, max_norm=1.0)
     assert abs(norm - 0.5) < 1e-12
     assert np.array_equal(a.grad, before)
 
 
 def test_clip_gradients_skips_missing_and_validates_norm():
     named, flat = flat_gradients(None)
-    assert clip_gradients(named, flat, max_norm=1.0) == 0.0
+    assert clip_gradients(flat, max_norm=1.0) == 0.0
     with pytest.raises(ContractError):
-        clip_gradients(named, flat, max_norm=0.0)
+        clip_gradients(flat, max_norm=0.0)
 
 
 # ---------------------------------------------------------------------------
