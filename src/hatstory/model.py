@@ -469,12 +469,12 @@ def _top_k(scores, k):
     return order.tolist(), scores[order].tolist()
 
 
-def _beam_search(params, g, beam, max_len, h0=None, gates=None):
+def _beam_search(params, g, beam, max_len, h0=None, sides=None):
     """Length-capped beam search for one sentence, without the tape.
 
     g is the sentence's (k,) conditioning array and h0 the (d_g,) decoder
-    state it starts from (zeros when None); `gates` are the decoder's
-    `gru_sides`, made here when None. The live hypotheses are rows:
+    state it starts from (zeros when None); `sides` are the decoder's
+    `GruParams.sides()`, made here when None. The live hypotheses are rows:
     each step runs one GRU update and one output projection over all of
     them, adds each row's log-prob to its (V,) word log-probs, and keeps
     the best `beam` of the rows x V extensions (`_top_k`). Ties go to the
@@ -491,7 +491,7 @@ def _beam_search(params, g, beam, max_len, h0=None, gates=None):
     d_g, vocab = params.dims.d_g, params.dims.vocab_size
     table = params.embedding.data
     d_w = table.shape[1]
-    w_in, u_zr, u_h = gates or params.gen_gru.sides()
+    w_in, u_zr, u_h = sides or params.gen_gru.sides()
     proj_w, proj_b = params.proj_w.data, params.proj_b.data
     # Rows are kept as (1, d) matrices: numpy then makes each row's products
     # as one vector-matrix product, which rounds exactly as a single
@@ -537,14 +537,14 @@ def generate(params, features, variant, beam, max_len, oracle_indices=None):
     enc = encode_album(params, album_row(params, features))
     mode = "hard" if oracle_indices is None else "oracle"
     condition, decided = conditioner(params, enc, variant, mode, oracle_indices)
-    start, gates = np.zeros(params.dims.d_g), params.gen_gru.sides()
+    start, sides = np.zeros(params.dims.d_g), params.gen_gru.sides()
     h = start
     sentences = []
     for t in range(params.dims.t_steps):
         if not params.carry_state:
             h = start
         tokens, h = _beam_search(params, condition(t, Tensor(h[None])).data[0], beam, max_len, h,
-                                 gates)
+                                 sides)
         sentences.append(list(tokens))
     return Story(sentences=sentences), decided
 
