@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -237,6 +238,8 @@ def test_an_interrupted_training_exits_130_with_one_line_and_no_checkpoint(tmp_p
          "--out", str(tmp_path / "runs"), "--run-name", "cut"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
+    watchdog = threading.Timer(60, proc.kill)  # a run that never starts training fails, not hangs
+    watchdog.start()
     try:
         for line in proc.stdout:
             if line.startswith("epoch 0:"):  # training is under way
@@ -244,6 +247,7 @@ def test_an_interrupted_training_exits_130_with_one_line_and_no_checkpoint(tmp_p
         proc.send_signal(signal.SIGINT)
         _, err = proc.communicate(timeout=60)
     finally:
+        watchdog.cancel()
         proc.kill()
         proc.wait()
     assert proc.returncode == 130
