@@ -3,13 +3,15 @@
 Layout: the 9-byte magic "HATSTORY1", a little-endian u64 byte length, a
 UTF-8 JSON header (model dimensions, vocabulary, the resolved training
 config, and an ordered name/shape manifest), then every tensor's float64
-payload little-endian in manifest order: the model's flat store, as it is.
-Saving, loading, and saving again is byte-identical.
+payload little-endian in manifest order, row-major: the store's weights,
+reordered where the store keeps a GRU's gates side by side. Saving, loading
+and saving again is byte-identical; a save replaces its file whole or not at all.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -19,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Vocabulary
+from .data import Vocabulary, write_atomically
 from .errors import ContractError, CorruptionError, FormatError
 from .model import ModelDims, ModelParams, build_model, from_json_object
 
@@ -59,11 +61,9 @@ def save_checkpoint(params, vocab, config, path):
     header = json.dumps(
         _header_dict(params, vocab, config), sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(header)))
-        f.write(header)
-        f.write(np.ascontiguousarray(params.store, dtype="<f8"))
+    head = [MAGIC, struct.pack("<Q", len(header)), header]
+    tensors = (np.ascontiguousarray(t.data, dtype="<f8") for _, t in params.named_tensors())
+    write_atomically(path, itertools.chain(head, tensors), "wb")
 
 
 def _header_vocab(header):
@@ -156,7 +156,9 @@ def _load(f, size):
             f"checkpoint: payload holds {size - offset} bytes, manifest expects {expected}"
         )
     params = build_model(dims, lambda name, view: None, FormatError, carry_state)
-    got = f.readinto(params.store.view(np.uint8))
+    # into each tensor's view, a GRU gate's a row at a time, as each row is contiguous
+    got = sum(f.readinto(part.view(np.uint8)) for _, t in params.named_tensors()
+              for part in ([t.data] if t.data.flags.c_contiguous else t.data))
     if got != expected:  # the file shrank since it was opened
         raise CorruptionError(f"checkpoint: payload holds {got} bytes, manifest expects {expected}")
     if sys.byteorder == "big":  # the payload is little-endian

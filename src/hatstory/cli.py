@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from .checkpoint import file_sha256, load_checkpoint, save_checkpoint
-from .data import SynthSpec, load_dataset, save_dataset, synth_generate
+from .data import SynthSpec, load_dataset, save_dataset, synth_generate, write_atomically
 from .diagnostics import run_all
 from .errors import ConfigurationError, HatstoryError, check_int
 from .metrics import MetricReport, bleu_n, cider, evaluate_retrieval, evaluate_summaries
@@ -45,8 +45,8 @@ def _write_report(ck, args, task, aggregate, per_item):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     jpath, cpath = out_dir / f"report_{task}.json", out_dir / f"report_{task}.csv"
-    jpath.write_text(report.to_json() + "\n", encoding="utf-8")
-    cpath.write_text(report.to_csv(), encoding="utf-8")
+    write_atomically(jpath, [report.to_json(), "\n"])
+    write_atomically(cpath, [report.to_csv()])
     print(f"wrote {jpath} and {cpath}")
     return 0
 
@@ -114,9 +114,8 @@ def cmd_train(args):
                         enc_init_gain=cfg.enc_init_gain)
     curve = train(params, albums, cfg, log=print)  # a failed run makes no run directory
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "resolved_config.json").write_text(
-        json.dumps(resolved, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_atomically(run_dir / "resolved_config.json",
+                     [json.dumps(resolved, sort_keys=True, indent=2), "\n"])
     write_loss_curve(curve, run_dir / "loss_curve.csv")
     save_checkpoint(params, vocab, resolved, run_dir / "checkpoint.hat")
     print(f"checkpoint: {run_dir / 'checkpoint.hat'}")
@@ -139,7 +138,7 @@ def cmd_generate(args):
         results.append(rec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(results, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_atomically(out, [json.dumps(results, sort_keys=True, indent=2), "\n"])
     print(f"generated stories for {len(results)} albums -> {out}")
     return 0
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import sys
 from collections import Counter
@@ -294,8 +295,23 @@ def save_dataset(albums, k, path):
             "stories": [{"sentences": story.texts} for story in album.stories],
         }
         lines.append(json.dumps(rec, sort_keys=True))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_atomically(path, ["\n".join(lines), "\n"])
+
+
+def write_atomically(path, parts, mode="w"):
+    """Write `parts`, strings (`mode` "w", UTF-8) or bytes ("wb"), to `path`
+    all or nothing: into a new file in the same directory, which then
+    replaces `path`. On a failure that file is removed, and the old one left
+    as it was."""
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8") as f:
+            f.writelines(parts)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

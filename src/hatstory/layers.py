@@ -2,23 +2,25 @@
 tensors and a small MLP's affine layers. Every parameter is a plain Tensor,
 so the gradient tape sees everything; the fused ops of `tensor` run them
 (`gru_sequence`, which takes the encoder's two GRUs, `sentence_log_prob`,
-`soft_select` and `attention`)."""
+`soft_select` and `attention`). A GRU's gate tensors are views of three
+blocks, which the ops read as they are, without a copy."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .errors import ContractError, DimensionError
-from .tensor import Tensor, gru_sides
+from .tensor import Tensor
+
+GATES = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h")
 
 
 @dataclass
 class GruParams:
-    """Gated recurrent unit weights.
-
-    w_* map the input (d_in, d_h), u_* map the hidden state (d_h, d_h),
-    b_* are biases (d_h,).
-    """
+    """Gated recurrent unit weights: w_* map the input (d_in, d_h), u_* the
+    hidden state (d_h, d_h), b_* are biases (d_h,). Each is a view of cell
+    `cell` of its layer's `blocks`, as `model.flat_views` cuts them (None
+    only in the stand-in of `ModelParams.layout`)."""
 
     w_z: Tensor
     w_r: Tensor
@@ -29,29 +31,23 @@ class GruParams:
     b_z: Tensor
     b_r: Tensor
     b_h: Tensor
-    _sides: tuple = field(default=None, init=False, repr=False, compare=False)
+    blocks: tuple = field(repr=False, compare=False)
+    cell: int = 0
 
     def __post_init__(self):
         d_in, d_h = self.w_z.shape
         for name, t in self.named():
-            want = (d_in, d_h) if name.startswith("w") else (
-                (d_h, d_h) if name.startswith("u") else (d_h,)
-            )
+            want = {"w": (d_in, d_h), "u": (d_h, d_h), "b": (d_h,)}[name[0]]
             if t.shape != want:
                 raise DimensionError(f"GruParams: {name} has shape {t.shape}, want {want}")
 
     def sides(self):
-        """The weights side by side, `tensor.gru_sides`, copied afresh on each
-        call into arrays that this GRU keeps, so no call allocates them."""
-        self._sides = gru_sides([t.data for _, t in self.named()], self._sides)
-        return self._sides
+        """The blocks of this cell, [W | b] (d_in + 1, 3 d_h), [U_z | U_r] and
+        U_h: views, not copies, so they show every change to the weights."""
+        return self.blocks[0][self.cell], self.blocks[1][self.cell], self.blocks[2][self.cell]
 
     def named(self):
-        return [
-            ("w_z", self.w_z), ("w_r", self.w_r), ("w_h", self.w_h),
-            ("u_z", self.u_z), ("u_r", self.u_r), ("u_h", self.u_h),
-            ("b_z", self.b_z), ("b_r", self.b_r), ("b_h", self.b_h),
-        ]
+        return [(name, getattr(self, name)) for name in GATES]
 
 
 @dataclass

@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import BOS_ID, EOS_ID, Story
 from .errors import ConfigurationError, ContractError, DimensionError, check_int
-from .layers import GruParams, MlpParams
+from .layers import GATES, GruParams, MlpParams
 from .tensor import (
     Tensor,
     attention,
@@ -91,7 +91,7 @@ class ModelDims:
 @dataclass
 class ModelParams:
     """Every trainable tensor of the full model plus the baseline heads, each
-    a view of one flat float64 `store`, in `named_tensors` order."""
+    a view of one flat float64 `store` as `flat_views` lays them out."""
 
     dims: ModelDims
     enc_fwd: GruParams
@@ -109,22 +109,12 @@ class ModelParams:
     store: np.ndarray = field(default=None, repr=False)
 
     def named_tensors(self):
-        out = []
-        for prefix, grp in (
-            ("enc_fwd", self.enc_fwd),
-            ("enc_bwd", self.enc_bwd),
-            ("sel_gru", self.sel_gru),
-            ("gen_gru", self.gen_gru),
-        ):
-            out.extend((f"{prefix}.{n}", t) for n, t in grp.named())
-        out.extend((f"sel_mlp.{n}", t) for n, t in self.sel_mlp.named())
-        out.append(("embedding.table", self.embedding))
-        out.append(("proj.w", self.proj_w))
-        out.append(("proj.b", self.proj_b))
-        out.append(("encdec.w", self.encdec_w))
-        out.append(("encdec.b", self.encdec_b))
-        out.extend((f"attn_mlp.{n}", t) for n, t in self.attn_mlp.named())
-        return out
+        groups = [("enc_fwd", self.enc_fwd), ("enc_bwd", self.enc_bwd), ("sel_gru", self.sel_gru),
+                  ("gen_gru", self.gen_gru), ("sel_mlp", self.sel_mlp)]
+        return ([(f"{prefix}.{n}", t) for prefix, grp in groups for n, t in grp.named()]
+                + [("embedding.table", self.embedding), ("proj.w", self.proj_w),
+                   ("proj.b", self.proj_b), ("encdec.w", self.encdec_w), ("encdec.b", self.encdec_b)]
+                + [(f"attn_mlp.{n}", t) for n, t in self.attn_mlp.named()])
 
     @staticmethod
     def layout(dims):
@@ -158,9 +148,34 @@ class ModelParams:
 
 def flat_views(flat, layout):
     """{name: view} of the 1-D array `flat`, one view per (name, shape) of
-    `layout`, side by side in its order."""
-    ends = list(itertools.accumulate((math.prod(shape) for _, shape in layout), initial=0))
-    return {name: flat[a:b].reshape(shape) for (name, shape), a, b in zip(layout, ends, ends[1:])}
+    `layout`, side by side in its order, but for the GRUs': the D GRUs of a
+    layer, named <layer>_<cell>, next to each other, each its nine tensors
+    in `GATES` order, view three blocks that fill their range: [W_z | W_r |
+    W_h] over [b_z | b_r | b_h] (D, d_in + 1, 3 d_h), so [x, 1] W = x W + b,
+    [U_z | U_r] (D, d_h, 2 d_h) and U_h (D, d_h, d_h). A GRU's name keys its
+    (blocks, index in the layer)."""
+    views, pos = {}, 0
+    for i, (name, shape) in enumerate(layout):
+        if name in views:  # a gate of a GRU, cut with its layer
+            continue
+        if not name.endswith(".w_z"):
+            views[name] = flat[pos:pos + math.prod(shape)].reshape(shape)
+            pos += views[name].size
+            continue
+        layer, (d_in, d) = name.split("_")[0] + "_", shape
+        cells = [n.split(".")[0] for n, _ in itertools.takewhile(
+            lambda entry: entry[0].startswith(layer) and entry[0].endswith(".w_z"), layout[i::9])]
+        sizes = [(d_in + 1, 3 * d), (d, 2 * d), (d, d)]
+        ends = list(itertools.accumulate((len(cells) * a * b for a, b in sizes), initial=pos))
+        w, u_zr, u_h = blocks = tuple(flat[a:b].reshape((len(cells),) + size)
+                                      for size, a, b in zip(sizes, ends, ends[1:]))
+        cols = (slice(None, d), slice(d, 2 * d), slice(2 * d, None))
+        for c, cell in enumerate(cells):
+            views[cell] = blocks, c
+            views.update(zip((f"{cell}.{gate}" for gate in GATES), [w[c, :-1, s] for s in cols] + [
+                u_zr[c, :, :d], u_zr[c, :, d:], u_h[c]] + [w[c, -1, s] for s in cols]))
+        pos = ends[-1]
+    return views
 
 
 def physical_memory():
@@ -186,18 +201,18 @@ def build_model(dims, fill, error, carry_state=True):
         fill(name, views[name])
         return Tensor(views[name], requires_grad=True)
 
-    return _assemble(dims, make, carry_state, store)
+    return _assemble(dims, make, carry_state, store, views)
 
 
-def _assemble(dims, make, carry_state=True, store=None):
+def _assemble(dims, make, carry_state=True, store=None, views=None):
     """The model whose tensors `make(name, shape)` gives, in `build_model`'s
-    order."""
+    order; its GRUs' blocks are those of `flat_views`' `views`, when given."""
     k = dims.k
 
     def gru(name, d_in, d_h):
         shapes = {"w": (d_in, d_h), "u": (d_h, d_h), "b": (d_h,)}
-        return GruParams(**{f"{m}_{x}": make(f"{name}.{m}_{x}", shapes[m])
-                            for m in "wub" for x in "zrh"})
+        return GruParams(*(make(f"{name}.{m}_{x}", shapes[m]) for m in "wub" for x in "zrh"),
+                         *(views or {}).get(name, (None,)))
 
     def head(name, d):  # sizes [d, d, 1]
         return MlpParams([(make(f"{name}.0.w", (d, d)), make(f"{name}.0.b", (d,))),
@@ -469,12 +484,11 @@ def _top_k(scores, k):
     return order.tolist(), scores[order].tolist()
 
 
-def _beam_search(params, g, beam, max_len, h0=None, sides=None):
+def _beam_search(params, g, beam, max_len, h0=None):
     """Length-capped beam search for one sentence, without the tape.
 
     g is the sentence's (k,) conditioning array and h0 the (d_g,) decoder
-    state it starts from (zeros when None); `sides` are the decoder's
-    `GruParams.sides()`, made here when None. The live hypotheses are rows:
+    state it starts from (zeros when None). The live hypotheses are rows:
     each step runs one GRU update and one output projection over all of
     them, adds each row's log-prob to its (V,) word log-probs, and keeps
     the best `beam` of the rows x V extensions (`_top_k`). Ties go to the
@@ -491,7 +505,7 @@ def _beam_search(params, g, beam, max_len, h0=None, sides=None):
     d_g, vocab = params.dims.d_g, params.dims.vocab_size
     table = params.embedding.data
     d_w = table.shape[1]
-    w_in, u_zr, u_h = sides or params.gen_gru.sides()
+    w_in, u_zr, u_h = params.gen_gru.sides()
     proj_w, proj_b = params.proj_w.data, params.proj_b.data
     # Rows are kept as (1, d) matrices: numpy then makes each row's products
     # as one vector-matrix product, which rounds exactly as a single
@@ -537,14 +551,12 @@ def generate(params, features, variant, beam, max_len, oracle_indices=None):
     enc = encode_album(params, album_row(params, features))
     mode = "hard" if oracle_indices is None else "oracle"
     condition, decided = conditioner(params, enc, variant, mode, oracle_indices)
-    start, sides = np.zeros(params.dims.d_g), params.gen_gru.sides()
-    h = start
+    h = start = np.zeros(params.dims.d_g)
     sentences = []
     for t in range(params.dims.t_steps):
         if not params.carry_state:
             h = start
-        tokens, h = _beam_search(params, condition(t, Tensor(h[None])).data[0], beam, max_len, h,
-                                 sides)
+        tokens, h = _beam_search(params, condition(t, Tensor(h[None])).data[0], beam, max_len, h)
         sentences.append(list(tokens))
     return Story(sentences=sentences), decided
 

@@ -2,31 +2,31 @@
 
 Deliberately small: row-major numpy storage, one tape of backward closures
 per forward pass, and a finite-difference checker kept independent of the
-tape so the two routes can cross-validate each other.
-
-Shape rules are strict: binary elementwise ops need equal shapes, the only
-broadcasting allowed is scalar-with-tensor, and every other alignment
-(tiling, joining, slicing) is an explicit op.
+tape so the two routes can cross-validate each other. Shape rules are
+strict: binary elementwise ops need equal shapes, the only broadcasting
+allowed is scalar-with-tensor, and every other alignment (tiling, joining,
+slicing) is an explicit op.
 
 Only the composed ops the program calls live here (`add` to `sum_all`); each
-states its value and the gradient each input gets from the output's, and one
-helper, `_op`, records it. `row` records itself, to add its gradient in
-place. Per-op Python dispatch, not arithmetic, sets the speed of these small
+states its value and the gradient each input gets from the output's, and
+`_op` records it (`row` records itself, to add its gradient in place).
+Per-op Python dispatch, not arithmetic, sets the speed of these small
 models, so the hottest compositions are fused ops, one tape record each,
-that keep their own hand-written backward to give many inputs their
-gradients in one pass: the bidirectional encoder (`gru_sequence`), a
-teacher-forced sentence (`sentence_log_prob`), the selector's steps in soft
-or hard mode (`soft_select`) and an attention read (`attention`). All take
-album rows only, one album being one row, and the sentence and the attention
-read a leading pair axis too: a minibatch runs as rows on one tape, a ranked
-one's stories and negatives as the pair's halves, and tape-free inference
-runs the same ops. At one row, and per half, their values are bitwise the
-composed references' that the tests keep (with the scoring MLP's first layer
-split alike); gradients agree to rounding. The encoder and the sentence run
-one GRU kernel, `gru_run`, which steps the cells it is given in lockstep on
-a leading direction axis, bitwise one run per cell. Every GRU step is
-`gru_step_array`: gates 0.5 tanh(0.5 a) + 0.5, biases folded into the input
-products, each kind of weight side by side in one product, and h + z (cand - h).
+with hand-written backwards that give many inputs their gradients in one
+pass: the bidirectional encoder (`gru_sequence`), a teacher-forced sentence
+(`sentence_log_prob`), the selector's steps (`soft_select`) and an attention
+read (`attention`). All take album rows, one album being one row, and the
+sentence and the attention a leading pair axis too: a minibatch runs as
+rows on one tape, a ranked one's stories and negatives as the pair's
+halves, and tape-free inference runs the same ops. At one row, and per
+half, their values are bitwise the composed references' that the tests
+keep; gradients agree to rounding. The encoder and the sentence run one GRU
+kernel, `gru_run`, which steps its cells in lockstep on a leading axis,
+bitwise one run per cell. Every GRU step is `gru_step_array`: gates
+0.5 tanh(0.5 a) + 0.5, biases folded into the input products, each kind of
+weight side by side in one product, and h + z (cand - h). The ops read those
+weights as views of the blocks the store holds (`layers.gru_views`), so no
+op copies a weight.
 """
 
 from __future__ import annotations
@@ -234,19 +234,6 @@ def log_softmax_array(x, axis=-1):
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def gru_sides(cell, out=None):
-    """A GRU's nine gate arrays, w_z to b_h, side by side as the step reads
-    them: [W_z | W_r | W_h] over [b_z | b_r | b_h] (d_in + 1, 3 d_h), which
-    makes [x, 1] W = x W + b in one product, [U_z | U_r] (d_h, 2 d_h) and U_h.
-    The first two are written into those of `out`, an earlier result, if given."""
-    (d_in, d), u_h = cell[0].shape, cell[5]
-    w, u_zr = out[:2] if out else (np.empty((d_in + 1, 3 * d)), np.empty((d, 2 * d)))
-    np.concatenate(cell[:3], axis=1, out=w[:-1])
-    np.concatenate(cell[6:], out=w[-1])
-    np.concatenate(cell[3:5], axis=1, out=u_zr)
-    return w, u_zr, u_h
-
-
 def gru_step_array(xw, h, u_zr, u_h, out=None):
     """One GRU step over the rows of the state h (..., d_h) from the input
     products, xw = x [W_z | W_r | W_h] + [b_z | b_r | b_h] (..., 3 d_h):
@@ -274,31 +261,42 @@ def gru_step_array(xw, h, u_zr, u_h, out=None):
     return zr, cand, new
 
 
-def gru_run(xs, h0, sides):
+def _lockstep(cells):
+    """The blocks, each (D, ...), of the D GRU cells that `gru_run` steps as
+    one: one cell D times, or cells of a layer that lie side by side in order."""
+    first = cells[0]
+    if all(c.blocks is first.blocks and c.cell == first.cell + i for i, c in enumerate(cells)):
+        return [b[first.cell:first.cell + len(cells)] for b in first.blocks]
+    if any(cell is not first for cell in cells):
+        raise ContractError("gru_run: cells must be one cell, or one layer's side by side in order")
+    return [np.broadcast_to(b[first.cell], (len(cells),) + b.shape[1:]) for b in first.blocks]
+
+
+def gru_run(xs, h0, cells):
     """GRUs over R rows of T inputs, xs (T, R, d_in), stepped in lockstep, one
-    per `gru_sides` of `sides`, from h0 (D, R, d_h) for D cells; or with a
-    pair axis after the first, xs (T, 2, R, d_in) from (D, 2, R, d_h). The
-    first cell reads the inputs from the first, a second one from the last.
-    The input products, biases included, are made once, one per cell; each
-    step is one `gru_step_array` over all the cells. Products are per (R, .)
-    block, so each cell, and each half, is bitwise a run over its rows alone.
-    Returns the states and z, r, cand gates, each (T, D, ..., d_h) in step
-    order ([t, 1] follows input T - 1 - t), and for the backward the inputs
-    with their 1s, each cell's input weights and the stacked recurrent ones."""
+    per GruParams of `cells` (`_lockstep`), from h0 (D, R, d_h) for D cells;
+    or with a pair axis after the first, xs (T, 2, R, d_in) from (D, 2, R,
+    d_h). The first cell reads the inputs from the first, a second one from
+    the last. The input products, biases included, are made once, one per
+    cell; each step is one `gru_step_array` over all the cells. Products are
+    per (R, .) block, so each cell, and each half, is bitwise a run over its
+    rows alone. Returns the states and z, r, cand gates, each (T, D, ...,
+    d_h) in step order ([t, 1] follows input T - 1 - t), and for the
+    backward the inputs with their 1s and the cells' blocks."""
     x = np.empty(xs.shape[:-1] + (xs.shape[-1] + 1,))
     x[..., :-1], x[..., -1] = xs, 1.0
     hs = np.empty((len(xs),) + h0.shape)
     d = h0.shape[-1]
     zr, cand = np.empty(hs.shape[:-1] + (2 * d,)), np.empty_like(hs)
     xw = np.empty(hs.shape[:-1] + (3 * d,))
-    for i, (w, _, _) in enumerate(sides):
+    w_in, u_zr, u_h = _lockstep(cells)
+    for i, w in enumerate(w_in):
         np.matmul(x[::-1] if i else x, w, out=xw[:, i])
-    lead = (len(sides),) + (1,) * (h0.ndim - 3)
-    u_zr, u_h = (np.stack([s[i] for s in sides]).reshape(lead + sides[0][i].shape) for i in (1, 2))
+    u_zr, u_h = (u[(slice(None),) + (None,) * (h0.ndim - 3)] for u in (u_zr, u_h))
     h = h0
     for t in range(len(xs)):
         h = gru_step_array(xw[t], h, u_zr, u_h, (zr[t], cand[t], hs[t]))[2]
-    return hs, zr[..., :d], zr[..., d:], cand, (x, [s[0] for s in sides], u_zr, u_h)
+    return hs, zr[..., :d], zr[..., d:], cand, (x, w_in, u_zr, u_h)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +521,7 @@ def gru_sequence(xs, h0, fwd, bwd):
                              f"{bwd.w_z.data.shape} as rows")
     x = xs.data.transpose(1, 0, 2)  # (T, R, d_in)
     start = np.broadcast_to(h0.data, (2,) + h0.data.shape)
-    run = gru_run(x, start, [fwd.sides(), bwd.sides()])
+    run = gru_run(x, start, [fwd, bwd])
     states = [run[0][:, 0], run[0][::-1, 1]]  # both in input order
     out = _out(np.concatenate([s.transpose(1, 0, 2) for s in states], axis=-1),
                xs, h0, *cells[0], *cells[1])
@@ -591,7 +589,7 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
     x = np.empty((steps,) + lead + (d_in,))
     x[..., :d_w] = table.data[ids[0]]
     x[..., d_w:] = g.data
-    run = gru_run(x, h0.data[None], [cell.sides()])
+    run = gru_run(x, h0.data[None], [cell])
     states = run[0][:, 0]
     y = log_softmax_array(states @ proj_w.data + proj_b.data)
     at = tuple(np.arange(n).reshape((-1,) + (1,) * (len(lead) - i))
@@ -861,16 +859,14 @@ def numeric_gradient(f, params, step=1e-5):
     grads = []
     for p in params:
         g = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        gflat = g.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
+        for j in np.ndindex(p.data.shape):  # in place, also in a strided view
+            orig = p.data[j]
+            p.data[j] = orig + step
             hi = f(*params).item()
-            flat[j] = orig - step
+            p.data[j] = orig - step
             lo = f(*params).item()
-            flat[j] = orig
-            gflat[j] = (hi - lo) / (2.0 * step)
+            p.data[j] = orig
+            g[j] = (hi - lo) / (2.0 * step)
         grads.append(g)
     return grads
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import SENTENCES_PER_STORY, Story, validate_story
+from .data import SENTENCES_PER_STORY, Story, validate_story, write_atomically
 from .errors import ConfigurationError, ContractError, NumericDomainError, check_int, check_number
 from .model import VARIANTS, flat_views, group_by_photo_count, variant_log_prob
 from .tensor import Rng, Tape, backward, neg, relu, row, sum_all
@@ -291,5 +291,4 @@ def write_loss_curve(curve, path):
             f"{rowd['epoch']},{rowd['mean_loss']!r},{rowd['mean_gen_loss']!r},"
             f"{rowd['mean_rank_loss']!r}"
         )
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_atomically(path, ["\n".join(lines), "\n"])

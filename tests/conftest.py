@@ -10,7 +10,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from hatstory import data, model, tensor
-from hatstory.layers import GruParams, MlpParams
+from hatstory.layers import GATES, GruParams, MlpParams
 from hatstory.errors import ContractError, DimensionError
 from hatstory.tensor import Rng, concat, matmul, mul, row, seeded_init, sigmoid, tile_rows, zeros
 
@@ -174,10 +174,28 @@ def mlp(params, x):
     return x
 
 
+def gru_layer(d_in, d_h, cells=1):
+    """`cells` zeroed GRUs of one layer, laid out over one flat array as the
+    model lays out the encoder's two directions (`model.flat_views`)."""
+    shapes = 3 * [(d_in, d_h)] + 3 * [(d_h, d_h)] + 3 * [(d_h,)]
+    layout = [(f"layer_{c}.{gate}", shape) for c in range(cells)
+              for gate, shape in zip(GATES, shapes)]
+    views = model.flat_views(np.zeros(sum(math.prod(shape) for _, shape in layout)), layout)
+    return [GruParams(*(tensor.Tensor(views[f"layer_{c}.{gate}"], requires_grad=True)
+                        for gate in GATES), *views[f"layer_{c}"]) for c in range(cells)]
+
+
+def xavier(rng, cell):
+    """The cell with Xavier weights, drawn w_z, w_r, w_h, u_z, u_r, u_h, in
+    place, and its biases as they were."""
+    for _, t in cell.named()[:6]:
+        t.data[...] = seeded_init(rng, t.shape).data
+    return cell
+
+
 def gru_cell(rng, d_in, d_h):
     """Xavier GRU weights, drawn w_z, w_r, w_h, u_z, u_r, u_h, and zero biases."""
-    return GruParams(*(seeded_init(rng, shape) for shape in 3 * [(d_in, d_h)] + 3 * [(d_h, d_h)]),
-                     *(zeros(d_h, requires_grad=True) for _ in range(3)))
+    return xavier(rng, gru_layer(d_in, d_h)[0])
 
 
 def mlp_head(rng, sizes):
@@ -290,7 +308,7 @@ def gru_direction(xs, h0, cell):
     op, `tensor.gru_run` and its backward over the one cell."""
     weights = [t for _, t in cell.named()]
     x, start = xs.data.transpose(1, 0, 2), h0.data[None]
-    run = tensor.gru_run(x, start, [cell.sides()])
+    run = tensor.gru_run(x, start, [cell])
     out = tensor._out(run[0][:, 0].transpose(1, 0, 2), xs, h0, *weights)
     if out.requires_grad:
         def back():
@@ -374,8 +392,13 @@ def reference_adam_step(named_params, state, cfg):
 
 def reference_clip_gradients(named_params, max_norm):
     """Scale all gradients so their global L2 norm, one dot product over the
-    gradients side by side, is at most max_norm."""
-    flat = np.concatenate([p.grad.ravel() for _, p in named_params if p.grad is not None])
+    gradients side by side as the store lays out their tensors
+    (`model.flat_views`), is at most max_norm."""
+    named = [(name, p) for name, p in named_params if p.grad is not None]
+    flat = np.empty(sum(p.grad.size for _, p in named))
+    views = model.flat_views(flat, [(name, p.shape) for name, p in named])
+    for name, p in named:
+        views[name][...] = p.grad
     norm = math.sqrt(flat @ flat)
     if norm > max_norm:
         scale = max_norm / norm

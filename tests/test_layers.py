@@ -29,9 +29,9 @@ from hatstory.tensor import (
     sum_all,
     zeros,
 )
-from conftest import (assert_close, composed_attention, gru_cell, gru_step, log_softmax_pick,
-                      mlp, mlp_head, reference_gru_sequence, reshape, select_step, stack_rows,
-                      vecmat)
+from conftest import (assert_close, composed_attention, gru_cell, gru_layer, gru_step,
+                      log_softmax_pick, mlp, mlp_head, reference_gru_sequence, reshape, select_step,
+                      stack_rows, vecmat, xavier)
 
 
 def scalar_gru(w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, x, h):
@@ -44,12 +44,10 @@ def scalar_gru(w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, x, h):
 
 
 def make_scalar_cell(vals):
-    t = lambda v, shape: Tensor(np.full(shape, v), requires_grad=True)
-    return GruParams(
-        w_z=t(vals["w_z"], (1, 1)), w_r=t(vals["w_r"], (1, 1)), w_h=t(vals["w_h"], (1, 1)),
-        u_z=t(vals["u_z"], (1, 1)), u_r=t(vals["u_r"], (1, 1)), u_h=t(vals["u_h"], (1, 1)),
-        b_z=t(vals["b_z"], (1,)), b_r=t(vals["b_r"], (1,)), b_h=t(vals["b_h"], (1,)),
-    )
+    cell = gru_layer(1, 1)[0]
+    for name, t in cell.named():
+        t.data[...] = vals[name]
+    return cell
 
 
 def test_gru_step_scalar_hand_oracle():
@@ -107,7 +105,7 @@ def test_gru_params_shape_validation(rng):
         GruParams(
             w_z=good.w_z, w_r=good.w_r, w_h=good.w_h,
             u_z=Tensor(np.ones((3, 3))), u_r=good.u_r, u_h=good.u_h,
-            b_z=good.b_z, b_r=good.b_r, b_h=good.b_h,
+            b_z=good.b_z, b_r=good.b_r, b_h=good.b_h, blocks=good.blocks,
         )
 
 
@@ -188,11 +186,18 @@ def test_mlp_and_embedding_gradients(rng):
     assert report.passed, report.max_rel_err
 
 
+def _perturbed_cells(rng, d_in, d_h, count=1):
+    """`count` GRUs of one layer, each drawn as `gru_cell` draws one and then
+    perturbed, in turn."""
+    cells = gru_layer(d_in, d_h, count)
+    for cell in cells:
+        for _, t in xavier(rng, cell).named():
+            t.data += rng.uniform(-0.5, 0.5, t.shape)  # nonzero biases too
+    return cells
+
+
 def _perturbed_cell(rng, d_in, d_h):
-    cell = gru_cell(rng, d_in, d_h)
-    for _, t in cell.named():
-        t.data += rng.uniform(-0.5, 0.5, t.shape)  # nonzero biases too
-    return cell
+    return _perturbed_cells(rng, d_in, d_h)[0]
 
 
 def test_gru_step_gradients_with_constant_input(rng):
@@ -270,7 +275,7 @@ def _sequence_loss(states):
 def test_gru_sequence_matches_gru_step_chain_bitwise():
     rng = Rng(0)
     for seed, steps in itertools.product(range(4), (1, 2, 6)):
-        fwd, bwd = (_perturbed_cell(rng, 3 + seed, 2 + seed % 3) for _ in range(2))
+        fwd, bwd = _perturbed_cells(rng, 3 + seed, 2 + seed % 3, 2)
         xs = Tensor(rng.uniform(-1, 1, (steps, 3 + seed)), requires_grad=True)
         h0 = Tensor(rng.uniform(-1, 1, 2 + seed % 3), requires_grad=True)
         tensors = [t for cell in (fwd, bwd) for _, t in cell.named()] + [xs, h0]
@@ -299,8 +304,8 @@ def test_gru_sequence_is_two_one_direction_runs_bitwise(shared):
     rng = Rng(7)
     for count, steps, (d_in, d_h), trainable in itertools.product(
             (1, 3), (1, 2, 6), ((3, 2), (24, 16)), (False, True)):
-        fwd = _perturbed_cell(rng, d_in, d_h)
-        bwd = fwd if shared else _perturbed_cell(rng, d_in, d_h)
+        fwd, bwd = [_perturbed_cell(rng, d_in, d_h)] * 2 if shared else _perturbed_cells(
+            rng, d_in, d_h, 2)
         xs = Tensor(rng.uniform(-1, 1, (count, steps, d_in)), requires_grad=trainable)
         h0 = Tensor(rng.uniform(-1, 1, (count, d_h)), requires_grad=trainable)
         weight = Tensor(rng.uniform(-1, 1, (count, steps, 2 * d_h)))
@@ -318,7 +323,7 @@ def test_gru_sequence_is_two_one_direction_runs_bitwise(shared):
 
 
 def test_gru_sequence_records_one_tape_entry(rng):
-    fwd, bwd = gru_cell(rng, 3, 2), gru_cell(rng, 3, 2)
+    fwd, bwd = (xavier(rng, cell) for cell in gru_layer(3, 2, 2))
     with Tape() as tape:
         gru_sequence(Tensor(rng.uniform(-1, 1, (1, 5, 3))), zeros((1, 2)), fwd, bwd)
     assert tape.counts() == {"gru_sequence": 1}
@@ -337,10 +342,21 @@ def test_gru_sequence_rejects_empty_and_mismatched(rng):
             gru_sequence(Tensor(np.ones((1, 2, 3))), Tensor(np.zeros((1, 2))), cell, other)
 
 
+def test_gru_sequence_takes_its_cells_only_where_they_lie_side_by_side(rng):
+    """The directions' recurrent blocks are read as one stacked view, never
+    copied together: two cells of separate layers, or one layer's cells in
+    the wrong order, are refused."""
+    fwd, bwd = (xavier(rng, cell) for cell in gru_layer(3, 2, 2))
+    xs, h0 = Tensor(np.ones((1, 2, 3))), Tensor(np.zeros((1, 2)))
+    for pair in ((fwd, gru_cell(rng, 3, 2)), (bwd, fwd)):
+        with pytest.raises(ContractError, match="side by side"):
+            gru_sequence(xs, h0, *pair)
+
+
 def test_gru_sequence_gradients(rng):
     for steps in (1, 2, 6):
         for trainable in (False, True):
-            fwd, bwd = _perturbed_cell(rng, 3, 2), _perturbed_cell(rng, 3, 2)
+            fwd, bwd = _perturbed_cells(rng, 3, 2, 2)
             xs = Tensor(rng.uniform(-1, 1, (1, steps, 3)), requires_grad=trainable)
             h0 = Tensor(rng.uniform(-0.5, 0.5, (1, 2)), requires_grad=trainable)
             weight = Tensor(rng.uniform(-1, 1, (1, steps, 4)))
@@ -434,7 +450,7 @@ def _pair_loss(rows_out, weight):
 @pytest.mark.parametrize("count", [1, 3])
 def test_gru_sequence_rows_gradcheck(count):
     rng = Rng(40 + count)
-    fwd, bwd = _perturbed_cell(rng, 3, 2), _perturbed_cell(rng, 3, 2)
+    fwd, bwd = _perturbed_cells(rng, 3, 2, 2)
     xs = Tensor(rng.uniform(-1, 1, (count, 4, 3)), requires_grad=True)
     h0 = Tensor(rng.uniform(-0.5, 0.5, (count, 2)), requires_grad=True)
     weight = Tensor(rng.uniform(-1, 1, (count, 4, 4)))

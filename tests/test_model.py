@@ -32,14 +32,19 @@ from hatstory.model import (
     story_log_prob,
     variant_log_prob,
 )
+from hatstory.checkpoint import load_checkpoint, save_checkpoint
 from hatstory.tensor import (
     Rng,
     Tape,
     Tensor,
     backward,
+    grad_check,
     log_softmax_array,
+    mul,
+    numeric_gradient,
     row,
     sentence_log_prob,
+    sum_all,
     zeros,
 )
 
@@ -983,6 +988,65 @@ def test_each_variant_trains_one_to_four_runs_of_the_store():
         for name, t in params.named_tensors():
             inside = any(np.shares_memory(t.data, run) for run in runs)
             assert inside == (name in trainable), (variant, name)
+
+
+def test_grad_check_of_a_strided_gru_weight_perturbs_it_in_place():
+    """A GRU gate's weights are a strided view of its block in the store, so
+    reshaping them would copy; the differences must move the view itself,
+    and agree with the tape. Each probe is undone: the store comes back bit
+    for bit."""
+    params = tiny_model(3)
+    features = Rng(4).uniform(-2.0, 2.0, (1, 6, params.dims.k))
+    weight = Tensor(Rng(5).uniform(-1.0, 1.0, features.shape))
+    named = [("enc_fwd.w_z", params.enc_fwd.w_z), ("enc_bwd.u_r", params.enc_bwd.u_r),
+             ("gen_gru.w_h", params.gen_gru.w_h)]
+    fn = lambda *ts: sum_all(mul(encode_album(params, features).v, weight)) + variant_log_prob(
+        params, features[0], Story(sentences=[[3, 2], [4, 5, 2], [2], [5, 2], [3, 3, 2]]))
+    views = [t.data for _, t in named]
+    for view in views:
+        assert not view.flags.c_contiguous and view.base is params.store
+    before = params.store.copy()
+    report = grad_check(fn, [t for _, t in named], tol=1e-6, names=[n for n, _ in named])
+    assert report.passed, report.per_param
+    numeric_gradient(fn, [t for _, t in named])
+    assert all(t.data is view for (_, t), view in zip(named, views))
+    assert np.array_equal(params.store.view(np.uint64), before.view(np.uint64))
+
+
+def test_a_weight_changed_in_place_shows_in_the_next_generate(tmp_path):
+    """No GRU op keeps a copy of its weights: after an in-place change,
+    `generate` gives, bit for bit, what a model loaded with the same weights
+    gives."""
+    params = tiny_model(2, vocab_size=9)
+    features = Rng(6).uniform(-1.0, 1.0, (7, params.dims.k))
+    first = generate(params, features, "hier", 2, 6)
+    for cell in (params.enc_fwd, params.enc_bwd, params.sel_gru, params.gen_gru):
+        cell.u_r.data *= -1.5
+        cell.w_h.data += 0.25
+        cell.b_z.data -= 0.5
+    changed = generate(params, features, "hier", 2, 6)
+    save_checkpoint(params, None, None, tmp_path / "m.hat")
+    fresh = generate(load_checkpoint(tmp_path / "m.hat").params, features, "hier", 2, 6)
+    assert changed[0].sentences == fresh[0].sentences
+    assert np.array_equal(changed[1].probs.data.view(np.uint64), fresh[1].probs.data.view(np.uint64))
+    assert not np.array_equal(changed[1].probs.data, first[1].probs.data)
+
+
+def test_tape_free_generation_on_a_wide_model_copies_no_weight_block():
+    """One beam-1 story of a 30-photo album on a model of the `wide`
+    benchmark's size (k 256) allocates at its peak less than one encoder
+    input block, (257, 384) float64s, which a copy of the weights would."""
+    import tracemalloc
+    params = init_model(ModelDims(k=256, d_s=32, d_g=32, d_w=16, vocab_size=145), Rng(0))
+    features = Rng(1).uniform(-1.0, 1.0, (30, 256))
+    generate(params, features, "hier", 1, 12)
+    tracemalloc.start()
+    try:
+        generate(params, features, "hier", 1, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 257 * 384 * 8, peak
 
 
 def test_init_model_rejects_nonpositive_gain():

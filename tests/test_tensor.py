@@ -23,7 +23,6 @@ from hatstory.tensor import (
     concat,
     grad_check,
     gru_run,
-    gru_sides,
     log_softmax_array,
     matmul,
     mul,
@@ -40,8 +39,8 @@ from hatstory.tensor import (
     tile_rows,
     zeros,
 )
-from conftest import (assert_close, reference_gru_run, reference_sigmoid, reshape, softmax,
-                      stack_rows, tanh, vecmat)
+from conftest import (assert_close, gru_layer, reference_gru_run, reference_sigmoid, reshape,
+                      softmax, stack_rows, tanh, vecmat)
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +280,15 @@ def test_gru_run_matches_the_per_gate_reference_bitwise(lead, steps, both):
     last: each is bitwise its own reference run."""
     rng = Rng(40 + steps)
     for d_in, d_h, scale in ((5, 3, 1.0), (24, 16, 1.0), (7, 33, 1.0), (4, 2, 300.0)):
-        cells = [[rng.uniform(-scale, scale, shape) for shape in
-                  3 * [(d_in, d_h)] + 3 * [(d_h, d_h)] + 3 * [(d_h,)]] for _ in range(1 + both)]
+        cells = gru_layer(d_in, d_h, 1 + both)
+        for _, t in (pair for cell in cells for pair in cell.named()):
+            t.data[...] = rng.uniform(-scale, scale, t.shape)
         xs = rng.uniform(-2.0, 2.0, (steps,) + lead + (d_in,))
         h0 = rng.uniform(-1.0, 1.0, (len(cells),) + lead + (d_h,))
-        got = gru_run(xs, h0, [gru_sides(cell) for cell in cells])
-        for d, weights in enumerate(cells):
-            want = reference_gru_run(xs, h0[d], *weights, reverse=bool(d))
+        got = gru_run(xs, h0, cells)
+        for d, cell in enumerate(cells):
+            want = reference_gru_run(xs, h0[d], *(t.data for _, t in cell.named()),
+                                     reverse=bool(d))
             for a, b in zip(got, want):  # states, z, r, cand; the second cell's in step order
                 assert a.shape[:1] + a.shape[2:] == b.shape
                 assert np.array_equal(a[:, d], b[::-1] if d else b)

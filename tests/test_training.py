@@ -13,7 +13,7 @@ from hatstory.data import Album, Story, SynthSpec, synth_generate
 from hatstory.diagnostics import toy_instance
 from hatstory.errors import ConfigurationError, ContractError
 from hatstory.model import ModelDims, init_model
-from hatstory import model
+from hatstory import model, tensor
 from hatstory.tensor import Rng, Tensor, Tape, _accum, backward, grad_check, neg, sum_all
 from hatstory.training import (
     VARIANTS,
@@ -485,8 +485,9 @@ def test_flat_adam_is_bitwise_the_per_tensor_reference(variant, grad_clip):
                 r.grad += g
             r.grad *= 1.0 / 3
         state.grads *= 1.0 / 3
-        assert np.array_equal(state.grads.view(np.uint64), np.concatenate(
-            [r.grad.ravel() for _, r in ref_named]).view(np.uint64))
+        for (name, t), (_, r) in zip(state.named, ref_named):  # each a view of the flat grads
+            assert np.shares_memory(t.grad, state.grads), name
+            assert np.array_equal(t.grad.view(np.uint64), r.grad.view(np.uint64)), name
         if grad_clip:
             assert (clip_gradients(state.grads, grad_clip)
                     == reference_clip_gradients(ref_named, grad_clip))
@@ -571,6 +572,12 @@ def test_every_tensor_views_the_store_after_init_load_and_train(tmp_path):
         for name, t in p.named_tensors():
             assert t.data.base is p.store and np.shares_memory(t.data, views[name]), name
             assert t.grad is None and t.grad_buffer is None, name
+        for cell in (p.enc_fwd, p.enc_bwd, p.sel_gru, p.gen_gru):  # what the GRU ops read
+            assert all(block.base is p.store for block in cell.sides())
+            for name, t in cell.named():
+                assert any(np.shares_memory(t.data, block) for block in cell.sides()), name
+        for block in tensor._lockstep([p.enc_fwd, p.enc_bwd]):  # the directions, stacked
+            assert block.base is p.store and block.strides[0] == block[0].nbytes
     assert np.array_equal(params.store, loaded.store)
 
 
