@@ -8,6 +8,7 @@ for recomputing what the model functions are supposed to wire together.
 
 import math
 import re
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -1036,7 +1037,6 @@ def test_tape_free_generation_on_a_wide_model_copies_no_weight_block():
     """One beam-1 story of a 30-photo album on a model of the `wide`
     benchmark's size (k 256) allocates at its peak less than one encoder
     input block, (257, 384) float64s, which a copy of the weights would."""
-    import tracemalloc
     params = init_model(ModelDims(k=256, d_s=32, d_g=32, d_w=16, vocab_size=145), Rng(0))
     features = Rng(1).uniform(-1.0, 1.0, (30, 256))
     generate(params, features, "hier", 1, 12)
