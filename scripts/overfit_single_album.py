@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from hatstory.data import SynthSpec, synth_generate
-from hatstory.model import ModelDims, generate_story, init_model, variant_log_prob
+from hatstory.model import ModelDims, generate, init_model, variant_log_prob
 from hatstory.tensor import Rng
 from hatstory.training import TrainConfig, train
 
@@ -45,8 +45,8 @@ def main():
         print(f"did not reach target nll within {args.max_epochs} epochs")
         return 1
 
-    generated = generate_story(params, album.features, beam=1,
-                               max_len=cfg.max_sentence_len)
+    generated, _ = generate(params, album.features, cfg.variant, beam=1,
+                            max_len=cfg.max_sentence_len)
     ok = generated.sentences == story.sentences
     print("greedy decode reproduces the training story:", ok)
     for sent in generated.sentences:

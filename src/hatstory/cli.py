@@ -52,14 +52,22 @@ def _write_report(ck, args, task, aggregate, per_item):
 
 
 def _load_for_eval(args):
-    """The checkpoint, the dataset read with its vocabulary, and the
-    checkpoint's stored config as a TrainConfig."""
+    """The checkpoint, the dataset read with its vocabulary and checked for its
+    k, and the checkpoint's stored config as a TrainConfig."""
     ck = load_checkpoint(args.ckpt)
     if ck.fitted_vocab() is None:
         raise ConfigurationError("checkpoint carries no vocabulary; cannot evaluate text")
     cfg = from_json_object(TrainConfig, ck.config or {}, "checkpoint config", ConfigurationError)
     albums, _ = load_dataset(args.data, vocab=ck.vocab)
+    _check_width(albums, ck.params.dims.k, "checkpoint")
     return ck, albums, cfg
+
+
+def _check_width(albums, k, owner):
+    """A ConfigurationError unless every album's features are k wide."""
+    widths = sorted({a.features.shape[1] for a in albums})
+    if widths not in ([], [k]):
+        raise ConfigurationError(f"{owner} k={k} does not match dataset feature width {widths}")
 
 
 def _generate_for_album(ck, album, cfg, beam, oracle):
@@ -99,11 +107,7 @@ def cmd_synth(args):
 def cmd_train(args):
     cfg = load_config(args.config) if args.config else TrainConfig()
     albums, vocab = load_dataset(args.data, min_count=cfg.min_count)
-    widths = {a.features.shape[1] for a in albums}
-    if widths != {cfg.k}:
-        raise ConfigurationError(
-            f"config k={cfg.k} does not match dataset feature width {sorted(widths)}"
-        )
+    _check_width(albums, cfg.k, "config")
     dims = ModelDims(k=cfg.k, d_s=cfg.d_s, d_g=cfg.d_g, d_w=cfg.d_w, vocab_size=vocab.size)
     run_name = args.run_name or f"run-{time.strftime('%Y%m%d-%H%M%S')}-seed{cfg.seed}"
     run_dir = Path(args.out) / run_name

@@ -110,10 +110,6 @@ class Album:
     gt_summaries: list  # 0-2 lists of 5 photo_ids each
     stories: list  # list[Story]
 
-    @property
-    def n(self):
-        return len(self.photo_ids)
-
 
 def validate_story(story, album_id="?"):
     if len(story.sentences) != SENTENCES_PER_STORY:

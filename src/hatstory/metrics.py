@@ -16,8 +16,8 @@ import numpy as np
 from .errors import ConfigurationError, ContractError
 from .model import (
     album_row,
-    enc_attn_dec_generate,
     encode_album,
+    generate,
     group_by_photo_count,
     select_summary,
     variant_log_prob,
@@ -274,8 +274,8 @@ def evaluate_summaries(params, albums, variant="hier", beam=3, max_len=12):
         if not album.gt_summaries:
             continue
         if variant == "enc_attn_dec":
-            _, attn = enc_attn_dec_generate(params, album.features, beam, max_len)
-            pred = [album.photo_ids[i] for i in attention_aggregate_topk(attn, 5)]
+            _, weights = generate(params, album.features, variant, beam, max_len)
+            pred = [album.photo_ids[i] for i in attention_aggregate_topk(np.concatenate(weights))]
         else:
             pred = hard_selection_ids(params, album)
         p, r = summary_precision_recall(pred, album.gt_summaries)

@@ -35,6 +35,7 @@ from .tensor import (
     Tensor,
     attention,
     concat,
+    gate_views,
     gru_sequence,
     gru_step_array,
     log_softmax_array,
@@ -152,8 +153,8 @@ def flat_views(flat, layout):
     layer, named <layer>_<cell>, next to each other, each its nine tensors
     in `GATES` order, view three blocks that fill their range: [W_z | W_r |
     W_h] over [b_z | b_r | b_h] (D, d_in + 1, 3 d_h), so [x, 1] W = x W + b,
-    [U_z | U_r] (D, d_h, 2 d_h) and U_h (D, d_h, d_h). A GRU's name keys its
-    (blocks, index in the layer)."""
+    [U_z | U_r] (D, d_h, 2 d_h) and U_h (D, d_h, d_h), cut by `gate_views`.
+    A GRU's name keys its (blocks, index in the layer)."""
     views, pos = {}, 0
     for i, (name, shape) in enumerate(layout):
         if name in views:  # a gate of a GRU, cut with its layer
@@ -167,13 +168,12 @@ def flat_views(flat, layout):
             lambda entry: entry[0].startswith(layer) and entry[0].endswith(".w_z"), layout[i::9])]
         sizes = [(d_in + 1, 3 * d), (d, 2 * d), (d, d)]
         ends = list(itertools.accumulate((len(cells) * a * b for a, b in sizes), initial=pos))
-        w, u_zr, u_h = blocks = tuple(flat[a:b].reshape((len(cells),) + size)
-                                      for size, a, b in zip(sizes, ends, ends[1:]))
-        cols = (slice(None, d), slice(d, 2 * d), slice(2 * d, None))
+        blocks = tuple(flat[a:b].reshape((len(cells),) + size)
+                       for size, a, b in zip(sizes, ends, ends[1:]))
         for c, cell in enumerate(cells):
             views[cell] = blocks, c
-            views.update(zip((f"{cell}.{gate}" for gate in GATES), [w[c, :-1, s] for s in cols] + [
-                u_zr[c, :, :d], u_zr[c, :, d:], u_h[c]] + [w[c, -1, s] for s in cols]))
+            views.update(zip((f"{cell}.{gate}" for gate in GATES),
+                             gate_views(*(b[c] for b in blocks))))
         pos = ends[-1]
     return views
 

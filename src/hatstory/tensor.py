@@ -9,7 +9,7 @@ slicing) is an explicit op.
 
 Only the composed ops the program calls live here (`add` to `sum_all`); each
 states its value and the gradient each input gets from the output's, and
-`_op` records it (`row` records itself, to add its gradient in place).
+`_op` records it.
 Per-op Python dispatch, not arithmetic, sets the speed of these small
 models, so the hottest compositions are fused ops, one tape record each,
 with hand-written backwards that give many inputs their gradients in one
@@ -25,8 +25,8 @@ kernel, `gru_run`, which steps its cells in lockstep on a leading axis,
 bitwise one run per cell. Every GRU step is `gru_step_array`: gates
 0.5 tanh(0.5 a) + 0.5, biases folded into the input products, each kind of
 weight side by side in one product, and h + z (cand - h). The ops read those
-weights as views of the blocks the store holds (`layers.gru_views`), so no
-op copies a weight.
+weights as views of the blocks the store holds (`GruParams.sides`), cut into
+gates by `gate_views`, so no op copies a weight.
 """
 
 from __future__ import annotations
@@ -81,9 +81,6 @@ class Tensor:
             raise ContractError(f"item() needs a scalar, got shape {self.data.shape}")
         return self.data.item()
 
-    def sum(self):
-        return sum_all(self)
-
     def __add__(self, other):
         return add(self, other)
 
@@ -93,9 +90,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
 
     def __sub__(self, other):
         return sub(self, other)
@@ -412,8 +406,7 @@ def sum_all(a):
 def row(m, i, axis=0):
     """Select index i, or the slice i, along one axis (the first by default)
     of a tensor; the gradient scatters back into that part. From a vector an
-    index gives a scalar. It records itself: its backward adds into m's
-    gradient in place."""
+    index gives a scalar."""
     m = _as_tensor(m)
     if m.data.ndim < 1:
         raise DimensionError("row: needs at least a vector, got a scalar")
@@ -422,14 +415,13 @@ def row(m, i, axis=0):
             raise IndexRangeError(f"row index {i} out of range for shape {m.data.shape}")
         i = int(i)
     at = (slice(None),) * (axis % m.data.ndim) + (i,)
-    out = _out(m.data[at].copy(), m)
-    if out.requires_grad:
-        def back():
-            if m.grad is None:
-                _accum(m, np.zeros_like(m.data))
-            m.grad[at] += out.grad
-        _rec(out, back)
-    return out
+
+    def grad(g):
+        full = np.zeros_like(m.data)
+        full[at] = g
+        return full
+
+    return _op("row", m.data[at].copy(), (m,), (grad,))
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +454,22 @@ def _gru_back_step(g, t, factors, u_zr_t, u_h_t, gates):
     return carry
 
 
+def gate_views(w, u_zr, u_h):
+    """A GRU's nine gates, in `layers.GATES` order, as views of its blocks
+    [W_z | W_r | W_h] over [b_z | b_r | b_h], [U_z | U_r] and U_h."""
+    d = u_h.shape[-1]
+    return [w[:-1, :d], w[:-1, d:2 * d], w[:-1, 2 * d:], u_zr[:, :d], u_zr[:, d:], u_h,
+            w[-1, :d], w[-1, d:2 * d], w[-1, 2 * d:]]
+
+
 def _gru_weight_grads(weights, x, hp, r, gates):
     """The GRU weights' gradients over all steps and rows from the inputs x
     (with their 1s), start states hp and [z | r | cand] gate gradients: one
-    product each for [W_z | W_r | W_h] over the biases, [U_z | U_r] and U_h."""
+    product for each of the three blocks, cut by `gate_views`."""
     gates = _flat(gates)
     d = gates.shape[-1] // 3
-    g_w, g_u = _flat(x).T @ gates, _flat(hp).T @ gates[:, :2 * d]
-    grads = (g_w[:-1, :d], g_w[:-1, d:2 * d], g_w[:-1, 2 * d:], g_u[:, :d], g_u[:, d:],
-             _flat(r * hp).T @ gates[:, 2 * d:], g_w[-1, :d], g_w[-1, d:2 * d], g_w[-1, 2 * d:])
+    grads = gate_views(_flat(x).T @ gates, _flat(hp).T @ gates[:, :2 * d],
+                       _flat(r * hp).T @ gates[:, 2 * d:])
     for t, grad in zip(weights, grads):
         if t.requires_grad:
             _accum(t, grad)

@@ -191,6 +191,18 @@ def test_train_rejects_feature_width_mismatch(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_on_a_dataset_with_no_albums_is_one_error_line_and_leaves_no_run_directory(
+        tmp_path, capsys):
+    data = tmp_path / "empty.jsonl"
+    data.write_text('{"format": "hatstory-v1", "k": 6}\n', encoding="utf-8")
+    cfg = write_config(tmp_path)
+    code = main(["train", "--data", str(data), "--config", str(cfg),
+                 "--out", str(tmp_path / "runs"), "--run-name", "empty"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: train: dataset has no stories\n"
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("changes", [{"learning_rate": 1e300, "epochs": 2},
                                      {"margin": 1e308, "rank_weight": 1e308}])
 def test_a_failed_training_is_one_error_line_and_leaves_no_run_directory(tmp_path, capsys,
@@ -574,6 +586,18 @@ def test_eval_with_missing_checkpoint_fails_cleanly(pipeline, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
     assert err.count("\n") == 1  # one line, no traceback
+
+
+def test_eval_commands_name_a_feature_width_mismatch(pipeline, tmp_path, capsys):
+    _, _, ckpt = pipeline
+    data = synth(tmp_path, k=16)
+    for command in ("generate", "eval-gen", "eval-summ", "eval-retrieval"):
+        out = tmp_path / command
+        code = main([command, "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: checkpoint k=6 does not match dataset feature width [16]\n", command
+        assert not out.exists()
 
 
 def test_missing_input_files_are_one_line_errors(tmp_path, capsys):

@@ -123,7 +123,7 @@ def test_load_dataset_happy_path(tmp_path):
     assert len(albums) == 1
     album = albums[0]
     assert album.album_id == "a1"
-    assert album.n == 5
+    assert album.photo_ids == [f"a1-p{i}" for i in range(5)]
     assert album.features.shape == (5, 4)
     assert album.features.dtype == np.float64
     assert len(album.stories) == 1
