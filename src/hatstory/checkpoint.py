@@ -2,10 +2,10 @@
 
 Layout: the 9-byte magic "HATSTORY1", a little-endian u64 byte length, a
 UTF-8 JSON header (model dimensions, vocabulary, the resolved training
-config, and an ordered name/shape manifest), then every tensor's float64
+config, and an ordered name/shape manifest), then every entry's float64
 payload little-endian in manifest order, row-major: the store's weights,
-reordered where the store keeps a GRU's gates side by side. Saving, loading
-and saving again is byte-identical; a save replaces its file whole or not at all.
+each GRU's nine gates cut from its blocks (`ModelParams.manifest`). Saving,
+loading and saving again is byte-identical; a save replaces its file whole or not at all.
 """
 
 from __future__ import annotations
@@ -38,18 +38,17 @@ def _header_dict(params, vocab, config):
         "vocab": None
         if vocab is None
         else {"tokens": list(vocab.id_to_token), "min_count": vocab.min_count},
-        "manifest": [[name, list(t.shape)] for name, t in params.named_tensors()],
+        "manifest": [[name, list(view.shape)] for name, view in params.manifest()],
     }
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _non_finite(params):
-    """The name of the first tensor that holds a non-finite value, or None; the
-    tensors are scanned only when the store's sum is not finite."""
+    """The name of the first manifest entry that holds a non-finite value, or
+    None; the entries are scanned only when the store's sum is not finite."""
     if np.isfinite(params.store.sum()):
         return None
-    return next((name for name, t in params.named_tensors() if not np.isfinite(t.data).all()),
-                None)
+    return next((name for name, view in params.manifest() if not np.isfinite(view).all()), None)
 
 
 def save_checkpoint(params, vocab, config, path):
@@ -62,7 +61,7 @@ def save_checkpoint(params, vocab, config, path):
         _header_dict(params, vocab, config), sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
     head = [MAGIC, struct.pack("<Q", len(header)), header]
-    tensors = (np.ascontiguousarray(t.data, dtype="<f8") for _, t in params.named_tensors())
+    tensors = (np.ascontiguousarray(view, dtype="<f8") for _, view in params.manifest())
     write_atomically(path, itertools.chain(head, tensors), "wb")
 
 
@@ -155,10 +154,10 @@ def _load(f, size):
         raise CorruptionError(
             f"checkpoint: payload holds {size - offset} bytes, manifest expects {expected}"
         )
-    params = build_model(dims, lambda name, view: None, FormatError, carry_state)
-    # into each tensor's view, a GRU gate's a row at a time, as each row is contiguous
-    got = sum(f.readinto(part.view(np.uint8)) for _, t in params.named_tensors()
-              for part in ([t.data] if t.data.flags.c_contiguous else t.data))
+    params = build_model(dims, FormatError, carry_state)
+    # into each entry's view, a GRU gate's a row at a time, as each row is contiguous
+    got = sum(f.readinto(part.view(np.uint8)) for _, view in params.manifest()
+              for part in ([view] if view.flags.c_contiguous else view))
     if got != expected:  # the file shrank since it was opened
         raise CorruptionError(f"checkpoint: payload holds {got} bytes, manifest expects {expected}")
     if sys.byteorder == "big":  # the payload is little-endian

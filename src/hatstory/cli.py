@@ -112,12 +112,12 @@ def cmd_train(args):
     run_name = args.run_name or f"run-{time.strftime('%Y%m%d-%H%M%S')}-seed{cfg.seed}"
     run_dir = Path(args.out) / run_name
     resolved = cfg.to_dict()
-    print(f"run directory: {run_dir}")
     print(f"resolved config: {json.dumps(resolved, sort_keys=True)}")
     params = init_model(dims, Rng(cfg.seed), carry_state=cfg.carry_state,
                         enc_init_gain=cfg.enc_init_gain)
     curve = train(params, albums, cfg, log=print)  # a failed run makes no run directory
     run_dir.mkdir(parents=True, exist_ok=True)
+    print(f"run directory: {run_dir}")
     write_atomically(run_dir / "resolved_config.json",
                      [json.dumps(resolved, sort_keys=True, indent=2), "\n"])
     write_loss_curve(curve, run_dir / "loss_curve.csv")

@@ -245,17 +245,19 @@ def load_dataset(path, min_count=1, vocab=None):
         except json.JSONDecodeError:
             raise DataError(f"line {lineno}: invalid JSON") from None
         parsed.append(_parse_album(obj, k, lineno))
+    return _albums(parsed, vocab, min_count)
+
+
+def _albums(records, vocab=None, min_count=1):
+    """(albums, vocabulary) from (album_id, photo_ids, features, ground truth,
+    story texts) records, the vocabulary built from every sentence unless given."""
     if vocab is None:
-        all_sentences = [t for _, _, _, _, texts in parsed for story in texts for t in story]
-        vocab = Vocabulary.build(all_sentences, min_count=min_count)
-    albums = []
-    for album_id, photo_ids, feats, gt, texts in parsed:
-        stories = [
-            Story(sentences=[vocab.encode(t) for t in story], texts=list(story))
-            for story in texts
-        ]
-        albums.append(Album(album_id, photo_ids, feats, gt, stories))
-    return albums, vocab
+        vocab = Vocabulary.build([t for *_, texts in records for story in texts for t in story],
+                                 min_count=min_count)
+    return [Album(album_id, photo_ids, feats, gt,
+                  [Story(sentences=[vocab.encode(t) for t in story], texts=list(story))
+                   for story in texts])
+            for album_id, photo_ids, feats, gt, texts in records], vocab
 
 
 def save_dataset(albums, k, path):
@@ -376,12 +378,5 @@ def synth_generate(spec):
             for c in classes
         ]
         gt = [[photo_ids[p] for p in positions]]
-        raw.append((album_id, photo_ids, feats, gt, sentences))
-    vocab = Vocabulary.build([s for _, _, _, _, sents in raw for s in sents])
-    albums = []
-    for album_id, photo_ids, feats, gt, sentences in raw:
-        story = Story(
-            sentences=[vocab.encode(s) for s in sentences], texts=list(sentences)
-        )
-        albums.append(Album(album_id, photo_ids, feats, gt, [story]))
-    return albums, vocab
+        raw.append((album_id, photo_ids, feats, gt, [sentences]))
+    return _albums(raw)

@@ -30,12 +30,11 @@ import numpy as np
 
 from .data import BOS_ID, EOS_ID, Story
 from .errors import ConfigurationError, ContractError, DimensionError, check_int
-from .layers import GATES, GruParams, MlpParams
+from .layers import GATES, GruParams, MlpParams, gate_shapes
 from .tensor import (
     Tensor,
     attention,
     concat,
-    gate_views,
     gru_sequence,
     gru_step_array,
     log_softmax_array,
@@ -91,8 +90,9 @@ class ModelDims:
 
 @dataclass
 class ModelParams:
-    """Every trainable tensor of the full model plus the baseline heads, each
-    a view of one flat float64 `store` as `flat_views` lays them out."""
+    """Every trainable tensor of the full model plus the baseline heads, side
+    by side in one flat float64 `store` in `named_tensors` order. The album
+    encoder's two directions are the two cells of one GRU layer, `enc`."""
 
     dims: ModelDims
     enc_fwd: GruParams
@@ -110,28 +110,43 @@ class ModelParams:
     store: np.ndarray = field(default=None, repr=False)
 
     def named_tensors(self):
-        groups = [("enc_fwd", self.enc_fwd), ("enc_bwd", self.enc_bwd), ("sel_gru", self.sel_gru),
-                  ("gen_gru", self.gen_gru), ("sel_mlp", self.sel_mlp)]
-        return ([(f"{prefix}.{n}", t) for prefix, grp in groups for n, t in grp.named()]
+        """Every Tensor in the store's order: the GRU layers' blocks first."""
+        layers = [("enc", self.enc_fwd), ("sel_gru", self.sel_gru), ("gen_gru", self.gen_gru)]
+        return ([(f"{prefix}.{n}", t) for prefix, cell in layers for n, t in cell.named()]
+                + self._others())
+
+    def _others(self):
+        return ([(f"sel_mlp.{n}", t) for n, t in self.sel_mlp.named()]
                 + [("embedding.table", self.embedding), ("proj.w", self.proj_w),
                    ("proj.b", self.proj_b), ("encdec.w", self.encdec_w), ("encdec.b", self.encdec_b)]
                 + [(f"attn_mlp.{n}", t) for n, t in self.attn_mlp.named()])
 
+    def _grus(self):
+        return [("enc_fwd", self.enc_fwd), ("enc_bwd", self.enc_bwd), ("sel_gru", self.sel_gru),
+                ("gen_gru", self.gen_gru)]
+
+    def manifest(self):
+        """(name, view) of every weight in the checkpoint's order: each GRU's
+        nine gates (`GruParams.gates`), then the other tensors."""
+        return ([(f"{name}.{gate}", view) for name, cell in self._grus()
+                 for gate, view in cell.gates().items()]
+                + [(name, t.data) for name, t in self._others()])
+
     @staticmethod
     def layout(dims):
-        """Every tensor's name and shape in `named_tensors` order, from the dims
+        """Every weight's name and shape in `manifest` order, from the dims
         alone: the model is built of shape-only stand-ins, so nothing is allocated."""
-        model = _assemble(dims, lambda _, shape: SimpleNamespace(shape=shape, ndim=len(shape)))
-        return [(name, t.shape) for name, t in model.named_tensors()]
+        model = _assemble(dims, _stand_in)
+        return ([(f"{name}.{gate}", shape) for name, cell in model._grus() for gate, shape
+                 in zip(GATES, gate_shapes(cell.w.shape[1] - 1, cell.u_h.shape[2]))]
+                + [(name, t.shape) for name, t in model._others()])
 
     def trainable(self, variant):
         """Named tensors that participate in one model variant's loss."""
         names = {
-            "hier": ("enc_fwd", "enc_bwd", "sel_gru", "sel_mlp", "gen_gru",
-                     "embedding", "proj"),
-            "enc_dec": ("enc_fwd", "enc_bwd", "gen_gru", "embedding", "proj", "encdec"),
-            "enc_attn_dec": ("enc_fwd", "enc_bwd", "attn_mlp", "gen_gru",
-                             "embedding", "proj"),
+            "hier": ("enc", "sel_gru", "sel_mlp", "gen_gru", "embedding", "proj"),
+            "enc_dec": ("enc", "gen_gru", "embedding", "proj", "encdec"),
+            "enc_attn_dec": ("enc", "attn_mlp", "gen_gru", "embedding", "proj"),
         }.get(variant)
         if names is None:
             raise ConfigurationError(f"unknown model variant {variant!r}")
@@ -149,33 +164,9 @@ class ModelParams:
 
 def flat_views(flat, layout):
     """{name: view} of the 1-D array `flat`, one view per (name, shape) of
-    `layout`, side by side in its order, but for the GRUs': the D GRUs of a
-    layer, named <layer>_<cell>, next to each other, each its nine tensors
-    in `GATES` order, view three blocks that fill their range: [W_z | W_r |
-    W_h] over [b_z | b_r | b_h] (D, d_in + 1, 3 d_h), so [x, 1] W = x W + b,
-    [U_z | U_r] (D, d_h, 2 d_h) and U_h (D, d_h, d_h), cut by `gate_views`.
-    A GRU's name keys its (blocks, index in the layer)."""
-    views, pos = {}, 0
-    for i, (name, shape) in enumerate(layout):
-        if name in views:  # a gate of a GRU, cut with its layer
-            continue
-        if not name.endswith(".w_z"):
-            views[name] = flat[pos:pos + math.prod(shape)].reshape(shape)
-            pos += views[name].size
-            continue
-        layer, (d_in, d) = name.split("_")[0] + "_", shape
-        cells = [n.split(".")[0] for n, _ in itertools.takewhile(
-            lambda entry: entry[0].startswith(layer) and entry[0].endswith(".w_z"), layout[i::9])]
-        sizes = [(d_in + 1, 3 * d), (d, 2 * d), (d, d)]
-        ends = list(itertools.accumulate((len(cells) * a * b for a, b in sizes), initial=pos))
-        blocks = tuple(flat[a:b].reshape((len(cells),) + size)
-                       for size, a, b in zip(sizes, ends, ends[1:]))
-        for c, cell in enumerate(cells):
-            views[cell] = blocks, c
-            views.update(zip((f"{cell}.{gate}" for gate in GATES),
-                             gate_views(*(b[c] for b in blocks))))
-        pos = ends[-1]
-    return views
+    `layout`, side by side in its order."""
+    ends = list(itertools.accumulate((math.prod(shape) for _, shape in layout), initial=0))
+    return {name: flat[a:b].reshape(shape) for (name, shape), a, b in zip(layout, ends, ends[1:])}
 
 
 def physical_memory():
@@ -183,12 +174,15 @@ def physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def build_model(dims, fill, error, carry_state=True):
-    """The model over a new zeroed store, cut by `flat_views`; `fill(name,
-    view)` writes a tensor's first values, in the order `init_model` draws.
-    `error` when its W weights, their gradients and Adam's moments (4 W
-    float64s) would exceed physical memory, raised before allocating."""
-    layout = ModelParams.layout(dims)
+def _stand_in(_, shape):
+    return SimpleNamespace(shape=shape, ndim=len(shape))
+
+
+def build_model(dims, error, carry_state=True):
+    """The model over a new zeroed store, cut by `flat_views`. `error` when
+    its W weights, their gradients and Adam's moments (4 W float64s) would
+    exceed physical memory, raised before allocating."""
+    layout = [(name, t.shape) for name, t in _assemble(dims, _stand_in).named_tensors()]
     count = sum(math.prod(shape) for _, shape in layout)
     if 32 * count > physical_memory():
         raise error(f"model {dims} has {count:,} weights, more than can be allocated "
@@ -196,35 +190,31 @@ def build_model(dims, fill, error, carry_state=True):
                     f"{physical_memory():,} bytes of physical memory)")
     store = np.zeros(count)
     views = flat_views(store, layout)
-
-    def make(name, _):
-        fill(name, views[name])
-        return Tensor(views[name], requires_grad=True)
-
-    return _assemble(dims, make, carry_state, store, views)
+    return _assemble(dims, lambda n, _: Tensor(views[n], requires_grad=True), carry_state, store)
 
 
-def _assemble(dims, make, carry_state=True, store=None, views=None):
-    """The model whose tensors `make(name, shape)` gives, in `build_model`'s
-    order; its GRUs' blocks are those of `flat_views`' `views`, when given."""
+def _assemble(dims, make, carry_state=True, store=None):
+    """The model whose tensors `make(name, shape)` gives; the D cells of a
+    GRU layer share its three blocks."""
     k = dims.k
 
-    def gru(name, d_in, d_h):
-        shapes = {"w": (d_in, d_h), "u": (d_h, d_h), "b": (d_h,)}
-        return GruParams(*(make(f"{name}.{m}_{x}", shapes[m]) for m in "wub" for x in "zrh"),
-                         *(views or {}).get(name, (None,)))
+    def gru(name, d_in, d_h, cells=1):
+        blocks = [make(f"{name}.{b}", (cells,) + shape) for b, shape in
+                  (("w", (d_in + 1, 3 * d_h)), ("u_zr", (d_h, 2 * d_h)), ("u_h", (d_h, d_h)))]
+        return [GruParams(*blocks, cell) for cell in range(cells)]
 
     def head(name, d):  # sizes [d, d, 1]
         return MlpParams([(make(f"{name}.0.w", (d, d)), make(f"{name}.0.b", (d,))),
                           (make(f"{name}.1.w", (d, 1)), make(f"{name}.1.b", (1,)))])
 
+    enc_fwd, enc_bwd = gru("enc", k, k // 2, 2)
     return ModelParams(
         dims=dims,
-        enc_fwd=gru("enc_fwd", k, k // 2),
-        enc_bwd=gru("enc_bwd", k, k // 2),
-        sel_gru=gru("sel_gru", k, dims.d_s),
+        enc_fwd=enc_fwd,
+        enc_bwd=enc_bwd,
+        sel_gru=gru("sel_gru", k, dims.d_s)[0],
         sel_mlp=head("sel_mlp", dims.d_s + k),
-        gen_gru=gru("gen_gru", dims.d_w + k, dims.d_g),
+        gen_gru=gru("gen_gru", dims.d_w + k, dims.d_g)[0],
         embedding=make("embedding.table", (dims.vocab_size, dims.d_w)),
         proj_w=make("proj.w", (dims.d_g, dims.vocab_size)),
         proj_b=make("proj.b", (dims.vocab_size,)),
@@ -238,7 +228,8 @@ def _assemble(dims, make, carry_state=True, store=None, views=None):
 
 def init_model(dims, rng, carry_state=True, enc_init_gain=1.0):
     """Build a model with xavier weights and zero biases; the draw order is
-    fixed so one seed always produces the same model.
+    fixed so one seed always produces the same model: each of `manifest`'s
+    weights in turn, but the selector's MLP before the decoder's GRU.
 
     `enc_init_gain` scales the album-encoder GRU weights after the xavier
     draw. Values below 1 start the encoder near-transparent (photo
@@ -250,15 +241,14 @@ def init_model(dims, rng, carry_state=True, enc_init_gain=1.0):
     """
     if enc_init_gain <= 0:
         raise ConfigurationError("init_model: enc_init_gain must be positive")
-
-    def fill(name, view):  # biases stay zero
-        if name.split(".")[-1].startswith("b"):
-            return
+    params = build_model(dims, ConfigurationError, carry_state)
+    for name, view in sorted(params.manifest(), key=lambda e: e[0][:4] not in ("enc_", "sel_")):
+        if name.split(".")[-1].startswith("b"):  # biases stay zero
+            continue
         view[...] = seeded_init(rng, view.shape).data
         if name.split(".")[0] in ("enc_fwd", "enc_bwd"):
             view *= enc_init_gain
-
-    return build_model(dims, fill, ConfigurationError, carry_state)
+    return params
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ keep; gradients agree to rounding. The encoder and the sentence run one GRU
 kernel, `gru_run`, which steps its cells in lockstep on a leading axis,
 bitwise one run per cell. Every GRU step is `gru_step_array`: gates
 0.5 tanh(0.5 a) + 0.5, biases folded into the input products, each kind of
-weight side by side in one product, and h + z (cand - h). The ops read those
-weights as views of the blocks the store holds (`GruParams.sides`), cut into
-gates by `gate_views`, so no op copies a weight.
+weight side by side in one product, and h + z (cand - h). Those weights are
+a GRU layer's three block Tensors, which its cells share on a leading axis;
+the ops read a cell's blocks as they are (`GruParams.sides`), so no op
+copies a weight, and give each block one gradient product per cell.
 """
 
 from __future__ import annotations
@@ -259,11 +260,12 @@ def _lockstep(cells):
     """The blocks, each (D, ...), of the D GRU cells that `gru_run` steps as
     one: one cell D times, or cells of a layer that lie side by side in order."""
     first = cells[0]
-    if all(c.blocks is first.blocks and c.cell == first.cell + i for i, c in enumerate(cells)):
-        return [b[first.cell:first.cell + len(cells)] for b in first.blocks]
+    blocks = first.w.data, first.u_zr.data, first.u_h.data
+    if all(c.w is first.w and c.cell == first.cell + i for i, c in enumerate(cells)):
+        return [b[first.cell:first.cell + len(cells)] for b in blocks]
     if any(cell is not first for cell in cells):
         raise ContractError("gru_run: cells must be one cell, or one layer's side by side in order")
-    return [np.broadcast_to(b[first.cell], (len(cells),) + b.shape[1:]) for b in first.blocks]
+    return [np.broadcast_to(b[first.cell], (len(cells),) + b.shape[1:]) for b in blocks]
 
 
 def gru_run(xs, h0, cells):
@@ -454,34 +456,35 @@ def _gru_back_step(g, t, factors, u_zr_t, u_h_t, gates):
     return carry
 
 
-def gate_views(w, u_zr, u_h):
-    """A GRU's nine gates, in `layers.GATES` order, as views of its blocks
-    [W_z | W_r | W_h] over [b_z | b_r | b_h], [U_z | U_r] and U_h."""
-    d = u_h.shape[-1]
-    return [w[:-1, :d], w[:-1, d:2 * d], w[:-1, 2 * d:], u_zr[:, :d], u_zr[:, d:], u_h,
-            w[-1, :d], w[-1, d:2 * d], w[-1, 2 * d:]]
-
-
-def _gru_weight_grads(weights, x, hp, r, gates):
-    """The GRU weights' gradients over all steps and rows from the inputs x
-    (with their 1s), start states hp and [z | r | cand] gate gradients: one
-    product for each of the three blocks, cut by `gate_views`."""
-    gates = _flat(gates)
-    d = gates.shape[-1] // 3
-    grads = gate_views(_flat(x).T @ gates, _flat(hp).T @ gates[:, :2 * d],
-                       _flat(r * hp).T @ gates[:, 2 * d:])
-    for t, grad in zip(weights, grads):
-        if t.requires_grad:
-            _accum(t, grad)
+def _gru_weight_grads(cells, runs):
+    """Add the GRU weights' gradients into the block Tensors of `cells`, one
+    product per block and cell from its run in `runs`: inputs x (with their
+    1s), start states hp and [z | r | cand] gate gradients. Cells that are
+    their whole layer in order, as on every program path, give the stacked
+    products; others, such as one cell twice, add into their cells' slices."""
+    parts = []
+    for x, hp, r, gates in runs:
+        gates, d = _flat(gates), gates.shape[-1] // 3
+        parts.append((_flat(x).T @ gates, _flat(hp).T @ gates[:, :2 * d],
+                      _flat(r * hp).T @ gates[:, 2 * d:]))
+    whole = [cell.cell for cell in cells] == list(range(len(cells[0].w.data)))
+    for i, (_, t) in enumerate(cells[0].named()):
+        if t.requires_grad and whole:
+            _accum(t, parts[0][i][None] if len(parts) == 1 else np.stack([p[i] for p in parts]))
+        elif t.requires_grad:
+            if t.grad is None:
+                _accum(t, np.zeros_like(t.data))
+            for cell, part in zip(cells, parts):
+                t.grad[cell.cell] += part[i]
 
 
 def _gru_run_back(h0, run, cells, g_states, need_x):
     """Backpropagation through time of a `gru_run` from the array h0 (D, ...,
-    d_h), `cells` holding the D cells' gate tensors, whose states get
-    g_states (T, D, ..., d_h), in step order, from outside. All cells step
-    back together; each weight's gradient is one product per cell, the last
-    cell's first, as if each were its own op. Returns the gradient of h0 and
-    one of the inputs per cell, in input order, each None unless `need_x`."""
+    d_h) over the D GruParams `cells`, whose states get g_states (T, D, ...,
+    d_h), in step order, from outside. All cells step back together; the
+    weights' gradients are one product per block and cell
+    (`_gru_weight_grads`). Returns the gradient of h0 and one of the inputs
+    per cell, in input order, each None unless `need_x`."""
     hs, z, r, cand, (x, w_in, u_zr, u_h) = run
     hp = np.concatenate([h0[None], hs[:-1]])  # the state each step starts from
     factors = _gru_factors(hp, z, r, cand)
@@ -493,13 +496,12 @@ def _gru_run_back(h0, run, cells, g_states, need_x):
     for t in range(len(hs) - 1, -1, -1):
         g = g_states[t] if carry is None else carry + g_states[t]
         carry = _gru_back_step(g, t, factors, u_zr_t, u_h_t, gates)
+    _gru_weight_grads(cells, [(x[::-1] if d else x, hp[:, d], r[:, d], by_cell[d])
+                              for d in range(len(cells))])
     g_x = [None] * len(cells)
-    for d in reversed(range(len(cells))):
-        x_d, gates_d = x[::-1] if d else x, by_cell[d]
-        _gru_weight_grads(cells[d], x_d, hp[:, d], r[:, d], gates_d)
-        if need_x:
-            g = gates_d @ w_in[d][:-1].T
-            g_x[d] = g[::-1] if d else g
+    for d in range(len(cells) if need_x else 0):
+        g = by_cell[d] @ w_in[d][:-1].T
+        g_x[d] = g[::-1] if d else g
     return carry, g_x
 
 
@@ -511,23 +513,22 @@ def gru_sequence(xs, h0, fwd, bwd):
     h0 (R, d_h). Values and gradients are bitwise those of a one-direction
     run per cell, the second over the reversed inputs, recorded as two ops."""
     xs, h0 = _as_tensor(xs), _as_tensor(h0)
-    cells = [[t for _, t in cell.named()] for cell in (fwd, bwd)]
-    d_in, d_h = fwd.w_z.data.shape
-    if (bwd.w_z.data.shape != (d_in, d_h) or xs.data.ndim != 3 or xs.data.shape[1] < 1
+    w, _, u_h = fwd.sides()
+    d_in, d_h = len(w) - 1, len(u_h)
+    if (bwd.sides()[0].shape != w.shape or xs.data.ndim != 3 or xs.data.shape[1] < 1
             or xs.data.shape[2] != d_in or h0.data.shape != (xs.data.shape[0], d_h)):
         raise DimensionError(f"gru_sequence: inputs {xs.data.shape} and state {h0.data.shape} "
-                             f"do not fit weights {fwd.w_z.data.shape} and "
-                             f"{bwd.w_z.data.shape} as rows")
+                             f"do not fit weights {w.shape} and {bwd.sides()[0].shape} as rows")
     x = xs.data.transpose(1, 0, 2)  # (T, R, d_in)
     start = np.broadcast_to(h0.data, (2,) + h0.data.shape)
     run = gru_run(x, start, [fwd, bwd])
     states = [run[0][:, 0], run[0][::-1, 1]]  # both in input order
     out = _out(np.concatenate([s.transpose(1, 0, 2) for s in states], axis=-1),
-               xs, h0, *cells[0], *cells[1])
+               xs, h0, *(t for cell in (fwd, bwd) for _, t in cell.named()))
     if out.requires_grad:
         def back():
             g = out.grad.transpose(1, 0, 2)
-            g_h0, g_x = _gru_run_back(start, run, cells,
+            g_h0, g_x = _gru_run_back(start, run, [fwd, bwd],
                                       np.stack([g[..., :d_h], g[::-1, :, d_h:]], axis=1),
                                       xs.requires_grad)
             for d in (1, 0):  # in the order two ops' backwards would add them
@@ -558,7 +559,7 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
     the total's backward runs: a caller that uses the state uses the total."""
     h0, g = _as_tensor(h0), _as_tensor(g)
     vocab, d_w = table.data.shape
-    d_in, d_h = cell.w_z.data.shape
+    d_in, d_h = cell.w.shape[1] - 1, cell.u_h.shape[-1]
     shared = h0.data.ndim == 3 and g.data.ndim == 2  # one g read by both halves
     if (h0.data.ndim not in (2, 3) or h0.data.shape[-1] != d_h
             or g.data.shape != h0.data.shape[shared:-1] + (d_in - d_w,)):
@@ -619,7 +620,7 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
             g_states = g_logits @ proj_w.data.T
             if h.grad is not None:
                 g_states[(lengths - 1,) + at[1:-1] if padded else -1] += h.grad
-            (g_h0,), (g_x,) = _gru_run_back(h0.data[None], run, [weights], g_states[:, None],
+            (g_h0,), (g_x,) = _gru_run_back(h0.data[None], run, [cell], g_states[:, None],
                                             g.requires_grad or table.requires_grad)
             if h0.requires_grad:
                 _accum(h0, g_h0)
@@ -687,7 +688,7 @@ def soft_select(v, cell, mlp, steps, hard=False):
     weights, layers = [t for _, t in cell.named()], mlp.layers
     tensors = (v, *weights, *(t for pair in layers for t in pair))
     vd = v.data
-    k, d_s = cell.w_z.data.shape
+    k, d_s = cell.w.shape[1] - 1, cell.u_h.shape[-1]
     if vd.ndim != 3 or vd.shape[2] != k:
         raise DimensionError(f"soft_select: photos must be (R, n, {k}) rows, got {vd.shape}")
     count, n, _ = vd.shape
@@ -738,7 +739,7 @@ def soft_select(v, cell, mlp, steps, hard=False):
                 d_x = gates[t] @ w_in[:-1].T
             d_v += d_x[:, None] / n  # the first step read the mean photo
             d_v += _head_first_back(layers[0], vd, d_pres.sum(axis=0), news, d_pres.sum(axis=2))
-            _gru_weight_grads(weights, xs[:steps], starts, rs, gates)
+            _gru_weight_grads([cell], [(xs[:steps], starts, rs, gates)])
             if v.requires_grad:
                 _accum(v, d_v)
         _rec(out, back)

@@ -10,7 +10,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from hatstory import data, model, tensor
-from hatstory.layers import GATES, GruParams, MlpParams
+from hatstory.layers import GruParams, MlpParams
 from hatstory.errors import ContractError, DimensionError
 from hatstory.tensor import Rng, concat, matmul, mul, row, seeded_init, sigmoid, tile_rows, zeros
 
@@ -150,17 +150,15 @@ def gate_sigmoid(a):
 
 def gru_step(params, x, h):
     """One GRU update of the state h (d_h,) from the input x (d_in,), the
-    step of `tensor.gru_step_array` in composed ops: the gates' products side
-    by side, [x, 1] [W_z | W_r | W_h; b_z | b_r | b_h] and h [U_z | U_r],
-    each gate its slice."""
-    d = params.u_h.shape[0]
-    w = concat([concat([params.w_z, params.w_r, params.w_h], axis=1),
-                reshape(concat([params.b_z, params.b_r, params.b_h]), (1, 3 * d))])
+    step of `tensor.gru_step_array` in composed ops: the cell's rows of its
+    layer's blocks, the gates' products side by side, [x, 1] [W_z | W_r |
+    W_h; b_z | b_r | b_h] and h [U_z | U_r], each gate its slice."""
+    w, u_zr, u_h = (row(t, params.cell) for _, t in params.named())
+    d = u_h.shape[0]
     xw = vecmat(concat([x, tensor.Tensor(np.ones(1))]), w)
-    zr = gate_sigmoid(row(xw, slice(None, 2 * d)) + vecmat(h, concat([params.u_z, params.u_r],
-                                                                     axis=1)))
+    zr = gate_sigmoid(row(xw, slice(None, 2 * d)) + vecmat(h, u_zr))
     z, r = row(zr, slice(None, d)), row(zr, slice(d, None))
-    cand = tanh(row(xw, slice(2 * d, None)) + vecmat(mul(r, h), params.u_h))
+    cand = tanh(row(xw, slice(2 * d, None)) + vecmat(mul(r, h), u_h))
     return h + z * (cand - h)
 
 
@@ -175,21 +173,18 @@ def mlp(params, x):
 
 
 def gru_layer(d_in, d_h, cells=1):
-    """`cells` zeroed GRUs of one layer, laid out over one flat array as the
-    model lays out the encoder's two directions (`model.flat_views`)."""
-    shapes = 3 * [(d_in, d_h)] + 3 * [(d_h, d_h)] + 3 * [(d_h,)]
-    layout = [(f"layer_{c}.{gate}", shape) for c in range(cells)
-              for gate, shape in zip(GATES, shapes)]
-    views = model.flat_views(np.zeros(sum(math.prod(shape) for _, shape in layout)), layout)
-    return [GruParams(*(tensor.Tensor(views[f"layer_{c}.{gate}"], requires_grad=True)
-                        for gate in GATES), *views[f"layer_{c}"]) for c in range(cells)]
+    """`cells` zeroed GRUs of one layer, which share its three blocks as the
+    encoder's two directions do."""
+    blocks = [tensor.Tensor(np.zeros((cells,) + shape), requires_grad=True)
+              for shape in ((d_in + 1, 3 * d_h), (d_h, 2 * d_h), (d_h, d_h))]
+    return [GruParams(*blocks, cell) for cell in range(cells)]
 
 
 def xavier(rng, cell):
     """The cell with Xavier weights, drawn w_z, w_r, w_h, u_z, u_r, u_h, in
     place, and its biases as they were."""
-    for _, t in cell.named()[:6]:
-        t.data[...] = seeded_init(rng, t.shape).data
+    for view in list(cell.gates().values())[:6]:
+        view[...] = seeded_init(rng, view.shape).data
     return cell
 
 
@@ -306,13 +301,12 @@ def reference_gru_run(xs, h0, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, rever
 def gru_direction(xs, h0, cell):
     """One GRU direction over (R, T, d_in) rows from h0 (R, d_h) as one taped
     op, `tensor.gru_run` and its backward over the one cell."""
-    weights = [t for _, t in cell.named()]
     x, start = xs.data.transpose(1, 0, 2), h0.data[None]
     run = tensor.gru_run(x, start, [cell])
-    out = tensor._out(run[0][:, 0].transpose(1, 0, 2), xs, h0, *weights)
+    out = tensor._out(run[0][:, 0].transpose(1, 0, 2), xs, h0, *(t for _, t in cell.named()))
     if out.requires_grad:
         def back():
-            (g_h0,), (g_x,) = tensor._gru_run_back(start, run, [weights],
+            (g_h0,), (g_x,) = tensor._gru_run_back(start, run, [cell],
                                                    out.grad.transpose(1, 0, 2)[:, None],
                                                    xs.requires_grad)
             if h0.requires_grad:

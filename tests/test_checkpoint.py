@@ -294,8 +294,8 @@ def test_a_nan_in_the_last_tensor_is_named(tmp_path):
                                   dict(k=16, d_s=8, d_g=24, d_w=12, vocab_size=40, t_steps=3)])
 def test_the_layout_from_dims_is_the_built_models(dims):
     dims = ModelDims(**dims)
-    built = init_model(dims, Rng(0)).named_tensors()
-    assert ModelParams.layout(dims) == [(name, t.shape) for name, t in built]
+    built = init_model(dims, Rng(0)).manifest()
+    assert ModelParams.layout(dims) == [(name, view.shape) for name, view in built]
 
 
 @pytest.mark.parametrize("key", ["vocab_size", "d_w"])

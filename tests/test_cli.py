@@ -203,6 +203,20 @@ def test_train_on_a_dataset_with_no_albums_is_one_error_line_and_leaves_no_run_d
     assert not (tmp_path / "runs").exists()
 
 
+def test_train_names_its_run_directory_only_once_it_exists(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text('{"format": "hatstory-v1", "k": 6}\n', encoding="utf-8")
+    args = ["--config", str(write_config(tmp_path)), "--out", str(tmp_path / "runs")]
+    assert main(["train", "--data", str(empty), *args, "--run-name", "empty"]) == 1
+    assert "run directory" not in capsys.readouterr().out
+    data = synth(tmp_path)
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), *args, "--run-name", "r"]) == 0
+    out, run_dir = capsys.readouterr().out.splitlines(), tmp_path / "runs" / "r"
+    assert out[0].startswith("resolved config: {") and out[1].startswith("epoch 0: ")
+    assert out[-2:] == [f"run directory: {run_dir}", f"checkpoint: {run_dir / 'checkpoint.hat'}"]
+
+
 @pytest.mark.parametrize("changes", [{"learning_rate": 1e300, "epochs": 2},
                                      {"margin": 1e308, "rank_weight": 1e308}])
 def test_a_failed_training_is_one_error_line_and_leaves_no_run_directory(tmp_path, capsys,

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hatstory.errors import ContractError, DimensionError
-from hatstory.layers import GruParams, MlpParams
+from hatstory.layers import GruParams, MlpParams, gate_shapes, gate_views
 from hatstory.tensor import (
     Rng,
     Tape,
@@ -45,8 +45,8 @@ def scalar_gru(w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, x, h):
 
 def make_scalar_cell(vals):
     cell = gru_layer(1, 1)[0]
-    for name, t in cell.named():
-        t.data[...] = vals[name]
+    for name, view in cell.gates().items():
+        view[...] = vals[name]
     return cell
 
 
@@ -77,9 +77,10 @@ def test_gru_step_vector_matches_per_coordinate_recomputation(rng):
     got = gru_step(cell, Tensor(x), Tensor(h)).data
 
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    z = sig(x @ cell.w_z.data + h @ cell.u_z.data + cell.b_z.data)
-    r = sig(x @ cell.w_r.data + h @ cell.u_r.data + cell.b_r.data)
-    cand = np.tanh(x @ cell.w_h.data + (r * h) @ cell.u_h.data + cell.b_h.data)
+    w = cell.gates()
+    z = sig(x @ w["w_z"] + h @ w["u_z"] + w["b_z"])
+    r = sig(x @ w["w_r"] + h @ w["u_r"] + w["b_r"])
+    cand = np.tanh(x @ w["w_h"] + (r * h) @ w["u_h"] + w["b_h"])
     want = (1 - z) * h + z * cand
     assert_close(got, want, tol=1e-14)
 
@@ -101,12 +102,16 @@ def test_gru_hidden_stays_inside_unit_interval(seed, steps):
 
 def test_gru_params_shape_validation(rng):
     good = gru_cell(rng, 3, 2)
-    with pytest.raises(DimensionError):
-        GruParams(
-            w_z=good.w_z, w_r=good.w_r, w_h=good.w_h,
-            u_z=Tensor(np.ones((3, 3))), u_r=good.u_r, u_h=good.u_h,
-            b_z=good.b_z, b_r=good.b_r, b_h=good.b_h, blocks=good.blocks,
-        )
+    for bad in (dict(u_zr=Tensor(np.ones((1, 3, 6)))), dict(w=Tensor(np.ones((4, 6)))),
+                dict(cell=1)):
+        with pytest.raises(DimensionError):
+            GruParams(**{"w": good.w, "u_zr": good.u_zr, "u_h": good.u_h, **bad})
+
+
+@pytest.mark.parametrize("d_in, d_h", [(1, 1), (3, 2), (6, 5)])
+def test_gate_shapes_are_the_shapes_gate_views_cuts(d_in, d_h):
+    blocks = [t.data[0] for _, t in gru_layer(d_in, d_h)[0].named()]
+    assert [view.shape for view in gate_views(*blocks)] == gate_shapes(d_in, d_h)
 
 
 def test_mlp_identity_single_layer_reproduces_input():
@@ -191,8 +196,8 @@ def _perturbed_cells(rng, d_in, d_h, count=1):
     perturbed, in turn."""
     cells = gru_layer(d_in, d_h, count)
     for cell in cells:
-        for _, t in xavier(rng, cell).named():
-            t.data += rng.uniform(-0.5, 0.5, t.shape)  # nonzero biases too
+        for view in xavier(rng, cell).gates().values():
+            view += rng.uniform(-0.5, 0.5, view.shape)  # nonzero biases too
     return cells
 
 
@@ -656,7 +661,7 @@ def composed_select(v, cell, head, steps, hard=False):
     photos picked before, and the greedy-distinct picks. Returns (g, P,
     picks) as `soft_select` does."""
     n = v.shape[0]
-    state = zeros(cell.w_z.shape[1])
+    state = zeros(cell.u_h.shape[-1])
     prev = vecmat(Tensor(np.full(n, 1.0 / n)), v)
     rows_p, chosen = [], []
     for _ in range(steps):

@@ -954,9 +954,8 @@ def test_init_model_same_seed_same_weights():
 def test_init_model_encoder_gain_scales_only_encoder():
     base = init_model(tiny_dims(), Rng(5))
     scaled = init_model(tiny_dims(), Rng(5), enc_init_gain=0.5)
-    enc_names = {"enc_fwd", "enc_bwd"}
     for (name, t_base), (_, t_scaled) in zip(base.named_tensors(), scaled.named_tensors()):
-        if name.split(".")[0] in enc_names:
+        if name.split(".")[0] == "enc":
             assert np.array_equal(t_scaled.data, t_base.data * 0.5)
         else:
             assert np.array_equal(t_scaled.data, t_base.data)
@@ -991,27 +990,17 @@ def test_each_variant_trains_one_to_four_runs_of_the_store():
             assert inside == (name in trainable), (variant, name)
 
 
-def test_grad_check_of_a_strided_gru_weight_perturbs_it_in_place():
-    """A GRU gate's weights are a strided view of its block in the store, so
-    reshaping them would copy; the differences must move the view itself,
-    and agree with the tape. Each probe is undone: the store comes back bit
-    for bit."""
-    params = tiny_model(3)
-    features = Rng(4).uniform(-2.0, 2.0, (1, 6, params.dims.k))
-    weight = Tensor(Rng(5).uniform(-1.0, 1.0, features.shape))
-    named = [("enc_fwd.w_z", params.enc_fwd.w_z), ("enc_bwd.u_r", params.enc_bwd.u_r),
-             ("gen_gru.w_h", params.gen_gru.w_h)]
-    fn = lambda *ts: sum_all(mul(encode_album(params, features).v, weight)) + variant_log_prob(
-        params, features[0], Story(sentences=[[3, 2], [4, 5, 2], [2], [5, 2], [3, 3, 2]]))
-    views = [t.data for _, t in named]
-    for view in views:
-        assert not view.flags.c_contiguous and view.base is params.store
-    before = params.store.copy()
-    report = grad_check(fn, [t for _, t in named], tol=1e-6, names=[n for n, _ in named])
-    assert report.passed, report.per_param
-    numeric_gradient(fn, [t for _, t in named])
-    assert all(t.data is view for (_, t), view in zip(named, views))
-    assert np.array_equal(params.store.view(np.uint64), before.view(np.uint64))
+def test_the_manifest_views_hold_every_store_element_once():
+    """The checkpoint's manifest cuts each GRU's nine gates out of its
+    layer's blocks; with the other tensors its views hold each weight of
+    the store exactly once, in `layout`'s names and shapes."""
+    params = tiny_model()
+    params.store[:] = np.arange(params.store.size)
+    entries = params.manifest()
+    assert all(view.base is params.store for _, view in entries)
+    held = np.concatenate([view.ravel() for _, view in entries])
+    assert np.array_equal(np.sort(held), np.arange(params.store.size))
+    assert [(name, view.shape) for name, view in entries] == model.ModelParams.layout(params.dims)
 
 
 def test_a_weight_changed_in_place_shows_in_the_next_generate(tmp_path):
@@ -1022,9 +1011,10 @@ def test_a_weight_changed_in_place_shows_in_the_next_generate(tmp_path):
     features = Rng(6).uniform(-1.0, 1.0, (7, params.dims.k))
     first = generate(params, features, "hier", 2, 6)
     for cell in (params.enc_fwd, params.enc_bwd, params.sel_gru, params.gen_gru):
-        cell.u_r.data *= -1.5
-        cell.w_h.data += 0.25
-        cell.b_z.data -= 0.5
+        gates = cell.gates()
+        gates["u_r"] *= -1.5
+        gates["w_h"] += 0.25
+        gates["b_z"] -= 0.5
     changed = generate(params, features, "hier", 2, 6)
     save_checkpoint(params, None, None, tmp_path / "m.hat")
     fresh = generate(load_checkpoint(tmp_path / "m.hat").params, features, "hier", 2, 6)

@@ -282,14 +282,13 @@ def test_gru_run_matches_the_per_gate_reference_bitwise(lead, steps, both):
     rng = Rng(40 + steps)
     for d_in, d_h, scale in ((5, 3, 1.0), (24, 16, 1.0), (7, 33, 1.0), (4, 2, 300.0)):
         cells = gru_layer(d_in, d_h, 1 + both)
-        for _, t in (pair for cell in cells for pair in cell.named()):
-            t.data[...] = rng.uniform(-scale, scale, t.shape)
+        for view in (view for cell in cells for view in cell.gates().values()):
+            view[...] = rng.uniform(-scale, scale, view.shape)
         xs = rng.uniform(-2.0, 2.0, (steps,) + lead + (d_in,))
         h0 = rng.uniform(-1.0, 1.0, (len(cells),) + lead + (d_h,))
         got = gru_run(xs, h0, cells)
         for d, cell in enumerate(cells):
-            want = reference_gru_run(xs, h0[d], *(t.data for _, t in cell.named()),
-                                     reverse=bool(d))
+            want = reference_gru_run(xs, h0[d], *cell.gates().values(), reverse=bool(d))
             for a, b in zip(got, want):  # states, z, r, cand; the second cell's in step order
                 assert a.shape[:1] + a.shape[2:] == b.shape
                 assert np.array_equal(a[:, d], b[::-1] if d else b)
@@ -412,6 +411,27 @@ def test_numeric_gradient_restores_inputs(rng):
     before = x.data.copy()
     numeric_gradient(lambda t: sum_all(mul(t, t)), [x])
     assert np.array_equal(x.data, before)
+
+
+def test_numeric_gradient_perturbs_a_strided_tensor_in_place():
+    """A Tensor over a strided view, a column block of a larger array: the
+    differences move the view itself, so a function that reads the array
+    sees them, they agree with the tape, and each probe is undone, bit for
+    bit."""
+    base = Rng(5).uniform(-1.0, 1.0, (4, 9))
+    x = Tensor(base[:, 3:6], requires_grad=True)
+    view = x.data
+    assert not view.flags.c_contiguous and view.base is base
+    weight = Tensor(Rng(6).uniform(-1.0, 1.0, (4, 3)))
+    before = base.copy()
+    report = grad_check(lambda t: sum_all(mul(sigmoid(t), weight)), [x], tol=1e-6)
+    assert report.passed, report.per_param
+    through_base = numeric_gradient(lambda t: sum_all(mul(sigmoid(Tensor(base[:, 3:6])), weight)),
+                                    [x])[0]
+    y = sigmoid_array(view)
+    assert np.allclose(through_base, weight.data * y * (1.0 - y), rtol=1e-8, atol=0)
+    assert x.data is view
+    assert np.array_equal(base.view(np.uint64), before.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

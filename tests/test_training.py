@@ -568,10 +568,13 @@ def test_every_tensor_views_the_store_after_init_load_and_train(tmp_path):
     for p in (params, loaded, init):
         layout = model.ModelParams.layout(p.dims)
         assert p.store.shape == (sum(math.prod(shape) for _, shape in layout),)
-        views = model.flat_views(p.store, layout)
-        for name, t in p.named_tensors():
-            assert t.data.base is p.store and np.shares_memory(t.data, views[name]), name
+        at = 0
+        for name, t in p.named_tensors():  # whole, and side by side in order: no strided view
+            assert t.data.base is p.store and t.data.flags.c_contiguous, name
+            assert t.data.ctypes.data == p.store.ctypes.data + 8 * at, name
+            at += t.size
             assert t.grad is None and t.grad_buffer is None, name
+        assert at == p.store.size
         for cell in (p.enc_fwd, p.enc_bwd, p.sel_gru, p.gen_gru):  # what the GRU ops read
             assert all(block.base is p.store for block in cell.sides())
             for name, t in cell.named():
