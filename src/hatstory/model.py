@@ -40,6 +40,7 @@ from .tensor import (
     log_softmax_array,
     matmul,
     relu,
+    reshape,
     row,
     seeded_init,
     sentence_log_prob,
@@ -317,8 +318,13 @@ def encode_album(params, features):
 @dataclass
 class SelectionResult:
     probs: Tensor  # (A, T, n); each album's step t sums to 1
-    g: list  # T summaries, each (A, k): summary t of album a is probs[a, t] @ V[a]
+    summaries: Tensor  # (A, T, k): summary t of album a is probs[a, t] @ V[a]
     indices: list  # the T chosen photo indices of each album row
+
+    @functools.cached_property
+    def g(self):
+        """The T summaries, each (A, k), as `row` reads of `summaries`."""
+        return [row(self.summaries, t, axis=1) for t in range(self.summaries.shape[1])]
 
 
 def select_summary(params, enc, mode, oracle_indices=None):
@@ -344,15 +350,14 @@ def select_summary(params, enc, mode, oracle_indices=None):
             raise ContractError(f"select_summary: oracle index out of range for n={n}")
         one_hot = np.zeros((albums, t_steps, n))
         one_hot[:, np.arange(t_steps), idx] = 1.0
-        return SelectionResult(probs=Tensor(one_hot), g=[row(enc.v, i, axis=1) for i in idx],
-                               indices=[idx] * albums)
+        picked = concat([row(enc.v, slice(i, i + 1), axis=1) for i in idx], axis=1)
+        return SelectionResult(probs=Tensor(one_hot), summaries=picked, indices=[idx] * albums)
     if mode == "hard" and n < t_steps:
         raise ContractError(
             f"select_summary: hard mode needs at least {t_steps} photos, album has {n}"
         )
     g, probs, picks = soft_select(enc.v, params.sel_gru, params.sel_mlp, t_steps, mode == "hard")
-    return SelectionResult(probs=Tensor(probs), g=[row(g, t, axis=1) for t in range(t_steps)],
-                           indices=picks)
+    return SelectionResult(probs=Tensor(probs), summaries=g, indices=picks)
 
 
 # ---------------------------------------------------------------------------
@@ -369,30 +374,32 @@ def enc_dec_visual(params, enc):
 def conditioner(params, enc, variant, mode="soft", oracle_indices=None):
     """One variant's per-sentence visual input over an album encoding.
 
-    Returns (condition, decided). `condition(t, h)` gives sentence t's
-    (A, k) Tensor from the (A, d_g) decoder states h at the sentence start:
-      hier         - summary t that `select_summary` picks in `mode`;
-                     `decided` is that SelectionResult. The T summaries
-                     are made once, for every story scored against them.
+    Returns (condition, decided). A condition known before decoding is an
+    (A, S, k) Tensor, sentence t reading [:, t], or [:, 0] when S is 1; one
+    that reads the decoder is a function from the (A, d_g) states h at a
+    sentence start to that sentence's (A, 1, k) Tensor:
+      hier         - the T summaries that `select_summary` picks in `mode`;
+                     `decided` is that SelectionResult. They are made once,
+                     for every story scored against them.
       enc_dec      - one projection of each album's final encoder state,
-                     the same for every sentence; `decided` is None.
-      enc_attn_dec - one `attention` op over the photos from h; `decided`
-                     collects each call's (A, n) weights.
+                     read by every sentence; `decided` is None.
+      enc_attn_dec - a function: one `attention` op over the photos from
+                     h; `decided` collects each call's (A, n) weights.
     Oracle selection exists only for the full model.
     """
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}")
     if variant == "hier":
         sel = select_summary(params, enc, mode, oracle_indices)
-        return (lambda t, h: sel.g[t]), sel
+        return sel.summaries, sel
     if mode == "oracle":
         raise ConfigurationError("oracle selection only applies to the full model")
     if variant == "enc_dec":
         vis = enc_dec_visual(params, enc)
-        return (lambda t, h: vis), None
+        return reshape(vis, (vis.shape[0], 1, vis.shape[1])), None
     weights = []
 
-    def attend(t, h):
+    def attend(h):
         vis, alpha = attention(h, enc.v, params.attn_mlp)
         weights.append(alpha)
         return vis
@@ -407,13 +414,15 @@ def conditioner(params, enc, variant, mode="soft", oracle_indices=None):
 def story_log_prob(params, condition, story):
     """Teacher-forced log p(story | album) under one variant's conditioner.
 
-    `condition(t, h)` gives sentence t's visual input from the decoder
-    states h at the sentence start (see `conditioner`). `story` is a list
-    of Stories, one per album row, giving (A,) log-probs, or a (stories,
-    negatives) pair of such lists, decoded in one pass on a leading pair
-    axis and giving (2, A). Each sentence starts at BOS and must end at EOS,
-    so none is empty; it is one `sentence_log_prob` op over the rows (and
-    halves), and hands its state on unless carry_state is off."""
+    `condition` is the variant's visual input (see `conditioner`): a Tensor
+    known before decoding, or a function of the decoder states h at a
+    sentence start. `story` is a list of Stories, one per album row, giving
+    (A,) log-probs, or a (stories, negatives) pair of such lists, decoded
+    in one pass on a leading pair axis and giving (2, A). Each sentence
+    starts at BOS and must end at EOS, so none is empty. With a known
+    condition and carry_state on, the whole story is one `sentence_log_prob`
+    op over the rows (and halves); otherwise each sentence is one, from the
+    last one's state unless carry_state is off."""
     paired = isinstance(story, tuple)
     stories = [*story[0], *story[1]] if paired else story
     t_steps = params.dims.t_steps
@@ -425,16 +434,20 @@ def story_log_prob(params, condition, story):
     if empty:
         raise ContractError("story_log_prob: story {} has an empty sentence {}".format(*empty))
     shape = ((2, len(story[0])) if paired else (len(stories),)) + (params.dims.d_g,)
-    shared = all(s is stories[0] for s in stories)  # then every row reads one sentence
+    shared = all(s is stories[0] for s in stories)  # then every row reads one story
+    whole = isinstance(condition, Tensor) and params.carry_state  # the story is one op
     total, h = None, zeros(shape)
-    for t in range(t_steps):
+    for t in range(0, t_steps, t_steps if whole else 1):
         if not params.carry_state:
             h = zeros(shape)
-        targets = [s.sentences[t] for s in stories[:1 if shared else None]]
-        words = [[BOS_ID, *sentence[:-1]] for sentence in targets]
+        g = condition(h) if callable(condition) else condition
+        if not whole and g.shape[-2] > 1:  # sentence t's summary
+            g = row(g, slice(t, t + 1), axis=-2)
+        targets = [s.sentences[t:t_steps if whole else t + 1]
+                   for s in stories[:1 if shared else None]]
+        words = [[[BOS_ID, *sentence[:-1]] for sentence in story] for story in targets]
         total, h = sentence_log_prob(
-            total, h, condition(t, h), words[0] if shared else words,
-            targets[0] if shared else targets,
+            total, h, g, words[0] if shared else words, targets[0] if shared else targets,
             params.embedding, params.gen_gru, params.proj_w, params.proj_b,
         )
     return total
@@ -546,7 +559,8 @@ def generate(params, features, variant, beam, max_len, oracle_indices=None):
     for t in range(params.dims.t_steps):
         if not params.carry_state:
             h = start
-        tokens, h = _beam_search(params, condition(t, Tensor(h[None])).data[0], beam, max_len, h)
+        g = (condition(Tensor(h[None])) if callable(condition) else condition).data[0]
+        tokens, h = _beam_search(params, g[min(t, len(g) - 1)], beam, max_len, h)
         sentences.append(list(tokens))
     return Story(sentences=sentences), decided
 

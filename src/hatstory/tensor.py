@@ -399,6 +399,12 @@ def tile_rows(v, n):
     return _op("tile_rows", np.tile(v.data, (n, 1)), (v,), (lambda g: g.sum(axis=0),))
 
 
+def reshape(a, shape):
+    """The tensor's values in another shape of the same size."""
+    a = _as_tensor(a)
+    return _op("reshape", a.data.reshape(shape), (a,), (lambda g: g.reshape(a.data.shape),))
+
+
 def sum_all(a):
     a = _as_tensor(a)
     return _op("sum_all", np.asarray(a.data.sum()), (a,),
@@ -541,59 +547,80 @@ def gru_sequence(xs, h0, fwd, bwd):
 
 
 def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b):
-    """One teacher-forced decoder sentence over R rows as one op: from row
-    r's state h0[r] (h0 is (R, d_g)), the GRU `cell` reads [table[w], g[r]]
-    for each input word w (g is (R, k)), and each state's log-softmax of
-    `state @ proj_w + proj_b` picks its target. Each row's log-probs are
+    """S teacher-forced decoder sentences over R rows as one op, one GRU run:
+    from row r's state h0[r] (h0 is (R, d_g)), the GRU `cell` reads
+    [table[w], g[r, s]] for each input word w of sentence s (g is (R, S, k),
+    or (R, 1, k) when every sentence reads one condition), each sentence
+    starting from the last one's final state, and each state's log-softmax
+    of `state @ proj_w + proj_b` picks its target. Each row's log-probs are
     added into its entry of `total` ((R,), or None) in word order, bitwise
-    the word-by-word sum. Words and targets hold one list per row, or one
-    that every row reads. Returns (total, final states).
+    the word-by-word sum, so values and states are bitwise those of a chain
+    of one-sentence calls. Words and targets hold one story per row, or one
+    that every row reads, a story being a list of S sentences of ids.
+    Returns (total, final states).
 
-    With a leading pair axis, h0 is (2, R, d_g), g (2, R, k) or (R, k) read
-    by both halves, `total` (2, R), and the lists 2R, the first half's
-    first; each half is bitwise a call over its rows alone. Shorter rows,
-    also across halves, are padded and masked (padded steps get exactly zero
-    gradient); a row's final state follows its last word.
+    With a leading pair axis, h0 is (2, R, d_g), g (2, R, S, k) or (R, S, k)
+    read by both halves, `total` (2, R), and the lists 2R, the first half's
+    first; each half is bitwise a call over its rows alone. Each row's
+    story is one sequence; shorter ones, also across halves, are padded at
+    their end and masked (padded steps get exactly zero gradient), and a
+    row's final state follows its last word. Condition s gets the summed
+    input gradients of sentence s's steps: in step order when S = 1, else
+    as one product with the steps' 0/1 sentence masks.
 
     The record is keyed on the total, and the state's gradient is read when
     the total's backward runs: a caller that uses the state uses the total."""
     h0, g = _as_tensor(h0), _as_tensor(g)
     vocab, d_w = table.data.shape
     d_in, d_h = cell.w.shape[1] - 1, cell.u_h.shape[-1]
-    shared = h0.data.ndim == 3 and g.data.ndim == 2  # one g read by both halves
-    if (h0.data.ndim not in (2, 3) or h0.data.shape[-1] != d_h
-            or g.data.shape != h0.data.shape[shared:-1] + (d_in - d_w,)):
+    shared = h0.data.ndim == g.data.ndim == 3  # one g read by both halves
+    if (h0.data.ndim not in (2, 3) or h0.data.shape[-1] != d_h or g.data.ndim < 3
+            or g.data.shape[:-2] != h0.data.shape[shared:-1] or g.data.shape[-1] != d_in - d_w):
         raise DimensionError(f"sentence_log_prob: state {h0.data.shape} and input {g.data.shape} "
-                             f"do not fit a decoder of width {d_h} over inputs {d_in} as rows")
+                             f"do not fit a decoder of width {d_h} over inputs {d_in} as rows "
+                             f"of sentences")
     lead = h0.data.shape[:-1]  # (R,), or (2, R) with the pair axis
-    count = math.prod(lead)
-    per_row = bool(words) and isinstance(words[0], list)
-    seqs = [*words, *targets] if per_row else [words, targets]
-    lengths, half = [len(seq) for seq in seqs], len(seqs) // 2
-    if (len(seqs) != 2 * (count if per_row else 1) or lengths[:half] != lengths[half:]
-            or not min(lengths)):
+    count, conditions = math.prod(lead), g.data.shape[-2]
+    per_row = bool(words) and isinstance(words[0], list) and bool(words[0]) \
+        and isinstance(words[0][0], list)
+    stories = [*words, *targets] if per_row else [words, targets]
+    sizes = [[len(s) if isinstance(s, list) else 0 for s in story]
+             if isinstance(story, list) else [] for story in stories]
+    half = len(stories) // 2
+    if (len(stories) != 2 * (count if per_row else 1) or sizes[:half] != sizes[half:]
+            or not all(map(all, sizes)) or {len(s) for s in sizes} != {len(sizes[0])}
+            or not sizes[0] or conditions not in (1, len(sizes[0]))):
         raise ContractError(f"sentence_log_prob: needs as many input words as targets, at least "
-                            f"one, in each of {count} rows, got {words} and {targets}")
+                            f"one, in each of {conditions} sentence(s) of each of {count} rows, "
+                            f"got {words} and {targets}")
+    seqs = [[i for sentence in story for i in sentence] for story in stories]
+    lengths = [len(seq) for seq in seqs]
     steps = max(lengths)
     ids = np.asarray([[*seq, *[0] * (steps - len(seq))] for seq in seqs])
     if ids.dtype.kind not in "biu" or ids.min() < 0 or ids.max() >= vocab:
         bad = next(i for seq in seqs for i in seq
                    if not isinstance(i, (int, np.integer)) or not 0 <= i < vocab)
         raise IndexRangeError(f"sentence_log_prob: token id {bad} out of range for vocab {vocab}")
-    # (2, T, *lead), or (2, T, 1, ...) for one sentence that every row reads
-    ids = ids.reshape((2,) + (lead if per_row else (1,) * len(lead)) + (steps,))
+    # (2, T, *lead), or (2, T, 1, ...) for one story that every row reads
+    stacked = lead if per_row else (1,) * len(lead)
+    ids = ids.reshape((2,) + stacked + (steps,))
     ids = ids.transpose(0, -1, *range(1, len(lead) + 1))
     padded = min(lengths) < steps  # only then do rows, or halves, differ in length
     lengths = np.reshape(lengths[:half], lead) if padded else None
     weights = [t for _, t in cell.named()]
+    at = tuple(np.arange(n).reshape((-1,) + (1,) * (len(lead) - i))
+               for i, n in enumerate((steps,) + lead)) + (ids[1],)  # each step's targets
     x = np.empty((steps,) + lead + (d_in,))
     x[..., :d_w] = table.data[ids[0]]
-    x[..., d_w:] = g.data
+    if conditions == 1:
+        x[..., d_w:] = g.data[..., 0, :]
+    else:  # each step's sentence (T, *lead), padded steps in the last
+        ends = np.cumsum(sizes[:half], axis=1)[:, :-1].T.reshape((-1, 1) + stacked)
+        sentence = (at[0] >= ends).sum(axis=0)
+        x[..., d_w:] = np.broadcast_to(g.data, lead + g.data.shape[-2:])[at[1:-1] + (sentence,)]
     run = gru_run(x, h0.data[None], [cell])
     states = run[0][:, 0]
     y = log_softmax_array(states @ proj_w.data + proj_b.data)
-    at = tuple(np.arange(n).reshape((-1,) + (1,) * (len(lead) - i))
-               for i, n in enumerate((steps,) + lead)) + (ids[1],)  # each step's targets
     picked = y[at]
     if padded:
         picked[at[0] >= lengths] = 0.0
@@ -625,7 +652,13 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
             if h0.requires_grad:
                 _accum(h0, g_h0)
             if g.requires_grad:
-                g_g = g_x[..., d_w:].sum(axis=0)
+                g_in = g_x[..., d_w:]
+                if conditions == 1:
+                    g_g = g_in.sum(axis=0)[..., None, :]
+                else:  # (..., S, T) sentence masks times (..., T, k)
+                    of_step = np.moveaxis(sentence, 0, -1)[..., None, :]  # (..., 1, T)
+                    masks = (of_step == np.arange(conditions)[:, None]).astype(np.float64)
+                    g_g = masks @ np.moveaxis(g_in, 0, -2)
                 _accum(g, g_g.sum(axis=0) if shared else g_g)
             if table.requires_grad:
                 if table.grad is None:
@@ -749,10 +782,11 @@ def soft_select(v, cell, mlp, steps, hard=False):
 def attention(h, v, mlp):
     """Soft attention over R album rows as one op: softmax weights alpha over
     mlp([h[r], v_i]) for the photos of row r of v (R, n, k) from the state
-    h (R, d); returns alpha @ v (R, k) as a Tensor and alpha (R, n) as an
-    array. With a leading pair axis h is (2, R, d), both halves read v, each
-    bitwise as if alone, and v's gradient sums over the pair. Its MLP's first
-    layer is split as in `soft_select`, the photos' term made once."""
+    h (R, d); returns alpha @ v (R, 1, k), one decoder sentence's condition,
+    as a Tensor and alpha (R, n) as an array. With a leading pair axis h is
+    (2, R, d), both halves read v, each bitwise as if alone, and v's
+    gradient sums over the pair. Its MLP's first layer is split as in
+    `soft_select`, the photos' term made once."""
     h, v = _as_tensor(h), _as_tensor(v)
     paired = h.data.ndim == 3
     if v.data.ndim != 3 or h.data.ndim not in (2, 3) or h.data.shape[paired:-1] != v.data.shape[:1]:
@@ -764,7 +798,7 @@ def attention(h, v, mlp):
     half = vd @ layers[0][0].data[hd.shape[-1]:] + layers[0][1].data
     acts = _head_run(layers, half, hd)
     alpha = softmax_array(acts[-1][..., 0])
-    out = _out((alpha[..., None, :] @ vd)[..., 0, :].reshape(h.data.shape[:-1] + vd.shape[-1:]),
+    out = _out((alpha[..., None, :] @ vd).reshape(h.data.shape[:-1] + (1,) + vd.shape[-1:]),
                h, v, *(t for pair in layers for t in pair))
     if out.requires_grad:
         def back():
@@ -871,13 +905,16 @@ def numeric_gradient(f, params, step=1e-5):
     return grads
 
 
-def grad_check(f, params, step=1e-5, tol=1e-5, names=None):
+def grad_check(f, params, step=1e-5, tol=1e-5, names=None, zero=()):
     """Compare tape gradients of f against central differences; f's value
     has one element, of any rank, read with `Tensor.item()`.
 
     Relative error per coordinate is |a - n| / max(1e-8, |a| + |n|); the
-    report carries the maximum overall and per parameter. f must be pure:
-    a value change between two probe evaluations raises DeterminismError.
+    report carries the maximum overall and per parameter. The parameters
+    named in `zero` have a true gradient of exactly 0 (a shift that softmax
+    ignores): theirs is compared with 0, not with a difference that reads
+    only the loss's rounding, so |a| <= 1e-8 tol passes. f must be pure: a
+    value change between two probe evaluations raises DeterminismError.
     """
     if isinstance(params, Tensor):
         params = [params]
@@ -897,9 +934,12 @@ def grad_check(f, params, step=1e-5, tol=1e-5, names=None):
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
     for p in params:
         p.grad = None
-    numeric = numeric_gradient(f, params, step)
     if names is None:
         names = [f"param{i}" for i in range(len(params))]
+    differenced = iter(numeric_gradient(
+        f, [p for p, name in zip(params, names) if name not in zero], step))
+    numeric = [np.zeros_like(p.data) if name in zero else next(differenced)
+               for p, name in zip(params, names)]
     per_param = {}
     worst = 0.0
     for name, a, n in zip(names, analytic, numeric):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from hatstory import data, model, tensor
 from hatstory.layers import GruParams, MlpParams
 from hatstory.errors import ContractError, DimensionError
-from hatstory.tensor import Rng, concat, matmul, mul, row, seeded_init, sigmoid, tile_rows, zeros
+from hatstory.tensor import (Rng, concat, matmul, mul, reshape, row, seeded_init, sigmoid,
+                             tile_rows, zeros)
 
 # Property tests draw the same examples on every run and store none, so a
 # failure shows up on the run that introduced it and on every later one.
@@ -136,11 +137,6 @@ def stack_rows(vectors):
     """1-D tensors of equal length as the rows of a matrix."""
     return tensor._op("stack_rows", np.stack([v.data for v in vectors]), vectors,
                       [itemgetter(i) for i in range(len(vectors))])
-
-
-def reshape(a, shape):
-    return tensor._op("reshape", np.ascontiguousarray(a.data.reshape(shape)), (a,),
-                      (lambda g: g.reshape(a.data.shape),))
 
 
 def gate_sigmoid(a):

@@ -17,11 +17,11 @@ import pytest
 import hatstory.cli
 import hatstory.metrics
 import hatstory.model
-from hatstory import tensor
+from hatstory import diagnostics, tensor
 from hatstory.checkpoint import load_checkpoint, save_checkpoint
 from hatstory.cli import load_config, main
 from hatstory.data import Vocabulary, load_dataset
-from hatstory.diagnostics import check_attention, check_selector, check_sequence
+from hatstory.diagnostics import check_attention, check_batch_loss, check_selector, check_sequence
 from hatstory.errors import ConfigurationError
 from hatstory.metrics import hard_selection_ids
 from hatstory.model import generate_story
@@ -645,6 +645,25 @@ def test_selector_and_attention_checks_pass(seed):
     for check in (check_selector, check_attention, check_sequence):
         report = check(seed)
         assert report.passed, (check.__name__, report.per_param)
+
+
+def test_batch_loss_check_reads_the_attention_output_bias_against_zero(monkeypatch):
+    """Softmax ignores a shift of every score, so the scorer's output bias has
+    a true gradient of 0: its central difference read one ulp of the loss over
+    2e-5, a false failure at seeds 4 and 5. The tape gradient is held to
+    |g| <= 1e-12 instead, so a loss that adds 1e-9 times the bias fails."""
+    assert all(check_batch_loss("enc_attn_dec", seed).passed for seed in (4, 5))
+    exact = diagnostics.batch_loss
+
+    def shifted(params, *args):
+        loss, parts = exact(params, *args)
+        bias = params.attn_mlp.layers[1][1]
+        return loss + tensor.sum_all(tensor.mul(bias, tensor.Tensor(1e-9))), parts
+
+    monkeypatch.setattr(diagnostics, "batch_loss", shifted)
+    report = check_batch_loss("enc_attn_dec", 0)
+    assert not report.passed and report.per_param["attn_mlp.1.b"] > 1e-4
+    assert max(e for name, e in report.per_param.items() if name != "attn_mlp.1.b") <= 1e-4
 
 
 @pytest.mark.parametrize("helper, checks", [("_head_back", (check_selector, check_attention)),

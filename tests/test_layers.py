@@ -396,15 +396,21 @@ def test_sentence_log_prob_matches_gru_step_chain_bitwise(seed):
     words = [1] + targets[:-1]
     tensors = [t for _, t in cell.named()] + [table, proj_w, proj_b, g, h0, start]
     def story(op, shape):  # the fused op over one row, the chain over vectors
-        return lambda: _two_sentences(op, shape(start), shape(h0), shape(g), words, targets,
+        return lambda: _two_sentences(op, shape(start), shape(h0), g, words, targets,
                                       table, cell, proj_w, proj_b)
 
     found, expected = (_values_and_grads(story(op, shape), tensors) for op, shape in
-                       ((sentence_log_prob, one_row), (sentence_chain, lambda t: t)))
+                       ((one_sentence, one_row), (sentence_chain, lambda t: t)))
     for a, b in zip(found[0], expected[0]):  # both totals and the final state, one row
         assert np.array_equal(a[0], b)
     for a, b in zip(found[1], expected[1]):
         assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
+
+
+def one_sentence(total, h, g, words, targets, *decoder):
+    """`sentence_log_prob` over one row and one sentence, which reads g (k,)."""
+    return sentence_log_prob(total, h, reshape(g, (1, 1) + g.shape), [words], [targets],
+                             *decoder)
 
 
 def _two_sentences(op, start, h0, g, words, targets, *decoder):
@@ -417,9 +423,9 @@ def _two_sentences(op, start, h0, g, words, targets, *decoder):
 
 def test_sentence_log_prob_gradcheck_and_errors(rng):
     table, cell, proj_w, proj_b = _decoder(rng)
-    g = Tensor(rng.uniform(-1, 1, (1, 3)), requires_grad=True)
+    g = Tensor(rng.uniform(-1, 1, (1, 1, 3)), requires_grad=True)
     h0 = Tensor(rng.uniform(-1, 1, (1, 3)), requires_grad=True)
-    words, targets = [1, 4, 3, 4, 4], [4, 3, 4, 4, 2]  # a repeated word scatter-adds
+    words, targets = [[1, 4, 3, 4, 4]], [[4, 3, 4, 4, 2]]  # a repeated word scatter-adds
     tensors = [t for _, t in cell.named()] + [table, proj_w, proj_b, g, h0]
 
     def fn(*ts):
@@ -432,13 +438,15 @@ def test_sentence_log_prob_gradcheck_and_errors(rng):
     with pytest.raises(ContractError, match="at least one"):
         sentence_log_prob(None, h0, g, [], [], *decoder)
     with pytest.raises(ContractError):
-        sentence_log_prob(None, h0, g, [1, 4], [4], *decoder)
+        sentence_log_prob(None, h0, g, [[1, 4]], [[4]], *decoder)
+    with pytest.raises(ContractError):
+        sentence_log_prob(None, h0, g, [1, 4], [4, 2], *decoder)  # a sentence, not a story
     with pytest.raises(IndexError):
-        sentence_log_prob(None, h0, g, [1], [6], *decoder)
+        sentence_log_prob(None, h0, g, [[1]], [[6]], *decoder)
     with pytest.raises(IndexError):
-        sentence_log_prob(None, h0, g, [-1], [2], *decoder)
+        sentence_log_prob(None, h0, g, [[-1]], [[2]], *decoder)
     for state, summary in ((h0.data[0], g.data[0]), (h0.data, g.data[0]), (h0.data[0], g.data),
-                           (h0.data, np.ones((1, 4))), (np.ones((1, 4)), g.data)):
+                           (h0.data, np.ones((1, 1, 4))), (np.ones((1, 4)), g.data)):
         with pytest.raises(DimensionError, match="sentence_log_prob"):
             sentence_log_prob(None, Tensor(state), Tensor(summary), words, targets, *decoder)
 
@@ -464,20 +472,29 @@ def test_gru_sequence_rows_gradcheck(count):
     assert report.passed, report.per_param
 
 
+def _row_stories(rng, lengths, vocab=6):
+    """Input words and targets of one story per row, whose sentences have the
+    lengths lengths[r]."""
+    targets = [[[rng.integers(0, vocab) for _ in range(n)] for n in story] for story in lengths]
+    return [[[1, *t[:-1]] for t in story] for story in targets], targets
+
+
 def _row_sentences(rng, lengths, vocab=6):
-    targets = [[rng.integers(0, vocab) for _ in range(n)] for n in lengths]
-    return [[1, *t[:-1]] for t in targets], targets
+    """One story of one sentence per row, of the lengths given."""
+    return _row_stories(rng, [[n] for n in lengths], vocab)
 
 
 @pytest.mark.parametrize("lengths", [[4], [3, 1, 5], [2, 6, 1]])
 def test_sentence_log_prob_rows_gradcheck(lengths):
+    """Each row's story is two sentences, the second as long as the next
+    row's first, each reading its own condition."""
     rng = Rng(len(lengths) + sum(lengths))
     table, cell, proj_w, proj_b = _decoder(rng)
     count = len(lengths)
-    g = Tensor(rng.uniform(-1, 1, (count, 3)), requires_grad=True)
+    g = Tensor(rng.uniform(-1, 1, (count, 2, 3)), requires_grad=True)
     h0 = Tensor(rng.uniform(-1, 1, (count, 3)), requires_grad=True)
     start = Tensor(rng.uniform(-5, -1, count), requires_grad=True)
-    words, targets = _row_sentences(rng, lengths)
+    words, targets = _row_stories(rng, list(zip(lengths, lengths[1:] + lengths[:1])))
     weight = Tensor(rng.uniform(-1, 1, (count, 3)))
 
     def fn(*ts):
@@ -492,9 +509,9 @@ def test_sentence_log_prob_rows_gradcheck(lengths):
 def test_sentence_log_prob_one_sentence_read_by_every_row():
     rng = Rng(48)
     table, cell, proj_w, proj_b = _decoder(rng)
-    g = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
+    g = Tensor(rng.uniform(-1, 1, (3, 1, 3)), requires_grad=True)
     h0 = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
-    words, targets = [1, 4, 3, 4], [4, 3, 4, 2]
+    words, targets = [[1, 4, 3, 4]], [[4, 3, 4, 2]]
     weight = Tensor(rng.uniform(-1, 1, (3, 3)))
 
     def fn(*ts):
@@ -515,12 +532,12 @@ def test_sentence_log_prob_rows_match_each_row_alone():
     rng = Rng(45)
     decoder = _decoder(rng)
     lengths = [3, 1, 5]
-    g, h0 = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3))
+    g, h0 = rng.uniform(-1, 1, (3, 1, 3)), rng.uniform(-1, 1, (3, 3))
     words, targets = _row_sentences(rng, lengths)
     total, h = sentence_log_prob(None, Tensor(h0), Tensor(g), words, targets, *decoder)
     for i in range(3):
-        one, h_one = sentence_chain(None, Tensor(h0[i]), Tensor(g[i]), words[i], targets[i],
-                                    *decoder)
+        one, h_one = sentence_chain(None, Tensor(h0[i]), Tensor(g[i, 0]), words[i][0],
+                                    targets[i][0], *decoder)
         assert abs(total.data[i] - one.data) <= 1e-12 and np.max(np.abs(h.data[i] - h_one.data)) <= 1e-12
         row_one, h_row = sentence_log_prob(None, Tensor(h0[i:i + 1]), Tensor(g[i:i + 1]),
                                            [words[i]], [targets[i]], *decoder)
@@ -533,7 +550,7 @@ def test_sentence_log_prob_padded_steps_get_zero_gradient():
     rng = Rng(46)
     table, cell, proj_w, proj_b = _decoder(rng)
     h0 = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
-    g = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+    g = Tensor(rng.uniform(-1, 1, (2, 1, 3)), requires_grad=True)
 
     def grads(words, targets, pick=lambda t: t):
         for t in [h0, g, table, proj_w, proj_b] + [w for _, w in cell.named()]:
@@ -544,8 +561,8 @@ def test_sentence_log_prob_padded_steps_get_zero_gradient():
             backward(tape, sum_all(total) + sum_all(h))
         return h0.grad[1], g.grad[1], table.grad[0]
 
-    padded = grads([[1, 4, 3], [1]], [[4, 3, 2], [2]])
-    alone = grads([1], [2], lambda t: one_row(row(t, 1)))
+    padded = grads([[[1, 4, 3]], [[1]]], [[[4, 3, 2]], [[2]]])
+    alone = grads([[1]], [[2]], lambda t: one_row(row(t, 1)))
     assert np.all(padded[2] == 0.0)  # the padding id reads table row 0, which no word reads
     for a, b in zip(padded[:2], alone[:2]):
         assert np.max(np.abs(a - b)) <= 1e-12
@@ -554,16 +571,23 @@ def test_sentence_log_prob_padded_steps_get_zero_gradient():
 def test_sentence_log_prob_rows_errors():
     rng = Rng(47)
     decoder = _decoder(rng)
-    h0, g = zeros((2, 3)), zeros((2, 3))
-    for words, targets in (([[], []], [[], []]), ([[1, 4], []], [[4, 2], []])):
+    h0, g = zeros((2, 3)), zeros((2, 1, 3))
+    for words, targets in (([[[]], [[]]], [[[]], [[]]]), ([[[1, 4]], [[]]], [[[4, 2]], [[]]]),
+                           ([[], []], [[], []]), ([[[1], []]] * 2, [[[2], []]] * 2)):
         with pytest.raises(ContractError, match="at least one"):
             sentence_log_prob(None, h0, g, words, targets, *decoder)
+    with pytest.raises(ContractError):  # one story for two rows
+        sentence_log_prob(None, h0, g, [[[1, 4]]], [[[4, 2]]], *decoder)
     with pytest.raises(ContractError):
-        sentence_log_prob(None, h0, g, [[1, 4]], [[4, 2]], *decoder)  # one list for two rows
-    with pytest.raises(ContractError):
-        sentence_log_prob(None, h0, g, [[1, 4], [1]], [[4, 2], [2, 2]], *decoder)
+        sentence_log_prob(None, h0, g, [[[1, 4]], [[1]]], [[[4, 2]], [[2, 2]]], *decoder)
+    with pytest.raises(ContractError):  # rows of one and of two sentences
+        sentence_log_prob(None, h0, g, [[[1]], [[1], [1]]], [[[2]], [[2], [2]]], *decoder)
+    for count in (1, 3):  # two conditions for stories of one sentence, and of three
+        with pytest.raises(ContractError, match="2 sentence"):
+            sentence_log_prob(None, h0, zeros((2, 2, 3)), [[[1]] * count] * 2,
+                              [[[2]] * count] * 2, *decoder)
     with pytest.raises(IndexError):
-        sentence_log_prob(None, h0, g, [[1], [1.0]], [[2], [2]], *decoder)
+        sentence_log_prob(None, h0, g, [[[1]], [[1.0]]], [[[2]], [[2]]], *decoder)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +616,8 @@ def test_sentence_log_prob_pair_axis_is_two_calls_bitwise(count, carry):
                [([3, 1, 2], [1, 5, 2]), ([2, 4, 1], [4, 2, 3])])
     sentences = [[_row_sentences(rng, ls) for ls in sentence] for sentence in lengths]
     h0 = Tensor(rng.uniform(-1, 1, (2, count, 3)), requires_grad=True)
-    g = Tensor(rng.uniform(-1, 1, (count, 3)), requires_grad=True)
-    g_pair = Tensor(rng.uniform(-1, 1, (2, count, 3)), requires_grad=True)
+    g = Tensor(rng.uniform(-1, 1, (count, 1, 3)), requires_grad=True)
+    g_pair = Tensor(rng.uniform(-1, 1, (2, count, 1, 3)), requires_grad=True)
     tensors = [t for _, t in decoder[1].named()] + [decoder[0], *decoder[2:], h0, g, g_pair]
     op = lambda total, h, g_t, words, targets: sentence_log_prob(total, h, g_t, words, targets,
                                                                  *decoder)
@@ -623,9 +647,11 @@ def test_sentence_log_prob_pair_axis_is_two_calls_bitwise(count, carry):
 def test_sentence_log_prob_pair_axis_gradcheck(count):
     rng = Rng(95 + count)
     table, cell, proj_w, proj_b = _decoder(rng)
-    lengths = [2, 5] if count == 1 else [2, 4, 1, 3, 1, 5]  # the stories' rows, then negatives'
-    words, targets = _row_sentences(rng, lengths)
-    g = Tensor(rng.uniform(-1, 1, (count, 3)), requires_grad=True)
+    # the stories' rows, then the negatives': two sentences each, one condition
+    # per sentence, which both halves read
+    lengths = [2, 5] if count == 1 else [2, 4, 1, 3, 1, 5]
+    words, targets = _row_stories(rng, list(zip(lengths, lengths[::-1])))
+    g = Tensor(rng.uniform(-1, 1, (count, 2, 3)), requires_grad=True)
     h0 = Tensor(rng.uniform(-1, 1, (2, count, 3)), requires_grad=True)
     start = Tensor(rng.uniform(-5, -1, (2, count)), requires_grad=True)
     weight = Tensor(rng.uniform(-1, 1, (2, count, 3)))
@@ -637,6 +663,56 @@ def test_sentence_log_prob_pair_axis_gradcheck(count):
     tensors = [t for _, t in cell.named()] + [table, proj_w, proj_b, g, h0, start]
     report = grad_check(fn, tensors, tol=1e-5)
     assert report.passed, report.per_param
+
+
+# ---------------------------------------------------------------------------
+# a story of S sentences in one op: each sentence reads its own condition, or
+# every one reads the same, and starts from the last one's final state
+
+
+@pytest.mark.parametrize("lead, g_lead", [((3,), (3,)), ((2, 3), (3,)), ((2, 3), (2, 3))],
+                         ids=["rows", "pair-shared-g", "pair-own-g"])
+@pytest.mark.parametrize("conditions", [1, 3], ids=["one-condition", "per-sentence"])
+@pytest.mark.parametrize("shared", [False, True], ids=["per-row", "one-story"])
+def test_sentence_log_prob_story_is_a_chain_of_one_sentence_calls(lead, g_lead, conditions,
+                                                                  shared):
+    """Values bitwise and gradients within 1e-12 of a chain of S = 1 calls,
+    each from the last one's state, at the full model's shapes (a condition
+    per sentence) and the flat baseline's (one for all). Sentence lengths mix
+    across rows and halves, or every row reads one story (retrieval)."""
+    rng = Rng(len(lead) + len(g_lead) + conditions + 2 * shared)
+    decoder = _decoder(rng)
+    count = 1 if shared else math.prod(lead)
+    words, targets = _row_stories(rng, [[rng.integers(1, 5) for _ in range(3)]
+                                        for _ in range(count)])
+    if shared:
+        words, targets = words[0], targets[0]
+    h0 = Tensor(rng.uniform(-1, 1, lead + (3,)), requires_grad=True)
+    g = Tensor(rng.uniform(-1, 1, g_lead + (conditions, 3)), requires_grad=True)
+    weight = Tensor(rng.uniform(-1, 1, lead + (3,)))
+    tensors = [t for _, t in decoder[1].named()] + [decoder[0], *decoder[2:], h0, g]
+
+    def loss(total, h):
+        return sum_all(mul(total, total)) + _pair_loss(h, weight), [total, h]
+
+    def one_op():
+        return loss(*sentence_log_prob(None, h0, g, words, targets, *decoder))
+
+    def chain():
+        total, h = None, h0
+        for i in range(3):
+            g_i = g if conditions == 1 else row(g, slice(i, i + 1), axis=-2)
+            sentence = (lambda story: story[i:i + 1]) if shared else (
+                lambda stories: [story[i:i + 1] for story in stories])
+            total, h = sentence_log_prob(total, h, g_i, sentence(words), sentence(targets),
+                                         *decoder)
+        return loss(total, h)
+
+    found, expected = _values_and_grads(one_op, tensors), _values_and_grads(chain, tensors)
+    for a, b in zip(found[0], expected[0]):  # the row totals and final states
+        assert np.array_equal(a, b)
+    for a, b in zip(found[1], expected[1]):
+        assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
 
 
 def _selector(rng, k=4, d_s=3):
@@ -796,9 +872,9 @@ def test_attention_stays_within_rounding_of_the_concatenated_mlp(shape, paired):
 
 def one_row_attention(h, v, head):
     """`attention` from the state h (d,) over the photos v (n, k) as one
-    album row, its results taken out of the row."""
+    album row, its results taken out of the row and its sentence axis."""
     out, alpha = attention(one_row(h), one_row(v), head)
-    return row(out, 0), alpha[0]
+    return row(row(out, 0), 0), alpha[0]
 
 
 def test_attention_one_row_is_the_composed_ops_bitwise():
@@ -817,7 +893,7 @@ def test_attention_one_row_is_the_composed_ops_bitwise():
     for a, b in zip(found[1], expected[1]):
         assert np.max(np.abs(a - b)) <= 1e-12
     out, alpha = attention(Tensor(h.data[None]), Tensor(v.data[None]), head)
-    assert np.array_equal(out.data[0], found[0][0])
+    assert np.array_equal(out.data[0, 0], found[0][0])
     assert np.array_equal(alpha[0], composed_attention(h, v, head)[1].data)
     with pytest.raises(DimensionError, match="attention"):
         attention(h, v, head)
@@ -829,7 +905,7 @@ def test_attention_rows_gradcheck(count):
     head = mlp_head(rng, [7, 7, 1])
     h = Tensor(rng.uniform(-1, 1, (count, 3)), requires_grad=True)
     v = Tensor(rng.uniform(-1, 1, (count, 5, 4)), requires_grad=True)
-    weight = Tensor(rng.uniform(-1, 1, (count, 4)))
+    weight = Tensor(rng.uniform(-1, 1, (count, 1, 4)))
     fn = lambda *ts: _pair_loss(attention(h, v, head)[0], weight)
     # the softmax ignores a shift of every score, so the output bias has no
     # gradient and its central differences are pure rounding noise
@@ -847,7 +923,7 @@ def test_attention_pair_axis_shares_the_photos(count):
     head = mlp_head(rng, [7, 7, 1])
     h = Tensor(rng.uniform(-1, 1, (2, count, 3)), requires_grad=True)
     v = Tensor(rng.uniform(-1, 1, (count, 5, 4)), requires_grad=True)
-    weight = Tensor(rng.uniform(-1, 1, (2, count, 4)))
+    weight = Tensor(rng.uniform(-1, 1, (2, count, 1, 4)))
     tensors = [t for _, t in head.named()] + [h, v]
     alphas = []
 

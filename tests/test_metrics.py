@@ -3,6 +3,7 @@ recomputation, set-overlap summarization scoring, and retrieval ranking.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -305,6 +306,27 @@ def test_batched_retrieval_keeps_pool_order_across_photo_counts(variant):
     scores = retrieval_scores(params, story, pool, variant)
     assert_close_to_variant_log_probs(params, story, pool, scores, variant)
     assert len(set(scores)) == len(scores)
+
+
+# The scores of every variant, carry_state on then off, over the pool below,
+# as float64 bytes: pinned when each sentence was its own decoder op, so a
+# story scored as one op gives the same scores bit for bit.
+POOL_SCORES_SHA256 = "f64b0d8f9b06e19e8e35fba4a45c6cbe5b78beafd958c29d123b7660619f193f"
+
+
+def test_retrieval_scores_are_pinned_bitwise():
+    pool, story = [], None
+    for n, seed in ((7, 31), (5, 32)):
+        albums, _ = synth_generate(SynthSpec(albums=3, n=n, k=6, classes=5, seed=seed))
+        pool.extend(a.features for a in albums)
+        story = story or albums[0].stories[0]
+    dims = ModelDims(k=6, d_s=4, d_g=4, d_w=3, vocab_size=30)
+    digest = hashlib.sha256()
+    for carry_state in (True, False):
+        params = init_model(dims, Rng(8), carry_state=carry_state)
+        for variant in VARIANTS:
+            digest.update(np.asarray(retrieval_scores(params, story, pool, variant)).tobytes())
+    assert digest.hexdigest() == POOL_SCORES_SHA256
 
 
 def test_batched_retrieval_keeps_its_error_types():

@@ -184,12 +184,16 @@ def test_select_step_mask_zeroes_and_renormalizes():
 
 
 def test_hard_selection_is_one_fused_op():
-    """One `soft_select` entry; the T summaries are `row` reads of its output."""
+    """One `soft_select` entry, its output the (A, T, k) summaries the
+    decoder reads whole; each of `g`'s T summaries is a `row` read of it."""
     params = tiny_model(seed=3)
     enc = encode_album(params, random_features(Rng(4), 6, 4)[None])
     with Tape() as tape:
-        select_summary(params, enc, "hard")
-    assert tape.counts() == {"soft_select": 1, "row": 5}
+        sel = select_summary(params, enc, "hard")
+    assert tape.counts() == {"soft_select": 1}
+    with Tape() as tape:
+        assert [g.shape for g in sel.g] == [(1, 4)] * 5
+    assert tape.counts() == {"row": 5}
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -294,8 +298,8 @@ def test_select_summary_oracle_and_mode_validation():
 def test_decode_zero_projection_is_uniform():
     params = tiny_model(seed=0)
     params.proj_w.data[...] = 0.0
-    words, targets = [BOS_ID, 4, 0], [4, 0, EOS_ID]
-    total, _ = sentence_log_prob(None, zeros((1, 3)), zeros((1, 4)), words, targets,
+    words, targets = [[BOS_ID, 4, 0]], [[4, 0, EOS_ID]]
+    total, _ = sentence_log_prob(None, zeros((1, 3)), zeros((1, 1, 4)), words, targets,
                                  params.embedding, params.gen_gru, params.proj_w, params.proj_b)
     assert abs(float(total.data[0]) + 3 * math.log(6)) < 1e-14
 
@@ -339,6 +343,29 @@ def test_story_log_prob_without_state_carry_resets_per_sentence():
             total += float(log_softmax_array(logits.data)[tok])
             prev = tok
     assert abs(float(lp.data[0]) - total) < 1e-10
+
+
+@pytest.mark.parametrize("carry_state", [True, False])
+@pytest.mark.parametrize("variant", ["hier", "enc_dec", "enc_attn_dec"])
+def test_a_story_is_one_decoder_op_when_its_conditions_are_known(variant, carry_state):
+    """The full model's summaries and the flat baseline's projection are made
+    before decoding, so with carry_state on the whole story, and its negative,
+    is one `sentence_log_prob`. Attention reads the state at each sentence
+    start, and a reset state starts each sentence afresh: one op per sentence."""
+    params = init_model(tiny_dims(), Rng(23), carry_state=carry_state)
+    stories = [random_story(Rng(i), 5, 6) for i in (26, 27)]
+    with Tape() as tape:
+        enc = encode_album(params, np.stack([random_features(Rng(i), 6, 4) for i in (24, 25)]))
+        condition, _ = conditioner(params, enc, variant)
+        before = tape.counts()
+        story_log_prob(params, condition, (stories, stories[::-1]))
+    per_sentence = variant == "enc_attn_dec" or not carry_state
+    expected = {"sentence_log_prob": 5 if per_sentence else 1}
+    if variant == "enc_attn_dec":
+        expected["attention"] = 5
+    elif variant == "hier" and per_sentence:
+        expected["row"] = 5  # each sentence's summary
+    assert tape.counts() - before == expected
 
 
 def test_story_log_prob_rejects_an_empty_sentence():
