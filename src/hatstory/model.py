@@ -321,9 +321,9 @@ class SelectionResult:
     summaries: Tensor  # (A, T, k): summary t of album a is probs[a, t] @ V[a]
     indices: list  # the T chosen photo indices of each album row
 
-    @functools.cached_property
+    @property
     def g(self):
-        """The T summaries, each (A, k), as `row` reads of `summaries`."""
+        """The T summaries, each (A, k), as fresh `row` reads of `summaries`."""
         return [row(self.summaries, t, axis=1) for t in range(self.summaries.shape[1])]
 
 
@@ -411,6 +411,16 @@ def conditioner(params, enc, variant, mode="soft", oracle_indices=None):
 # word-level decoding
 
 
+def sentence_condition(condition, t, h):
+    """Sentence t's (A, 1, k) visual input from a variant's condition (see
+    `conditioner`): [:, t] of a Tensor known before decoding, or [:, 0] when
+    S is 1, or a function's read of the decoder states h at the sentence
+    start."""
+    if callable(condition):
+        return condition(h)
+    return condition if condition.shape[-2] == 1 else row(condition, slice(t, t + 1), axis=-2)
+
+
 def story_log_prob(params, condition, story):
     """Teacher-forced log p(story | album) under one variant's conditioner.
 
@@ -440,9 +450,7 @@ def story_log_prob(params, condition, story):
     for t in range(0, t_steps, t_steps if whole else 1):
         if not params.carry_state:
             h = zeros(shape)
-        g = condition(h) if callable(condition) else condition
-        if not whole and g.shape[-2] > 1:  # sentence t's summary
-            g = row(g, slice(t, t + 1), axis=-2)
+        g = condition if whole else sentence_condition(condition, t, h)
         targets = [s.sentences[t:t_steps if whole else t + 1]
                    for s in stories[:1 if shared else None]]
         words = [[[BOS_ID, *sentence[:-1]] for sentence in story] for story in targets]
@@ -559,8 +567,8 @@ def generate(params, features, variant, beam, max_len, oracle_indices=None):
     for t in range(params.dims.t_steps):
         if not params.carry_state:
             h = start
-        g = (condition(Tensor(h[None])) if callable(condition) else condition).data[0]
-        tokens, h = _beam_search(params, g[min(t, len(g) - 1)], beam, max_len, h)
+        g = sentence_condition(condition, t, Tensor(h[None])).data[0, 0]
+        tokens, h = _beam_search(params, g, beam, max_len, h)
         sentences.append(list(tokens))
     return Story(sentences=sentences), decided
 
