@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Vocabulary, write_atomically
-from .errors import ContractError, CorruptionError, FormatError
+from .errors import ConfigurationError, ContractError, CorruptionError, FormatError
 from .model import ModelDims, ModelParams, build_model, from_json_object
 
 MAGIC = b"HATSTORY1"
@@ -51,15 +51,25 @@ def _non_finite(params):
     return next((name for name, view in params.manifest() if not np.isfinite(view).all()), None)
 
 
+def _check_config(config, where, error):
+    if config is not None and not isinstance(config, dict):
+        raise error(f"{where}: config must be a JSON object or null")
+
+
 def save_checkpoint(params, vocab, config, path):
-    """`config` is a plain JSON-safe dict (or None); `vocab` may be None for
-    throwaway models. A non-finite weight writes nothing."""
+    """`config` is None or a dict that JSON encodes without NaN or infinity;
+    `vocab` may be None for throwaway models. A non-finite weight or another
+    config raises a ContractError and writes nothing, so every file saved
+    loads (a `Vocabulary` keeps the rules of the header's "vocab" itself)."""
     bad = _non_finite(params)
     if bad:
         raise ContractError(f"save_checkpoint: tensor {bad} holds a non-finite value")
-    header = json.dumps(
-        _header_dict(params, vocab, config), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    _check_config(config, "save_checkpoint", ContractError)
+    try:  # the config is the one part of the header the caller chooses
+        header = json.dumps(_header_dict(params, vocab, config), sort_keys=True,
+                            separators=(",", ":"), allow_nan=False).encode("utf-8")
+    except (TypeError, ValueError) as e:
+        raise ContractError(f"save_checkpoint: config cannot be written as JSON: {e}") from None
     head = [MAGIC, struct.pack("<Q", len(header)), header]
     tensors = (np.ascontiguousarray(view, dtype="<f8") for _, view in params.manifest())
     write_atomically(path, itertools.chain(head, tensors), "wb")
@@ -72,15 +82,10 @@ def _header_vocab(header):
         return None
     if not isinstance(raw, dict) or not isinstance(raw.get("tokens"), list):
         raise FormatError("checkpoint: vocab must be an object with a \"tokens\" list")
-    tokens, min_count = raw["tokens"], raw.get("min_count", 1)
-    if not all(isinstance(t, str) for t in tokens):
-        raise FormatError("checkpoint: vocab.tokens must all be strings")
-    if type(min_count) is not int:
-        raise FormatError(f"checkpoint: vocab.min_count must be an integer, got {min_count!r}")
     try:
-        return Vocabulary(tokens, min_count=min_count)
-    except ContractError as e:
-        raise FormatError(f"checkpoint: vocab.tokens: {e}") from None
+        return Vocabulary(raw["tokens"], min_count=raw.get("min_count", 1))
+    except (ContractError, ConfigurationError) as e:
+        raise FormatError(f"checkpoint: {e}") from None
 
 
 @dataclass
@@ -130,8 +135,7 @@ def _load(f, size):
     if type(carry_state) is not bool:
         raise FormatError(f"checkpoint: carry_state must be true or false, got {carry_state!r}")
     config = header.get("config")
-    if config is not None and not isinstance(config, dict):
-        raise FormatError("checkpoint: config must be a JSON object or null")
+    _check_config(config, "checkpoint", FormatError)
     vocab = _header_vocab(header)
     manifest = header.get("manifest")
     if not isinstance(manifest, list) or not all(

@@ -47,18 +47,22 @@ def word_tokens(text):
 @dataclass
 class Vocabulary:
     """Token ids: fixed specials 0-3, then corpus tokens with count >=
-    min_count, ordered by descending frequency and then lexicographically."""
+    min_count, ordered by descending frequency and then lexicographically.
+    Its rules are those a checkpoint's "vocab" field is read under."""
 
     id_to_token: list
     min_count: int = 1
     token_to_id: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        check_int("vocab.min_count", self.min_count, 1)
+        if not all(isinstance(t, str) for t in self.id_to_token):
+            raise ContractError("vocab.tokens must all be strings")
         if list(self.id_to_token[:4]) != list(SPECIAL_TOKENS):
-            raise ContractError("Vocabulary: ids 0-3 must be the special tokens")
+            raise ContractError("vocab.tokens: ids 0-3 must be the special tokens")
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
-            raise ContractError("Vocabulary: duplicate token")
+            raise ContractError("vocab.tokens: duplicate token")
 
     @property
     def size(self):
@@ -66,8 +70,6 @@ class Vocabulary:
 
     @classmethod
     def build(cls, sentences, min_count=1):
-        if min_count < 1:
-            raise ConfigurationError("Vocabulary: min_count must be >= 1")
         counts = Counter()
         for text in sentences:
             counts.update(word_tokens(text))
@@ -135,89 +137,94 @@ def _parse_header(line):
         raise DataError("line 1: header is not valid JSON") from None
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise DataError(f'line 1: header must declare "format": "{FORMAT_NAME}"')
-    k = header.get("k")
+    _check_width(header.get("k"), "line 1:", DataError)
+    return header["k"]
+
+
+def _check_width(k, where, error):
     if type(k) is not int or k < 1:  # bool is a subclass of int
-        raise DataError("line 1: header needs a positive integer feature width k")
-    return k
+        raise error(f"{where} header needs a positive integer feature width k")
+
+
+def _check_album(record, k, where, error):
+    """Raise `error` naming the album (`where`) unless the record (album_id,
+    photo_ids, features, ground truth, story texts) keeps the rules of a
+    hatstory-v1 album, the rules `load_dataset` and `save_dataset` both run."""
+    album_id, photo_ids, features, gt, texts = record
+    if not isinstance(album_id, str):
+        raise error(f"{where} album_id must be a string, got {album_id!r}")
+    if not isinstance(photo_ids, list):
+        raise error(f"{where} photo_ids must be a list, got {photo_ids!r}")
+    if not MIN_PHOTOS <= len(photo_ids) <= MAX_PHOTOS:
+        raise error(f"{where} photo count {len(photo_ids)} outside allowed range "
+                    f"[{MIN_PHOTOS}, {MAX_PHOTOS}]")
+    for i, pid in enumerate(photo_ids):
+        if not isinstance(pid, str):
+            raise error(f"{where} photo {i} must have a string photo_id")
+    known = set(photo_ids)
+    if len(known) != len(photo_ids):
+        raise error(f"{where} duplicate photo_id")
+    if getattr(features, "dtype", None) != np.float64 or features.shape != (len(photo_ids), k):
+        raise error(f"{where} features must be float64, one row of feature width k={k} per photo")
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:  # JSON has no infinities
+        i, j = bad[0]
+        raise error(f"{where} photo {photo_ids[i]} features[{j}] is {features[i, j]}, not finite")
+    if not isinstance(gt, list) or len(gt) > 2:
+        raise error(f"{where} gt_summaries must be a list of at most 2 summaries")
+    for i, s in enumerate(gt):
+        if not isinstance(s, list):
+            raise error(f"{where} each gt summary must list 5 distinct photo_ids")
+        for j, pid in enumerate(s):
+            if not isinstance(pid, str):
+                raise error(f"{where} gt_summaries[{i}][{j}] is {pid!r}, not a photo_id string")
+        if len(s) != 5 or len(set(s)) != 5:
+            raise error(f"{where} each gt summary must list 5 distinct photo_ids")
+        for pid in s:
+            if pid not in known:
+                raise error(f"{where} gt summary references unknown photo {pid!r}")
+    for story in texts:
+        if not isinstance(story, list) or list(map(type, story)) != [str] * SENTENCES_PER_STORY:
+            raise error(f"{where} each story needs exactly {SENTENCES_PER_STORY} string sentences")
 
 
 def _parse_album(obj, k, lineno):
+    """The album record `obj` as `_check_album` takes it; this step checks
+    only what turning JSON values into that needs."""
     album_id = obj.get("album_id") if isinstance(obj, dict) else None
-    where = f"line {lineno}" + (f" (album {album_id})" if album_id else "")
-    if not isinstance(obj, dict) or not isinstance(album_id, str):
-        raise DataError(f"{where}: album record must be an object with a string album_id")
+    where = f"line {lineno}" + (f" (album {album_id})" if album_id else "") + ":"
+    if not isinstance(obj, dict):
+        raise DataError(f"{where} album record must be a JSON object")
     photos = obj.get("photos")
     if not isinstance(photos, list):
-        raise DataError(f"{where}: missing photos list")
-    if not MIN_PHOTOS <= len(photos) <= MAX_PHOTOS:
-        raise DataError(
-            f"{where}: photo count {len(photos)} outside allowed range "
-            f"[{MIN_PHOTOS}, {MAX_PHOTOS}]"
-        )
-    photo_ids, rows = [], []
+        raise DataError(f"{where} missing photos list")
     for i, p in enumerate(photos):
-        if not isinstance(p, dict) or not isinstance(p.get("photo_id"), str):
-            raise DataError(f"{where}: photo {i} must have a string photo_id")
+        if not isinstance(p, dict):
+            raise DataError(f"{where} photo {i} must be a JSON object")
         fv = p.get("features")
         if not isinstance(fv, list) or len(fv) != k:
-            raise DataError(
-                f"{where}: photo {p['photo_id']} feature width "
-                f"{len(fv) if isinstance(fv, list) else '?'} != header k={k}"
-            )
+            width = len(fv) if isinstance(fv, list) else "?"
+            raise DataError(f"{where} photo {p.get('photo_id')} feature width {width} "
+                            f"!= header k={k}")
         # numpy would also take numeric strings and booleans, so check types
         # first; exact types, because bool is a subclass of int
         if not set(map(type, fv)) <= _NUMBER_TYPES:
             j = next(j for j, x in enumerate(fv) if type(x) not in _NUMBER_TYPES)
-            raise DataError(
-                f"{where}: photo {p['photo_id']} features[{j}] is {fv[j]!r}, "
-                "not a JSON number"
-            )
-        rows.append(fv)
-        photo_ids.append(p["photo_id"])
+            raise DataError(f"{where} photo {p.get('photo_id')} features[{j}] is {fv[j]!r}, "
+                            "not a JSON number")
+    rows = [p["features"] for p in photos]
     try:
         feats = np.array(rows, dtype=np.float64)
     except OverflowError:  # an integer literal beyond the float range
         feats = np.array([[x if abs(x) <= sys.float_info.max else math.inf for x in fv]
                           for fv in rows])
-    bad = np.argwhere(~np.isfinite(feats))
-    if bad.size:
-        i, j = bad[0]
-        raise DataError(
-            f"{where}: photo {photo_ids[i]} features[{j}] is "
-            f"{photos[i]['features'][j]!r}, not finite"
-        )
-    if len(set(photo_ids)) != len(photo_ids):
-        raise DataError(f"{where}: duplicate photo_id")
-    gt = obj.get("gt_summaries", [])
-    if not isinstance(gt, list) or len(gt) > 2:
-        raise DataError(f"{where}: gt_summaries must be a list of at most 2 summaries")
-    for i, s in enumerate(gt):
-        if not isinstance(s, list):
-            raise DataError(f"{where}: each gt summary must list 5 distinct photo_ids")
-        for j, pid in enumerate(s):
-            if not isinstance(pid, str):
-                raise DataError(
-                    f"{where}: gt_summaries[{i}][{j}] is {pid!r}, not a photo_id string"
-                )
-        if len(s) != 5 or len(set(s)) != 5:
-            raise DataError(f"{where}: each gt summary must list 5 distinct photo_ids")
-        for pid in s:
-            if pid not in photo_ids:
-                raise DataError(f"{where}: gt summary references unknown photo {pid!r}")
     stories = obj.get("stories", [])
     if not isinstance(stories, list):
-        raise DataError(f"{where}: stories must be a list")
-    texts = []
-    for s in stories:
-        sents = s.get("sentences") if isinstance(s, dict) else None
-        if not isinstance(sents, list) or len(sents) != SENTENCES_PER_STORY or not all(
-            isinstance(x, str) for x in sents
-        ):
-            raise DataError(
-                f"{where}: each story needs exactly {SENTENCES_PER_STORY} string sentences"
-            )
-        texts.append(list(sents))
-    return album_id, photo_ids, feats, [list(s) for s in gt], texts
+        raise DataError(f"{where} stories must be a list")
+    record = (album_id, [p.get("photo_id") for p in photos], feats, obj.get("gt_summaries", []),
+              [s.get("sentences") if isinstance(s, dict) else None for s in stories])
+    _check_album(record, k, where, DataError)
+    return record
 
 
 def load_dataset(path, min_count=1, vocab=None):
@@ -261,36 +268,24 @@ def _albums(records, vocab=None, min_count=1):
 
 
 def save_dataset(albums, k, path):
-    """Write albums (which must carry raw story texts and finite features) as
-    hatstory-v1; an album that `load_dataset` would reject writes nothing."""
-    lines = [json.dumps({"format": FORMAT_NAME, "k": int(k)}, sort_keys=True)]
+    """Write albums as hatstory-v1. Every album must keep the rules that
+    `load_dataset` reads it under (`_check_album`), so the file loads back to
+    equal albums; one that breaks a rule raises a ContractError naming it,
+    and nothing is written."""
+    _check_width(k, "save_dataset:", ContractError)
+    lines = [json.dumps({"format": FORMAT_NAME, "k": k}, sort_keys=True)]
     for album in albums:
-        if album.features.shape[1] != k:
-            raise ContractError(
-                f"save_dataset: album {album.album_id} feature width "
-                f"{album.features.shape[1]} != k={k}"
-            )
-        bad = np.argwhere(~np.isfinite(album.features))
-        if bad.size:  # JSON has no infinities; the file would not load
-            i, j = bad[0]
-            raise ContractError(
-                f"save_dataset: album {album.album_id} photo {album.photo_ids[i]} "
-                f"features[{j}] is {float(album.features[i, j])}, not finite"
-            )
-        for story in album.stories:
-            if story.texts is None:
-                raise ContractError(
-                    f"save_dataset: album {album.album_id} story lacks raw texts"
-                )
+        texts = [story.texts for story in album.stories]
+        _check_album((album.album_id, album.photo_ids, album.features, album.gt_summaries, texts),
+                     k, f"save_dataset: album {album.album_id}", ContractError)
         rec = {
             "album_id": album.album_id,
             "photos": [
                 {"photo_id": pid, "features": features}
-                for pid, features in zip(album.photo_ids,
-                                         album.features.astype(np.float64, copy=False).tolist())
+                for pid, features in zip(album.photo_ids, album.features.tolist())
             ],
             "gt_summaries": album.gt_summaries,
-            "stories": [{"sentences": story.texts} for story in album.stories],
+            "stories": [{"sentences": sentences} for sentences in texts],
         }
         lines.append(json.dumps(rec, sort_keys=True))
     write_atomically(path, ["\n".join(lines), "\n"])

@@ -1,7 +1,9 @@
+import copy
 import functools
 import json
 import math
 import operator
+import struct
 from operator import itemgetter
 
 import numpy as np
@@ -10,8 +12,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from hatstory import data, model, tensor
+from hatstory.checkpoint import MAGIC
 from hatstory.layers import GruParams, MlpParams
-from hatstory.errors import ContractError, DimensionError
+from hatstory.errors import ContractError, DimensionError, HatstoryError
 from hatstory.tensor import (Rng, concat, matmul, mul, reshape, row, seeded_init, sigmoid,
                              tile_rows, zeros)
 
@@ -69,6 +72,27 @@ def _json_paths(obj, path=()):
         yield from _json_paths(value, path + (key,))
 
 
+EDITS = ("set", "drop", "add")
+
+
+def _edit_at(draw, root, path, values, kinds):
+    """`root` after one edit of the `kinds` at `path`: setting or dropping the
+    value there, or adding a sibling next to it; a value replaces the root."""
+    parent = functools.reduce(operator.getitem, path[:-1], root)
+    edit = draw(st.sampled_from(kinds))
+    if not path:
+        return draw(values)
+    if edit == "set":
+        parent[path[-1]] = draw(values)
+    elif edit == "drop":
+        del parent[path[-1]]
+    elif isinstance(parent, list):
+        parent.append(draw(values))
+    else:
+        parent[draw(st.text(max_size=8))] = draw(values)
+    return root
+
+
 @st.composite
 def json_edits(draw, text):
     """`text` after one to three edits of its JSON lines, each setting or
@@ -79,20 +103,48 @@ def json_edits(draw, text):
         i = draw(st.integers(0, len(lines) - 1))
         root = json.loads(lines[i])
         path = draw(st.sampled_from(list(_json_paths(root))))
-        parent = functools.reduce(operator.getitem, path[:-1], root)
-        edit = draw(st.sampled_from(["set", "drop", "add"]))
-        if not path:
-            root = draw(JSON_VALUES)
-        elif edit == "set":
-            parent[path[-1]] = draw(JSON_VALUES)
-        elif edit == "drop":
-            del parent[path[-1]]
-        elif isinstance(parent, list):
-            parent.append(draw(JSON_VALUES))
-        else:
-            parent[draw(st.text(max_size=8))] = draw(JSON_VALUES)
-        lines[i] = json.dumps(root, sort_keys=True)
+        lines[i] = json.dumps(_edit_at(draw, root, path, JSON_VALUES, EDITS), sort_keys=True)
     return "\n".join(lines) + "\n"
+
+
+@st.composite
+def value_edits(draw, root, values=JSON_VALUES, kinds=EDITS):
+    """A copy of the lists and dicts of `root` after one to three edits of
+    the `kinds` (`_edit_at`) inside it."""
+    root = copy.deepcopy(root)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [path for path in _json_paths(root) if path]
+        if not paths:
+            break
+        root = _edit_at(draw, root, draw(st.sampled_from(paths)), values, kinds)
+    return root
+
+
+def saved_or_refused(save, path):
+    """Whether `save()` wrote `path`. A save may refuse only with a
+    HatstoryError, and then leaves no file there."""
+    path.unlink(missing_ok=True)
+    try:
+        save()
+    except HatstoryError:
+        assert not path.exists()
+        return False
+    return True
+
+
+def rewrite_header(path, mutate):
+    """Apply `mutate` to the JSON header of the checkpoint at `path` in place,
+    writing the header back with the layout's length field; a value that
+    `save_checkpoint` refuses to write, such as NaN, goes in as JSON text."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, len(MAGIC))
+    start = len(MAGIC) + 8
+    header = json.loads(blob[start : start + header_len].decode("utf-8"))
+    payload = blob[start + header_len :]
+    mutate(header)
+    new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(new_header)) + new_header + payload)
+    return header
 
 
 def assert_close(actual, expected, tol=1e-12):

@@ -1,7 +1,9 @@
 """The benchmark's workloads, once each at their smallest: one set-up and one
 round of every phase. A change to the program's init, checkpoint or train
-interface that the benchmark cannot run fails here, not in a paired run."""
+interface that the benchmark cannot run, or that makes an end-to-end metric
+non-finite or drops one, fails here, not in a paired run."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -23,3 +25,8 @@ def test_a_benchmark_workload_runs_without_a_failed_operation(workload, tmp_path
     assert set(run.tallies) == {"train", "generate", "summarize", "retrieve"}
     for phase, tally in run.tallies.items():
         assert tally.attempted > 0 and tally.failed == 0, (phase, tally.errors)
+    metrics, info, problems = workload.end_to_end(run, workload.peak_rss_mb())
+    result = workload.report(name, metrics, workload.END_TO_END, run.tallies, problems, info)
+    assert result["correct"], result["metrics"]
+    declared = json.loads((BENCH.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    assert sorted(result["metrics"]) == sorted(metric["name"] for metric in declared)

@@ -3,7 +3,7 @@ modes for damaged or mismatched files.
 """
 
 import errno
-import json
+import math
 import os
 import re
 import struct
@@ -28,7 +28,8 @@ from hatstory.errors import ContractError, CorruptionError, FormatError, Hatstor
 from hatstory.model import ModelDims, ModelParams, init_model
 from hatstory.tensor import Rng
 from hatstory.training import TrainConfig, train, write_loss_curve
-from conftest import byte_edits, json_edits
+from conftest import (JSON_VALUES, byte_edits, json_edits, rewrite_header, saved_or_refused,
+                      value_edits)
 
 
 def small_model(seed=0, carry_state=True):
@@ -126,18 +127,6 @@ def test_header_json_corruption_is_detected(tmp_path):
         load_checkpoint(path)
 
 
-def rewrite_header(path, mutate):
-    blob = path.read_bytes()
-    (header_len,) = struct.unpack_from("<Q", blob, len(MAGIC))
-    start = len(MAGIC) + 8
-    header = json.loads(blob[start : start + header_len].decode("utf-8"))
-    payload = blob[start + header_len :]
-    mutate(header)
-    new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(MAGIC + struct.pack("<Q", len(new_header)) + new_header + payload)
-    return header
-
-
 def test_unsupported_version_is_a_format_error(tmp_path):
     _, path = saved(tmp_path)
     rewrite_header(path, lambda h: h.update(version=99))
@@ -210,6 +199,53 @@ def test_bad_header_fields_are_format_errors_naming_the_field(tmp_path, mutate, 
     rewrite_header(path, mutate)
     with pytest.raises(FormatError, match=match):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "arguments, match",
+    [(lambda: (None, [1, 2]), r"^save_checkpoint: config must be a JSON object or null$"),
+     (lambda: (None, "seed=7"), r"^save_checkpoint: config must be a JSON object or null$"),
+     (lambda: (Vocabulary(list(SPECIAL_TOKENS) + [5]), None), r"^vocab.tokens must all be strings$"),
+     (lambda: (Vocabulary(list(SPECIAL_TOKENS), min_count=1.5), None),
+      r"^vocab.min_count must be an integer >= 1, got 1.5$"),
+     (lambda: (Vocabulary(list(SPECIAL_TOKENS), min_count=True), None),
+      r"^vocab.min_count must be an integer >= 1, got True$"),
+     (lambda: (None, {"seed": object()}),
+      r"^save_checkpoint: config cannot be written as JSON: Object of type object is not"),
+     (lambda: (None, {"learning_rate": math.nan}),
+      r"^save_checkpoint: config cannot be written as JSON: Out of range float values")],
+    ids=["list-config", "string-config", "integer-token", "fractional-min-count",
+         "boolean-min-count", "config-json-cannot-encode", "nan-in-config"],
+)
+def test_save_checkpoint_refuses_what_load_checkpoint_rejects(tmp_path, arguments, match):
+    """One rule set: a header that load_checkpoint would reject (or that JSON
+    cannot hold) is refused on save, naming the field, and writes nothing."""
+    path = tmp_path / "m.hat"
+    with pytest.raises(HatstoryError, match=match):
+        save_checkpoint(small_model(), *arguments(), path)
+    assert not path.exists()
+
+
+CONFIG_VALUES = st.one_of(JSON_VALUES, st.sampled_from([math.inf, object(), {"a": [1, None]}]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_an_edited_config_or_vocabulary_is_refused_on_save_or_loads_back_equal(tmp_path_factory,
+                                                                               data):
+    config = data.draw(st.one_of(
+        value_edits({"seed": 7, "learning_rate": 0.001, "variant": "hier"}, CONFIG_VALUES),
+        CONFIG_VALUES))
+    tokens = data.draw(value_edits(small_vocab().id_to_token, st.one_of(st.text(max_size=4),
+                                                                        JSON_VALUES)))
+    min_count = data.draw(st.one_of(st.just(1), JSON_VALUES))
+    path = tmp_path_factory.getbasetemp() / "edited.hat"
+    if saved_or_refused(lambda: save_checkpoint(small_model(), None, config, path), path):
+        assert load_checkpoint(path).config == config
+    if saved_or_refused(lambda: save_checkpoint(small_model(), Vocabulary(tokens, min_count),
+                                                None, path), path):
+        vocab = load_checkpoint(path).vocab
+        assert (vocab.id_to_token, vocab.min_count) == (tokens, min_count)
 
 
 def test_a_stored_vocabulary_must_fit_the_model_to_turn_ids_into_text(tmp_path):

@@ -4,6 +4,7 @@ dataset IO with precise error reporting, and the synthetic album generator.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from hatstory.data import (
     word_tokens,
 )
 from hatstory.errors import ConfigurationError, ContractError, DataError, HatstoryError
-from conftest import byte_edits, json_edits, template_sentences
+from conftest import (JSON_VALUES, byte_edits, json_edits, saved_or_refused,
+                      template_sentences, value_edits)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +278,8 @@ def test_save_load_round_trip_is_structurally_identical(tmp_path):
 def test_save_dataset_writes_the_pinned_bytes(tmp_path):
     # digests of files written by the per-coordinate float() formatter that
     # the one-call-per-album tolist() replaced; the edge values are signed
-    # zero, subnormals and the largest and smallest normal magnitudes
+    # zero, subnormals and the largest and smallest normal magnitudes, in
+    # the first two photos of an album that load_dataset reads back
     albums, _ = synth_generate(SynthSpec(albums=3, n=7, k=6, classes=3, seed=11, noise_sigma=0.3))
     path = tmp_path / "x.jsonl"
     save_dataset(albums, 6, path)
@@ -284,18 +287,27 @@ def test_save_dataset_writes_the_pinned_bytes(tmp_path):
         "da3c122c7ffc9b1e8051ad22de6574791731ad9cec9c9489e0576f60a07d6715")
     edges = np.array([[-0.0, 5e-324, 1e300, -1e-300, 0.1, 1.0],
                       [-1e300, 1e-300, 1.5e-323, -1.7976931348623157e308, 1 / 3, -2.5]])
-    save_dataset([Album("odd", ["p0", "p1"], edges, [], albums[0].stories)], 6, path)
+    features = albums[0].features.copy()
+    features[:2] = edges
+    odd = Album("odd", albums[0].photo_ids, features, albums[0].gt_summaries, albums[0].stories)
+    save_dataset([odd], 6, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "77cb3dd490ac41bf0c8617b1e073be06520f8a66f40b376cba5bd8778d70fabc")
+        "87eb731203e8d9e0612100692a9fb409fdf4e449436fe7aa430b37ffd200d4ab")
     assert '"features": [-0.0, 5e-324, 1e+300, -1e-300, 0.1, 1.0]' in path.read_text()
+    assert load_dataset(path)[0][0].features.tobytes() == features.tobytes()
+    # two photos are fewer than an album file may hold
+    refused = tmp_path / "two.jsonl"
+    with pytest.raises(ContractError, match=r"^save_dataset: album odd photo count 2 outside"):
+        save_dataset([Album("odd", ["p0", "p1"], edges, [], albums[0].stories)], 6, refused)
+    assert not refused.exists()
 
 
 def test_save_dataset_validation(tmp_path):
     albums, _ = synth_generate(SynthSpec(albums=1, n=5, k=6, classes=5, seed=0))
     with pytest.raises(ContractError, match="feature width"):
         save_dataset(albums, 8, tmp_path / "x.jsonl")
-    albums[0].stories[0].texts = None
-    with pytest.raises(ContractError, match="raw texts"):
+    albums[0].stories[0].texts = None  # no raw texts to write
+    with pytest.raises(ContractError, match="each story needs exactly 5 string sentences"):
         save_dataset(albums, 6, tmp_path / "x.jsonl")
 
 
@@ -308,6 +320,74 @@ def test_save_dataset_rejects_non_finite_features_before_writing(tmp_path, value
                                             rf"features\[2\] is {value}, not finite$"):
         save_dataset(albums, 6, path)
     assert not path.exists()
+
+
+def record_of(album):
+    """The JSON record of `album`, as save_dataset writes one."""
+    return {"album_id": album.album_id,
+            "photos": [{"photo_id": pid, "features": features}
+                       for pid, features in zip(album.photo_ids, album.features.tolist())],
+            "gt_summaries": album.gt_summaries,
+            "stories": [{"sentences": story.texts} for story in album.stories]}
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [(lambda a: replace(a, photo_ids=a.photo_ids[:3], features=a.features[:3]),
+      r"photo count 3 outside allowed range \[5, 50\]"),
+     (lambda a: replace(a, photo_ids=a.photo_ids[:1] + a.photo_ids[:-1]), "duplicate photo_id"),
+     (lambda a: replace(a, gt_summaries=[["nowhere"] + a.gt_summaries[0][1:]]),
+      "gt summary references unknown photo 'nowhere'"),
+     (lambda a: replace(a, gt_summaries=[a.gt_summaries[0][:4]]),
+      "each gt summary must list 5 distinct photo_ids"),
+     (lambda a: replace(a, stories=[Story(s.sentences[:4], s.texts[:4]) for s in a.stories]),
+      "each story needs exactly 5 string sentences"),
+     (lambda a: replace(a, album_id=7), "album_id must be a string, got 7")],
+    ids=["3-photos", "duplicate-photo-ids", "unknown-summary-photo", "4-id-summary",
+         "4-sentence-story", "non-string-album-id"],
+)
+def test_save_dataset_refuses_what_load_dataset_rejects(tmp_path, edit, problem):
+    """One rule set: the album that save_dataset refuses, naming the album
+    and the field, is the one load_dataset rejects with the same words."""
+    albums, _ = synth_generate(SynthSpec(albums=2, n=6, k=6, classes=5, seed=0))
+    albums[1] = edit(albums[1])
+    path = tmp_path / "x.jsonl"
+    with pytest.raises(ContractError, match=rf"^save_dataset: album {albums[1].album_id} {problem}$"):
+        save_dataset(albums, 6, path)
+    assert not path.exists()
+    write_lines(path, [header(6), json.dumps(record_of(albums[1]))])
+    with pytest.raises(DataError, match=rf"^line 2 \(album {albums[1].album_id}\): {problem}$"):
+        load_dataset(path)
+
+
+ALBUM_VALUES = st.one_of(st.floats(), st.text(max_size=8), JSON_VALUES,
+                         st.sampled_from([-0.0, 5e-324, "synth-000-p01"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_an_edited_album_is_refused_on_save_or_loads_back_equal(tmp_path_factory, data):
+    album = synth_generate(SynthSpec(albums=1, n=5, k=3, classes=2, seed=1))[0][0]
+    fields = data.draw(value_edits({
+        "album_id": album.album_id, "photo_ids": album.photo_ids,
+        "features": album.features.tolist(), "gt_summaries": album.gt_summaries,
+        "stories": [story.texts for story in album.stories]},
+        ALBUM_VALUES, data.draw(st.sampled_from([("set",), ("set", "drop", "add")]))))
+    try:
+        features = np.array(fields.get("features"), dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # what no float array holds goes in as it is
+        features = fields.get("features")
+    stories = fields.get("stories")
+    edited = Album(fields.get("album_id"), fields.get("photo_ids"), features,
+                   fields.get("gt_summaries"),
+                   [Story([], texts) for texts in (stories if isinstance(stories, list) else [stories])])
+    path = tmp_path_factory.getbasetemp() / "edited.jsonl"
+    if saved_or_refused(lambda: save_dataset([edited], 3, path), path):
+        back = load_dataset(path)[0][0]
+        assert (back.album_id, back.photo_ids, back.gt_summaries) == (
+            edited.album_id, edited.photo_ids, edited.gt_summaries)
+        assert [s.texts for s in back.stories] == [s.texts for s in edited.stories]
+        assert back.features.tobytes() == edited.features.tobytes()
 
 
 # ---------------------------------------------------------------------------
