@@ -52,19 +52,37 @@ def _non_finite(params):
 
 
 def _check_config(config, where, error):
+    """The one rule for a header's config, run on save and on load: null, or
+    a JSON object whose keys are strings at every depth and whose numbers
+    are all finite, as standard JSON holds them, so it reads back as it was
+    written. Errors start with `where` and name the offending key."""
     if config is not None and not isinstance(config, dict):
-        raise error(f"{where}: config must be a JSON object or null")
+        raise error(f"{where} must be a JSON object or null")
+    todo, seen = [("", config)], set()
+    for name, value in todo:  # grows as it goes: breadth first, in key order
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{where}: {name} must be a finite number, got {value!r}")
+        if not isinstance(value, (dict, list)) or id(value) in seen:
+            continue  # a container met again is checked once (json refuses a cycle)
+        seen.add(id(value))
+        if isinstance(value, list):
+            todo.extend((f"{name}[{i}]", item) for i, item in enumerate(value))
+            continue
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise error(f"{where}: {name + ': ' if name else ''}key {key!r} must be a string")
+            todo.append((f"{name}.{key}" if name else key, item))
 
 
 def save_checkpoint(params, vocab, config, path):
-    """`config` is None or a dict that JSON encodes without NaN or infinity;
+    """`config` is None or a dict that JSON encodes as it is (`_check_config`);
     `vocab` may be None for throwaway models. A non-finite weight or another
     config raises a ContractError and writes nothing, so every file saved
     loads (a `Vocabulary` keeps the rules of the header's "vocab" itself)."""
     bad = _non_finite(params)
     if bad:
         raise ContractError(f"save_checkpoint: tensor {bad} holds a non-finite value")
-    _check_config(config, "save_checkpoint", ContractError)
+    _check_config(config, "save_checkpoint: config", ContractError)
     try:  # the config is the one part of the header the caller chooses
         header = json.dumps(_header_dict(params, vocab, config), sort_keys=True,
                             separators=(",", ":"), allow_nan=False).encode("utf-8")
@@ -135,7 +153,7 @@ def _load(f, size):
     if type(carry_state) is not bool:
         raise FormatError(f"checkpoint: carry_state must be true or false, got {carry_state!r}")
     config = header.get("config")
-    _check_config(config, "checkpoint", FormatError)
+    _check_config(config, "checkpoint config", FormatError)
     vocab = _header_vocab(header)
     manifest = header.get("manifest")
     if not isinstance(manifest, list) or not all(

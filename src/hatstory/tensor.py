@@ -20,9 +20,11 @@ sentence and the attention a leading pair axis too: a minibatch runs as
 rows on one tape, a ranked one's stories and negatives as the pair's
 halves, and tape-free inference runs the same ops. At one row, and per
 half, their values are bitwise the composed references' that the tests
-keep; gradients agree to rounding. The encoder and the sentence run one GRU
-kernel, `gru_run`, which steps its cells in lockstep on a leading axis,
-bitwise one run per cell. Every GRU step is `gru_step_array`: gates
+keep, which make their products as the ops do; gradients agree to
+rounding. The encoder and the sentence run one GRU kernel, `gru_run`, which
+steps its cells in lockstep on a leading axis, bitwise one run per cell,
+over input products that its caller makes: one per cell for the encoder,
+one per step for the sentence. Every GRU step is `gru_step_array`: gates
 0.5 tanh(0.5 a) + 0.5, biases folded into the input products, each kind of
 weight side by side in one product, and h + z (cand - h). Those weights are
 a GRU layer's three block Tensors, which its cells share on a leading axis;
@@ -268,31 +270,26 @@ def _lockstep(cells):
     return [np.broadcast_to(b[first.cell], (len(cells),) + b.shape[1:]) for b in blocks]
 
 
-def gru_run(xs, h0, cells):
-    """GRUs over R rows of T inputs, xs (T, R, d_in), stepped in lockstep, one
-    per GruParams of `cells` (`_lockstep`), from h0 (D, R, d_h) for D cells;
-    or with a pair axis after the first, xs (T, 2, R, d_in) from (D, 2, R,
-    d_h). The first cell reads the inputs from the first, a second one from
-    the last. The input products, biases included, are made once, one per
-    cell; each step is one `gru_step_array` over all the cells. Products are
-    per (R, .) block, so each cell, and each half, is bitwise a run over its
-    rows alone. Returns the states and z, r, cand gates, each (T, D, ...,
-    d_h) in step order ([t, 1] follows input T - 1 - t), and for the
-    backward the inputs with their 1s and the cells' blocks."""
-    x = np.empty(xs.shape[:-1] + (xs.shape[-1] + 1,))
-    x[..., :-1], x[..., -1] = xs, 1.0
-    hs = np.empty((len(xs),) + h0.shape)
+def gru_run(xw, h0, cells):
+    """GRUs stepped in lockstep, one per GruParams of `cells` (`_lockstep`),
+    from h0 (D, R, d_h) for D cells, or (D, 2, R, d_h) with a pair axis:
+    step t of cell i adds xw[i, t] (xw is (D, T, ..., 3 d_h)), the product
+    of its input at that step, ending in a constant 1, and its block [W | b],
+    made by the caller. The caller chooses how: the encoder makes one
+    product per cell, the decoder one per step (`gru_sequence`,
+    `sentence_log_prob`). Each step is one `gru_step_array` over all the
+    cells, so given its products each cell, and each half, is bitwise a run
+    over its rows alone. Returns the states and z, r, cand gates, each (T, D,
+    ..., d_h) in step order, and for the backward the cells' blocks."""
+    hs = np.empty(xw.shape[1:2] + h0.shape)
     d = h0.shape[-1]
     zr, cand = np.empty(hs.shape[:-1] + (2 * d,)), np.empty_like(hs)
-    xw = np.empty(hs.shape[:-1] + (3 * d,))
     w_in, u_zr, u_h = _lockstep(cells)
-    for i, w in enumerate(w_in):
-        np.matmul(x[::-1] if i else x, w, out=xw[:, i])
     u_zr, u_h = (u[(slice(None),) + (None,) * (h0.ndim - 3)] for u in (u_zr, u_h))
     h = h0
-    for t in range(len(xs)):
-        h = gru_step_array(xw[t], h, u_zr, u_h, (zr[t], cand[t], hs[t]))[2]
-    return hs, zr[..., :d], zr[..., d:], cand, (x, w_in, u_zr, u_h)
+    for t in range(len(hs)):
+        h = gru_step_array(xw[:, t], h, u_zr, u_h, (zr[t], cand[t], hs[t]))[2]
+    return hs, zr[..., :d], zr[..., d:], cand, (w_in, u_zr, u_h)
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +481,15 @@ def _gru_weight_grads(cells, runs):
                 t.grad[cell.cell] += part[i]
 
 
-def _gru_run_back(h0, run, cells, g_states, need_x):
+def _gru_run_back(h0, x, run, cells, g_states, need_x):
     """Backpropagation through time of a `gru_run` from the array h0 (D, ...,
-    d_h) over the D GruParams `cells`, whose states get g_states (T, D, ...,
-    d_h), in step order, from outside. All cells step back together; the
-    weights' gradients are one product per block and cell
-    (`_gru_weight_grads`). Returns the gradient of h0 and one of the inputs
-    per cell, in input order, each None unless `need_x`."""
-    hs, z, r, cand, (x, w_in, u_zr, u_h) = run
+    d_h) over the D GruParams `cells`, whose inputs were x (D, T, ..., d_in +
+    1) and whose states get g_states (T, D, ..., d_h) from outside, both in
+    step order. All cells step back together; the weights' gradients are
+    one product per block and cell (`_gru_weight_grads`). Returns the
+    gradient of h0 and one of the inputs per cell, in step order, each None
+    unless `need_x`."""
+    hs, z, r, cand, (w_in, u_zr, u_h) = run
     hp = np.concatenate([h0[None], hs[:-1]])  # the state each step starts from
     factors = _gru_factors(hp, z, r, cand)
     # the [z | r | cand] pre-activation gradients, each cell's steps contiguous
@@ -502,13 +500,8 @@ def _gru_run_back(h0, run, cells, g_states, need_x):
     for t in range(len(hs) - 1, -1, -1):
         g = g_states[t] if carry is None else carry + g_states[t]
         carry = _gru_back_step(g, t, factors, u_zr_t, u_h_t, gates)
-    _gru_weight_grads(cells, [(x[::-1] if d else x, hp[:, d], r[:, d], by_cell[d])
-                              for d in range(len(cells))])
-    g_x = [None] * len(cells)
-    for d in range(len(cells) if need_x else 0):
-        g = by_cell[d] @ w_in[d][:-1].T
-        g_x[d] = g[::-1] if d else g
-    return carry, g_x
+    _gru_weight_grads(cells, [(x[d], hp[:, d], r[:, d], by_cell[d]) for d in range(len(cells))])
+    return carry, [by_cell[d] @ w_in[d][:-1].T if need_x else None for d in range(len(cells))]
 
 
 def gru_sequence(xs, h0, fwd, bwd):
@@ -517,7 +510,15 @@ def gru_sequence(xs, h0, fwd, bwd):
     under the cell `fwd` after its input t of xs (R, T, d_in) and under the
     cell `bwd` after reading its inputs from the last down to t, both from
     h0 (R, d_h). Values and gradients are bitwise those of a one-direction
-    run per cell, the second over the reversed inputs, recorded as two ops."""
+    run per cell, the second over the reversed inputs, recorded as two ops.
+
+    Each cell's input products, biases included, are one (T R, d_in + 1)
+    product, not one per step: numpy makes one BLAS call per matrix of a
+    stack, and each call packs the weight again. At `wide` sizes (k = 256,
+    an album of 30 photos) one album's products took 132 us, not 435 us,
+    and 20 albums' 1.77 ms, not 2.78 ms (one BLAS thread, best of 7). So at
+    one row a state is bitwise a chain whose input products are one matrix
+    product, not a chain of T vector products."""
     xs, h0 = _as_tensor(xs), _as_tensor(h0)
     w, _, u_h = fwd.sides()
     d_in, d_h = len(w) - 1, len(u_h)
@@ -525,23 +526,27 @@ def gru_sequence(xs, h0, fwd, bwd):
             or xs.data.shape[2] != d_in or h0.data.shape != (xs.data.shape[0], d_h)):
         raise DimensionError(f"gru_sequence: inputs {xs.data.shape} and state {h0.data.shape} "
                              f"do not fit weights {w.shape} and {bwd.sides()[0].shape} as rows")
-    x = xs.data.transpose(1, 0, 2)  # (T, R, d_in)
+    # each cell's inputs (T, R, d_in) in its step order, the second's reversed, and a 1
+    x = np.empty((2,) + xs.data.shape[1::-1] + (d_in + 1,))
+    x[0, ..., :-1] = xs.data.transpose(1, 0, 2)
+    x[1, ..., :-1], x[..., -1] = x[0, ::-1, :, :-1], 1.0
+    xw = np.matmul(x.reshape(2, -1, d_in + 1), _lockstep([fwd, bwd])[0])  # one product per cell
     start = np.broadcast_to(h0.data, (2,) + h0.data.shape)
-    run = gru_run(x, start, [fwd, bwd])
+    run = gru_run(xw.reshape(x.shape[:-1] + (-1,)), start, [fwd, bwd])
     states = [run[0][:, 0], run[0][::-1, 1]]  # both in input order
     out = _out(np.concatenate([s.transpose(1, 0, 2) for s in states], axis=-1),
                xs, h0, *(t for cell in (fwd, bwd) for _, t in cell.named()))
     if out.requires_grad:
         def back():
             g = out.grad.transpose(1, 0, 2)
-            g_h0, g_x = _gru_run_back(start, run, [fwd, bwd],
+            g_h0, g_x = _gru_run_back(start, x, run, [fwd, bwd],
                                       np.stack([g[..., :d_h], g[::-1, :, d_h:]], axis=1),
                                       xs.requires_grad)
             for d in (1, 0):  # in the order two ops' backwards would add them
                 if h0.requires_grad:
                     _accum(h0, g_h0[d])
                 if xs.requires_grad:
-                    _accum(xs, g_x[d].transpose(1, 0, 2))
+                    _accum(xs, (g_x[d][::-1] if d else g_x[d]).transpose(1, 0, 2))
         _rec(out, back)
     return out
 
@@ -567,6 +572,11 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
     row's final state follows its last word. Condition s gets the summed
     input gradients of sentence s's steps: in step order when S = 1, else
     as one product with the steps' 0/1 sentence masks.
+
+    The input products are one per step, each over the rows (and halves),
+    unlike the encoder's one per cell: the decoder's inputs are narrow, and
+    at `acceptance` sizes, (40, 20, 49) @ (49, 96), one product took 130 us
+    against 99 us per step (one BLAS thread, best of 7).
 
     The record is keyed on the total, and the state's gradient is read when
     the total's backward runs: a caller that uses the state uses the total."""
@@ -610,15 +620,15 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
     weights = [t for _, t in cell.named()]
     at = tuple(np.arange(n).reshape((-1,) + (1,) * (len(lead) - i))
                for i, n in enumerate((steps,) + lead)) + (ids[1],)  # each step's targets
-    x = np.empty((steps,) + lead + (d_in,))
-    x[..., :d_w] = table.data[ids[0]]
+    x = np.empty((steps,) + lead + (d_in + 1,))  # [table[w], g, 1] per step
+    x[..., :d_w], x[..., -1] = table.data[ids[0]], 1.0
     if conditions == 1:
-        x[..., d_w:] = g.data[..., 0, :]
+        x[..., d_w:-1] = g.data[..., 0, :]
     else:  # each step's sentence (T, *lead), padded steps in the last
         ends = np.cumsum(sizes[:half], axis=1)[:, :-1].T.reshape((-1, 1) + stacked)
         sentence = (at[0] >= ends).sum(axis=0)
-        x[..., d_w:] = np.broadcast_to(g.data, lead + g.data.shape[-2:])[at[1:-1] + (sentence,)]
-    run = gru_run(x, h0.data[None], [cell])
+        x[..., d_w:-1] = np.broadcast_to(g.data, lead + g.data.shape[-2:])[at[1:-1] + (sentence,)]
+    run = gru_run((x @ cell.sides()[0])[None], h0.data[None], [cell])  # one product per step
     states = run[0][:, 0]
     y = log_softmax_array(states @ proj_w.data + proj_b.data)
     picked = y[at]
@@ -647,7 +657,7 @@ def sentence_log_prob(total, h0, g, words, targets, table, cell, proj_w, proj_b)
             g_states = g_logits @ proj_w.data.T
             if h.grad is not None:
                 g_states[(lengths - 1,) + at[1:-1] if padded else -1] += h.grad
-            (g_h0,), (g_x,) = _gru_run_back(h0.data[None], run, [cell], g_states[:, None],
+            (g_h0,), (g_x,) = _gru_run_back(h0.data[None], x[None], run, [cell], g_states[:, None],
                                             g.requires_grad or table.requires_grad)
             if h0.requires_grad:
                 _accum(h0, g_h0)
@@ -716,7 +726,10 @@ def soft_select(v, cell, mlp, steps, hard=False):
     renormalizing. Returns g = P @ v (R, steps, k) as a Tensor, P (R, steps,
     n) as an array and the picks as one list per row. The MLP's first layer
     is split, (v_i W1_v + b1) + state W1_s, its photos' term made once: at
-    one row values are bitwise the composed steps' split alike."""
+    one row values are bitwise the composed steps' split alike. That term is
+    one (R n, k) product, not one per row: for 20 `wide` albums of 30 photos
+    it took 1.36 ms against 1.68 ms (one BLAS thread, best of 7), bitwise
+    the same."""
     v = _as_tensor(v)
     weights, layers = [t for _, t in cell.named()], mlp.layers
     tensors = (v, *weights, *(t for pair in layers for t in pair))
@@ -725,7 +738,7 @@ def soft_select(v, cell, mlp, steps, hard=False):
     if vd.ndim != 3 or vd.shape[2] != k:
         raise DimensionError(f"soft_select: photos must be (R, n, {k}) rows, got {vd.shape}")
     count, n, _ = vd.shape
-    half = vd @ layers[0][0].data[d_s:] + layers[0][1].data
+    half = (_flat(vd) @ layers[0][0].data[d_s:]).reshape(count, n, -1) + layers[0][1].data
     w_in, u_zr, u_h = cell.sides()
     recording = _recording(*tensors)
     saved = []  # per step: start and new state, z, r, cand, MLP outputs, raw, kept sum, mask

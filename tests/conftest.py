@@ -196,18 +196,36 @@ def gate_sigmoid(a):
     return 0.5 * tanh(0.5 * a) + 0.5
 
 
-def gru_step(params, x, h):
-    """One GRU update of the state h (d_h,) from the input x (d_in,), the
-    step of `tensor.gru_step_array` in composed ops: the cell's rows of its
-    layer's blocks, the gates' products side by side, [x, 1] [W_z | W_r |
-    W_h; b_z | b_r | b_h] and h [U_z | U_r], each gate its slice."""
-    w, u_zr, u_h = (row(t, params.cell) for _, t in params.named())
+def gru_update(xw, h, u_zr, u_h):
+    """The GRU update of the state h (d_h,) from its input product xw (3 d_h,)
+    and a cell's rows of the recurrent blocks, in composed ops."""
     d = u_h.shape[0]
-    xw = vecmat(concat([x, tensor.Tensor(np.ones(1))]), w)
     zr = gate_sigmoid(row(xw, slice(None, 2 * d)) + vecmat(h, u_zr))
     z, r = row(zr, slice(None, d)), row(zr, slice(d, None))
     cand = tanh(row(xw, slice(2 * d, None)) + vecmat(mul(r, h), u_h))
     return h + z * (cand - h)
+
+
+def gru_step(params, x, h):
+    """One GRU update of the state h (d_h,) from the input x (d_in,), the
+    step of `tensor.gru_step_array` in composed ops: the cell's rows of its
+    layer's blocks, the gates' products side by side, [x, 1] [W_z | W_r |
+    W_h; b_z | b_r | b_h] and h [U_z | U_r], each gate its slice. The input
+    product is one vector product, as the decoder and the selector make it."""
+    w, u_zr, u_h = (row(t, params.cell) for _, t in params.named())
+    return gru_update(vecmat(concat([x, tensor.Tensor(np.ones(1))]), w), h, u_zr, u_h)
+
+
+def gru_chain(params, xs, h0, reverse=False):
+    """The states of `gru_update`s over the rows of xs (T, d_in) from h0, in
+    input order, read last-first when `reverse`: the encoder's form, whose
+    input products are one matmul over all T rows."""
+    w, u_zr, u_h = (row(t, params.cell) for _, t in params.named())
+    xw = matmul(concat([xs, tensor.Tensor(np.ones((xs.shape[0], 1)))], axis=1), w)
+    states, h = [None] * xs.shape[0], h0
+    for t in reversed(range(len(states))) if reverse else range(len(states)):
+        h = states[t] = gru_update(row(xw, t), h, u_zr, u_h)
+    return states
 
 
 def mlp(params, x):
@@ -348,13 +366,16 @@ def reference_gru_run(xs, h0, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, rever
 
 def gru_direction(xs, h0, cell):
     """One GRU direction over (R, T, d_in) rows from h0 (R, d_h) as one taped
-    op, `tensor.gru_run` and its backward over the one cell."""
-    x, start = xs.data.transpose(1, 0, 2), h0.data[None]
-    run = tensor.gru_run(x, start, [cell])
+    op, `tensor.gru_run` and its backward over the one cell, its input
+    products one (T R, d_in + 1) product, as the encoder makes them."""
+    x = np.concatenate([xs.data, np.ones(xs.shape[:-1] + (1,))], axis=-1).transpose(1, 0, 2)[None]
+    xw = (x.reshape(-1, x.shape[-1]) @ cell.sides()[0]).reshape(x.shape[:-1] + (-1,))
+    start = h0.data[None]
+    run = tensor.gru_run(xw, start, [cell])
     out = tensor._out(run[0][:, 0].transpose(1, 0, 2), xs, h0, *(t for _, t in cell.named()))
     if out.requires_grad:
         def back():
-            (g_h0,), (g_x,) = tensor._gru_run_back(start, run, [cell],
+            (g_h0,), (g_x,) = tensor._gru_run_back(start, x, run, [cell],
                                                    out.grad.transpose(1, 0, 2)[:, None],
                                                    xs.requires_grad)
             if h0.requires_grad:

@@ -213,7 +213,7 @@ def test_bad_header_fields_are_format_errors_naming_the_field(tmp_path, mutate, 
      (lambda: (None, {"seed": object()}),
       r"^save_checkpoint: config cannot be written as JSON: Object of type object is not"),
      (lambda: (None, {"learning_rate": math.nan}),
-      r"^save_checkpoint: config cannot be written as JSON: Out of range float values")],
+      r"^save_checkpoint: config: learning_rate must be a finite number, got nan$")],
     ids=["list-config", "string-config", "integer-token", "fractional-min-count",
          "boolean-min-count", "config-json-cannot-encode", "nan-in-config"],
 )
@@ -224,6 +224,46 @@ def test_save_checkpoint_refuses_what_load_checkpoint_rejects(tmp_path, argument
     with pytest.raises(HatstoryError, match=match):
         save_checkpoint(small_model(), *arguments(), path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "config, match",
+    [({1: 2}, r"^save_checkpoint: config: key 1 must be a string$"),
+     ({"seed": 7, "opt": {"betas": [{None: 0.9}]}},
+      r"^save_checkpoint: config: opt.betas\[0\]: key None must be a string$")],
+    ids=["top-level", "nested"],
+)
+def test_save_checkpoint_refuses_a_config_key_that_is_not_a_string(tmp_path, config, match):
+    """JSON would write the key as a string, so the config would load back
+    as another one ({1: 2} as {"1": 2})."""
+    path = tmp_path / "m.hat"
+    with pytest.raises(ContractError, match=match):
+        save_checkpoint(small_model(), None, config, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [('{"learning_rate":NaN}', r"^checkpoint config: learning_rate must be a finite number, got nan$"),
+     ('{"seed":Infinity}', r"^checkpoint config: seed must be a finite number, got inf$"),
+     ('{"seed":-Infinity}', r"^checkpoint config: seed must be a finite number, got -inf$"),
+     ('{"seed":1e999}', r"^checkpoint config: seed must be a finite number, got inf$"),
+     ('{"opt":{"betas":[0.9,NaN]}}',
+      r"^checkpoint config: opt.betas\[1\] must be a finite number, got nan$")],
+    ids=["nan", "infinity", "minus-infinity", "overflow", "nested"],
+)
+def test_load_checkpoint_refuses_a_config_number_that_is_not_finite(tmp_path, text, match):
+    """json.loads reads these, but save_checkpoint refuses them, so such a
+    file would load and then not save again."""
+    _, path = saved(tmp_path, config={"seed": 7})
+    blob = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", blob, len(MAGIC))
+    start = len(MAGIC) + 8
+    header = blob[start:start + length].replace(b'"config":{"seed":7}', b'"config":' + text.encode())
+    assert header != blob[start:start + length]
+    path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + blob[start + length:])
+    with pytest.raises(FormatError, match=match):
+        load_checkpoint(path)
 
 
 CONFIG_VALUES = st.one_of(JSON_VALUES, st.sampled_from([math.inf, object(), {"a": [1, None]}]))

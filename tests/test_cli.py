@@ -460,7 +460,9 @@ def test_any_beam_width_of_at_least_one_is_accepted(pipeline):
         ({"max_sentence_len": 0}, "max_sentence_len must be an integer >= 1, got 0"),
         ({"beam_size": None}, "beam_size must be an integer >= 1, got None"),
         ({"variant": "lstm"}, "unknown variant 'lstm'"),
-        *BAD_CONFIG_VALUES,
+        *BAD_CONFIG_VALUES[:-1],
+        # load_checkpoint refuses a non-finite number before the config is read
+        ({"learning_rate": float("nan")}, "learning_rate must be a finite number, got nan"),
     ],
 )
 def test_bad_checkpoint_config_values_are_one_line_errors(pipeline, tmp_path, capsys,

@@ -29,9 +29,9 @@ from hatstory.tensor import (
     sum_all,
     zeros,
 )
-from conftest import (assert_close, composed_attention, gru_cell, gru_layer, gru_step,
-                      log_softmax_pick, mlp, mlp_head, reference_gru_sequence, reshape, select_step,
-                      stack_rows, vecmat, xavier)
+from conftest import (assert_close, composed_attention, gru_cell, gru_chain, gru_layer,
+                      gru_step, log_softmax_pick, mlp, mlp_head, reference_gru_sequence, reshape,
+                      select_step, stack_rows, vecmat, xavier)
 
 
 def scalar_gru(w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h, x, h):
@@ -234,15 +234,6 @@ def test_gru_step_rejects_wrong_widths(rng):
 
 # ---------------------------------------------------------------------------
 # whole GRU runs and decoder sentences, each one op, against gru_step chains
-
-
-def gru_chain(cell, xs, h0, reverse=False):
-    """States of a gru_step chain over the rows of xs, in input order."""
-    states = [None] * len(xs.data)
-    h = h0
-    for t in reversed(range(len(states))) if reverse else range(len(states)):
-        h = states[t] = gru_step(cell, row(xs, t), h)
-    return states
 
 
 def sentence_chain(total, h, g, words, targets, table, cell, proj_w, proj_b):

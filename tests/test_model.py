@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatstory.data import BOS_ID, EOS_ID, Album, Story
 from hatstory.errors import ConfigurationError, ContractError, DimensionError
@@ -49,8 +51,8 @@ from hatstory.tensor import (
     zeros,
 )
 
-from conftest import (assert_close, beam_decode, composed_attention, decode_word_step, gru_step,
-                      log_softmax_pick, mlp, select_step)
+from conftest import (assert_close, beam_decode, composed_attention, decode_word_step, gru_chain,
+                      gru_step, log_softmax_pick, mlp, select_step)
 
 
 def tiny_dims(**overrides):
@@ -83,13 +85,8 @@ def test_encode_album_is_residual_relu_over_bigru():
     feats = random_features(rng, 3, 4)
     enc = encode_album(params, feats[None])
 
-    fwd, bwd = [], []
-    h_f = h_b = zeros(2)
-    for i in range(3):
-        h_f = gru_step(params.enc_fwd, Tensor(feats[i]), h_f)
-        h_b = gru_step(params.enc_bwd, Tensor(feats[2 - i]), h_b)
-        fwd.append(h_f.data)
-        bwd.insert(0, h_b.data)
+    fwd = [h.data for h in gru_chain(params.enc_fwd, Tensor(feats), zeros(2))]
+    bwd = [h.data for h in gru_chain(params.enc_bwd, Tensor(feats), zeros(2), reverse=True)]
     for i in range(3):
         expected = np.maximum(np.concatenate([fwd[i], bwd[i]]) + feats[i], 0.0)
         assert np.array_equal(enc.v.data[0, i], expected)
@@ -109,6 +106,29 @@ def test_encode_album_is_one_gru_record_of_n_lockstep_steps(monkeypatch, albums)
         encode_album(params, Rng(albums).uniform(-1.0, 1.0, (albums, n, 4)))
     assert len(calls) == n
     assert tape.counts() == {"gru_sequence": 1, "add": 1, "relu": 1}
+
+
+@pytest.mark.parametrize("k", [16, 256])
+@pytest.mark.parametrize("albums", [1, 2, 5, 20])
+@settings(max_examples=4, deadline=None)
+@given(n=st.integers(5, 9), seed=st.integers(0, 2**16))
+def test_encoder_and_selector_rows_equal_one_row_calls(albums, k, n, seed):
+    """A album rows give what A one-row calls give, within 1e-12: the
+    encoder's input products and the selector's photo term are one product
+    over all rows, which the calls of one row make over that row alone."""
+    params = init_model(tiny_dims(k=k, d_s=8, d_g=8, d_w=4), Rng(seed))
+    features = Rng(seed + 1).uniform(-1.0, 1.0, (albums, n, k))
+    enc = encode_album(params, features)
+    rows = [encode_album(params, features[a:a + 1]) for a in range(albums)]
+    for got, want in ((enc.v, [r.v for r in rows]), (enc.states, [r.states for r in rows])):
+        assert np.max(np.abs(got.data - np.concatenate([w.data for w in want]))) <= 1e-12
+    for mode in ("soft", "hard"):
+        sel = select_summary(params, enc, mode)
+        alone = [select_summary(params, r, mode) for r in rows]
+        assert sel.indices == [i for one in alone for i in one.indices]
+        for got, want in ((sel.probs, [one.probs for one in alone]),
+                          (sel.summaries, [one.summaries for one in alone])):
+            assert np.max(np.abs(got.data - np.concatenate([w.data for w in want]))) <= 1e-12
 
 
 def test_encode_album_zero_encoder_passes_relu_features():

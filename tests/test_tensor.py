@@ -278,7 +278,8 @@ def test_sigmoid_array_edge_values():
 @pytest.mark.parametrize("lead", [(3,), (2, 3), (3, 1)], ids=["rows", "pair", "beam-rows"])
 def test_gru_run_matches_the_per_gate_reference_bitwise(lead, steps, both):
     """One cell, or two in lockstep, the second reading the inputs from the
-    last: each is bitwise its own reference run."""
+    last: given the reference's input products, one per step, each is
+    bitwise its own reference run."""
     rng = Rng(40 + steps)
     for d_in, d_h, scale in ((5, 3, 1.0), (24, 16, 1.0), (7, 33, 1.0), (4, 2, 300.0)):
         cells = gru_layer(d_in, d_h, 1 + both)
@@ -286,7 +287,9 @@ def test_gru_run_matches_the_per_gate_reference_bitwise(lead, steps, both):
             view[...] = rng.uniform(-scale, scale, view.shape)
         xs = rng.uniform(-2.0, 2.0, (steps,) + lead + (d_in,))
         h0 = rng.uniform(-1.0, 1.0, (len(cells),) + lead + (d_h,))
-        got = gru_run(xs, h0, cells)
+        x = np.concatenate([xs, np.ones(xs.shape[:-1] + (1,))], axis=-1)
+        got = gru_run(np.stack([(x[::-1] if d else x) @ cell.sides()[0]
+                                for d, cell in enumerate(cells)]), h0, cells)
         for d, cell in enumerate(cells):
             want = reference_gru_run(xs, h0[d], *cell.gates().values(), reverse=bool(d))
             for a, b in zip(got, want):  # states, z, r, cand; the second cell's in step order
